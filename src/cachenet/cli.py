@@ -33,7 +33,7 @@ from .metrics import (
 )
 from .model import ConfigurationError, DemandVector, NetworkConfig, as_fraction, fmt_decimal, fmt_rational
 from .phy import IA_ASSUMPTION_NOTE, verify_plan_phy
-from .placement import place_centralized, place_decentralized
+from .placement import CentralizedPlacement, DecentralizedPlacement, place_centralized, place_decentralized
 
 __all__ = ["main"]
 
@@ -192,17 +192,18 @@ def cmd_plan(args, parser) -> int:
     for plan in plans:
         _print_ledgers(cfg, plan)
     if args.verify:
-        return _verify(cfg, plans, demand, args)
+        return _verify(cfg, plans, placement, demand, args)
     return 0
 
 
-def _verify(cfg: NetworkConfig, plans: list[DeliveryPlan], demand: DemandVector, args) -> int:
+def _verify(
+    cfg: NetworkConfig,
+    plans: list[DeliveryPlan],
+    placement: CentralizedPlacement | DecentralizedPlacement,
+    demand: DemandVector,
+    args,
+) -> int:
     failures = 0
-    placement = (
-        place_centralized(cfg)
-        if args.mode == "centralized"
-        else place_decentralized(cfg, args.seed)
-    )
     completeness = verify_completeness(cfg, plans, placement, demand)
     print(f"completeness: {completeness.summary()}")
     if not completeness.complete:
@@ -252,7 +253,12 @@ def cmd_verify(args, parser) -> int:
     except ConfigurationError as exc:
         print(f"malformed plan: {exc}")
         return 1
-    return _verify(cfg, plans, demand, args)
+    placement = (
+        place_centralized(cfg)
+        if args.mode == "centralized"
+        else place_decentralized(cfg, args.seed)
+    )
+    return _verify(cfg, plans, placement, demand, args)
 
 
 def _split_tiers(text: str) -> list[DeliveryPlan] | None:

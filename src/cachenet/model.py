@@ -45,6 +45,11 @@ def as_fraction(value: int | str | Fraction) -> Fraction:
     raise ConfigurationError(f"expected an exact number, got {type(value).__name__}")
 
 
+def _is_int(value: object) -> bool:
+    """True for ints; bools are ints in Python but never a count or an index here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def is_integral(x: Fraction) -> bool:
     return x.denominator == 1
 
@@ -86,7 +91,7 @@ class NetworkConfig:
 
     def __post_init__(self) -> None:
         for name in ("k_t", "k_r", "n_files"):
-            if not isinstance(getattr(self, name), int) or getattr(self, name) < 1:
+            if not _is_int(getattr(self, name)) or getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be an integer >= 1")
         object.__setattr__(self, "m_t", as_fraction(self.m_t))
         object.__setattr__(self, "m_r", as_fraction(self.m_r))
@@ -100,7 +105,7 @@ class NetworkConfig:
                 f"infeasible caches: K_T*M_T + M_R = {self.k_t * self.m_t + self.m_r} "
                 f"< N = {self.n_files}; transmitters cannot collaboratively cover the library"
             )
-        if self.file_bits is not None and (not isinstance(self.file_bits, int) or self.file_bits < 1):
+        if self.file_bits is not None and (not _is_int(self.file_bits) or self.file_bits < 1):
             raise ConfigurationError("file_bits must be a positive integer when given")
 
     @property
@@ -164,7 +169,7 @@ class DemandVector:
         if len(self.d) != cfg.k_r:
             raise ConfigurationError(f"demand vector has {len(self.d)} entries, expected {cfg.k_r}")
         for f in self.d:
-            if not isinstance(f, int) or not 0 <= f < cfg.n_files:
+            if not _is_int(f) or not 0 <= f < cfg.n_files:
                 raise ConfigurationError(f"demanded file index {f} outside [0, {cfg.n_files})")
 
     @property

@@ -6,12 +6,21 @@ and interference gains stay generic, and two-transmitter gains coincide
 with channel-matrix minors.  Interference alignment is *not* constructed
 numerically; its feasibility enters only as the dimension counts of the
 delivery ledger, and every report says so.
+
+All checks are batched, so their cost grows with the number of numpy calls
+per channel rather than with the number of minors or transmissions.  The
+genericity check stays exhaustive but takes one determinant call per minor
+size and row combination.  Precoders are computed once per distinct
+(transmitter set, ZF targets) pair with one determinant call per target
+count, and every equivalent gain of a channel comes from one matrix
+product.  This keeps verification practical up to about K = 10 per side.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from functools import lru_cache
+from itertools import chain, combinations
 from typing import Iterable
 
 import numpy as np
@@ -38,6 +47,7 @@ IA_ASSUMPTION_NOTE = (
 )
 
 GENERICITY_THRESHOLD = 1e-9
+GENERICITY_FLOOR = 1e-12
 MAX_SAMPLE_RETRIES = 100
 
 
@@ -76,14 +86,24 @@ class PrecodingVector:
     scale: float
 
 
+@lru_cache(maxsize=None)
+def _combinations(n: int, size: int) -> np.ndarray:
+    """All size-`size` subsets of range(n), lexicographically, as rows of a read-only index array."""
+    idx = np.array(list(combinations(range(n), size)), dtype=np.intp).reshape(-1, size)
+    idx.setflags(write=False)
+    return idx
+
+
 def _all_minors_generic(h: np.ndarray, threshold: float) -> bool:
     k_r, k_t = h.shape
     for size in range(1, min(k_r, k_t) + 1):
-        for rows in combinations(range(k_r), size):
-            sub_rows = h[list(rows), :]
-            for cols in combinations(range(k_t), size):
-                if abs(np.linalg.det(sub_rows[:, list(cols)])) < threshold:
-                    return False
+        cols = _combinations(k_t, size)
+        for rows in _combinations(k_r, size):
+            # one stacked det over every column combination of these rows;
+            # batching rows as well would cost C(K_R,s) x C(K_T,s) x s x s index entries
+            minors = np.linalg.det(h[rows][:, cols].swapaxes(0, 1))
+            if np.any(np.abs(minors) < threshold):
+                return False
     return True
 
 
@@ -95,9 +115,10 @@ def sample_channel(
 ) -> ChannelMatrix:
     """Deterministic channel draw; re-samples while any square minor is near zero.
 
-    The exhaustive minor check is intended for desk-scale networks (a few
-    nodes per side); it is what guarantees every ZF subsystem and every
-    equivalent gain the scheme touches is well-conditioned.
+    The minor check is exhaustive and batched per minor size and row
+    combination, which keeps it practical up to about K = 10 per side; it
+    is what guarantees every ZF subsystem and every equivalent gain the
+    scheme touches is well-conditioned.
     """
     if k_r < 1 or k_t < 1:
         raise ValueError("channel dimensions must be >= 1")
@@ -112,6 +133,68 @@ def sample_channel(
     )
 
 
+def _zf_key(tx_set: Iterable[int], zf_targets: Iterable[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(sorted tx_set, sorted zf_targets), rejecting subsets that cannot zero-force."""
+    txs = tuple(sorted(tx_set))
+    targets = tuple(sorted(zf_targets))
+    if not txs:
+        raise ValueError("empty transmitter set")
+    if len(targets) >= len(txs):
+        raise GenericityError(
+            f"{len(txs)} transmitters cannot zero-force at {len(targets)} receivers"
+        )
+    return txs, targets
+
+
+class _ZfPrecoders:
+    """ZF precoders of distinct (tx_set, zf_targets) pairs, prepared once for any channel.
+
+    Pairs are grouped by their target count m; each group keeps the index
+    arrays of its active transmitters and of its targets, so that on a
+    channel the cofactors of all its m x (m+1) target submatrices come from
+    one stacked det call.
+    """
+
+    def __init__(self, pairs: list[tuple[Iterable[int], Iterable[int]]]):
+        self.pairs = pairs
+        by_m: dict[int, list[tuple[int, tuple[int, ...], tuple[int, ...]]]] = {}
+        for k, pair in enumerate(pairs):
+            txs, targets = _zf_key(*pair)
+            by_m.setdefault(len(targets), []).append((k, txs[: len(targets) + 1], targets))
+        self.groups = [
+            (
+                np.array([k for k, _, _ in group], dtype=np.intp),
+                np.array([active for _, active, _ in group], dtype=np.intp),
+                np.array([targets for _, _, targets in group], dtype=np.intp).reshape(len(group), m),
+            )
+            for m, group in by_m.items()
+        ]
+
+    def weights(self, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Normalized weights (pairs x K_T, zero off the active transmitters) and their scales."""
+        weights = np.zeros((len(self.pairs), h.shape[1]), dtype=complex)
+        scales = np.ones(len(self.pairs))
+        for ks, active, targets in self.groups:
+            m = targets.shape[1]
+            if m == 0:
+                weights[ks, active[:, 0]] = 1.0
+                continue
+            b = h[targets[:, :, None], active[:, None, :]]
+            # cofactor i drops column i; the lexicographic m-subsets of m+1 columns drop m, ..., 0
+            cofactors = np.linalg.det(b[:, :, _combinations(m + 1, m)[::-1]].transpose(0, 2, 1, 3))
+            cofactors *= (-1.0) ** np.arange(m + 1)
+            weights[ks[:, None], active] = cofactors
+            scales[ks] = np.max(np.abs(cofactors), axis=1)
+        degenerate = np.flatnonzero(scales < GENERICITY_THRESHOLD)
+        if degenerate.size:
+            txs, targets = _zf_key(*self.pairs[degenerate[0]])
+            raise GenericityError(
+                f"degenerate ZF subsystem for tx={txs} targets={targets}; re-sample the channel"
+            )
+        weights /= scales[:, None]
+        return weights, scales
+
+
 def zf_weights(
     h: ChannelMatrix, tx_set: tuple[int, ...] | frozenset[int], zf_targets: tuple[int, ...] | frozenset[int]
 ) -> PrecodingVector:
@@ -123,29 +206,9 @@ def zf_weights(
     transmitters stay silent.  For one target and two transmitters this is
     the classic (h_t2, -h_t1) swap.
     """
-    txs = tuple(sorted(tx_set))
-    targets = tuple(sorted(zf_targets))
-    if not txs:
-        raise ValueError("empty transmitter set")
-    if len(targets) >= len(txs):
-        raise GenericityError(
-            f"{len(txs)} transmitters cannot zero-force at {len(targets)} receivers"
-        )
-    active = txs[: len(targets) + 1]
-    raw = np.zeros(len(txs), dtype=complex)
-    if not targets:
-        raw[0] = 1.0
-    else:
-        b = h.entries[np.ix_(targets, active)]
-        for i in range(len(active)):
-            sub = np.delete(b, i, axis=1)
-            raw[i] = (-1) ** i * np.linalg.det(sub)
-    scale = float(np.max(np.abs(raw)))
-    if scale < GENERICITY_THRESHOLD:
-        raise GenericityError(
-            f"degenerate ZF subsystem for tx={txs} targets={targets}; re-sample the channel"
-        )
-    return PrecodingVector(tx_set=txs, weights=raw / scale, scale=scale)
+    txs, _ = _zf_key(tx_set, zf_targets)
+    weights, scales = _ZfPrecoders([(txs, zf_targets)]).weights(h.entries)
+    return PrecodingVector(tx_set=txs, weights=weights[0, list(txs)], scale=float(scales[0]))
 
 
 def equivalent_gains(h: ChannelMatrix, p: PrecodingVector) -> np.ndarray:
@@ -178,13 +241,19 @@ def minor(h: ChannelMatrix | np.ndarray, rows_removed: Iterable[int], cols_remov
 
 @dataclass(frozen=True)
 class PhyReport:
-    """Outcome of numeric checks for one or more blocks over one channel."""
+    """Outcome of numeric checks for one or more blocks over one channel.
+
+    `worst_leak` is the ZF headroom: the largest |gain at a ZF target| /
+    |largest gain| over all checked transmissions (0 when none has a ZF
+    target); a transmission leaks when it exceeds the relative tolerance.
+    """
 
     seed: int
     checked: int
     violations: tuple[str, ...]
     ic_flagged: int
     alignment_groups: int
+    worst_leak: float = 0.0
     note: str = IA_ASSUMPTION_NOTE
 
     @property
@@ -200,11 +269,123 @@ class PhyReport:
         )
 
 
+@dataclass(frozen=True)
+class _Layout:
+    """Channel-independent view of a run of blocks: one row per transmission, one column per receiver."""
+
+    entries: tuple[ScheduledSubfile, ...]
+    dest: np.ndarray
+    zf: np.ndarray
+    interfering: np.ndarray
+    ic_flagged: int
+    alignment_groups: int
+
+
+def _mask(sets: list[frozenset[int]], k_r: int) -> np.ndarray:
+    """(len(sets) x K_R) bool mask with row i marking the receivers in sets[i]."""
+    mask = np.zeros((len(sets), k_r), dtype=bool)
+    mask[
+        np.repeat(np.arange(len(sets)), [len(s) for s in sets]),
+        np.fromiter(chain.from_iterable(sets), dtype=np.intp),
+    ] = True
+    return mask
+
+
+def _layout(blocks: Iterable[tuple[ScheduledSubfile, ...]], k_r: int) -> _Layout:
+    """Classify every (transmission, receiver) pair as in `account_block`.
+
+    A receiver that is neither the destination nor a ZF target is
+    cache-cancelled when it holds the subfile and interfering otherwise;
+    interference groups are the distinct (destination, cache holders, ZF
+    targets) labels of a block, each spanning its interfering receivers.
+    """
+    blocks = list(blocks)
+    entries = tuple(e for block in blocks for e in block)
+    dest = np.fromiter((e.dest for e in entries), dtype=np.intp, count=len(entries))
+    zf = _mask([e.zf_targets for e in entries], k_r)
+    cached = _mask([e.subfile.rx_set for e in entries], k_r)
+    other = ~zf
+    other[np.arange(len(entries)), dest] = False
+    interfering = other & ~cached
+    groups = 0
+    start = 0
+    for block in blocks:
+        labels: dict[tuple, int] = {}
+        for i, e in enumerate(block, start):
+            labels.setdefault((e.dest, e.subfile.rx_set, e.zf_targets), i)
+        groups += int(np.count_nonzero(interfering[list(labels.values())]))
+        start += len(block)
+    return _Layout(
+        entries=entries,
+        dest=dest,
+        zf=zf,
+        interfering=interfering,
+        ic_flagged=int(np.count_nonzero(other & cached)),
+        alignment_groups=groups,
+    )
+
+
+def _precoders(entries: tuple[ScheduledSubfile, ...]) -> tuple[_ZfPrecoders, np.ndarray]:
+    """Distinct precoders of the transmissions, in order of first use, and each transmission's precoder."""
+    index: dict[tuple, int] = {}
+    rows = np.fromiter(
+        (index.setdefault((e.subfile.tx_set, e.zf_targets), len(index)) for e in entries),
+        dtype=np.intp,
+        count=len(entries),
+    )
+    return _ZfPrecoders(list(index)), rows
+
+
+def _check(
+    seed: int, layout: _Layout, mag: np.ndarray, rows: np.ndarray, rel_tol: float, floor: float
+) -> PhyReport:
+    """Leak, destination and interference checks of every transmission.
+
+    `mag` holds the gain magnitudes of each precoder (precoders x K_R) and
+    `rows` the precoder of each transmission.  Gains must vanish
+    (relatively) at ZF targets and stay generic at the destination and at
+    interfering receivers; one violation per offending transmission, all
+    symptoms attached.
+    """
+    n = len(layout.entries)
+    gmax = mag.max(axis=1)
+    leak = layout.zf & (mag > rel_tol * gmax[:, None])[rows]
+    quiet = (mag < floor * gmax[:, None])[rows]
+    weak_dest = quiet[np.arange(n), layout.dest]
+    weak = layout.interfering & quiet
+    violations = []
+    for i in np.flatnonzero(leak.any(axis=1) | weak_dest | weak.any(axis=1)):
+        e = layout.entries[i]
+        issues = [
+            f"zf-leak at rx {z + 1} (|gain|={mag[rows[i], z]:.3e}, max {gmax[rows[i]]:.3e})"
+            for z in np.flatnonzero(leak[i])
+        ]
+        if weak_dest[i]:
+            issues.append(f"degenerate destination gain at rx {e.dest + 1}")
+        issues += [f"degenerate interference gain at rx {r + 1}" for r in np.flatnonzero(weak[i])]
+        violations.append(
+            f"block={e.block + 1} subfile={e.subfile.label()} dest={e.dest + 1}: " + "; ".join(issues)
+        )
+    # transmissions sharing a precoder share its ZF targets
+    zf = np.zeros(mag.shape, dtype=bool)
+    zf[rows] = layout.zf
+    live = gmax > 0
+    worst_leak = np.max(mag[live] / gmax[live, None], where=zf[live], initial=0.0)
+    return PhyReport(
+        seed=seed,
+        checked=n,
+        violations=tuple(violations),
+        ic_flagged=layout.ic_flagged,
+        alignment_groups=layout.alignment_groups,
+        worst_leak=float(worst_leak),
+    )
+
+
 def verify_block_phy(
     h: ChannelMatrix,
     block: tuple[ScheduledSubfile, ...],
     rel_tol: float = 1e-9,
-    genericity_floor: float = 1e-12,
+    genericity_floor: float = GENERICITY_FLOOR,
     precoders: list[PrecodingVector] | None = None,
 ) -> PhyReport:
     """Check every transmission of one block against a sampled channel.
@@ -218,43 +399,16 @@ def verify_block_phy(
     """
     if precoders is not None and len(precoders) != len(block):
         raise ValueError("need one precoder per scheduled transmission")
-    violations: list[str] = []
-    checked = 0
-    ic_flagged = 0
-    groups: set[tuple[int, int, frozenset[int], frozenset[int]]] = set()
-    for idx, e in enumerate(block):
-        checked += 1
-        p = precoders[idx] if precoders is not None else zf_weights(h, e.subfile.tx_set, e.zf_targets)
-        gains = equivalent_gains(h, p)
-        gmax = float(np.max(np.abs(gains)))
-        issues: list[str] = []
-        for z in sorted(e.zf_targets):
-            if abs(gains[z]) > rel_tol * gmax:
-                issues.append(f"zf-leak at rx {z + 1} (|gain|={abs(gains[z]):.3e}, max {gmax:.3e})")
-        if abs(gains[e.dest]) < genericity_floor * gmax:
-            issues.append(f"degenerate destination gain at rx {e.dest + 1}")
-        for r in range(h.k_r):
-            if r == e.dest or r in e.zf_targets:
-                continue
-            if r in e.subfile.rx_set:
-                ic_flagged += 1
-                continue
-            groups.add((r, e.dest, e.subfile.rx_set, e.zf_targets))
-            if abs(gains[r]) < genericity_floor * gmax:
-                issues.append(f"degenerate interference gain at rx {r + 1}")
-        if issues:
-            # one violation per offending transmission, all symptoms attached
-            violations.append(
-                f"block={e.block + 1} subfile={e.subfile.label()} dest={e.dest + 1}: "
-                + "; ".join(issues)
-            )
-    return PhyReport(
-        seed=h.seed,
-        checked=checked,
-        violations=tuple(violations),
-        ic_flagged=ic_flagged,
-        alignment_groups=len(groups),
-    )
+    layout = _layout([block], h.k_r)
+    if precoders is None:
+        distinct, rows = _precoders(layout.entries)
+        weights, _ = distinct.weights(h.entries)
+    else:
+        rows = np.arange(len(block))
+        weights = np.zeros((len(block), h.k_t), dtype=complex)
+        for i, p in enumerate(precoders):
+            weights[i, list(p.tx_set)] = p.weights
+    return _check(h.seed, layout, np.abs(weights @ h.entries.T), rows, rel_tol, genericity_floor)
 
 
 def verify_plan_phy(
@@ -263,30 +417,19 @@ def verify_plan_phy(
     channel_seeds: int | list[int],
     rel_tol: float = 1e-9,
 ) -> list[PhyReport]:
-    """Monte-Carlo ZF verification of a plan over seeded channels, merged by seed order."""
-    plans = [plan] if isinstance(plan, DeliveryPlan) else list(plan)
+    """Monte-Carlo ZF verification of a plan (or tier plans, in order) over seeded channels.
+
+    One report per seed, covering every block of every plan.
+    """
     seeds = list(range(channel_seeds)) if isinstance(channel_seeds, int) else list(channel_seeds)
+    if not seeds:
+        return []
+    plans = [plan] if isinstance(plan, DeliveryPlan) else list(plan)
+    layout = _layout((block for p in plans for block in p.blocks), cfg.k_r)
+    distinct, rows = _precoders(layout.entries)
     reports = []
     for seed in seeds:
         h = sample_channel(cfg.k_r, cfg.k_t, seed)
-        checked = 0
-        ic = 0
-        groups = 0
-        violations: list[str] = []
-        for p in plans:
-            for block in p.blocks:
-                r = verify_block_phy(h, block, rel_tol=rel_tol)
-                checked += r.checked
-                ic += r.ic_flagged
-                groups += r.alignment_groups
-                violations.extend(r.violations)
-        reports.append(
-            PhyReport(
-                seed=seed,
-                checked=checked,
-                violations=tuple(violations),
-                ic_flagged=ic,
-                alignment_groups=groups,
-            )
-        )
+        weights, _ = distinct.weights(h.entries)
+        reports.append(_check(seed, layout, np.abs(weights @ h.entries.T), rows, rel_tol, GENERICITY_FLOOR))
     return reports

@@ -109,6 +109,14 @@ def test_config_feasibility():
         NetworkConfig(k_t=0, k_r=2, n_files=2, m_t=1, m_r=1)
 
 
+@pytest.mark.parametrize("field", ["k_t", "k_r", "n_files", "file_bits"])
+def test_config_rejects_bool_integers(field):
+    values = dict(k_t=2, k_r=2, n_files=1, m_t=1, m_r=1, file_bits=8)
+    values[field] = True
+    with pytest.raises(ConfigurationError):
+        NetworkConfig(**values)
+
+
 def test_config_clamps_to_library():
     cfg = NetworkConfig(k_t=2, k_r=2, n_files=2, m_t=5, m_r=7)
     assert cfg.m_t == 2 and cfg.m_r == 2
@@ -123,6 +131,8 @@ def test_demand_vector():
         DemandVector((0, 1, 2)).validate(cfg)
     with pytest.raises(ConfigurationError):
         DemandVector((0, 1, 2, 9)).validate(cfg)
+    with pytest.raises(ConfigurationError):
+        DemandVector((0, True, 2, 3)).validate(cfg)
 
 
 def test_demand_wraps_when_more_receivers_than_files():

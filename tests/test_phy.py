@@ -1,16 +1,18 @@
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from cachenet.delivery import ScheduledSubfile, build_centralized_plan, build_tier_plan
+from cachenet.delivery import DeliveryPlan, ScheduledSubfile, build_centralized_plan, build_tier_plan
 from cachenet.model import DemandVector, NetworkConfig, SubfileId
 from cachenet.phy import (
     ChannelMatrix,
     GenericityError,
     PrecodingVector,
+    _all_minors_generic,
     equivalent_gains,
     minor,
     sample_channel,
@@ -54,6 +56,35 @@ class TestSampling:
                 for cols in itertools.combinations(range(4), size):
                     sub = h.entries[np.ix_(rows, cols)]
                     assert abs(det_cofactor(sub)) > 1e-9
+
+
+def minors_generic_loop(h: np.ndarray, threshold: float) -> bool:
+    """One det per square minor (test oracle for the batched genericity check)."""
+    k_r, k_t = h.shape
+    return all(
+        abs(np.linalg.det(h[np.ix_(rows, cols)])) >= threshold
+        for size in range(1, min(k_r, k_t) + 1)
+        for rows in itertools.combinations(range(k_r), size)
+        for cols in itertools.combinations(range(k_t), size)
+    )
+
+
+class TestGenericity:
+    @pytest.mark.parametrize("k_r,k_t", [(1, 1), (2, 3), (3, 2), (4, 4), (5, 3)])
+    def test_planted_degenerate_minors_rejected(self, k_r, k_t):
+        rng = np.random.default_rng(k_r * 10 + k_t)
+        for size in range(1, min(k_r, k_t) + 1):
+            for _ in range(5):
+                h = rng.standard_normal((k_r, k_t)) + 1j * rng.standard_normal((k_r, k_t))
+                assert _all_minors_generic(h, 1e-9) and minors_generic_loop(h, 1e-9)
+                rows = np.sort(rng.choice(k_r, size=size, replace=False))
+                cols = np.sort(rng.choice(k_t, size=size, replace=False))
+                # make the last planted column a combination of the others: a singular minor
+                sub = h[np.ix_(rows, cols)]
+                sub[:, -1] = sub[:, :-1] @ rng.standard_normal(size - 1) if size > 1 else 0.0
+                h[np.ix_(rows, cols)] = sub
+                assert not minors_generic_loop(h, 1e-9)
+                assert not _all_minors_generic(h, 1e-9)
 
 
 class TestZfWeights:
@@ -205,3 +236,135 @@ class TestBlockVerification:
         plan = build_tier_plan(cfg, DemandVector.worst_case(cfg), 0)
         reports = verify_plan_phy(cfg, plan, channel_seeds=20)
         assert all(r.ok for r in reports)
+
+
+def reference_blocks(h, blocks, rel_tol=1e-9, floor=1e-12, precoders=None):
+    """Per-transmission reference for the batched checks.
+
+    Returns (checked, violations, ic_flagged, alignment_groups, worst_leak)
+    over `blocks`; precoders, when given, are one per transmission in order.
+    """
+    checked = ic_flagged = groups = 0
+    violations = []
+    worst_leak = 0.0
+    for block in blocks:
+        labels = set()
+        for e in block:
+            p = precoders[checked] if precoders is not None else zf_weights(h, e.subfile.tx_set, e.zf_targets)
+            checked += 1
+            gains = equivalent_gains(h, p)
+            gmax = float(np.max(np.abs(gains)))
+            issues = []
+            for z in sorted(e.zf_targets):
+                worst_leak = max(worst_leak, abs(gains[z]) / gmax)
+                if abs(gains[z]) > rel_tol * gmax:
+                    issues.append(f"zf-leak at rx {z + 1} (|gain|={abs(gains[z]):.3e}, max {gmax:.3e})")
+            if abs(gains[e.dest]) < floor * gmax:
+                issues.append(f"degenerate destination gain at rx {e.dest + 1}")
+            for r in range(h.k_r):
+                if r == e.dest or r in e.zf_targets:
+                    continue
+                if r in e.subfile.rx_set:
+                    ic_flagged += 1
+                    continue
+                labels.add((r, e.dest, e.subfile.rx_set, e.zf_targets))
+                if abs(gains[r]) < floor * gmax:
+                    issues.append(f"degenerate interference gain at rx {r + 1}")
+            if issues:
+                violations.append(
+                    f"block={e.block + 1} subfile={e.subfile.label()} dest={e.dest + 1}: " + "; ".join(issues)
+                )
+        groups += len(labels)
+    return checked, tuple(violations), ic_flagged, groups, worst_leak
+
+
+def assert_matches_reference(report, reference):
+    checked, violations, ic_flagged, groups, worst_leak = reference
+    assert (report.checked, report.violations, report.ic_flagged, report.alignment_groups) == (
+        checked,
+        violations,
+        ic_flagged,
+        groups,
+    )
+    # gains come from one matrix product instead of one per transmission: equal up to rounding
+    assert report.worst_leak == pytest.approx(worst_leak, rel=1e-9, abs=1e-12)
+
+
+def integral_corners(k_t, k_r):
+    """Every integral (t_T, t_R) corner of a K_T x K_R network with N = K_R files."""
+    for t_t in range(1, k_t + 1):
+        for t_r in range(k_r + 1):
+            yield NetworkConfig(k_t=k_t, k_r=k_r, n_files=k_r, m_t=Fraction(t_t * k_r, k_t), m_r=t_r)
+
+
+class TestBatchedEquivalence:
+    @pytest.mark.parametrize("k_t,k_r", list(itertools.product(range(2, 7), repeat=2)))
+    def test_plan_reports_match_reference(self, k_t, k_r):
+        for corner, cfg in enumerate(integral_corners(k_t, k_r)):
+            demand = DemandVector.worst_case(cfg)
+            plans = [[build_centralized_plan(cfg, place_centralized(cfg), demand)]]
+            if cfg.t_r == 0:
+                plans.append([build_tier_plan(cfg, demand, t) for t in range(k_r)])
+            # the per-transmission reference is slow: two channels per call on small networks, one on large
+            seeds = [k_t * k_r + corner + 7 * s for s in range(2 if max(k_t, k_r) <= 4 else 1)]
+            for plan in plans:
+                reports = verify_plan_phy(cfg, plan, channel_seeds=seeds)
+                assert [r.seed for r in reports] == seeds
+                for r in reports:
+                    h = sample_channel(k_r, k_t, r.seed)
+                    assert_matches_reference(r, reference_blocks(h, [b for p in plan for b in p.blocks]))
+
+    def _plan44(self):
+        cfg = NetworkConfig(k_t=4, k_r=4, n_files=4, m_t=2, m_r=1)
+        return cfg, build_centralized_plan(cfg, place_centralized(cfg), DemandVector.worst_case(cfg))
+
+    def test_destination_among_zf_targets(self):
+        # t_T = 3, t_R = 2: three transmitters per subfile zero-force at one receiver, so one more target fits
+        cfg = NetworkConfig(k_t=4, k_r=4, n_files=4, m_t=3, m_r=2)
+        plan = build_centralized_plan(cfg, place_centralized(cfg), DemandVector.worst_case(cfg))
+        blocks = [list(b) for b in plan.blocks]
+        e = blocks[1][5]
+        assert len(e.subfile.tx_set) == 3 and len(e.zf_targets) == 1
+        blocks[1][5] = ScheduledSubfile(e.subfile, e.dest, e.zf_targets | {e.dest}, e.block)
+        crafted = DeliveryPlan(blocks=tuple(map(tuple, blocks)), mode=plan.mode)
+        reports = verify_plan_phy(cfg, crafted, channel_seeds=3)
+        for r in reports:
+            assert r.violations == (
+                f"block=2 subfile={e.subfile.label()} dest={e.dest + 1}: "
+                f"degenerate destination gain at rx {e.dest + 1}",
+            )
+            assert_matches_reference(r, reference_blocks(sample_channel(4, 4, r.seed), crafted.blocks))
+
+    def test_supplied_precoders_match_reference(self):
+        cfg, plan = self._plan44()
+        h = sample_channel(4, 4, seed=22)
+        block = list(plan.blocks[0])
+        precoders = [zf_weights(h, e.subfile.tx_set, e.zf_targets) for e in block]
+        for i in (0, 7):
+            e = block[i]
+            block[i] = ScheduledSubfile(e.subfile, e.dest, frozenset({(e.dest + 3) % 4}), e.block)
+        report = verify_block_phy(h, tuple(block), precoders=precoders)
+        assert len(report.violations) == 2
+        assert_matches_reference(report, reference_blocks(h, [block], precoders=precoders))
+
+    def test_too_many_targets_raises(self):
+        cfg, plan = self._plan44()
+        e = plan.blocks[0][0]
+        assert len(e.subfile.tx_set) == 2
+        bad = ScheduledSubfile(e.subfile, e.dest, frozenset(set(range(4)) - {e.dest}), e.block)
+        crafted = DeliveryPlan(blocks=((bad,) + plan.blocks[0][1:],), mode=plan.mode)
+        with pytest.raises(GenericityError):
+            verify_plan_phy(cfg, crafted, channel_seeds=1)
+        with pytest.raises(GenericityError):
+            verify_block_phy(sample_channel(4, 4, seed=0), crafted.blocks[0])
+
+    def test_zero_seeds(self):
+        cfg, plan = self._plan44()
+        assert verify_plan_phy(cfg, plan, channel_seeds=0) == []
+        assert verify_plan_phy(cfg, [plan], channel_seeds=[]) == []
+
+    def test_worst_leak_is_headroom(self):
+        cfg, plan = self._plan44()
+        reports = verify_plan_phy(cfg, plan, channel_seeds=5, rel_tol=1e-9)
+        assert all(r.ok and 0.0 <= r.worst_leak < 1e-9 for r in reports)
+        assert any(r.worst_leak > 0.0 for r in reports)
