@@ -245,6 +245,9 @@ def cmd_verify(args, parser) -> int:
         # split them back apart by tier mode marker when present
         plans = _split_tiers(text) or plans
         args.mode = "decentralized"
+    for p in plans:
+        for e in p.entries():
+            e.check_indices(cfg)
     demand = _infer_demand(cfg, plans, args)
     try:
         for p in plans:

@@ -67,6 +67,22 @@ class ScheduledSubfile:
                 f"{self.subfile.label()} zero-forced at its destination or at a caching receiver"
             )
 
+    def check_indices(self, cfg: NetworkConfig) -> None:
+        """Reject file, transmitter and receiver indices outside `cfg` (e.g. from a plan file)."""
+        sub = self.subfile
+        for name, indices, bound in (
+            ("file", (sub.file,), cfg.n_files),
+            ("tx", sub.tx_set, cfg.k_t),
+            ("cachedRx", sub.rx_set, cfg.k_r),
+            ("zf", self.zf_targets, cfg.k_r),
+            ("dest", (self.dest,), cfg.k_r),
+        ):
+            bad = sorted(i + 1 for i in indices if not 0 <= i < bound)
+            if bad:
+                raise ConfigurationError(
+                    f"block {self.block + 1}: {name} index {bad[0]} outside 1..{bound} in {sub.label()}"
+                )
+
 
 @dataclass(frozen=True)
 class DeliveryPlan:
@@ -171,12 +187,12 @@ def _build_rotation_plan(
             "delivery needs t_T >= 1 (each subfile held by at least one transmitter)"
         )
     n_zf = min(t_t - 1, cfg.k_r - 1 - n_cached)
-    tx_sets = subsets(cfg.k_t, t_t)
+    tx_sets = [frozenset(ts) for ts in subsets(cfg.k_t, t_t)]
     blocks = []
     for b, assignment in enumerate(_cyclic_blocks(cfg.k_r, n_cached, n_zf)):
         block = tuple(
             ScheduledSubfile(
-                subfile=SubfileId(demand.d[j], frozenset(ts), assignment[j][0]),
+                subfile=SubfileId(demand.d[j], ts, assignment[j][0]),
                 dest=j,
                 zf_targets=assignment[j][1],
                 block=b,
@@ -236,34 +252,40 @@ def account_block(cfg: NetworkConfig, block: tuple[ScheduledSubfile, ...]) -> Su
 
     At receiver r a transmission is desired (r is the destination),
     ZF-nulled (r is a ZF target), IC-cancelled (r cached the subfile) or
-    interfering.  Interfering transmissions are grouped by their
-    (destination, cache-holder set, ZF-target set) label; each group aligns
-    into a single dimension.
+    interfering.  All of this depends only on the transmission's
+    (destination, cache-holder set, ZF-target set) label, so the block is
+    first collapsed into per-label counts, checking the first entry of each
+    label in block order, and each label is classified once per receiver.
+    Interfering transmissions of one label align into a single dimension,
+    so `aligned_dims` is the number of interfering labels.
     """
+    labels: dict[tuple[int, frozenset[int], frozenset[int]], int] = {}
     for e in block:
-        e.check()
+        label = (e.dest, e.subfile.rx_set, e.zf_targets)
+        if label not in labels:
+            e.check()
+            labels[label] = 0
+        labels[label] += 1
     ledgers = []
     for r in range(cfg.k_r):
-        desired = zf = ic = 0
-        groups: set[tuple[int, frozenset[int], frozenset[int]]] = set()
-        interfering = 0
-        for e in block:
-            if e.dest == r:
-                desired += 1
-            elif r in e.zf_targets:
-                zf += 1
-            elif r in e.subfile.rx_set:
-                ic += 1
+        desired = zf = ic = interfering = aligned = 0
+        for (dest, rx_set, zf_targets), n in labels.items():
+            if dest == r:
+                desired += n
+            elif r in zf_targets:
+                zf += n
+            elif r in rx_set:
+                ic += n
             else:
-                interfering += 1
-                groups.add((e.dest, e.subfile.rx_set, e.zf_targets))
+                interfering += n
+                aligned += 1
         ledgers.append(
             ReceiverLedger(
                 desired=desired,
                 zf_nulled=zf,
                 ic_cancelled=ic,
                 interfering=interfering,
-                aligned_dims=len(groups),
+                aligned_dims=aligned,
             )
         )
     return SubspaceLedger(receivers=tuple(ledgers))
@@ -394,17 +416,22 @@ def parse_plan(text: str) -> DeliveryPlan:
         m = _LINE_RE.match(line)
         if m is None:
             raise ValueError(f"line {lineno}: malformed plan entry {line!r}")
-        block = int(m.group(1)) - 1
-        entry = ScheduledSubfile(
-            subfile=SubfileId(
-                file=int(m.group(2)) - 1,
-                tx_set=parse_index_set(m.group(3)),
-                rx_set=parse_index_set(m.group(4)),
-            ),
-            dest=int(m.group(6)) - 1,
-            zf_targets=parse_index_set(m.group(5)),
-            block=block,
-        )
+        try:
+            block = int(m.group(1)) - 1
+            if block < 0:
+                raise ValueError("block index 0 is below 1")
+            entry = ScheduledSubfile(
+                subfile=SubfileId(
+                    file=int(m.group(2)) - 1,
+                    tx_set=parse_index_set(m.group(3)),
+                    rx_set=parse_index_set(m.group(4)),
+                ),
+                dest=int(m.group(6)) - 1,
+                zf_targets=parse_index_set(m.group(5)),
+                block=block,
+            )
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
         by_block.setdefault(block, []).append(entry)
     blocks = tuple(tuple(by_block[b]) for b in sorted(by_block))
     return DeliveryPlan(blocks=blocks, mode=mode)

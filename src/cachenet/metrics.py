@@ -11,6 +11,7 @@ silently.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -168,15 +169,18 @@ def ndt_centralized(cfg: NetworkConfig, scheme: str = "baseline") -> Fraction:
 
 
 def _tier_fractions(cfg: NetworkConfig, plans: list[DeliveryPlan]) -> list[Fraction]:
-    """Expected scheduled mass of each tier plan, in file units (exact, asymptotic)."""
-    t_t = int(cfg.t_t)
-    per_partition = Fraction(1, binomial(cfg.k_t, t_t))
+    """Expected scheduled mass of each tier plan, in file units (exact, asymptotic).
+
+    An entry's expected mass depends only on its caching weight |rx_set|,
+    so each plan's entries are counted by weight and `expected_fraction` is
+    evaluated once per weight: n_w * (1/C(K_T,t_T)) * expected_fraction(w).
+    """
+    per_partition = Fraction(1, binomial(cfg.k_t, int(cfg.t_t)))
     out = []
     for plan in plans:
-        mass = Fraction(0)
-        for e in plan.entries():
-            mass += per_partition * expected_fraction(cfg, len(e.subfile.rx_set))
-        out.append(mass)
+        weights = Counter(len(e.subfile.rx_set) for e in plan.entries())
+        mass = sum((n * expected_fraction(cfg, w) for w, n in weights.items()), Fraction(0))
+        out.append(per_partition * mass)
     return out
 
 
@@ -243,8 +247,8 @@ def mc_ndt(cfg: NetworkConfig, demand: DemandVector, seeds: list[int]) -> McNdt:
     plans = [build_tier_plan(cfg, demand, t) for t in range(cfg.k_r)]
     values = []
     for seed in seeds:
-        placement = place_decentralized(cfg, seed)
-        values.append(ndt_finite(cfg, placement, plans, demand))
+        # no reference outlives the call, so one placement mask is alive at a time
+        values.append(ndt_finite(cfg, place_decentralized(cfg, seed), plans, demand))
     floats = [float(v) for v in values]
     mean = sum(floats) / len(floats)
     if len(floats) > 1:

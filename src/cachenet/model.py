@@ -197,10 +197,14 @@ _SET_RE = re.compile(r"^\{([0-9,]*)\}$")
 
 
 def parse_index_set(text: str) -> frozenset[int]:
+    """Inverse of fmt_index_set: '{1,3}' -> {0, 2}; indices below 1 are rejected."""
     m = _SET_RE.match(text.strip())
     if m is None:
         raise ValueError(f"malformed index set {text!r}")
     body = m.group(1)
     if not body:
         return frozenset()
-    return frozenset(int(tok) - 1 for tok in body.split(","))
+    indices = frozenset(int(tok) - 1 for tok in body.split(","))
+    if min(indices) < 0:
+        raise ValueError(f"index set {text!r} has an index below 1")
+    return indices

@@ -208,9 +208,10 @@ def subset_profile(placement: DecentralizedPlacement, file: int) -> SubsetProfil
         raise ValueError(f"file index {file} outside [0, {cfg.n_files})")
     f_bits = cfg.file_bits
     assert f_bits is not None
-    codes = np.zeros(f_bits, dtype=np.int64)
+    # the narrowest unsigned type holding a K_R-bit receiver code keeps temporaries small
+    codes = np.zeros(f_bits, dtype=np.min_scalar_type(2**cfg.k_r - 1))
     for j in range(cfg.k_r):
-        codes |= placement.rx_mask[j, file].astype(np.int64) << j
+        codes |= placement.rx_mask[j, file].astype(codes.dtype) << j
     counts: dict[tuple[frozenset[int], frozenset[int]], int] = {}
     psize = placement.partition_size
     for p, ts in enumerate(placement.tx_sets):

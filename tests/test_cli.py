@@ -135,6 +135,37 @@ def test_verify_malformed_entry_fails(tmp_path):
     assert r.returncode == 1 and "malformed plan" in r.stdout
 
 
+@pytest.mark.parametrize(
+    "edited,message",
+    [
+        ("block=1 file=1 tx={1,2} cachedRx={2} zf={3} dest=9", "dest index 9 outside 1..4"),
+        ("block=1 file=1 tx={1,2} cachedRx={2} zf={0} dest=1", "index set '{0}' has an index below 1"),
+        ("block=1 file=1 tx={1,2} cachedRx={2} zf={3} dest=0", "dest index 0 outside 1..4"),
+        ("block=1 file=5 tx={1,2} cachedRx={2} zf={3} dest=1", "file index 5 outside 1..4"),
+        ("block=1 file=1 tx={1,7} cachedRx={2} zf={3} dest=1", "tx index 7 outside 1..4"),
+        ("block=1 file=1 tx={1,2} cachedRx={2,5} zf={3} dest=1", "cachedRx index 5 outside 1..4"),
+        ("block=1 file=1 tx={1,2} cachedRx={2} zf={3,6} dest=1", "zf index 6 outside 1..4"),
+    ],
+    ids=["dest9", "zf0", "dest0", "file5", "tx7", "cachedRx5", "zf6"],
+)
+def test_verify_out_of_range_index_exits_2(tmp_path, edited, message):
+    run_cli(
+        "plan", "--kt", "4", "--kr", "4", "--n", "4", "--mt", "2", "--mr", "1",
+        "--out", "plan.txt", cwd=tmp_path,
+    )
+    text = (tmp_path / "plan.txt").read_text()
+    original = "block=1 file=1 tx={1,2} cachedRx={2} zf={3} dest=1"
+    assert original in text
+    (tmp_path / "bad.txt").write_text(text.replace(original, edited))
+    r = run_cli(
+        "verify", "--plan-file", "bad.txt", "--kt", "4", "--kr", "4", "--n", "4",
+        "--mt", "2", "--mr", "1", "--channel-seeds", "2", cwd=tmp_path,
+    )
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.startswith("error: ") and message in r.stderr
+    assert "Traceback" not in r.stderr and r.stdout == ""
+
+
 def test_verify_off_pattern_plan_warns_but_passes(tmp_path):
     run_cli(
         "plan", "--kt", "4", "--kr", "4", "--n", "4", "--mt", "2", "--mr", "1",

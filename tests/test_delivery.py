@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
+import per_entry
 from cachenet.delivery import (
     DeliveryPlan,
+    ReceiverLedger,
     ScheduledSubfile,
     account_block,
     account_plan,
@@ -240,6 +243,76 @@ class TestAccountBlockValidation:
         )
         with pytest.raises(ConfigurationError):
             account_block(cfg, (bad,))
+
+
+class TestPerLabelEquivalence:
+    """account_block counts transmissions per label; a per-entry classifier agrees."""
+
+    @pytest.mark.parametrize("k_t,k_r", list(itertools.product(range(1, 6), repeat=2)))
+    def test_rotation_shuffled_and_parsed_blocks(self, k_t, k_r):
+        rng = random.Random(f"{k_t}x{k_r}")
+        for t_t in range(1, k_t + 1):
+            for t_r in range(k_r):
+                cfg = corner_cfg(k_t, k_r, t_t, t_r)
+                demand = DemandVector.worst_case(cfg)
+                plans = [centralized_setup(cfg)[2]]
+                if t_r == 0:  # the tier plans do not depend on t_R
+                    plans += [build_tier_plan(cfg, demand, t) for t in range(k_r)]
+                for plan in plans:
+                    expected = [per_entry.account_block(cfg, block) for block in plan.blocks]
+                    assert account_plan(cfg, plan) == expected
+                    assert account_plan(cfg, parse_plan(serialize_plan(plan))) == expected
+                    for block, ledger in zip(plan.blocks, expected):
+                        shuffled = list(block)
+                        rng.shuffle(shuffled)
+                        assert account_block(cfg, tuple(shuffled)) == ledger
+
+    def test_crafted_non_uniform_block(self):
+        cfg = cfg44()
+
+        def entry(dest, tx, rx, zf, file=0):
+            return ScheduledSubfile(SubfileId(file, frozenset(tx), frozenset(rx)), dest, frozenset(zf), 0)
+
+        block = (
+            entry(0, {0, 1}, {1}, {2}),
+            entry(1, {0, 1}, set(), set(), file=1),
+            entry(0, {0, 2}, {1}, {2}),
+            entry(0, {1, 2}, {1}, {3}),
+            entry(2, {2, 3}, {0, 3}, {1}),
+            entry(1, {2, 3}, set(), set(), file=2),
+            entry(3, {0, 1}, set(), {0, 1}),
+            entry(0, {0, 3}, {1}, {2}),
+        )
+        ledger = account_block(cfg, block)
+        assert ledger == per_entry.account_block(cfg, block)
+        assert not ledger.uniform
+        # at rx 4 (1-based) two labels interfere: dest=1 cachedRx={2} zf={3} with
+        # three entries and dest=2 cachedRx={} with two: 5 transmissions, 2 dimensions
+        assert ledger.receivers[3] == ReceiverLedger(
+            desired=1, zf_nulled=1, ic_cancelled=1, interfering=5, aligned_dims=2
+        )
+
+    def test_first_bad_entry_is_named(self):
+        cfg = cfg44()
+        _, _, plan = centralized_setup(cfg)
+        good = list(plan.blocks[0])
+        e = good[5]
+        # `first` and `second` share one bad label (destination among the cache
+        # holders); `third` is bad in another way and sits between them
+        bad_rx = e.subfile.rx_set | {e.dest}
+
+        def bad(tx):
+            return ScheduledSubfile(SubfileId(e.subfile.file, frozenset(tx), bad_rx), e.dest, frozenset(), 0)
+
+        first, second = bad({0, 3}), bad({1, 2})
+        third = ScheduledSubfile(e.subfile, e.dest, frozenset({e.dest}), 0)
+        block = tuple(good[:3] + [first] + good[3:7] + [third, second] + good[7:])
+        with pytest.raises(ConfigurationError) as grouped:
+            account_block(cfg, block)
+        with pytest.raises(ConfigurationError) as reference:
+            per_entry.account_block(cfg, block)
+        assert str(grouped.value) == str(reference.value)
+        assert first.subfile.label() in str(grouped.value)
 
 
 def test_literal_worked_block_accounts_with_degraded_receiver():

@@ -6,7 +6,10 @@ from fractions import Fraction
 
 import pytest
 
+import per_entry
+from cachenet.delivery import DeliveryPlan, build_tier_plan
 from cachenet.metrics import (
+    _tier_fractions,
     mc_ndt,
     memory_share,
     ndt_centralized,
@@ -169,6 +172,31 @@ class TestNdtOracle:
         partial = [build_tier_plan(cfg, demand, t) for t in range(2)]  # tier 2 missing
         with pytest.raises(ConfigurationError, match="incomplete"):
             ndt_oracle(cfg, plans=partial, demand=demand, placement=placement)
+
+
+class TestPerEntryEquivalence:
+    """Counting entries by caching weight gives exactly the per-entry sums."""
+
+    @pytest.mark.parametrize("k_t,k_r", list(itertools.product(range(1, 7), repeat=2)))
+    def test_tier_fractions_and_oracle(self, k_t, k_r):
+        for t_t in range(1, k_t + 1):
+            # the worst-case tier plans and their ledgers depend on K_T, K_R and t_T only
+            cfg = corner_cfg(k_t, k_r, t_t, 0)
+            plans = [build_tier_plan(cfg, DemandVector.worst_case(cfg), t) for t in range(k_r)]
+            sdofs = [per_entry.plan_sdof(cfg, plan) if plan.blocks else None for plan in plans]
+            for t_r in range(k_r + 1):
+                cfg = corner_cfg(k_t, k_r, t_t, t_r)
+                masses = per_entry.tier_fractions(cfg, plans)
+                assert _tier_fractions(cfg, plans) == masses, (k_t, k_r, t_t, t_r)
+                # one plan holding every caching weight at once
+                mixed = [DeliveryPlan(blocks=tuple(b for p in plans for b in p.blocks), mode="mixed")]
+                assert _tier_fractions(cfg, mixed) == per_entry.tier_fractions(cfg, mixed) == [sum(masses)]
+                breakdown = tuple(
+                    (t, m / s if s else Fraction(0)) for t, (m, s) in enumerate(zip(masses, sdofs))
+                )
+                expected = (sum((c for _, c in breakdown), Fraction(0)), breakdown)
+                assert ndt_oracle(cfg, plans=plans) == expected, (k_t, k_r, t_t, t_r)
+            assert ndt_oracle(cfg) == expected
 
 
 class TestNdtCentralized:

@@ -150,3 +150,10 @@ def test_formatting():
     assert parse_index_set("{}") == frozenset()
     with pytest.raises(ValueError):
         parse_index_set("1,3")
+
+
+@pytest.mark.parametrize("text", ["{0}", "{1,0}", "{0,2,3}"])
+def test_parse_index_set_rejects_zero(text):
+    # 1-based text: index 0 would become -1, which numpy wraps to the last receiver
+    with pytest.raises(ValueError, match="below 1"):
+        parse_index_set(text)

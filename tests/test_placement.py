@@ -163,6 +163,19 @@ class TestSubsetProfile:
         # at this size every one of the 24 classes is populated
         assert len(profile.counts) == 24
 
+    @pytest.mark.parametrize("k_r", [3, 8, 9])
+    def test_matches_per_bit_classification(self, k_r):
+        # 8 receivers fill a one-byte code; 9 need a wider one
+        cfg = NetworkConfig(k_t=3, k_r=k_r, n_files=3, m_t=1, m_r=1, file_bits=500)
+        pl = place_decentralized(cfg, seed=k_r)
+        for f in range(cfg.n_files):
+            expected: dict = {}
+            for b in range(cfg.file_bits):
+                rx = frozenset(j for j in range(k_r) if pl.rx_mask[j, f, b])
+                key = (frozenset(pl.tx_sets[pl.partition_of(b)]), rx)
+                expected[key] = expected.get(key, 0) + 1
+            assert subset_profile(pl, f).counts == expected
+
     def test_binomial_concentration(self):
         # empirical class sizes stay within 3 sigma of the i.i.d. caching law
         cfg = cfg33(file_bits=10**6)
