@@ -14,6 +14,7 @@ from .delivery import (
     build_decentralized_plan,
     build_tier_plan,
     parse_plan,
+    parse_plans,
     plan_sdof,
     serialize_plan,
     verify_completeness,

@@ -18,7 +18,7 @@ from .delivery import (
     account_plan,
     build_centralized_plan,
     build_decentralized_plan,
-    parse_plan,
+    parse_plans,
     plan_sdof,
     serialize_plan,
     verify_completeness,
@@ -55,7 +55,7 @@ def _read_config_file(path: str) -> dict[str, str]:
     return values
 
 
-def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
+def _merge_config(args: argparse.Namespace) -> None:
     """Flags override config-file values; fill unset flags from the file."""
     if getattr(args, "config", None):
         casts = {"kt": int, "kr": int, "n": int, "file_bits": int, "seed": int}
@@ -238,12 +238,9 @@ def _verify(
 def cmd_verify(args, parser) -> int:
     cfg = _network(args, parser)
     text = Path(args.plan_file).read_text() if args.plan_file else sys.stdin.read()
-    plan = parse_plan(text)
-    plans = [plan]
-    if plan.mode.startswith("decentralized") or args.mode == "decentralized":
-        # a serialized decentralized run concatenates the tier plans;
-        # split them back apart by tier mode marker when present
-        plans = _split_tiers(text) or plans
+    # a serialized decentralized run concatenates one plan per tier
+    plans = parse_plans(text)
+    if any(p.mode.startswith("decentralized") for p in plans):
         args.mode = "decentralized"
     for p in plans:
         for e in p.entries():
@@ -262,18 +259,6 @@ def cmd_verify(args, parser) -> int:
         else place_decentralized(cfg, args.seed)
     )
     return _verify(cfg, plans, placement, demand, args)
-
-
-def _split_tiers(text: str) -> list[DeliveryPlan] | None:
-    chunks: list[list[str]] = []
-    for line in text.splitlines():
-        if line.startswith("# mode="):
-            chunks.append([line])
-        elif chunks:
-            chunks[-1].append(line)
-    if len(chunks) <= 1:
-        return None
-    return [parse_plan("\n".join(chunk)) for chunk in chunks]
 
 
 def _infer_demand(cfg: NetworkConfig, plans: list[DeliveryPlan], args) -> DemandVector:
@@ -375,7 +360,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        _merge_config(args, parser)
+        _merge_config(args)
         return args.func(args, parser)
     except (ConfigurationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

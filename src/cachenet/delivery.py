@@ -20,6 +20,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .model import (
     ConfigurationError,
@@ -47,12 +48,16 @@ __all__ = [
     "verify_completeness",
     "serialize_plan",
     "parse_plan",
+    "parse_plans",
 ]
 
 
-@dataclass(frozen=True)
-class ScheduledSubfile:
-    """One subfile transmission: destination, cache holders, ZF targets, block index."""
+class ScheduledSubfile(NamedTuple):
+    """One subfile transmission: destination, cache holders, ZF targets, block index.
+
+    A plain tuple of those four fields, so plans of tens of thousands of
+    entries stay cheap to build.
+    """
 
     subfile: SubfileId
     dest: int
@@ -191,13 +196,8 @@ def _build_rotation_plan(
     blocks = []
     for b, assignment in enumerate(_cyclic_blocks(cfg.k_r, n_cached, n_zf)):
         block = tuple(
-            ScheduledSubfile(
-                subfile=SubfileId(demand.d[j], ts, assignment[j][0]),
-                dest=j,
-                zf_targets=assignment[j][1],
-                block=b,
-            )
-            for j in range(cfg.k_r)
+            ScheduledSubfile(SubfileId(demand.d[j], ts, cached), j, zf_targets, b)
+            for j, (cached, zf_targets) in enumerate(assignment)
             for ts in tx_sets
         )
         blocks.append(block)
@@ -400,9 +400,27 @@ def serialize_plan(plan: DeliveryPlan) -> str:
     return "\n".join(lines) + "\n"
 
 
+def parse_plans(text: str) -> list[DeliveryPlan]:
+    """Inverse of concatenated serialize_plan outputs: one plan per `# mode=` header.
+
+    A decentralized run writes one plan per tier into one file; this splits
+    them back apart.  Tolerates comments and blank lines.
+    """
+    return _parse(text, single=False)
+
+
 def parse_plan(text: str) -> DeliveryPlan:
-    """Inverse of serialize_plan; tolerates comments and blank lines."""
-    mode = "unknown"
+    """Inverse of serialize_plan; tolerates comments and blank lines.
+
+    Rejects a second `# mode=` header: concatenated plans go through
+    parse_plans, so their tiers are never merged.
+    """
+    return _parse(text, single=True)[0]
+
+
+def _parse(text: str, single: bool) -> list[DeliveryPlan]:
+    plans: list[DeliveryPlan] = []
+    mode = None
     by_block: dict[int, list[ScheduledSubfile]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -411,6 +429,13 @@ def parse_plan(text: str) -> DeliveryPlan:
         if line.startswith("#"):
             m = re.search(r"mode=(\S+)", line)
             if m:
+                if mode is not None:
+                    if single:
+                        raise ValueError(
+                            f"line {lineno}: second '# mode=' header; use parse_plans for concatenated plans"
+                        )
+                    plans.append(_assemble(by_block, mode))
+                    by_block = {}
                 mode = m.group(1)
             continue
         m = _LINE_RE.match(line)
@@ -433,5 +458,9 @@ def parse_plan(text: str) -> DeliveryPlan:
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
         by_block.setdefault(block, []).append(entry)
-    blocks = tuple(tuple(by_block[b]) for b in sorted(by_block))
-    return DeliveryPlan(blocks=blocks, mode=mode)
+    plans.append(_assemble(by_block, mode or "unknown"))
+    return plans
+
+
+def _assemble(by_block: dict[int, list[ScheduledSubfile]], mode: str) -> DeliveryPlan:
+    return DeliveryPlan(blocks=tuple(tuple(by_block[b]) for b in sorted(by_block)), mode=mode)

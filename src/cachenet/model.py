@@ -12,6 +12,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 __all__ = [
     "ConfigurationError",
@@ -130,12 +131,12 @@ def derive_t_params(cfg: NetworkConfig) -> tuple[Fraction, Fraction]:
     return cfg.t_t, cfg.t_r
 
 
-@dataclass(frozen=True)
-class SubfileId:
+class SubfileId(NamedTuple):
     """One piece of a file, labelled by where it was cached.
 
     `tx_set` is the transmitter subset holding it, `rx_set` the receiver
-    subset that cached it (empty when no receiver did).
+    subset that cached it (empty when no receiver did).  A plain tuple of
+    those three fields: it hashes and compares like one.
     """
 
     file: int

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -40,16 +41,46 @@ RNG_ALGORITHM = "numpy.random.Generator(PCG64)"
 
 @dataclass(frozen=True)
 class CentralizedPlacement:
-    """Deterministic subfile placement for integral replication factors."""
+    """Deterministic subfile placement for integral replication factors.
+
+    Only `cfg` is stored; `place_centralized` checks that it is integral.
+    The per-node listings `tx_cache` and `rx_cache` are built on first
+    access and kept; nothing but `export_text` needs them, since delivery
+    plans follow from `cfg` alone.
+    """
 
     cfg: NetworkConfig
-    tx_cache: dict[int, frozenset[SubfileId]]
-    rx_cache: dict[int, frozenset[SubfileId]]
-    subfile_fraction: Fraction
 
     @property
     def subfiles_per_file(self) -> int:
-        return int(1 / self.subfile_fraction)
+        return binomial(self.cfg.k_t, int(self.cfg.t_t)) * binomial(self.cfg.k_r, int(self.cfg.t_r))
+
+    @property
+    def subfile_fraction(self) -> Fraction:
+        return Fraction(1, self.subfiles_per_file)
+
+    @cached_property
+    def tx_cache(self) -> dict[int, frozenset[SubfileId]]:
+        """Subfiles held by each transmitter."""
+        return self._listing(self.cfg.k_t, "tx_set")
+
+    @cached_property
+    def rx_cache(self) -> dict[int, frozenset[SubfileId]]:
+        """Subfiles cached by each receiver."""
+        return self._listing(self.cfg.k_r, "rx_set")
+
+    def _listing(self, n_nodes: int, holders: str) -> dict[int, frozenset[SubfileId]]:
+        cfg = self.cfg
+        tx_sets = subsets(cfg.k_t, int(cfg.t_t))
+        rx_sets = subsets(cfg.k_r, int(cfg.t_r))
+        cache: dict[int, set[SubfileId]] = {node: set() for node in range(n_nodes)}
+        for f in range(cfg.n_files):
+            for ts in tx_sets:
+                for rs in rx_sets:
+                    sub = SubfileId(f, frozenset(ts), frozenset(rs))
+                    for node in getattr(sub, holders):
+                        cache[node].add(sub)
+        return {node: frozenset(v) for node, v in cache.items()}
 
     def export_text(self) -> str:
         """Per-node listing of cached subfiles (stable order)."""
@@ -155,26 +186,7 @@ def place_centralized(cfg: NetworkConfig) -> CentralizedPlacement:
             f"centralized placement needs integral replication factors, got "
             f"t_T={cfg.t_t}, t_R={cfg.t_r}; use memory-sharing between integral corners"
         )
-    t_t, t_r = int(cfg.t_t), int(cfg.t_r)
-    tx_sets = subsets(cfg.k_t, t_t)
-    rx_sets = subsets(cfg.k_r, t_r)
-    tx_cache: dict[int, set[SubfileId]] = {i: set() for i in range(cfg.k_t)}
-    rx_cache: dict[int, set[SubfileId]] = {j: set() for j in range(cfg.k_r)}
-    for f in range(cfg.n_files):
-        for ts in tx_sets:
-            for rs in rx_sets:
-                sub = SubfileId(f, frozenset(ts), frozenset(rs))
-                for i in ts:
-                    tx_cache[i].add(sub)
-                for j in rs:
-                    rx_cache[j].add(sub)
-    fraction = Fraction(1, len(tx_sets) * len(rx_sets))
-    return CentralizedPlacement(
-        cfg=cfg,
-        tx_cache={i: frozenset(v) for i, v in tx_cache.items()},
-        rx_cache={j: frozenset(v) for j, v in rx_cache.items()},
-        subfile_fraction=fraction,
-    )
+    return CentralizedPlacement(cfg)
 
 
 def place_decentralized(cfg: NetworkConfig, seed: int) -> DecentralizedPlacement:

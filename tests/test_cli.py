@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from cachenet import cli
 from conftest import cachenet_env
 
 BASE = [sys.executable, "-m", "cachenet"]
@@ -83,6 +84,24 @@ def test_plan_show_lists_placement(tmp_path):
     )
     assert r.returncode == 0
     assert "tx 1:" in r.stdout and "rx 3:" in r.stdout
+
+
+@pytest.mark.parametrize("show", [False, True])
+def test_plan_builds_placement_listings_only_when_shown(show, monkeypatch):
+    # only `plan --show` reads the per-node cache listings, so only it builds them
+    built = []
+    original = cli.place_centralized
+
+    def place(cfg):
+        built.append(original(cfg))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "place_centralized", place)
+    argv = ["plan", "--kt", "4", "--kr", "4", "--n", "4", "--mt", "2", "--mr", "1", "--verify", "--channel-seeds", "1"]
+    assert cli.main(argv + ["--show"] * show) == 0
+    (placement,) = built
+    listings = {"tx_cache", "rx_cache"} & set(vars(placement))
+    assert listings == ({"tx_cache", "rx_cache"} if show else set())
 
 
 def test_plan_verify_clean(tmp_path):

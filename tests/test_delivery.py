@@ -17,6 +17,7 @@ from cachenet.delivery import (
     build_decentralized_plan,
     build_tier_plan,
     parse_plan,
+    parse_plans,
     plan_sdof,
     serialize_plan,
     verify_completeness,
@@ -344,3 +345,22 @@ def test_serialize_round_trip():
 def test_parse_rejects_malformed():
     with pytest.raises(ValueError):
         parse_plan("block=1 file=1 oops\n")
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_parse_plans_splits_concatenated_tiers(k):
+    cfg = NetworkConfig(k_t=k, k_r=k, n_files=k, m_t=2, m_r=1, file_bits=300)
+    tiers = build_decentralized_plan(cfg, place_decentralized(cfg, 1), DemandVector.worst_case(cfg))
+    text = "".join(serialize_plan(tier) for tier in tiers)
+    assert parse_plans(text) == tiers
+    # the second header is the line after the first tier's entries
+    second = 2 + len(tiers[0].entries())
+    with pytest.raises(ValueError, match=f"line {second}: second '# mode=' header"):
+        parse_plan(text)
+
+
+def test_parse_plans_single_plan():
+    cfg = cfg44()
+    _, _, plan = centralized_setup(cfg)
+    assert parse_plans(serialize_plan(plan)) == [plan]
+    assert parse_plans("") == [DeliveryPlan(blocks=(), mode="unknown")]

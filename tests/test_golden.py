@@ -1,9 +1,12 @@
-"""Golden CLI outputs: `sdof`, `ndt` and `plan --out` must not change by a byte.
+"""Golden CLI outputs: `sdof`, `ndt`, `plan` and `verify` must not change by a byte.
 
 Each case's stdout is kept in ``tests/golden/<case>.txt``; for `plan --out`
 the golden file holds the stdout (which carries the ledger lines) followed
-by the SHA-256 of the written plan text.  The corners follow the benchmark
-grid's convention N = K_R, M_T = t_T K_R / K_T, M_R = t_R.
+by the SHA-256 of the written plan text.  `plan --show` cases lock the
+placement listings, and `verify` cases first write the plan with
+`plan --out` and keep the stdout of `verify --plan-file`.  The corners
+follow the benchmark grid's convention N = K_R, M_T = t_T K_R / K_T,
+M_R = t_R.
 
 Regenerate only on purpose, when a change of output is intended:
 
@@ -37,6 +40,16 @@ CORNERS = {
 COMMANDS = ("sdof", "ndt", "plan")
 PLAN_FILE = "plan.txt"
 
+DECENTRALIZED = ["--mode", "decentralized", "--file-bits", "3000", "--seed", "1"]
+# case -> (corner, command, flags passed to `plan` and, for `verify`, to both commands)
+RUN_CASES = {
+    "3x3_reference.plan-show": ("3x3_reference", "plan", ["--show"]),
+    "4x4_t2_1.plan-show": ("4x4_t2_1", "plan", ["--show"]),
+    "3x3_reference.plan-show-decentralized": ("3x3_reference", "plan", ["--show", *DECENTRALIZED]),
+    "4x4_t2_1.verify": ("4x4_t2_1", "verify", []),
+    "3x3_reference.verify-decentralized": ("3x3_reference", "verify", DECENTRALIZED),
+}
+
 
 def _net(corner: tuple[int, int, int, int]) -> list[str]:
     k_t, k_r, t_t, t_r = corner
@@ -44,18 +57,32 @@ def _net(corner: tuple[int, int, int, int]) -> list[str]:
     return ["--kt", str(k_t), "--kr", str(k_r), "--n", str(k_r), "--mt", str(m_t), "--mr", str(t_r)]
 
 
+def _run(argv: list[str]) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    return f"exit={code}\n{out.getvalue()}"
+
+
 def render(name: str, command: str) -> str:
     """Run one case in the current directory; return its golden text."""
     argv = [command, *_net(CORNERS[name])]
     if command == "plan":
         argv += ["--out", PLAN_FILE]
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = cli.main(argv)
-    text = f"exit={code}\n{out.getvalue()}"
+    text = _run(argv)
     if command == "plan":
         text += f"sha256({PLAN_FILE})={hashlib.sha256(Path(PLAN_FILE).read_bytes()).hexdigest()}\n"
     return text
+
+
+def render_run(case: str) -> str:
+    """Run one `RUN_CASES` case in the current directory; return its golden text."""
+    corner, command, flags = RUN_CASES[case]
+    net = [*_net(CORNERS[corner]), *flags]
+    if command == "plan":
+        return _run(["plan", *net])
+    _run(["plan", *net, "--out", PLAN_FILE])
+    return _run(["verify", *net, "--plan-file", PLAN_FILE, "--channel-seeds", "2"])
 
 
 CASES = [(name, command) for name in CORNERS for command in COMMANDS]
@@ -68,6 +95,13 @@ def test_golden(name, command, tmp_path, monkeypatch):
     assert render(name, command) == expected
 
 
+@pytest.mark.parametrize("case", RUN_CASES)
+def test_golden_run(case, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    expected = (GOLDEN_DIR / f"{case}.txt").read_text()
+    assert render_run(case) == expected
+
+
 if __name__ == "__main__":
     GOLDEN_DIR.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
@@ -75,3 +109,6 @@ if __name__ == "__main__":
         for name, command in CASES:
             (GOLDEN_DIR / f"{name}.{command}.txt").write_text(render(name, command))
             print(f"wrote {name}.{command}.txt", file=sys.stderr)
+        for case in RUN_CASES:
+            (GOLDEN_DIR / f"{case}.txt").write_text(render_run(case))
+            print(f"wrote {case}.txt", file=sys.stderr)
