@@ -7,6 +7,7 @@ evaluation for networks with caches at both transmitters and receivers.
 
 from .delivery import (
     DeliveryPlan,
+    Run,
     ScheduledSubfile,
     SubspaceLedger,
     account_block,

@@ -9,6 +9,7 @@ errors exit 2.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -27,6 +28,7 @@ from .metrics import (
     FIG2_TEMPLATE,
     FIG4_TEMPLATE,
     mc_ndt,
+    ndt_oracle,
     ndt_report,
     sdof_report,
     sweep_figure,
@@ -106,47 +108,36 @@ def cmd_sdof(args, parser) -> int:
     return 0
 
 
-def _print_ndt(cfg: NetworkConfig, args) -> int:
-    demand = _demand(args, cfg)
-    seeds = None
-    if args.seeds:
-        if cfg.file_bits is None:
-            raise ConfigurationError("--seeds needs --file-bits for finite-size runs")
-        seeds = list(range(args.seed, args.seed + args.seeds))
-    report = ndt_report(cfg, demand=demand, seeds=seeds)
-    print(f"formula={_rat(report.formula_value)}")
-    print(f"oracle={_rat(report.oracle_value)}")
-    for t, contribution in report.tier_breakdown:
+def _mc_seeds(cfg: NetworkConfig, args) -> list[int] | None:
+    if args.seeds and cfg.file_bits is None:
+        raise ConfigurationError("--seeds needs --file-bits for finite-size runs")
+    return list(range(args.seed, args.seed + args.seeds)) if args.seeds else None
+
+
+def _print_ndt(oracle: Fraction, breakdown, flags, mc) -> int:
+    """The oracle, its tiers, any flags and any Monte-Carlo line, as `ndt` and `oracle-ndt` print them."""
+    print(f"oracle={_rat(oracle)}")
+    for t, contribution in breakdown:
         print(f"tier t={t}: {_rat(contribution)}")
-    for flag in report.flags:
+    for flag in flags:
         print(f"flag: {flag}")
-    if report.mc is not None:
-        print(
-            f"mc={report.mc.mean:.9f} stderr={report.mc.stderr:.3e} "
-            f"file_bits={report.mc.file_bits} seeds={len(report.mc.seeds)}"
-        )
+    if mc is not None:
+        print(f"mc={mc.mean:.9f} stderr={mc.stderr:.3e} file_bits={mc.file_bits} seeds={len(mc.seeds)}")
     return 0
 
 
 def cmd_ndt(args, parser) -> int:
-    return _print_ndt(_network(args, parser), args)
+    cfg = _network(args, parser)
+    report = ndt_report(cfg, demand=_demand(args, cfg), seeds=_mc_seeds(cfg, args))
+    print(f"formula={_rat(report.formula_value)}")
+    return _print_ndt(report.oracle_value, report.tier_breakdown, report.flags, report.mc)
 
 
 def cmd_oracle_ndt(args, parser) -> int:
     cfg = _network(args, parser)
     demand = _demand(args, cfg)
-    from .metrics import ndt_oracle
-
-    total, breakdown = ndt_oracle(cfg, demand=demand)
-    print(f"oracle={_rat(total)}")
-    for t, contribution in breakdown:
-        print(f"tier t={t}: {_rat(contribution)}")
-    if args.seeds:
-        if cfg.file_bits is None:
-            raise ConfigurationError("--seeds needs --file-bits for finite-size runs")
-        mc = mc_ndt(cfg, demand, list(range(args.seed, args.seed + args.seeds)))
-        print(f"mc={mc.mean:.9f} stderr={mc.stderr:.3e} file_bits={mc.file_bits} seeds={len(mc.seeds)}")
-    return 0
+    seeds = _mc_seeds(cfg, args)
+    return _print_ndt(*ndt_oracle(cfg, demand=demand), (), mc_ndt(cfg, demand, seeds) if seeds else None)
 
 
 def _build_plans(cfg: NetworkConfig, args, demand: DemandVector):
@@ -184,7 +175,7 @@ def cmd_plan(args, parser) -> int:
     text = "".join(serialize_plan(p) for p in plans)
     if args.out:
         Path(args.out).write_text(text)
-        print(f"wrote {args.out} ({sum(len(p.entries()) for p in plans)} scheduled subfiles)")
+        print(f"wrote {args.out} ({sum(len(b) for p in plans for b in p.blocks)} scheduled subfiles)")
     else:
         sys.stdout.write(text)
     if args.show:
@@ -242,14 +233,19 @@ def cmd_verify(args, parser) -> int:
     plans = parse_plans(text)
     if any(p.mode.startswith("decentralized") for p in plans):
         args.mode = "decentralized"
+    tx_range = frozenset(range(cfg.k_t))
     for p in plans:
-        for e in p.entries():
-            e.check_indices(cfg)
+        for position, r in p.runs():
+            # a run's entries differ only in tx, so past its first entry only tx can be out of range
+            for i, ts in enumerate(r.tx_sets):
+                if i == 0 or not ts <= tx_range:
+                    r.entry(ts, position).check_indices(cfg)
     demand = _infer_demand(cfg, plans, args)
     try:
+        # check() reads only the label, which a run's entries share
         for p in plans:
-            for e in p.entries():
-                e.check()
+            for position, r in p.runs():
+                r.entry(r.tx_sets[0], position).check()
     except ConfigurationError as exc:
         print(f"malformed plan: {exc}")
         return 1
@@ -266,10 +262,10 @@ def _infer_demand(cfg: NetworkConfig, plans: list[DeliveryPlan], args) -> Demand
         return _demand(args, cfg)
     files: dict[int, int] = {}
     for p in plans:
-        for e in p.entries():
-            if files.setdefault(e.dest, e.subfile.file) != e.subfile.file:
+        for _, r in p.runs():
+            if files.setdefault(r.dest, r.file) != r.file:
                 raise ConfigurationError(
-                    f"plan schedules several files for rx {e.dest + 1}; pass --demand explicitly"
+                    f"plan schedules several files for rx {r.dest + 1}; pass --demand explicitly"
                 )
     d = tuple(files.get(j, j % cfg.n_files) for j in range(cfg.k_r))
     return DemandVector(d)
@@ -303,7 +299,9 @@ def cmd_sweep(args, parser) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing never changes it."""
     parser = argparse.ArgumentParser(
         prog="cachenet",
         description="Cache-aided interference network toolkit: placement, delivery plans, sDoF/NDT metrics.",

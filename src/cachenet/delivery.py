@@ -13,13 +13,23 @@ cached at receivers j+s (mod K_R) for the offsets s in block b's offset
 set, and zero-forces them at the receivers following those offsets
 cyclically.  Any schedule with the same per-receiver dimension counts is
 equally valid; the cyclic one is the simplest deterministic choice.
+
+Blocks are stored as runs: consecutive entries that differ only in their
+transmitter set form one `Run`, so a rotation block is one run per
+receiver.  Ledgers, oracle and completeness check read runs; a block still
+reads as a sequence of `ScheduledSubfile` records, expanded on first use.
 """
 
 from __future__ import annotations
 
+import functools
 import re
+from collections import Counter
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
+from operator import itemgetter
 from typing import NamedTuple
 
 from .model import (
@@ -35,6 +45,8 @@ from .placement import CentralizedPlacement, DecentralizedPlacement
 
 __all__ = [
     "ScheduledSubfile",
+    "Run",
+    "Block",
     "DeliveryPlan",
     "ReceiverLedger",
     "SubspaceLedger",
@@ -53,11 +65,7 @@ __all__ = [
 
 
 class ScheduledSubfile(NamedTuple):
-    """One subfile transmission: destination, cache holders, ZF targets, block index.
-
-    A plain tuple of those four fields, so plans of tens of thousands of
-    entries stay cheap to build.
-    """
+    """One subfile transmission: destination, cache holders, ZF targets, block index (a plain tuple)."""
 
     subfile: SubfileId
     dest: int
@@ -89,15 +97,70 @@ class ScheduledSubfile(NamedTuple):
                 )
 
 
+class Run(NamedTuple):
+    """Consecutive entries of a block that differ only in tx set: one per element of `tx_sets`."""
+
+    file: int
+    dest: int
+    rx_set: frozenset[int]
+    zf_targets: frozenset[int]
+    tx_sets: tuple[frozenset[int], ...]
+
+    def entry(self, tx_set: frozenset[int], block: int) -> ScheduledSubfile:
+        return ScheduledSubfile(SubfileId(self.file, tx_set, self.rx_set), self.dest, self.zf_targets, block)
+
+
+def _encode(pairs: Iterable[tuple[tuple, frozenset[int]]]) -> tuple[Run, ...]:
+    """Runs of ((file, dest, rx_set, zf_targets), tx_set) pairs given in entry order."""
+    return tuple(Run(*label, tuple(tx for _, tx in run)) for label, run in groupby(pairs, key=itemgetter(0)))
+
+
+@dataclass(frozen=True)
+class Block(Sequence):
+    """A channel block's 0-based position and runs; reads as its entries, expanded on first use."""
+
+    position: int
+    runs: tuple[Run, ...]
+
+    @classmethod
+    def encode(cls, entries: Iterable[ScheduledSubfile]) -> Block:
+        """Run-length-encode one block's entries, which share its position; a `Block` is kept as is."""
+        if isinstance(entries, Block):
+            return entries
+        entries = tuple(entries)
+        positions = {e.block for e in entries} or {0}
+        if len(positions) > 1:
+            raise ValueError(f"entries of one block carry several block indices {sorted(positions)}")
+        pairs = (((e.subfile.file, e.dest, e.subfile.rx_set, e.zf_targets), e.subfile.tx_set) for e in entries)
+        return cls(positions.pop(), _encode(pairs))
+
+    @functools.cached_property
+    def _entries(self) -> tuple[ScheduledSubfile, ...]:
+        return tuple(r.entry(ts, self.position) for r in self.runs for ts in r.tx_sets)
+
+    def __len__(self) -> int:
+        return sum(len(r.tx_sets) for r in self.runs)
+
+    def __getitem__(self, i):
+        return self._entries[i]
+
+
 @dataclass(frozen=True)
 class DeliveryPlan:
-    """Ordered channel blocks of scheduled transmissions."""
+    """Ordered channel blocks of scheduled transmissions; entry tuples given as blocks are encoded."""
 
-    blocks: tuple[tuple[ScheduledSubfile, ...], ...]
+    blocks: tuple[Block, ...]
     mode: str
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "blocks", tuple(map(Block.encode, self.blocks)))
 
     def entries(self) -> tuple[ScheduledSubfile, ...]:
         return tuple(e for block in self.blocks for e in block)
+
+    def runs(self) -> Iterator[tuple[int, Run]]:
+        """(block position, run) of every run, in entry order."""
+        return ((block.position, r) for block in self.blocks for r in block.runs)
 
 
 @dataclass(frozen=True)
@@ -192,16 +255,12 @@ def _build_rotation_plan(
             "delivery needs t_T >= 1 (each subfile held by at least one transmitter)"
         )
     n_zf = min(t_t - 1, cfg.k_r - 1 - n_cached)
-    tx_sets = [frozenset(ts) for ts in subsets(cfg.k_t, t_t)]
-    blocks = []
-    for b, assignment in enumerate(_cyclic_blocks(cfg.k_r, n_cached, n_zf)):
-        block = tuple(
-            ScheduledSubfile(SubfileId(demand.d[j], ts, cached), j, zf_targets, b)
-            for j, (cached, zf_targets) in enumerate(assignment)
-            for ts in tx_sets
-        )
-        blocks.append(block)
-    return DeliveryPlan(blocks=tuple(blocks), mode=mode)
+    tx_sets = tuple(frozenset(ts) for ts in subsets(cfg.k_t, t_t))
+    blocks = tuple(
+        Block(b, tuple(Run(demand.d[j], j, cached, zf, tx_sets) for j, (cached, zf) in enumerate(assignment)))
+        for b, assignment in enumerate(_cyclic_blocks(cfg.k_r, n_cached, n_zf))
+    )
+    return DeliveryPlan(blocks=blocks, mode=mode)
 
 
 def build_centralized_plan(
@@ -247,25 +306,26 @@ def build_decentralized_plan(
     return [build_tier_plan(cfg, demand, t) for t in range(cfg.k_r)]
 
 
-def account_block(cfg: NetworkConfig, block: tuple[ScheduledSubfile, ...]) -> SubspaceLedger:
+def account_block(cfg: NetworkConfig, block: Block | Iterable[ScheduledSubfile]) -> SubspaceLedger:
     """Classify every transmission at every receiver and count signal dimensions.
 
     At receiver r a transmission is desired (r is the destination),
     ZF-nulled (r is a ZF target), IC-cancelled (r cached the subfile) or
     interfering.  All of this depends only on the transmission's
-    (destination, cache-holder set, ZF-target set) label, so the block is
-    first collapsed into per-label counts, checking the first entry of each
-    label in block order, and each label is classified once per receiver.
-    Interfering transmissions of one label align into a single dimension,
-    so `aligned_dims` is the number of interfering labels.
+    (destination, cache-holder set, ZF-target set) label, so the block's
+    runs are collapsed into per-label counts, checking the first entry of
+    each label in block order, and each label is classified once per
+    receiver.  Interfering transmissions of one label align into a single
+    dimension, so `aligned_dims` is the number of interfering labels.
     """
+    block = Block.encode(block)
     labels: dict[tuple[int, frozenset[int], frozenset[int]], int] = {}
-    for e in block:
-        label = (e.dest, e.subfile.rx_set, e.zf_targets)
+    for run in block.runs:
+        label = (run.dest, run.rx_set, run.zf_targets)
         if label not in labels:
-            e.check()
+            run.entry(run.tx_sets[0], block.position).check()
             labels[label] = 0
-        labels[label] += 1
+        labels[label] += len(run.tx_sets)
     ledgers = []
     for r in range(cfg.k_r):
         desired = zf = ic = interfering = aligned = 0
@@ -332,21 +392,14 @@ def _needed_subfiles(
     cfg: NetworkConfig,
     placement: CentralizedPlacement | DecentralizedPlacement,
     demand: DemandVector,
-) -> set[tuple[int, SubfileId]]:
-    t_t = int(cfg.t_t)
-    tx_sets = subsets(cfg.k_t, t_t)
-    if isinstance(placement, CentralizedPlacement):
-        rx_sets = subsets(cfg.k_r, int(cfg.t_r))
-    else:
-        rx_sets = tuple(s for size in range(cfg.k_r + 1) for s in subsets(cfg.k_r, size))
-    needed = set()
-    for j in range(cfg.k_r):
-        for ts in tx_sets:
-            for rs in rx_sets:
-                if j in rs:
-                    continue
-                needed.add((j, SubfileId(demand.d[j], frozenset(ts), frozenset(rs))))
-    return needed
+) -> set[tuple[int, tuple[int, frozenset[int], frozenset[int]]]]:
+    """(destination, (file, tx_set, rx_set)) of every subfile a destination lacks."""
+    tx_sets = [frozenset(ts) for ts in subsets(cfg.k_t, int(cfg.t_t))]
+    sizes = [int(cfg.t_r)] if isinstance(placement, CentralizedPlacement) else range(cfg.k_r + 1)
+    rx_sets = [frozenset(rs) for size in sizes for rs in subsets(cfg.k_r, size)]
+    return {
+        (j, (demand.d[j], ts, rs)) for j in range(cfg.k_r) for rs in rx_sets if j not in rs for ts in tx_sets
+    }
 
 
 def verify_completeness(
@@ -360,19 +413,17 @@ def verify_completeness(
         plans = [plans]
     demand.validate(cfg)
     needed = _needed_subfiles(cfg, placement, demand)
-    seen: dict[tuple[int, SubfileId], int] = {}
-    total = 0
-    for plan in plans:
-        for e in plan.entries():
-            total += 1
-            key = (e.dest, e.subfile)
-            seen[key] = seen.get(key, 0) + 1
-    missing = tuple(sorted((k for k in needed if k not in seen), key=_subfile_key))
-    duplicated = tuple(sorted((k for k, n in seen.items() if n > 1), key=_subfile_key))
-    extraneous = tuple(sorted((k for k in seen if k not in needed), key=_subfile_key))
+    seen = Counter((r.dest, (r.file, ts, r.rx_set)) for p in plans for _, r in p.runs() for ts in r.tx_sets)
     return CompletenessReport(
-        missing=missing, duplicated=duplicated, extraneous=extraneous, scheduled=total
+        missing=_listing(needed - seen.keys()),
+        duplicated=_listing(k for k, n in seen.items() if n > 1),
+        extraneous=_listing(seen.keys() - needed),
+        scheduled=seen.total(),
     )
+
+
+def _listing(keys) -> tuple[tuple[int, SubfileId], ...]:
+    return tuple(sorted(((dest, SubfileId(*sub)) for dest, sub in keys), key=_subfile_key))
 
 
 def _subfile_key(item: tuple[int, SubfileId]):
@@ -390,13 +441,10 @@ _LINE_RE = re.compile(
 def serialize_plan(plan: DeliveryPlan) -> str:
     """Line-oriented text form, one scheduled subfile per line, 1-based indices."""
     lines = [f"# mode={plan.mode}"]
-    for block in plan.blocks:
-        for e in block:
-            lines.append(
-                f"block={e.block + 1} file={e.subfile.file + 1} "
-                f"tx={fmt_index_set(e.subfile.tx_set)} cachedRx={fmt_index_set(e.subfile.rx_set)} "
-                f"zf={fmt_index_set(e.zf_targets)} dest={e.dest + 1}"
-            )
+    for position, r in plan.runs():
+        head = f"block={position + 1} file={r.file + 1} tx="
+        tail = f" cachedRx={fmt_index_set(r.rx_set)} zf={fmt_index_set(r.zf_targets)} dest={r.dest + 1}"
+        lines += [head + fmt_index_set(ts) + tail for ts in r.tx_sets]
     return "\n".join(lines) + "\n"
 
 
@@ -421,7 +469,9 @@ def parse_plan(text: str) -> DeliveryPlan:
 def _parse(text: str, single: bool) -> list[DeliveryPlan]:
     plans: list[DeliveryPlan] = []
     mode = None
-    by_block: dict[int, list[ScheduledSubfile]] = {}
+    by_block: dict[int, list[tuple[tuple, frozenset[int]]]] = {}
+    # a plan repeats a few index sets many times; the memo keeps no failed parse
+    index_set = functools.lru_cache(maxsize=None)(parse_index_set)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -445,22 +495,14 @@ def _parse(text: str, single: bool) -> list[DeliveryPlan]:
             block = int(m.group(1)) - 1
             if block < 0:
                 raise ValueError("block index 0 is below 1")
-            entry = ScheduledSubfile(
-                subfile=SubfileId(
-                    file=int(m.group(2)) - 1,
-                    tx_set=parse_index_set(m.group(3)),
-                    rx_set=parse_index_set(m.group(4)),
-                ),
-                dest=int(m.group(6)) - 1,
-                zf_targets=parse_index_set(m.group(5)),
-                block=block,
-            )
+            tx_set = index_set(m.group(3))
+            label = (int(m.group(2)) - 1, int(m.group(6)) - 1, index_set(m.group(4)), index_set(m.group(5)))
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
-        by_block.setdefault(block, []).append(entry)
+        by_block.setdefault(block, []).append((label, tx_set))
     plans.append(_assemble(by_block, mode or "unknown"))
     return plans
 
 
-def _assemble(by_block: dict[int, list[ScheduledSubfile]], mode: str) -> DeliveryPlan:
-    return DeliveryPlan(blocks=tuple(tuple(by_block[b]) for b in sorted(by_block)), mode=mode)
+def _assemble(by_block: dict[int, list[tuple[tuple, frozenset[int]]]], mode: str) -> DeliveryPlan:
+    return DeliveryPlan(blocks=tuple(Block(b, _encode(by_block[b])) for b in sorted(by_block)), mode=mode)

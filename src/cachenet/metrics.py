@@ -172,13 +172,16 @@ def _tier_fractions(cfg: NetworkConfig, plans: list[DeliveryPlan]) -> list[Fract
     """Expected scheduled mass of each tier plan, in file units (exact, asymptotic).
 
     An entry's expected mass depends only on its caching weight |rx_set|,
-    so each plan's entries are counted by weight and `expected_fraction` is
-    evaluated once per weight: n_w * (1/C(K_T,t_T)) * expected_fraction(w).
+    so each plan's entries are counted by weight, a run at a time, and
+    `expected_fraction` is evaluated once per weight:
+    n_w * (1/C(K_T,t_T)) * expected_fraction(w).
     """
     per_partition = Fraction(1, binomial(cfg.k_t, int(cfg.t_t)))
     out = []
     for plan in plans:
-        weights = Counter(len(e.subfile.rx_set) for e in plan.entries())
+        weights: Counter[int] = Counter()
+        for _, r in plan.runs():
+            weights[len(r.rx_set)] += len(r.tx_sets)
         mass = sum((n * expected_fraction(cfg, w) for w, n in weights.items()), Fraction(0))
         out.append(per_partition * mass)
     return out
@@ -231,9 +234,7 @@ def ndt_finite(
     for plan in plans:
         if not plan.blocks:
             continue
-        bits = 0
-        for e in plan.entries():
-            bits += profiles[e.subfile.file].get((e.subfile.tx_set, e.subfile.rx_set), 0)
+        bits = sum(profiles[r.file].get((ts, r.rx_set), 0) for _, r in plan.runs() for ts in r.tx_sets)
         total += Fraction(bits, cfg.file_bits) / plan_sdof(cfg, plan)
     return total
 

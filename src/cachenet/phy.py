@@ -25,7 +25,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .delivery import DeliveryPlan, ScheduledSubfile
+from .delivery import Block, DeliveryPlan, ScheduledSubfile
 from .model import NetworkConfig
 
 __all__ = [
@@ -273,7 +273,7 @@ class PhyReport:
 class _Layout:
     """Channel-independent view of a run of blocks: one row per transmission, one column per receiver."""
 
-    entries: tuple[ScheduledSubfile, ...]
+    blocks: tuple[Block, ...]
     dest: np.ndarray
     zf: np.ndarray
     interfering: np.ndarray
@@ -291,47 +291,49 @@ def _mask(sets: list[frozenset[int]], k_r: int) -> np.ndarray:
     return mask
 
 
-def _layout(blocks: Iterable[tuple[ScheduledSubfile, ...]], k_r: int) -> _Layout:
+def _layout(blocks: Iterable[Block | tuple[ScheduledSubfile, ...]], k_r: int) -> _Layout:
     """Classify every (transmission, receiver) pair as in `account_block`.
 
     A receiver that is neither the destination nor a ZF target is
     cache-cancelled when it holds the subfile and interfering otherwise;
     interference groups are the distinct (destination, cache holders, ZF
     targets) labels of a block, each spanning its interfering receivers.
+    All of this is classified once per run and repeated over its entries.
     """
-    blocks = list(blocks)
-    entries = tuple(e for block in blocks for e in block)
-    dest = np.fromiter((e.dest for e in entries), dtype=np.intp, count=len(entries))
-    zf = _mask([e.zf_targets for e in entries], k_r)
-    cached = _mask([e.subfile.rx_set for e in entries], k_r)
+    blocks = tuple(map(Block.encode, blocks))
+    runs = tuple(r for block in blocks for r in block.runs)
+    dest = np.fromiter((r.dest for r in runs), dtype=np.intp, count=len(runs))
+    zf = _mask([r.zf_targets for r in runs], k_r)
+    cached = _mask([r.rx_set for r in runs], k_r)
     other = ~zf
-    other[np.arange(len(entries)), dest] = False
+    other[np.arange(len(runs)), dest] = False
     interfering = other & ~cached
     groups = 0
     start = 0
     for block in blocks:
         labels: dict[tuple, int] = {}
-        for i, e in enumerate(block, start):
-            labels.setdefault((e.dest, e.subfile.rx_set, e.zf_targets), i)
+        for i, r in enumerate(block.runs, start):
+            labels.setdefault((r.dest, r.rx_set, r.zf_targets), i)
         groups += int(np.count_nonzero(interfering[list(labels.values())]))
-        start += len(block)
+        start += len(block.runs)
+    lengths = [len(r.tx_sets) for r in runs]
     return _Layout(
-        entries=entries,
-        dest=dest,
-        zf=zf,
-        interfering=interfering,
-        ic_flagged=int(np.count_nonzero(other & cached)),
+        blocks=blocks,
+        dest=np.repeat(dest, lengths),
+        zf=np.repeat(zf, lengths, axis=0),
+        interfering=np.repeat(interfering, lengths, axis=0),
+        ic_flagged=int((other & cached).sum(axis=1) @ np.array(lengths, dtype=np.intp)),
         alignment_groups=groups,
     )
 
 
-def _precoders(entries: tuple[ScheduledSubfile, ...]) -> tuple[_ZfPrecoders, np.ndarray]:
+def _precoders(blocks: tuple[Block, ...]) -> tuple[_ZfPrecoders, np.ndarray]:
     """Distinct precoders of the transmissions, in order of first use, and each transmission's precoder."""
     index: dict[tuple, int] = {}
     rows = np.fromiter(
-        (index.setdefault((e.subfile.tx_set, e.zf_targets), len(index)) for e in entries),
+        (index.setdefault((ts, r.zf_targets), len(index)) for b in blocks for r in b.runs for ts in r.tx_sets),
         dtype=np.intp,
-        count=len(entries),
+        count=sum(map(len, blocks)),
     )
     return _ZfPrecoders(list(index)), rows
 
@@ -347,15 +349,17 @@ def _check(
     interfering receivers; one violation per offending transmission, all
     symptoms attached.
     """
-    n = len(layout.entries)
+    n = len(layout.dest)
     gmax = mag.max(axis=1)
     leak = layout.zf & (mag > rel_tol * gmax[:, None])[rows]
     quiet = (mag < floor * gmax[:, None])[rows]
     weak_dest = quiet[np.arange(n), layout.dest]
     weak = layout.interfering & quiet
     violations = []
-    for i in np.flatnonzero(leak.any(axis=1) | weak_dest | weak.any(axis=1)):
-        e = layout.entries[i]
+    bad = np.flatnonzero(leak.any(axis=1) | weak_dest | weak.any(axis=1))
+    entries = [e for block in layout.blocks for e in block] if bad.size else []
+    for i in bad:
+        e = entries[i]
         issues = [
             f"zf-leak at rx {z + 1} (|gain|={mag[rows[i], z]:.3e}, max {gmax[rows[i]]:.3e})"
             for z in np.flatnonzero(leak[i])
@@ -401,7 +405,7 @@ def verify_block_phy(
         raise ValueError("need one precoder per scheduled transmission")
     layout = _layout([block], h.k_r)
     if precoders is None:
-        distinct, rows = _precoders(layout.entries)
+        distinct, rows = _precoders(layout.blocks)
         weights, _ = distinct.weights(h.entries)
     else:
         rows = np.arange(len(block))
@@ -426,7 +430,7 @@ def verify_plan_phy(
         return []
     plans = [plan] if isinstance(plan, DeliveryPlan) else list(plan)
     layout = _layout((block for p in plans for block in p.blocks), cfg.k_r)
-    distinct, rows = _precoders(layout.entries)
+    distinct, rows = _precoders(layout.blocks)
     reports = []
     for seed in seeds:
         h = sample_channel(cfg.k_r, cfg.k_t, seed)

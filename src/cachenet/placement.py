@@ -167,13 +167,6 @@ class SubsetProfile:
     def total(self) -> int:
         return sum(self.counts.values())
 
-    def weight_counts(self) -> dict[int, int]:
-        """Bit counts grouped by |rx_set| (how many receivers cached the bit)."""
-        out: dict[int, int] = {}
-        for (_, rx_set), n in self.counts.items():
-            out[len(rx_set)] = out.get(len(rx_set), 0) + n
-        return out
-
 
 def place_centralized(cfg: NetworkConfig) -> CentralizedPlacement:
     """Split every file and assign subfiles to the caches that index them.

@@ -264,3 +264,49 @@ def test_sweep_fig4(tmp_path):
     exact = (tmp_path / "f4.csv.exact").read_text().splitlines()
     assert exact[0] == "m_r,ndt_decentralized,ndt_centralized"
     assert exact[2] == "1,62/81,2/3"
+
+
+def test_in_process_calls_match_fresh_processes(tmp_path, capsys, monkeypatch):
+    # the parser is built once per process, so no call may see what an earlier one parsed
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage lines to the terminal width
+    (tmp_path / "run.cfg").write_text("kt=4\nkr=4\nn=4\nmt=2\nmr=0\n")
+    net = ["--kt", "4", "--kr", "4", "--n", "4", "--mt", "2", "--mr", "1"]
+    calls = [
+        ["sdof", *net],
+        ["ndt", *net, "--file-bits", "1000", "--seeds", "2"],
+        ["sdof", "--config", "run.cfg", "--mr", "1"],
+        ["sdof", "--config", "run.cfg"],
+        ["sdof", "--kt", "4"],
+        ["ndt", *net],
+        ["oracle-ndt", *net, "--seeds", "2"],
+        ["sdof", *net],
+    ]
+    codes = []
+    for argv in calls:
+        fresh = run_cli(*argv, cwd=tmp_path)
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # parser.error, as for the missing parameters
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+        codes.append(code)
+    # the missing parameters and --seeds without --file-bits are usage errors
+    assert codes == [0, 0, 0, 0, 2, 0, 2, 0]
+    assert cli._build_parser.cache_info().misses == 1
+
+
+def test_verify_names_out_of_range_tx_past_the_first_entry_of_a_run(tmp_path, capsys, monkeypatch):
+    # the plan's first four lines form one run (they differ only in tx); the bad set is its third
+    monkeypatch.chdir(tmp_path)
+    net = ["--kt", "4", "--kr", "4", "--n", "4", "--mt", "2", "--mr", "1"]
+    assert cli.main(["plan", *net, "--out", "plan.txt"]) == 0
+    text = (tmp_path / "plan.txt").read_text()
+    original = "block=1 file=1 tx={1,4} cachedRx={2} zf={3} dest=1"
+    assert text.splitlines()[3] == original
+    (tmp_path / "bad.txt").write_text(text.replace(original, original.replace("{1,4}", "{1,7}")))
+    capsys.readouterr()
+    assert cli.main(["verify", *net, "--plan-file", "bad.txt", "--channel-seeds", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: block 1: tx index 7 outside 1..4 in W1[tx=17 rx=2]\n"

@@ -364,3 +364,14 @@ def test_parse_plans_single_plan():
     _, _, plan = centralized_setup(cfg)
     assert parse_plans(serialize_plan(plan)) == [plan]
     assert parse_plans("") == [DeliveryPlan(blocks=(), mode="unknown")]
+
+
+def test_block_entries_must_share_one_block_index():
+    cfg = cfg44()
+    _, _, plan = centralized_setup(cfg)
+    first, second = plan.blocks[0][0], plan.blocks[1][0]
+    with pytest.raises(ValueError, match=r"several block indices \[0, 1\]"):
+        DeliveryPlan(blocks=((first, second),), mode=plan.mode)
+    # blocks given as entry tuples keep their index as the block's position
+    moved = DeliveryPlan(blocks=(tuple(plan.blocks[1]),), mode=plan.mode)
+    assert moved.blocks[0].position == 1 and serialize_plan(moved).splitlines()[1].startswith("block=2 ")

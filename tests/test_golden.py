@@ -3,8 +3,9 @@
 Each case's stdout is kept in ``tests/golden/<case>.txt``; for `plan --out`
 the golden file holds the stdout (which carries the ledger lines) followed
 by the SHA-256 of the written plan text.  `plan --show` cases lock the
-placement listings, and `verify` cases first write the plan with
-`plan --out` and keep the stdout of `verify --plan-file`.  The corners
+placement listings, `oracle-ndt` and `ndt --seeds` cases lock the oracle
+printer and the Monte-Carlo `mc=` line, and `verify` cases first write the
+plan with `plan --out` and keep the stdout of `verify --plan-file`.  The corners
 follow the benchmark grid's convention N = K_R, M_T = t_T K_R / K_T,
 M_R = t_R.
 
@@ -41,13 +42,24 @@ COMMANDS = ("sdof", "ndt", "plan")
 PLAN_FILE = "plan.txt"
 
 DECENTRALIZED = ["--mode", "decentralized", "--file-bits", "3000", "--seed", "1"]
-# case -> (corner, command, flags passed to `plan` and, for `verify`, to both commands)
+MC = ["--file-bits", "1000", "--seeds", "3"]
+# case -> (corner, command, flags passed to the command and, for `verify`, to both
+# `plan --out` and `verify`); with `--out`, the written file's SHA-256 is kept too
 RUN_CASES = {
     "3x3_reference.plan-show": ("3x3_reference", "plan", ["--show"]),
     "4x4_t2_1.plan-show": ("4x4_t2_1", "plan", ["--show"]),
     "3x3_reference.plan-show-decentralized": ("3x3_reference", "plan", ["--show", *DECENTRALIZED]),
     "4x4_t2_1.verify": ("4x4_t2_1", "verify", []),
     "3x3_reference.verify-decentralized": ("3x3_reference", "verify", DECENTRALIZED),
+    "4x4_t2_1.oracle-ndt": ("4x4_t2_1", "oracle-ndt", []),
+    "8x8_t4_1.oracle-ndt": ("8x8_t4_1", "oracle-ndt", []),
+    "3x3_reference.ndt-mc": ("3x3_reference", "ndt", MC),
+    "4x4_t2_1.ndt-mc": ("4x4_t2_1", "ndt", MC),
+    "4x4_t2_1.plan-out-decentralized": (
+        "4x4_t2_1",
+        "plan",
+        ["--mode", "decentralized", "--file-bits", "1000", "--out", PLAN_FILE],
+    ),
 }
 
 
@@ -64,6 +76,10 @@ def _run(argv: list[str]) -> str:
     return f"exit={code}\n{out.getvalue()}"
 
 
+def _plan_sha() -> str:
+    return f"sha256({PLAN_FILE})={hashlib.sha256(Path(PLAN_FILE).read_bytes()).hexdigest()}\n"
+
+
 def render(name: str, command: str) -> str:
     """Run one case in the current directory; return its golden text."""
     argv = [command, *_net(CORNERS[name])]
@@ -71,7 +87,7 @@ def render(name: str, command: str) -> str:
         argv += ["--out", PLAN_FILE]
     text = _run(argv)
     if command == "plan":
-        text += f"sha256({PLAN_FILE})={hashlib.sha256(Path(PLAN_FILE).read_bytes()).hexdigest()}\n"
+        text += _plan_sha()
     return text
 
 
@@ -79,10 +95,11 @@ def render_run(case: str) -> str:
     """Run one `RUN_CASES` case in the current directory; return its golden text."""
     corner, command, flags = RUN_CASES[case]
     net = [*_net(CORNERS[corner]), *flags]
-    if command == "plan":
-        return _run(["plan", *net])
-    _run(["plan", *net, "--out", PLAN_FILE])
-    return _run(["verify", *net, "--plan-file", PLAN_FILE, "--channel-seeds", "2"])
+    if command == "verify":
+        _run(["plan", *net, "--out", PLAN_FILE])
+        return _run(["verify", *net, "--plan-file", PLAN_FILE, "--channel-seeds", "2"])
+    text = _run([command, *net])
+    return text + _plan_sha() if "--out" in flags else text
 
 
 CASES = [(name, command) for name in CORNERS for command in COMMANDS]

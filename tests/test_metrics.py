@@ -7,7 +7,13 @@ from fractions import Fraction
 import pytest
 
 import per_entry
-from cachenet.delivery import DeliveryPlan, build_tier_plan
+from cachenet.delivery import (
+    DeliveryPlan,
+    build_centralized_plan,
+    build_tier_plan,
+    plan_sdof,
+    verify_completeness,
+)
 from cachenet.metrics import (
     _tier_fractions,
     mc_ndt,
@@ -22,6 +28,7 @@ from cachenet.metrics import (
     sweep_figure,
 )
 from cachenet.model import ConfigurationError, DemandVector, NetworkConfig, binomial
+from cachenet.placement import place_centralized
 
 
 def make_cfg(k_t, k_r, n, m_t, m_r, file_bits=None):
@@ -313,3 +320,21 @@ class TestMonteCarlo:
         cfg = make_cfg(3, 3, 3, 2, 1)
         with pytest.raises(ConfigurationError):
             mc_ndt(cfg, DemandVector.worst_case(cfg), seeds=[1])
+
+
+def test_oracle_and_plan_sdof_leave_blocks_unexpanded():
+    # ledgers, tier masses and completeness read runs; only reading entries expands a block
+    cfg = make_cfg(4, 4, 4, 2, 1)
+    demand = DemandVector.worst_case(cfg)
+    tiers = [build_tier_plan(cfg, demand, t) for t in range(cfg.k_r)]
+    ndt_oracle(cfg, plans=tiers, demand=demand)
+    placement = place_centralized(cfg)
+    central = build_centralized_plan(cfg, placement, demand)
+    plan_sdof(cfg, central)
+    assert verify_completeness(cfg, central, placement, demand).complete
+    blocks = [block for plan in [*tiers, central] for block in plan.blocks]
+    # 8 tier blocks and 3 centralized ones, each with 4 receivers x C(4,2) tx subsets
+    assert sum(map(len, blocks)) == 11 * 4 * 6
+    assert not any("_entries" in vars(block) for block in blocks)
+    first = central.blocks[0]
+    assert first[0].block == 0 and "_entries" in vars(first)

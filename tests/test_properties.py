@@ -13,7 +13,10 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import per_entry
 from cachenet.delivery import (
+    DeliveryPlan,
+    Run,
     ScheduledSubfile,
     account_plan,
     build_centralized_plan,
@@ -89,6 +92,21 @@ def test_serialize_parse_round_trip(cfg):
     for p in [parsed, *parsed_tiers]:
         for e in p.entries():
             assert type(e) is ScheduledSubfile and type(e.subfile) is SubfileId
+
+
+@PROPERTY
+@given(corners())
+def test_run_blocks_match_per_entry_reference(cfg):
+    demand = DemandVector.worst_case(cfg)
+    tiers = decentralized(cfg)[2]
+    for plan, n_cached in [(centralized(cfg)[2], int(cfg.t_r)), *zip(tiers, range(cfg.k_r))]:
+        reference = per_entry.rotation_blocks(cfg, demand, n_cached)
+        # runs expand to exactly the reference entries, and len() agrees without expanding
+        assert [len(block) for block in plan.blocks] == [len(block) for block in reference]
+        assert tuple(tuple(block) for block in plan.blocks) == reference
+        # encoding the reference entries gives back the same positions and runs
+        assert DeliveryPlan(blocks=reference, mode=plan.mode) == plan
+        assert all(type(r) is Run for block in plan.blocks for r in block.runs)
 
 
 @PROPERTY
