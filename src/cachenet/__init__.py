@@ -38,7 +38,6 @@ from .model import (
     NetworkConfig,
     SubfileId,
     binomial,
-    derive_t_params,
     subsets,
 )
 from .phy import (

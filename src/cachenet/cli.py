@@ -19,8 +19,8 @@ from .delivery import (
     account_plan,
     build_centralized_plan,
     build_decentralized_plan,
+    common_sdof,
     parse_plans,
-    plan_sdof,
     serialize_plan,
     verify_completeness,
 )
@@ -153,7 +153,8 @@ def _build_plans(cfg: NetworkConfig, args, demand: DemandVector):
 
 
 def _print_ledgers(cfg: NetworkConfig, plan: DeliveryPlan) -> None:
-    for b, ledger in enumerate(account_plan(cfg, plan)):
+    ledgers = account_plan(cfg, plan)
+    for b, ledger in enumerate(ledgers):
         dofs = sorted({r.dof for r in ledger.receivers})
         shape = "uniform" if ledger.uniform else "NON-UNIFORM"
         first = ledger.receivers[0]
@@ -163,7 +164,7 @@ def _print_ledgers(cfg: NetworkConfig, plan: DeliveryPlan) -> None:
             f"aligned={first.aligned_dims} dims={first.total_dims} ({shape})"
         )
     if plan.blocks:
-        print(f"{plan.mode} sDoF={_rat(plan_sdof(cfg, plan))}")
+        print(f"{plan.mode} sDoF={_rat(common_sdof(ledgers))}")
     else:
         print(f"{plan.mode}: empty plan (everything cached)")
 

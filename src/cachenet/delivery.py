@@ -56,6 +56,7 @@ __all__ = [
     "build_decentralized_plan",
     "account_block",
     "account_plan",
+    "common_sdof",
     "plan_sdof",
     "verify_completeness",
     "serialize_plan",
@@ -355,15 +356,17 @@ def account_plan(cfg: NetworkConfig, plan: DeliveryPlan) -> list[SubspaceLedger]
     return [account_block(cfg, block) for block in plan.blocks]
 
 
+def common_sdof(ledgers: list[SubspaceLedger]) -> Fraction:
+    """The one sum DoF all block ledgers share (0 for no blocks)."""
+    values = {ledger.sdof for ledger in ledgers}
+    if len(values) > 1:
+        raise ConfigurationError(f"blocks have differing sum DoF: {sorted(values)}")
+    return values.pop() if values else Fraction(0)
+
+
 def plan_sdof(cfg: NetworkConfig, plan: DeliveryPlan) -> Fraction:
     """Sum DoF of a plan whose blocks all share one ledger structure."""
-    ledgers = account_plan(cfg, plan)
-    if not ledgers:
-        return Fraction(0)
-    values = {ledger.sdof for ledger in ledgers}
-    if len(values) != 1:
-        raise ConfigurationError(f"blocks have differing sum DoF: {sorted(values)}")
-    return values.pop()
+    return common_sdof(account_plan(cfg, plan))
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,6 @@ __all__ = [
     "DemandVector",
     "SubfileId",
     "as_fraction",
-    "derive_t_params",
     "binomial",
     "subsets",
     "is_integral",
@@ -124,11 +123,6 @@ class NetworkConfig:
     @property
     def t_r_integral(self) -> bool:
         return is_integral(self.t_r)
-
-
-def derive_t_params(cfg: NetworkConfig) -> tuple[Fraction, Fraction]:
-    """Exact (K_T*M_T/N, K_R*M_R/N); integrality via cfg.t_t_integral / t_r_integral."""
-    return cfg.t_t, cfg.t_r
 
 
 class SubfileId(NamedTuple):

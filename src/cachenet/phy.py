@@ -9,11 +9,11 @@ delivery ledger, and every report says so.
 
 All checks are batched, so their cost grows with the number of numpy calls
 per channel rather than with the number of minors or transmissions.  The
-genericity check stays exhaustive but takes one determinant call per minor
-size and row combination.  Precoders are computed once per distinct
-(transmitter set, ZF targets) pair with one determinant call per target
-count, and every equivalent gain of a channel comes from one matrix
-product.  This keeps verification practical up to about K = 10 per side.
+genericity check stays exhaustive and builds the square minors of each size
+from those one size smaller, which checks a 12 x 12 draw in about 0.2 s.
+Precoders are computed once per distinct (transmitter set, ZF targets) pair
+with one determinant call per target count, and every equivalent gain of a
+channel comes from one matrix product.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, combinations
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -61,6 +61,9 @@ class ChannelMatrix:
 
     entries: np.ndarray = field(repr=False)
     seed: int
+    # smallest |square minor| of the accepted draw (nan unless drawn by sample_channel) and the draws rejected before it
+    min_minor: float = float("nan")
+    redraws: int = 0
 
     @property
     def k_r(self) -> int:
@@ -94,17 +97,38 @@ def _combinations(n: int, size: int) -> np.ndarray:
     return idx
 
 
-def _all_minors_generic(h: np.ndarray, threshold: float) -> bool:
+@lru_cache(maxsize=None)
+def _drop_index(n: int, size: int) -> np.ndarray:
+    """[a, i]: the rank in _combinations(n, size - 1) of row a of _combinations(n, size) without its i-th element."""
+    rank = {c: k for k, c in enumerate(combinations(range(n), size - 1))}
+    idx = np.array([[rank[c[:i] + c[i + 1 :]] for i in range(size)] for c in combinations(range(n), size)], np.intp)
+    idx.setflags(write=False)
+    return idx
+
+
+def _minors(h: np.ndarray) -> Iterator[np.ndarray]:
+    """Every square minor of h, per size s = 1, 2, ...: det h[R, C] over lexicographic row and column sets.
+
+    Along the last column c of C, det h[R, C] = sum_i (-1)^(i+s-1) h[r_i, c] det h[R minus r_i, C minus c].
+    """
     k_r, k_t = h.shape
+    minors = np.ones((1, 1))  # the one minor of size 0
     for size in range(1, min(k_r, k_t) + 1):
-        cols = _combinations(k_t, size)
-        for rows in _combinations(k_r, size):
-            # one stacked det over every column combination of these rows;
-            # batching rows as well would cost C(K_R,s) x C(K_T,s) x s x s index entries
-            minors = np.linalg.det(h[rows][:, cols].swapaxes(0, 1))
-            if np.any(np.abs(minors) < threshold):
-                return False
-    return True
+        rows, drop = _combinations(k_r, size), _drop_index(k_r, size)
+        below = minors[:, _drop_index(k_t, size)[:, -1]]
+        last = h[:, _combinations(k_t, size)[:, -1]]
+        # t_{s-1} - t_{s-2} + ... over the terms t_i, in place, so temporaries stay C(K_R,s) x C(K_T,s)
+        minors = 0
+        for i in range(size):
+            term = last[rows[:, i]]
+            term *= below[drop[:, i]]
+            term -= minors
+            minors = term
+        yield minors
+
+
+def _all_minors_generic(h: np.ndarray, threshold: float) -> bool:
+    return all(np.abs(minors).min() >= threshold for minors in _minors(h))
 
 
 def sample_channel(
@@ -115,19 +139,21 @@ def sample_channel(
 ) -> ChannelMatrix:
     """Deterministic channel draw; re-samples while any square minor is near zero.
 
-    The minor check is exhaustive and batched per minor size and row
-    combination, which keeps it practical up to about K = 10 per side; it
-    is what guarantees every ZF subsystem and every equivalent gain the
-    scheme touches is well-conditioned.
+    The check covers all C(K_R+K_T,K_R) - 1 square minors, built size by
+    size in about 1 ms at K = 8 and 0.2 s at K = 12; it is what guarantees
+    every ZF subsystem and equivalent gain the scheme touches is generic.
+    The result keeps the accepted draw's smallest |minor| and the re-draws.
     """
     if k_r < 1 or k_t < 1:
         raise ValueError("channel dimensions must be >= 1")
     rng = np.random.default_rng(seed)
-    for _ in range(MAX_SAMPLE_RETRIES):
+    for redraws in range(MAX_SAMPLE_RETRIES):
         entries = (rng.standard_normal((k_r, k_t)) + 1j * rng.standard_normal((k_r, k_t))) / np.sqrt(2)
-        if _all_minors_generic(entries, genericity_threshold):
+        # all sizes, not only up to the first failing one: the smallest |minor| is kept, and re-draws are rare
+        smallest = min(float(np.abs(minors).min()) for minors in _minors(entries))
+        if smallest >= genericity_threshold:
             entries.setflags(write=False)
-            return ChannelMatrix(entries=entries, seed=seed)
+            return ChannelMatrix(entries=entries, seed=seed, min_minor=smallest, redraws=redraws)
     raise GenericityError(
         f"no generic {k_r}x{k_t} channel found in {MAX_SAMPLE_RETRIES} draws (seed={seed})"
     )
@@ -246,6 +272,8 @@ class PhyReport:
     `worst_leak` is the ZF headroom: the largest |gain at a ZF target| /
     |largest gain| over all checked transmissions (0 when none has a ZF
     target); a transmission leaks when it exceeds the relative tolerance.
+    `genericity_margin` is the channel's smallest |square minor| / GENERICITY_THRESHOLD
+    (nan unless drawn by `sample_channel`), `redraws` the draws rejected before it.
     """
 
     seed: int
@@ -254,6 +282,8 @@ class PhyReport:
     ic_flagged: int
     alignment_groups: int
     worst_leak: float = 0.0
+    genericity_margin: float = float("nan")
+    redraws: int = 0
     note: str = IA_ASSUMPTION_NOTE
 
     @property
@@ -339,7 +369,7 @@ def _precoders(blocks: tuple[Block, ...]) -> tuple[_ZfPrecoders, np.ndarray]:
 
 
 def _check(
-    seed: int, layout: _Layout, mag: np.ndarray, rows: np.ndarray, rel_tol: float, floor: float
+    h: ChannelMatrix, layout: _Layout, mag: np.ndarray, rows: np.ndarray, rel_tol: float, floor: float
 ) -> PhyReport:
     """Leak, destination and interference checks of every transmission.
 
@@ -376,12 +406,14 @@ def _check(
     live = gmax > 0
     worst_leak = np.max(mag[live] / gmax[live, None], where=zf[live], initial=0.0)
     return PhyReport(
-        seed=seed,
+        seed=h.seed,
         checked=n,
         violations=tuple(violations),
         ic_flagged=layout.ic_flagged,
         alignment_groups=layout.alignment_groups,
         worst_leak=float(worst_leak),
+        genericity_margin=h.min_minor / GENERICITY_THRESHOLD,
+        redraws=h.redraws,
     )
 
 
@@ -412,7 +444,7 @@ def verify_block_phy(
         weights = np.zeros((len(block), h.k_t), dtype=complex)
         for i, p in enumerate(precoders):
             weights[i, list(p.tx_set)] = p.weights
-    return _check(h.seed, layout, np.abs(weights @ h.entries.T), rows, rel_tol, genericity_floor)
+    return _check(h, layout, np.abs(weights @ h.entries.T), rows, rel_tol, genericity_floor)
 
 
 def verify_plan_phy(
@@ -435,5 +467,5 @@ def verify_plan_phy(
     for seed in seeds:
         h = sample_channel(cfg.k_r, cfg.k_t, seed)
         weights, _ = distinct.weights(h.entries)
-        reports.append(_check(seed, layout, np.abs(weights @ h.entries.T), rows, rel_tol, GENERICITY_FLOOR))
+        reports.append(_check(h, layout, np.abs(weights @ h.entries.T), rows, rel_tol, GENERICITY_FLOOR))
     return reports

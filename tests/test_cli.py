@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from cachenet import cli
+from cachenet import cli, delivery
 from conftest import cachenet_env
 
 BASE = [sys.executable, "-m", "cachenet"]
@@ -310,3 +310,16 @@ def test_verify_names_out_of_range_tx_past_the_first_entry_of_a_run(tmp_path, ca
     assert cli.main(["verify", *net, "--plan-file", "bad.txt", "--channel-seeds", "2"]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err == "error: block 1: tx index 7 outside 1..4 in W1[tx=17 rx=2]\n"
+
+
+def test_plan_accounts_each_block_once(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    accounted = []
+    account_block = delivery.account_block
+    monkeypatch.setattr(
+        delivery, "account_block", lambda cfg, block: accounted.append(block) or account_block(cfg, block)
+    )
+    net = ["--kt", "4", "--kr", "4", "--n", "4", "--mt", "2", "--mr", "1"]
+    assert cli.main(["plan", *net, "--out", "plan.txt"]) == 0
+    assert len(accounted) == 3
+    assert capsys.readouterr().out.endswith("centralized sDoF=24/7 (3.42857142857)\n")

@@ -16,6 +16,7 @@ from cachenet.delivery import (
     build_centralized_plan,
     build_decentralized_plan,
     build_tier_plan,
+    common_sdof,
     parse_plan,
     parse_plans,
     plan_sdof,
@@ -105,6 +106,19 @@ class TestCentralized4x4:
         doubled = DeliveryPlan(blocks=plan.blocks + plan.blocks[:1], mode=plan.mode)
         report = verify_completeness(cfg, doubled, placement, demand)
         assert len(report.duplicated) == 24 and not report.missing
+
+
+def test_differing_block_sdofs_rejected():
+    cfg = cfg44()
+    _, _, plan = centralized_setup(cfg)
+    crafted = DeliveryPlan(blocks=(tuple(plan.blocks[0]), tuple(plan.blocks[1])[:-1]), mode=plan.mode)
+    message = r"blocks have differing sum DoF: \[Fraction\(23, 7\), Fraction\(24, 7\)\]"
+    with pytest.raises(ConfigurationError, match=message):
+        plan_sdof(cfg, crafted)
+    with pytest.raises(ConfigurationError, match=message):
+        common_sdof(account_plan(cfg, crafted))
+    assert common_sdof(account_plan(cfg, plan)) == plan_sdof(cfg, plan) == Fraction(24, 7)
+    assert common_sdof([]) == 0
 
 
 def test_everything_cached_gives_empty_plan():

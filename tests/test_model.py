@@ -10,7 +10,6 @@ from cachenet.model import (
     DemandVector,
     NetworkConfig,
     binomial,
-    derive_t_params,
     fmt_decimal,
     fmt_index_set,
     fmt_rational,
@@ -29,8 +28,7 @@ from cachenet.model import (
 )
 def test_derive_t_params(kt, mt, kr, mr, n, expected):
     cfg = NetworkConfig(k_t=kt, k_r=kr, n_files=n, m_t=mt, m_r=mr)
-    t_t, t_r = derive_t_params(cfg)
-    assert (t_t, t_r) == expected
+    assert (cfg.t_t, cfg.t_r) == expected
     assert cfg.t_t_integral and cfg.t_r_integral
 
 

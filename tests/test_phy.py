@@ -9,10 +9,13 @@ import pytest
 from cachenet.delivery import DeliveryPlan, ScheduledSubfile, build_centralized_plan, build_tier_plan
 from cachenet.model import DemandVector, NetworkConfig, SubfileId
 from cachenet.phy import (
+    GENERICITY_THRESHOLD,
+    MAX_SAMPLE_RETRIES,
     ChannelMatrix,
     GenericityError,
     PrecodingVector,
     _all_minors_generic,
+    _minors,
     equivalent_gains,
     minor,
     sample_channel,
@@ -85,6 +88,72 @@ class TestGenericity:
                 h[np.ix_(rows, cols)] = sub
                 assert not minors_generic_loop(h, 1e-9)
                 assert not _all_minors_generic(h, 1e-9)
+
+
+def complex_gaussian(rng: np.random.Generator, k_r: int, k_t: int) -> np.ndarray:
+    return (rng.standard_normal((k_r, k_t)) + 1j * rng.standard_normal((k_r, k_t))) / np.sqrt(2)
+
+
+def smallest_minor_loop(h: np.ndarray) -> float:
+    k_r, k_t = h.shape
+    return min(
+        abs(np.linalg.det(h[np.ix_(rows, cols)]))
+        for size in range(1, min(k_r, k_t) + 1)
+        for rows in itertools.combinations(range(k_r), size)
+        for cols in itertools.combinations(range(k_t), size)
+    )
+
+
+class TestMinorRecurrence:
+    @pytest.mark.parametrize("k_r,k_t", list(itertools.product(range(1, 8), repeat=2)))
+    def test_minors_of_each_size_match_det(self, k_r, k_t):
+        h = complex_gaussian(np.random.default_rng(100 * k_r + k_t), k_r, k_t)
+        by_size = list(_minors(h))
+        assert len(by_size) == min(k_r, k_t)
+        for size, minors in enumerate(by_size, start=1):
+            expected = np.array(
+                [
+                    [np.linalg.det(h[np.ix_(rows, cols)]) for cols in itertools.combinations(range(k_t), size)]
+                    for rows in itertools.combinations(range(k_r), size)
+                ]
+            )
+            np.testing.assert_allclose(minors, expected, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("k_r,k_t", list(itertools.product(range(1, 7), repeat=2)))
+    def test_decisions_match_loop(self, k_r, k_t):
+        # thresholds near the typical smallest |minor|, so both verdicts occur
+        rng = np.random.default_rng(1000 + 10 * k_r + k_t)
+        verdicts = []
+        for i in range(200):
+            h = complex_gaussian(rng, k_r, k_t)
+            threshold = (0.01, 0.1, 0.5)[i % 3]
+            verdicts.append(_all_minors_generic(h, threshold))
+            assert verdicts[-1] == minors_generic_loop(h, threshold)
+        assert any(verdicts) and not all(verdicts)
+
+    def test_forced_redraws_match_loop(self):
+        threshold = 0.2
+        total = 0
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            for redraws in range(MAX_SAMPLE_RETRIES):
+                entries = complex_gaussian(rng, 3, 3)
+                if minors_generic_loop(entries, threshold):
+                    break
+            h = sample_channel(3, 3, seed, genericity_threshold=threshold)
+            assert np.array_equal(h.entries, entries)
+            assert h.redraws == redraws
+            assert h.min_minor == pytest.approx(smallest_minor_loop(entries), rel=1e-12)
+            assert h.min_minor >= threshold
+            total += redraws
+        assert total > 0
+
+    def test_default_channel_headroom(self):
+        h = sample_channel(5, 4, seed=3)
+        assert h.redraws == 0
+        assert h.min_minor == pytest.approx(smallest_minor_loop(h.entries), rel=1e-12)
+        unchecked = ChannelMatrix(entries=h.entries, seed=3)
+        assert np.isnan(unchecked.min_minor) and unchecked.redraws == 0
 
 
 class TestZfWeights:
@@ -368,3 +437,14 @@ class TestBatchedEquivalence:
         reports = verify_plan_phy(cfg, plan, channel_seeds=5, rel_tol=1e-9)
         assert all(r.ok and 0.0 <= r.worst_leak < 1e-9 for r in reports)
         assert any(r.worst_leak > 0.0 for r in reports)
+
+    def test_reports_carry_genericity_margin(self):
+        cfg, plan = self._plan44()
+        reports = verify_plan_phy(cfg, plan, channel_seeds=3)
+        for r in reports:
+            h = sample_channel(4, 4, r.seed)
+            assert r.genericity_margin == h.min_minor / GENERICITY_THRESHOLD > 1.0
+            assert r.redraws == h.redraws == 0
+            assert "margin" not in r.summary() and "redraw" not in r.summary()
+        block_report = verify_block_phy(ChannelMatrix(entries=h.entries, seed=0), plan.blocks[0])
+        assert np.isnan(block_report.genericity_margin) and block_report.redraws == 0
