@@ -16,6 +16,7 @@ from pathlib import Path
 
 from .delivery import (
     DeliveryPlan,
+    SubspaceLedger,
     account_plan,
     build_centralized_plan,
     build_decentralized_plan,
@@ -152,7 +153,7 @@ def _build_plans(cfg: NetworkConfig, args, demand: DemandVector):
     return placement, plans
 
 
-def _print_ledgers(cfg: NetworkConfig, plan: DeliveryPlan) -> None:
+def _print_ledgers(cfg: NetworkConfig, plan: DeliveryPlan) -> list[SubspaceLedger]:
     ledgers = account_plan(cfg, plan)
     for b, ledger in enumerate(ledgers):
         dofs = sorted({r.dof for r in ledger.receivers})
@@ -167,6 +168,7 @@ def _print_ledgers(cfg: NetworkConfig, plan: DeliveryPlan) -> None:
         print(f"{plan.mode} sDoF={_rat(common_sdof(ledgers))}")
     else:
         print(f"{plan.mode}: empty plan (everything cached)")
+    return ledgers
 
 
 def cmd_plan(args, parser) -> int:
@@ -181,10 +183,9 @@ def cmd_plan(args, parser) -> int:
         sys.stdout.write(text)
     if args.show:
         sys.stdout.write(placement.export_text() if args.mode == "centralized" else placement.export_text(max_ranges=8))
-    for plan in plans:
-        _print_ledgers(cfg, plan)
+    ledgers = [_print_ledgers(cfg, plan) for plan in plans]
     if args.verify:
-        return _verify(cfg, plans, placement, demand, args)
+        return _verify(cfg, plans, placement, demand, args, ledgers)
     return 0
 
 
@@ -194,6 +195,7 @@ def _verify(
     placement: CentralizedPlacement | DecentralizedPlacement,
     demand: DemandVector,
     args,
+    ledgers: list[list[SubspaceLedger]],
 ) -> int:
     failures = 0
     completeness = verify_completeness(cfg, plans, placement, demand)
@@ -206,8 +208,8 @@ def _verify(
             print(f"  duplicated for rx {dest + 1}: {sub.label()}")
         for dest, sub in completeness.extraneous[:10]:
             print(f"  extraneous for rx {dest + 1}: {sub.label()}")
-    for plan in plans:
-        for b, ledger in enumerate(account_plan(cfg, plan)):
+    for plan, plan_ledgers in zip(plans, ledgers):
+        for b, ledger in enumerate(plan_ledgers):
             if not ledger.uniform:
                 print(
                     f"warning: {plan.mode} block={b + 1} has a non-uniform ledger; "
@@ -255,7 +257,7 @@ def cmd_verify(args, parser) -> int:
         if args.mode == "centralized"
         else place_decentralized(cfg, args.seed)
     )
-    return _verify(cfg, plans, placement, demand, args)
+    return _verify(cfg, plans, placement, demand, args, [account_plan(cfg, p) for p in plans])
 
 
 def _infer_demand(cfg: NetworkConfig, plans: list[DeliveryPlan], args) -> DemandVector:

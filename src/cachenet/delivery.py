@@ -444,10 +444,12 @@ _LINE_RE = re.compile(
 def serialize_plan(plan: DeliveryPlan) -> str:
     """Line-oriented text form, one scheduled subfile per line, 1-based indices."""
     lines = [f"# mode={plan.mode}"]
+    # a plan has only C(K_T,t_T) distinct transmitter sets; each is formatted once per call
+    tx_text = functools.cache(fmt_index_set)
     for position, r in plan.runs():
         head = f"block={position + 1} file={r.file + 1} tx="
         tail = f" cachedRx={fmt_index_set(r.rx_set)} zf={fmt_index_set(r.zf_targets)} dest={r.dest + 1}"
-        lines += [head + fmt_index_set(ts) + tail for ts in r.tx_sets]
+        lines += [head + tx_text(ts) + tail for ts in r.tx_sets]
     return "\n".join(lines) + "\n"
 
 

@@ -248,7 +248,7 @@ def mc_ndt(cfg: NetworkConfig, demand: DemandVector, seeds: list[int]) -> McNdt:
     plans = [build_tier_plan(cfg, demand, t) for t in range(cfg.k_r)]
     values = []
     for seed in seeds:
-        # no reference outlives the call, so one placement mask is alive at a time
+        # no reference outlives the call, so one N x F receiver-code array is alive at a time
         values.append(ndt_finite(cfg, place_decentralized(cfg, seed), plans, demand))
     floats = [float(v) for v in values]
     mean = sum(floats) / len(floats)

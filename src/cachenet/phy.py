@@ -420,11 +420,9 @@ def _check(
 def verify_block_phy(
     h: ChannelMatrix,
     block: tuple[ScheduledSubfile, ...],
-    rel_tol: float = 1e-9,
-    genericity_floor: float = GENERICITY_FLOOR,
     precoders: list[PrecodingVector] | None = None,
 ) -> PhyReport:
-    """Check every transmission of one block against a sampled channel.
+    """Check every transmission of one block against a sampled channel, at the default tolerance.
 
     Asserts: gains vanish (relatively) at ZF targets; gains stay generic at
     the destination and at receivers relying on alignment.  Gains at caching
@@ -444,7 +442,7 @@ def verify_block_phy(
         weights = np.zeros((len(block), h.k_t), dtype=complex)
         for i, p in enumerate(precoders):
             weights[i, list(p.tx_set)] = p.weights
-    return _check(h, layout, np.abs(weights @ h.entries.T), rows, rel_tol, genericity_floor)
+    return _check(h, layout, np.abs(weights @ h.entries.T), rows, 1e-9, GENERICITY_FLOOR)
 
 
 def verify_plan_phy(

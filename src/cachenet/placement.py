@@ -98,8 +98,10 @@ class CentralizedPlacement:
 class DecentralizedPlacement:
     """Random receiver caches over a deterministic transmitter partitioning.
 
-    `rx_mask[j, f, b]` is True when receiver j cached bit b of file f.  Bits
-    live in [0, file_bits); transmitter partitions are defined over the
+    `rx_codes[f, b]` is the receiver code of bit b of file f: bit j is set
+    when receiver j cached it.  This read-only N x F array, of the narrowest
+    unsigned type holding K_R bits, is the only stored form of the caches.
+    Bits live in [0, file_bits); transmitter partitions are defined over the
     padded range [0, padded_bits) so they come out equal-size, and the
     trailing pad bits belong to no file content.
     """
@@ -107,7 +109,13 @@ class DecentralizedPlacement:
     cfg: NetworkConfig
     seed: int
     padded_bits: int
-    rx_mask: np.ndarray = field(repr=False)
+    rx_codes: np.ndarray = field(repr=False)
+
+    @property
+    def rx_mask(self) -> np.ndarray:
+        """`rx_mask[j, f, b]` is True when receiver j cached bit b of file f; built anew on each access."""
+        shifts = np.arange(self.cfg.k_r, dtype=self.rx_codes.dtype)[:, None, None]
+        return (self.rx_codes >> shifts & 1).astype(bool)
 
     @property
     def tx_sets(self) -> tuple[tuple[int, ...], ...]:
@@ -122,7 +130,7 @@ class DecentralizedPlacement:
 
     def cached_bits(self, rx: int, file: int) -> np.ndarray:
         """Sorted bit indices cached by `rx` for `file`."""
-        return np.flatnonzero(self.rx_mask[rx, file])
+        return np.flatnonzero(self.rx_codes[file] >> rx & 1)
 
     def export_text(self, max_ranges: int | None = None) -> str:
         """Per-(receiver, file) listing of cached bit-index ranges."""
@@ -197,13 +205,13 @@ def place_decentralized(cfg: NetworkConfig, seed: int) -> DecentralizedPlacement
     padded = -(-cfg.file_bits // n_parts) * n_parts
     per_file = int(cfg.m_r * cfg.file_bits / cfg.n_files)  # floor
     rng = np.random.default_rng(seed)
-    mask = np.zeros((cfg.k_r, cfg.n_files, cfg.file_bits), dtype=bool)
+    codes = np.zeros((cfg.n_files, cfg.file_bits), dtype=np.min_scalar_type(2**cfg.k_r - 1))
     for j in range(cfg.k_r):
-        for f in range(cfg.n_files):
-            picked = rng.choice(cfg.file_bits, size=per_file, replace=False)
-            mask[j, f, picked] = True
-    mask.setflags(write=False)
-    return DecentralizedPlacement(cfg=cfg, seed=seed, padded_bits=padded, rx_mask=mask)
+        for row in codes:
+            # a draw without replacement has no repeats, so the fancy-index OR sets each bit once
+            row[rng.choice(cfg.file_bits, size=per_file, replace=False)] |= 1 << j
+    codes.setflags(write=False)
+    return DecentralizedPlacement(cfg=cfg, seed=seed, padded_bits=padded, rx_codes=codes)
 
 
 def subset_profile(placement: DecentralizedPlacement, file: int) -> SubsetProfile:
@@ -213,21 +221,17 @@ def subset_profile(placement: DecentralizedPlacement, file: int) -> SubsetProfil
         raise ValueError(f"file index {file} outside [0, {cfg.n_files})")
     f_bits = cfg.file_bits
     assert f_bits is not None
-    # the narrowest unsigned type holding a K_R-bit receiver code keeps temporaries small
-    codes = np.zeros(f_bits, dtype=np.min_scalar_type(2**cfg.k_r - 1))
-    for j in range(cfg.k_r):
-        codes |= placement.rx_mask[j, file].astype(codes.dtype) << j
+    codes = placement.rx_codes[file]
     counts: dict[tuple[frozenset[int], frozenset[int]], int] = {}
     psize = placement.partition_size
     for p, ts in enumerate(placement.tx_sets):
         lo, hi = p * psize, min((p + 1) * psize, f_bits)
         if lo >= f_bits:
             break
-        binc = np.bincount(codes[lo:hi], minlength=2**cfg.k_r)
-        for code in range(2**cfg.k_r):
-            if binc[code]:
-                rx = frozenset(j for j in range(cfg.k_r) if code >> j & 1)
-                counts[(frozenset(ts), rx)] = int(binc[code])
+        binc = np.bincount(codes[lo:hi])
+        for code in np.flatnonzero(binc):
+            rx = frozenset(j for j in range(cfg.k_r) if code >> j & 1)
+            counts[(frozenset(ts), rx)] = int(binc[code])
     return SubsetProfile(file=file, file_bits=f_bits, counts=counts)
 
 

@@ -1,17 +1,28 @@
-"""Per-entry reference forms of plan building and the exact accounting, for equivalence tests.
+"""Per-entry reference forms of plan building, the exact accounting and placement, for equivalence tests.
 
 The library stores blocks as runs of entries that differ only in their
 transmitter set, and counts a plan's entries by caching weight and a
-block's transmissions by label before doing any arithmetic.  The functions
-here do the same work the direct way, one scheduled entry at a time, so the
-tests can check that both give the same entries and exact values.
+block's transmissions by label before doing any arithmetic.  It stores a
+decentralized placement as one receiver code per file bit.  The functions
+here do the same work the direct way, one scheduled entry or one cached
+bit at a time, so the tests can check that both give the same entries and
+exact values.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from cachenet.delivery import DeliveryPlan, ReceiverLedger, ScheduledSubfile, SubspaceLedger, _cyclic_blocks
+import numpy as np
+
+from cachenet.delivery import (
+    DeliveryPlan,
+    ReceiverLedger,
+    ScheduledSubfile,
+    SubspaceLedger,
+    _cyclic_blocks,
+    build_tier_plan,
+)
 from cachenet.model import DemandVector, NetworkConfig, SubfileId, binomial, subsets
 from cachenet.placement import expected_fraction
 
@@ -76,3 +87,48 @@ def account_block(cfg: NetworkConfig, block: tuple[ScheduledSubfile, ...]) -> Su
 def plan_sdof(cfg: NetworkConfig, plan: DeliveryPlan) -> Fraction:
     (value,) = {account_block(cfg, block).sdof for block in plan.blocks}
     return value
+
+
+def decentralized_mask(cfg: NetworkConfig, seed: int) -> np.ndarray:
+    """K_R x N x F bools, True where receiver j cached bit b of file f.
+
+    The same PCG64 draws in the same order as `place_decentralized`:
+    receiver outer, file inner, floor(M_R F/N) bits without replacement each.
+    """
+    per_file = int(cfg.m_r * cfg.file_bits / cfg.n_files)
+    rng = np.random.default_rng(seed)
+    mask = np.zeros((cfg.k_r, cfg.n_files, cfg.file_bits), dtype=bool)
+    for j in range(cfg.k_r):
+        for f in range(cfg.n_files):
+            picked = rng.choice(cfg.file_bits, size=per_file, replace=False)
+            mask[j, f, picked] = True
+    return mask
+
+
+def mask_profile(cfg: NetworkConfig, mask: np.ndarray, file: int) -> dict:
+    """Bit counts of `file` by (tx partition, exact caching receiver set), one bit at a time."""
+    tx_sets = subsets(cfg.k_t, int(cfg.t_t))
+    partition_size = -(-cfg.file_bits // len(tx_sets))
+    counts: dict = {}
+    for b, cached in enumerate(mask[:, file].T.tolist()):
+        key = (frozenset(tx_sets[b // partition_size]), frozenset(j for j, c in enumerate(cached) if c))
+        counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+def mc_ndt_values(cfg: NetworkConfig, demand: DemandVector, seeds: list[int]) -> list[Fraction]:
+    """Per-seed finite-size delivery times from the reference mask, one scheduled entry at a time."""
+    plans = [build_tier_plan(cfg, demand, t) for t in range(cfg.k_r)]
+    values = []
+    for seed in seeds:
+        mask = decentralized_mask(cfg, seed)
+        profiles = {f: mask_profile(cfg, mask, f) for f in set(demand.d)}
+        total = Fraction(0)
+        for plan in plans:
+            if plan.blocks:
+                bits = sum(
+                    profiles[e.subfile.file].get((e.subfile.tx_set, e.subfile.rx_set), 0) for e in plan.entries()
+                )
+                total += Fraction(bits, cfg.file_bits) / plan_sdof(cfg, plan)
+        values.append(total)
+    return values

@@ -323,3 +323,16 @@ def test_plan_accounts_each_block_once(tmp_path, capsys, monkeypatch):
     assert cli.main(["plan", *net, "--out", "plan.txt"]) == 0
     assert len(accounted) == 3
     assert capsys.readouterr().out.endswith("centralized sDoF=24/7 (3.42857142857)\n")
+
+
+def test_plan_verify_reuses_the_printed_ledgers(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    accounted = []
+    account_block = delivery.account_block
+    monkeypatch.setattr(
+        delivery, "account_block", lambda cfg, block: accounted.append(block) or account_block(cfg, block)
+    )
+    net = ["--kt", "4", "--kr", "4", "--n", "4", "--mt", "2", "--mr", "1"]
+    assert cli.main(["plan", *net, "--out", "plan.txt", "--verify", "--channel-seeds", "1"]) == 0
+    assert len(accounted) == 3
+    assert ", 0 violations;" in capsys.readouterr().out

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -320,6 +321,24 @@ class TestMonteCarlo:
         cfg = make_cfg(3, 3, 3, 2, 1)
         with pytest.raises(ConfigurationError):
             mc_ndt(cfg, DemandVector.worst_case(cfg), seeds=[1])
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_per_seed_values_match_mask_reference(self, k):
+        cfg = make_cfg(k, k, k, 2, 1, file_bits=10**4)
+        demand = DemandVector.worst_case(cfg)
+        assert list(mc_ndt(cfg, demand, seeds=[1, 2]).values) == per_entry.mc_ndt_values(cfg, demand, [1, 2])
+
+    def test_one_seed_stays_below_a_bool_mask(self):
+        # tracemalloc sees numpy buffers; a K_R x N x F bool mask alone would take K_R*N*F bytes
+        cfg = make_cfg(6, 6, 6, 2, 1, file_bits=10**6)
+        demand = DemandVector.worst_case(cfg)
+        tracemalloc.start()
+        try:
+            mc_ndt(cfg, demand, seeds=[1])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < cfg.k_r * cfg.n_files * cfg.file_bits
 
 
 def test_oracle_and_plan_sdof_leave_blocks_unexpanded():

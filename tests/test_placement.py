@@ -6,6 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import per_entry
+
 from cachenet.model import ConfigurationError, NetworkConfig, SubfileId, binomial, subsets
 from cachenet.placement import (
     expected_fraction,
@@ -175,6 +177,19 @@ class TestSubsetProfile:
                 key = (frozenset(pl.tx_sets[pl.partition_of(b)]), rx)
                 expected[key] = expected.get(key, 0) + 1
             assert subset_profile(pl, f).counts == expected
+
+    @pytest.mark.parametrize("file_bits", [999, 1000])
+    @pytest.mark.parametrize("m_r", [Fraction(0), Fraction(5, 4), Fraction(3)])
+    @pytest.mark.parametrize("k_r", range(1, 10))
+    def test_codes_match_mask_reference(self, k_r, m_r, file_bits):
+        # 3 partitions: 999 bits split evenly, 1000 need padding; 9 receivers need a 16-bit code
+        cfg = NetworkConfig(k_t=3, k_r=k_r, n_files=3, m_t=2, m_r=m_r, file_bits=file_bits)
+        pl = place_decentralized(cfg, seed=k_r)
+        mask = per_entry.decentralized_mask(cfg, seed=k_r)
+        assert pl.rx_codes.dtype == (np.uint16 if k_r > 8 else np.uint8)
+        assert np.array_equal(pl.rx_mask, mask)
+        for f in range(cfg.n_files):
+            assert subset_profile(pl, f).counts == per_entry.mask_profile(cfg, mask, f)
 
     def test_binomial_concentration(self):
         # empirical class sizes stay within 3 sigma of the i.i.d. caching law
