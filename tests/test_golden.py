@@ -7,7 +7,9 @@ placement listings, `oracle-ndt` and `ndt --seeds` cases lock the oracle
 printer and the Monte-Carlo `mc=` line, and `verify` cases first write the
 plan with `plan --out` and keep the stdout of `verify --plan-file`.  The corners
 follow the benchmark grid's convention N = K_R, M_T = t_T K_R / K_T,
-M_R = t_R.
+M_R = t_R.  Scripted cases lock a `--config` file overridden by a flag, the
+`sweep` CSVs with their `.exact` sidecars, and the INCOMPLETE report of a
+damaged plan file.
 
 Regenerate only on purpose, when a change of output is intended:
 
@@ -102,6 +104,42 @@ def render_run(case: str) -> str:
     return text + _plan_sha() if "--out" in flags else text
 
 
+def render_config_override() -> str:
+    """`ndt` from a config file of the 4x4 corner with M_R = 0, overridden by `--mr 1`."""
+    Path("net.cfg").write_text("# 4x4 corner, receiver caches overridden\nkt=4\nkr=4\nn=4\nmt=2\nmr=0\n")
+    return _run(["ndt", "--config", "net.cfg", "--mr", "1"])
+
+
+def render_sweep(figure: str) -> str:
+    """`sweep` stdout, then the CSV and its `.exact` sidecar."""
+    text = _run(["sweep", "--figure", figure, "--out", f"{figure}.csv"])
+    for name in (f"{figure}.csv", f"{figure}.csv.exact"):
+        text += f"--- {name}\n" + Path(name).read_text()
+    return text
+
+
+def render_damaged_verify() -> str:
+    """`verify` of the 4x4 plan with one entry deleted, one duplicated and one re-filed to another file."""
+    net = _net(CORNERS["4x4_t2_1"])
+    _run(["plan", *net, "--out", PLAN_FILE])
+    lines = Path(PLAN_FILE).read_text().splitlines(keepends=True)
+    # from the back, so earlier line numbers stay put: block 3 dest 2, block 1 dest 4, block 1 dest 1
+    del lines[59]
+    lines.insert(21, lines[20])
+    refiled = lines[2].replace(" file=1 ", " file=2 ")
+    assert refiled != lines[2]
+    lines[2] = refiled
+    Path(PLAN_FILE).write_text("".join(lines))
+    return _run(["verify", *net, "--demand", "1,2,3,4", "--plan-file", PLAN_FILE, "--channel-seeds", "2"])
+
+
+SCRIPTED_CASES = {
+    "4x4_t2_1.config-override": render_config_override,
+    "fig2.sweep": lambda: render_sweep("fig2"),
+    "fig4.sweep": lambda: render_sweep("fig4"),
+    "4x4_t2_1.verify-damaged": render_damaged_verify,
+}
+
 CASES = [(name, command) for name in CORNERS for command in COMMANDS]
 
 
@@ -119,6 +157,13 @@ def test_golden_run(case, tmp_path, monkeypatch):
     assert render_run(case) == expected
 
 
+@pytest.mark.parametrize("case", SCRIPTED_CASES)
+def test_golden_scripted(case, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    expected = (GOLDEN_DIR / f"{case}.txt").read_text()
+    assert SCRIPTED_CASES[case]() == expected
+
+
 if __name__ == "__main__":
     GOLDEN_DIR.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
@@ -128,4 +173,7 @@ if __name__ == "__main__":
             print(f"wrote {name}.{command}.txt", file=sys.stderr)
         for case in RUN_CASES:
             (GOLDEN_DIR / f"{case}.txt").write_text(render_run(case))
+            print(f"wrote {case}.txt", file=sys.stderr)
+        for case, render_case in SCRIPTED_CASES.items():
+            (GOLDEN_DIR / f"{case}.txt").write_text(render_case())
             print(f"wrote {case}.txt", file=sys.stderr)
