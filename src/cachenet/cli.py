@@ -43,6 +43,20 @@ __all__ = ["main"]
 _CONFIG_KEYS = ("kt", "kr", "n", "mt", "mr", "file_bits", "seed", "mode", "demand")
 
 
+def count(text: str) -> int:
+    """Type of seed and count flags: a non-negative int; argparse names the flag of a rejected value."""
+    if int(text) < 0:
+        raise ValueError(text)
+    return int(text)
+
+
+def tolerance(text: str) -> float:
+    """Type of `--tol`: a number in (0, 1); NaN, inf or values >= 1 would switch the leak check off."""
+    if not 0 < float(text) < 1:
+        raise ValueError(text)
+    return float(text)
+
+
 def _read_config_file(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
@@ -318,7 +332,7 @@ def _build_parser() -> argparse.ArgumentParser:
     net.add_argument("--mt", help="transmitter cache size in files (int or p/q)")
     net.add_argument("--mr", help="receiver cache size in files (int or p/q)")
     net.add_argument("--file-bits", dest="file_bits", type=int, help="finite file length in bits")
-    net.add_argument("--seed", type=int, help="base seed for random placement (default 1)")
+    net.add_argument("--seed", type=count, help="base seed for random placement (default 1)")
     net.add_argument("--demand", help="1-based demanded file per receiver, e.g. 1,2,3,4")
     net.add_argument("--config", help="key=value config file; flags override it")
 
@@ -326,11 +340,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sdof)
 
     p = sub.add_parser("ndt", parents=[net], help="closed-form and scheme-derived delivery time")
-    p.add_argument("--seeds", type=int, default=0, help="Monte-Carlo placements (needs --file-bits)")
+    p.add_argument("--seeds", type=count, default=0, help="Monte-Carlo placements (needs --file-bits)")
     p.set_defaults(func=cmd_ndt)
 
     p = sub.add_parser("oracle-ndt", parents=[net], help="scheme-derived delivery time only")
-    p.add_argument("--seeds", type=int, default=0, help="Monte-Carlo placements (needs --file-bits)")
+    p.add_argument("--seeds", type=count, default=0, help="Monte-Carlo placements (needs --file-bits)")
     p.set_defaults(func=cmd_oracle_ndt)
 
     p = sub.add_parser("plan", parents=[net], help="generate a delivery plan with its ledger")
@@ -338,15 +352,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the plan text here instead of stdout")
     p.add_argument("--show", action="store_true", help="also print the placement export")
     p.add_argument("--verify", action="store_true", help="run completeness and phy checks")
-    p.add_argument("--channel-seeds", dest="channel_seeds", type=int, default=10)
-    p.add_argument("--tol", type=float, default=1e-9, help="relative ZF tolerance")
+    p.add_argument("--channel-seeds", dest="channel_seeds", type=count, default=10)
+    p.add_argument("--tol", type=tolerance, default=1e-9, help="relative ZF tolerance")
     p.set_defaults(func=cmd_plan)
 
     p = sub.add_parser("verify", parents=[net], help="verify a serialized plan")
     p.add_argument("--plan-file", dest="plan_file", help="plan text (default: stdin)")
     p.add_argument("--mode", choices=("centralized", "decentralized"))
-    p.add_argument("--channel-seeds", dest="channel_seeds", type=int, default=10)
-    p.add_argument("--tol", type=float, default=1e-9, help="relative ZF tolerance")
+    p.add_argument("--channel-seeds", dest="channel_seeds", type=count, default=10)
+    p.add_argument("--tol", type=tolerance, default=1e-9, help="relative ZF tolerance")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("sweep", parents=[net], help="figure-reproduction CSV")

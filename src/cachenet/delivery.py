@@ -164,9 +164,8 @@ class DeliveryPlan:
         return ((block.position, r) for block in self.blocks for r in block.runs)
 
 
-@dataclass(frozen=True)
-class ReceiverLedger:
-    """Classification of one block's transmissions as seen by one receiver.
+class ReceiverLedger(NamedTuple):
+    """Classification of one block's transmissions as seen by one receiver (a plain tuple).
 
     Counts are per transmission; `aligned_dims` is the number of residual
     interference groups, each of which collapses into one dimension.
@@ -314,17 +313,18 @@ def account_block(cfg: NetworkConfig, block: Block | Iterable[ScheduledSubfile])
     ZF-nulled (r is a ZF target), IC-cancelled (r cached the subfile) or
     interfering.  All of this depends only on the transmission's
     (destination, cache-holder set, ZF-target set) label, so the block's
-    runs are collapsed into per-label counts, checking the first entry of
-    each label in block order, and each label is classified once per
-    receiver.  Interfering transmissions of one label align into a single
-    dimension, so `aligned_dims` is the number of interfering labels.
+    runs are collapsed into per-label counts, checking each label once in
+    block order, and each label is classified once per receiver.
+    Interfering transmissions of one label align into a single dimension,
+    so `aligned_dims` is the number of interfering labels.
     """
     block = Block.encode(block)
     labels: dict[tuple[int, frozenset[int], frozenset[int]], int] = {}
     for run in block.runs:
         label = (run.dest, run.rx_set, run.zf_targets)
         if label not in labels:
-            run.entry(run.tx_sets[0], block.position).check()
+            if run.dest in run.rx_set or run.dest in run.zf_targets or run.zf_targets & run.rx_set:
+                run.entry(run.tx_sets[0], block.position).check()  # raises, naming the entry
             labels[label] = 0
         labels[label] += len(run.tx_sets)
     ledgers = []
@@ -340,15 +340,7 @@ def account_block(cfg: NetworkConfig, block: Block | Iterable[ScheduledSubfile])
             else:
                 interfering += n
                 aligned += 1
-        ledgers.append(
-            ReceiverLedger(
-                desired=desired,
-                zf_nulled=zf,
-                ic_cancelled=ic,
-                interfering=interfering,
-                aligned_dims=aligned,
-            )
-        )
+        ledgers.append(ReceiverLedger(desired, zf, ic, interfering, aligned))
     return SubspaceLedger(receivers=tuple(ledgers))
 
 
@@ -391,42 +383,49 @@ class CompletenessReport:
         )
 
 
-def _needed_subfiles(
-    cfg: NetworkConfig,
-    placement: CentralizedPlacement | DecentralizedPlacement,
-    demand: DemandVector,
-) -> set[tuple[int, tuple[int, frozenset[int], frozenset[int]]]]:
-    """(destination, (file, tx_set, rx_set)) of every subfile a destination lacks."""
-    tx_sets = [frozenset(ts) for ts in subsets(cfg.k_t, int(cfg.t_t))]
-    sizes = [int(cfg.t_r)] if isinstance(placement, CentralizedPlacement) else range(cfg.k_r + 1)
-    rx_sets = [frozenset(rs) for size in sizes for rs in subsets(cfg.k_r, size)]
-    return {
-        (j, (demand.d[j], ts, rs)) for j in range(cfg.k_r) for rs in rx_sets if j not in rs for ts in tx_sets
-    }
-
-
 def verify_completeness(
     cfg: NetworkConfig,
     plans: list[DeliveryPlan] | DeliveryPlan,
     placement: CentralizedPlacement | DecentralizedPlacement,
     demand: DemandVector,
 ) -> CompletenessReport:
-    """Check that each destination receives exactly the subfiles it lacks."""
+    """Check that each destination receives exactly the subfiles it lacks.
+
+    Transmissions are grouped by (dest, file, rx_set) label, and each label's tx sets are checked at once.
+    """
     if isinstance(plans, DeliveryPlan):
         plans = [plans]
     demand.validate(cfg)
-    needed = _needed_subfiles(cfg, placement, demand)
-    seen = Counter((r.dest, (r.file, ts, r.rx_set)) for p in plans for _, r in p.runs() for ts in r.tx_sets)
+    all_tx = {frozenset(ts) for ts in subsets(cfg.k_t, int(cfg.t_t))}
+    sizes = [int(cfg.t_r)] if isinstance(placement, CentralizedPlacement) else range(cfg.k_r + 1)
+    rx_sets = [frozenset(rs) for size in sizes for rs in subsets(cfg.k_r, size)]
+    needed = {(j, demand.d[j], rs) for j in range(cfg.k_r) for rs in rx_sets if j not in rs}
+    scheduled: dict[tuple[int, int, frozenset[int]], list[frozenset[int]]] = {}
+    for p in plans:
+        for _, r in p.runs():
+            scheduled.setdefault((r.dest, r.file, r.rx_set), []).extend(r.tx_sets)
+    missing = [(label, ts) for label in needed - scheduled.keys() for ts in all_tx]
+    duplicated, extraneous = [], []
+    for label, tx_sets in scheduled.items():
+        seen = set(tx_sets)
+        if label not in needed:
+            extraneous += ((label, ts) for ts in seen)
+        elif seen != all_tx:
+            missing += ((label, ts) for ts in all_tx - seen)
+            extraneous += ((label, ts) for ts in seen - all_tx)
+        if len(seen) != len(tx_sets):
+            duplicated += ((label, ts) for ts, n in Counter(tx_sets).items() if n > 1)
     return CompletenessReport(
-        missing=_listing(needed - seen.keys()),
-        duplicated=_listing(k for k, n in seen.items() if n > 1),
-        extraneous=_listing(seen.keys() - needed),
-        scheduled=seen.total(),
+        missing=_listing(missing),
+        duplicated=_listing(duplicated),
+        extraneous=_listing(extraneous),
+        scheduled=sum(map(len, scheduled.values())),
     )
 
 
-def _listing(keys) -> tuple[tuple[int, SubfileId], ...]:
-    return tuple(sorted(((dest, SubfileId(*sub)) for dest, sub in keys), key=_subfile_key))
+def _listing(items) -> tuple[tuple[int, SubfileId], ...]:
+    """((dest, file, rx_set), tx_set) items as sorted (dest, SubfileId) pairs."""
+    return tuple(sorted(((dest, SubfileId(f, ts, rs)) for (dest, f, rs), ts in items), key=_subfile_key))
 
 
 def _subfile_key(item: tuple[int, SubfileId]):

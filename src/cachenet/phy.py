@@ -11,9 +11,10 @@ All checks are batched, so their cost grows with the number of numpy calls
 per channel rather than with the number of minors or transmissions.  The
 genericity check stays exhaustive and builds the square minors of each size
 from those one size smaller, which checks a 12 x 12 draw in about 0.2 s.
-Precoders are computed once per distinct (transmitter set, ZF targets) pair
-with one determinant call per target count, and every equivalent gain of a
-channel comes from one matrix product.
+Precoders are computed once per distinct (transmitter set, ZF targets) pair,
+found by integer ids per run rather than per transmission, with one
+determinant call per target count; every equivalent gain of a channel
+comes from one matrix product.
 """
 
 from __future__ import annotations
@@ -172,34 +173,41 @@ def _zf_key(tx_set: Iterable[int], zf_targets: Iterable[int]) -> tuple[tuple[int
     return txs, targets
 
 
-class _ZfPrecoders:
-    """ZF precoders of distinct (tx_set, zf_targets) pairs, prepared once for any channel.
+def _members(sets: list[Iterable[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted members of each set as the rows of one table padded with 0, and the set sizes."""
+    rows = [sorted(s) for s in sets]
+    width = max(map(len, rows), default=0)
+    table = np.array([row + [0] * (width - len(row)) for row in rows], dtype=np.intp).reshape(len(rows), width)
+    return table, np.array(list(map(len, rows)), dtype=np.intp)
 
-    Pairs are grouped by their target count m; each group keeps the index
-    arrays of its active transmitters and of its targets, so that on a
-    channel the cofactors of all its m x (m+1) target submatrices come from
-    one stacked det call.
+
+class _ZfPrecoders:
+    """ZF precoders of distinct (tx set, ZF-target set) pairs, prepared once for any channel.
+
+    Pair k is (tx_sets[tx_ids[k]], targets[target_ids[k]]).  Pairs are
+    grouped by their target count m; each group keeps the index arrays of
+    its active transmitters and of its targets, sliced from the sorted
+    member tables, so that on a channel the cofactors of all its
+    m x (m+1) target submatrices come from one stacked det call.
     """
 
-    def __init__(self, pairs: list[tuple[Iterable[int], Iterable[int]]]):
-        self.pairs = pairs
-        by_m: dict[int, list[tuple[int, tuple[int, ...], tuple[int, ...]]]] = {}
-        for k, pair in enumerate(pairs):
-            txs, targets = _zf_key(*pair)
-            by_m.setdefault(len(targets), []).append((k, txs[: len(targets) + 1], targets))
-        self.groups = [
-            (
-                np.array([k for k, _, _ in group], dtype=np.intp),
-                np.array([active for _, active, _ in group], dtype=np.intp),
-                np.array([targets for _, _, targets in group], dtype=np.intp).reshape(len(group), m),
-            )
-            for m, group in by_m.items()
-        ]
+    def __init__(self, tx_sets: list[Iterable[int]], targets: list[Iterable[int]], tx_ids, target_ids):
+        self.tx_sets, self.targets, self.tx_ids, self.target_ids = tx_sets, targets, tx_ids, target_ids
+        tx_table, tx_size = _members(tx_sets)
+        target_table, target_size = _members(targets)
+        m = target_size[target_ids]
+        offenders = np.flatnonzero(m >= tx_size[tx_ids])
+        if offenders.size:
+            _zf_key(tx_sets[tx_ids[offenders[0]]], targets[target_ids[offenders[0]]])  # raises, naming the pair
+        self.groups = []
+        for size in dict.fromkeys(m.tolist()):
+            ks = np.flatnonzero(m == size)
+            self.groups.append((ks, tx_table[tx_ids[ks], : size + 1], target_table[target_ids[ks], :size]))
 
     def weights(self, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Normalized weights (pairs x K_T, zero off the active transmitters) and their scales."""
-        weights = np.zeros((len(self.pairs), h.shape[1]), dtype=complex)
-        scales = np.ones(len(self.pairs))
+        weights = np.zeros((len(self.tx_ids), h.shape[1]), dtype=complex)
+        scales = np.ones(len(self.tx_ids))
         for ks, active, targets in self.groups:
             m = targets.shape[1]
             if m == 0:
@@ -213,7 +221,8 @@ class _ZfPrecoders:
             scales[ks] = np.max(np.abs(cofactors), axis=1)
         degenerate = np.flatnonzero(scales < GENERICITY_THRESHOLD)
         if degenerate.size:
-            txs, targets = _zf_key(*self.pairs[degenerate[0]])
+            k = degenerate[0]
+            txs, targets = _zf_key(self.tx_sets[self.tx_ids[k]], self.targets[self.target_ids[k]])
             raise GenericityError(
                 f"degenerate ZF subsystem for tx={txs} targets={targets}; re-sample the channel"
             )
@@ -233,7 +242,8 @@ def zf_weights(
     the classic (h_t2, -h_t1) swap.
     """
     txs, _ = _zf_key(tx_set, zf_targets)
-    weights, scales = _ZfPrecoders([(txs, zf_targets)]).weights(h.entries)
+    first = np.zeros(1, dtype=np.intp)
+    weights, scales = _ZfPrecoders([txs], [zf_targets], first, first).weights(h.entries)
     return PrecodingVector(tx_set=txs, weights=weights[0, list(txs)], scale=float(scales[0]))
 
 
@@ -358,14 +368,26 @@ def _layout(blocks: Iterable[Block | tuple[ScheduledSubfile, ...]], k_r: int) ->
 
 
 def _precoders(blocks: tuple[Block, ...]) -> tuple[_ZfPrecoders, np.ndarray]:
-    """Distinct precoders of the transmissions, in order of first use, and each transmission's precoder."""
-    index: dict[tuple, int] = {}
-    rows = np.fromiter(
-        (index.setdefault((ts, r.zf_targets), len(index)) for b in blocks for r in b.runs for ts in r.tx_sets),
-        dtype=np.intp,
-        count=sum(map(len, blocks)),
-    )
-    return _ZfPrecoders(list(index)), rows
+    """Distinct precoders of the transmissions, in order of first use, and each transmission's precoder.
+
+    Tx sets and ZF-target sets get integer ids, and a precoder is one (tx id, target id) pair.  Runs
+    with equal tx sets and targets share their precoders, so ids and pairs are looked up once per
+    distinct run label (a built plan shares one `tx_sets` tuple), not once per transmission.
+    """
+    tx_index: dict[frozenset[int], int] = {}
+    target_index: dict[frozenset[int], int] = {}
+    pair_index: dict[tuple[int, int], int] = {}
+    rows_of: dict[tuple, np.ndarray] = {}
+    rows = [np.zeros(0, dtype=np.intp)]
+    for r in chain.from_iterable(b.runs for b in blocks):
+        label = (r.tx_sets, r.zf_targets)
+        if label not in rows_of:
+            z = target_index.setdefault(r.zf_targets, len(target_index))
+            pairs = ((tx_index.setdefault(ts, len(tx_index)), z) for ts in r.tx_sets)
+            rows_of[label] = np.array([pair_index.setdefault(p, len(pair_index)) for p in pairs], dtype=np.intp)
+        rows.append(rows_of[label])
+    tx_ids, target_ids = np.array(list(pair_index), dtype=np.intp).reshape(-1, 2).T
+    return _ZfPrecoders(list(tx_index), list(target_index), tx_ids, target_ids), np.concatenate(rows)
 
 
 def _check(
@@ -453,8 +475,10 @@ def verify_plan_phy(
 ) -> list[PhyReport]:
     """Monte-Carlo ZF verification of a plan (or tier plans, in order) over seeded channels.
 
-    One report per seed, covering every block of every plan.
+    One report per seed, covering every block of every plan.  `rel_tol` must lie in (0, 1).
     """
+    if not 0 < rel_tol < 1:
+        raise ValueError(f"relative ZF tolerance must lie in (0, 1), got {rel_tol}")
     seeds = list(range(channel_seeds)) if isinstance(channel_seeds, int) else list(channel_seeds)
     if not seeds:
         return []

@@ -1,21 +1,24 @@
-"""Per-entry reference forms of plan building, the exact accounting and placement, for equivalence tests.
+"""Per-entry reference forms of plan building, checks, the exact accounting and placement, for equivalence tests.
 
 The library stores blocks as runs of entries that differ only in their
 transmitter set, and counts a plan's entries by caching weight and a
-block's transmissions by label before doing any arithmetic.  It stores a
-decentralized placement as one receiver code per file bit.  The functions
-here do the same work the direct way, one scheduled entry or one cached
-bit at a time, so the tests can check that both give the same entries and
-exact values.
+block's transmissions by label before doing any arithmetic.  It checks
+completeness per (dest, file, rx_set) label and finds a plan's distinct
+precoders from integer ids.  It stores a decentralized placement as one
+receiver code per file bit.  The functions here do the same work the
+direct way, one scheduled entry or one cached bit at a time, so the tests
+can check that both give the same entries, reports and exact values.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 
 from cachenet.delivery import (
+    CompletenessReport,
     DeliveryPlan,
     ReceiverLedger,
     ScheduledSubfile,
@@ -24,7 +27,7 @@ from cachenet.delivery import (
     build_tier_plan,
 )
 from cachenet.model import DemandVector, NetworkConfig, SubfileId, binomial, subsets
-from cachenet.placement import expected_fraction
+from cachenet.placement import CentralizedPlacement, expected_fraction
 
 
 def rotation_blocks(
@@ -87,6 +90,35 @@ def account_block(cfg: NetworkConfig, block: tuple[ScheduledSubfile, ...]) -> Su
 def plan_sdof(cfg: NetworkConfig, plan: DeliveryPlan) -> Fraction:
     (value,) = {account_block(cfg, block).sdof for block in plan.blocks}
     return value
+
+
+def verify_completeness(cfg: NetworkConfig, plans: list[DeliveryPlan], placement, demand: DemandVector):
+    """Completeness from one (dest, (file, tx_set, rx_set)) key per needed subfile and per scheduled entry."""
+    tx_sets = [frozenset(ts) for ts in subsets(cfg.k_t, int(cfg.t_t))]
+    sizes = [int(cfg.t_r)] if isinstance(placement, CentralizedPlacement) else range(cfg.k_r + 1)
+    rx_sets = [frozenset(rs) for size in sizes for rs in subsets(cfg.k_r, size)]
+    needed = {
+        (j, (demand.d[j], ts, rs)) for j in range(cfg.k_r) for rs in rx_sets if j not in rs for ts in tx_sets
+    }
+    seen = Counter((e.dest, tuple(e.subfile)) for p in plans for e in p.entries())
+
+    def listing(keys):
+        items = ((dest, SubfileId(*sub)) for dest, sub in keys)
+        return tuple(sorted(items, key=lambda i: (i[0], i[1].file, sorted(i[1].tx_set), sorted(i[1].rx_set))))
+
+    return CompletenessReport(
+        missing=listing(needed - seen.keys()),
+        duplicated=listing(k for k, n in seen.items() if n > 1),
+        extraneous=listing(seen.keys() - needed),
+        scheduled=seen.total(),
+    )
+
+
+def precoders(blocks) -> tuple[list[tuple[frozenset[int], frozenset[int]]], list[int]]:
+    """Distinct (tx_set, zf_targets) pairs in order of first use, and each transmission's pair, one entry at a time."""
+    index: dict[tuple[frozenset[int], frozenset[int]], int] = {}
+    rows = [index.setdefault((e.subfile.tx_set, e.zf_targets), len(index)) for block in blocks for e in block]
+    return list(index), rows
 
 
 def decentralized_mask(cfg: NetworkConfig, seed: int) -> np.ndarray:

@@ -336,3 +336,32 @@ def test_plan_verify_reuses_the_printed_ledgers(tmp_path, capsys, monkeypatch):
     assert cli.main(["plan", *net, "--out", "plan.txt", "--verify", "--channel-seeds", "1"]) == 0
     assert len(accounted) == 3
     assert ", 0 violations;" in capsys.readouterr().out
+
+
+NET44 = ["--kt", "4", "--kr", "4", "--n", "4", "--mt", "2", "--mr", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["plan", "--verify", "--channel-seeds", "-2"], "--channel-seeds"),
+        (["verify", "--channel-seeds", "-2"], "--channel-seeds"),
+        (["plan", "--seed", "-5"], "--seed"),
+        (["ndt", "--file-bits", "100", "--seeds", "-1"], "--seeds"),
+        (["oracle-ndt", "--file-bits", "100", "--seeds", "2", "--seed", "-1"], "--seed"),
+        # NaN fails every comparison and inf or values >= 1 accept any leak; <= 0 flags every ZF target
+        *((["plan", "--verify", "--tol", tol], "--tol") for tol in ("nan", "inf", "1", "2", "0", "-1")),
+        (["verify", "--tol", "nan"], "--tol"),
+    ],
+)
+def test_out_of_range_flag_values_exit_2_naming_the_flag(argv, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, *NET44])
+    assert exc.value.code == 2
+    assert f"argument {flag}: invalid" in capsys.readouterr().err
+
+
+def test_in_range_counts_and_tolerance_are_accepted(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["plan", "--verify", "--channel-seeds", "0", "--seed", "0", "--tol", "0.5", *NET44]) == 0
+    assert "0 transmissions checked over 0 channels" in capsys.readouterr().out

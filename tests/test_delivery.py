@@ -259,6 +259,28 @@ class TestAccountBlockValidation:
         with pytest.raises(ConfigurationError):
             account_block(cfg, (bad,))
 
+    @pytest.mark.parametrize(
+        "rx,zf,message",
+        [
+            ({0}, set(), "scheduled to a receiver that cached it"),
+            ({0}, {1}, "scheduled to a receiver that cached it"),
+            (set(), {0}, "zero-forced at its destination or at a caching receiver"),
+            ({1}, {1, 2}, "zero-forced at its destination or at a caching receiver"),
+        ],
+    )
+    def test_each_bad_label_kind_raises_the_entry_message(self, rx, zf, message):
+        good = ScheduledSubfile(SubfileId(1, frozenset({0, 1}), frozenset({2})), 1, frozenset({0}), 0)
+        bad = ScheduledSubfile(SubfileId(0, frozenset({0, 1}), frozenset(rx)), 0, frozenset(zf), 0)
+        with pytest.raises(ConfigurationError, match=f"^W1\\[tx=12 rx=[-0-9]+\\] {message}$"):
+            account_block(cfg33(), (good, bad))
+
+
+def test_receiver_ledger_is_a_plain_tuple():
+    ledger = ReceiverLedger(desired=6, zf_nulled=3, ic_cancelled=2, interfering=4, aligned_dims=1)
+    assert ledger == (6, 3, 2, 4, 1) and ReceiverLedger(*ledger) == ledger
+    assert (ledger.total_dims, ledger.dof) == (7, Fraction(6, 7))
+    assert ReceiverLedger(0, 0, 0, 0, 0).dof == 0
+
 
 class TestPerLabelEquivalence:
     """account_block counts transmissions per label; a per-entry classifier agrees."""

@@ -1,12 +1,22 @@
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from cachenet.delivery import DeliveryPlan, ScheduledSubfile, build_centralized_plan, build_tier_plan
+import per_entry
+from cachenet.delivery import (
+    Block,
+    DeliveryPlan,
+    ScheduledSubfile,
+    build_centralized_plan,
+    build_tier_plan,
+    parse_plans,
+    serialize_plan,
+)
 from cachenet.model import DemandVector, NetworkConfig, SubfileId
 from cachenet.phy import (
     GENERICITY_THRESHOLD,
@@ -16,6 +26,7 @@ from cachenet.phy import (
     PrecodingVector,
     _all_minors_generic,
     _minors,
+    _precoders,
     equivalent_gains,
     minor,
     sample_channel,
@@ -427,6 +438,12 @@ class TestBatchedEquivalence:
         with pytest.raises(GenericityError):
             verify_block_phy(sample_channel(4, 4, seed=0), crafted.blocks[0])
 
+    @pytest.mark.parametrize("rel_tol", [float("nan"), float("inf"), 1.0, 0.0, -1e-9])
+    def test_tolerance_outside_unit_interval_rejected(self, rel_tol):
+        cfg, plan = self._plan44()
+        with pytest.raises(ValueError, match="tolerance must lie in"):
+            verify_plan_phy(cfg, plan, channel_seeds=1, rel_tol=rel_tol)
+
     def test_zero_seeds(self):
         cfg, plan = self._plan44()
         assert verify_plan_phy(cfg, plan, channel_seeds=0) == []
@@ -448,3 +465,82 @@ class TestBatchedEquivalence:
             assert "margin" not in r.summary() and "redraw" not in r.summary()
         block_report = verify_block_phy(ChannelMatrix(entries=h.entries, seed=0), plan.blocks[0])
         assert np.isnan(block_report.genericity_margin) and block_report.redraws == 0
+
+
+def precoder_plans(k_t, k_r, t_t, t_r, tiers):
+    """A built centralized plan, or the tier plans, of one corner with N = K_R files."""
+    cfg = NetworkConfig(k_t=k_t, k_r=k_r, n_files=k_r, m_t=Fraction(t_t * k_r, k_t), m_r=t_r)
+    demand = DemandVector.worst_case(cfg)
+    if tiers:
+        return [build_tier_plan(cfg, demand, t) for t in range(k_r)]
+    return [build_centralized_plan(cfg, place_centralized(cfg), demand)]
+
+
+def shuffled(plans, seed):
+    """Every block's entries in a seeded random order, so first uses come in another order."""
+    rnd = random.Random(seed)
+    blocks = [rnd.sample(list(b), len(b)) for p in plans for b in p.blocks]
+    return [DeliveryPlan(blocks=tuple(map(tuple, blocks)), mode="shuffled")]
+
+
+class TestPrecoderTables:
+    @pytest.mark.parametrize("tiers", [False, True])
+    @pytest.mark.parametrize("corner", [(4, 4, 2, 1), (5, 4, 3, 1), (6, 6, 3, 2), (4, 6, 4, 0)])
+    def test_pairs_and_rows_match_per_transmission_reference(self, corner, tiers):
+        plans = precoder_plans(*corner, tiers)
+        # built plans share one tx_sets tuple per plan; parsed ones hold equal but distinct tuples
+        parsed = parse_plans("".join(serialize_plan(p) for p in plans))
+        parsed_runs = [r for p in parsed for b in p.blocks for r in b.runs]
+        assert len({id(r.tx_sets) for r in parsed_runs}) == len(parsed_runs) > 1
+        h = sample_channel(corner[1], corner[0], seed=5)
+        for variant in (plans, parsed, shuffled(plans, seed=sum(corner))):
+            blocks = tuple(b for p in variant for b in p.blocks)
+            distinct, rows = _precoders(blocks)
+            pairs, reference_rows = per_entry.precoders(blocks)
+            assert rows.tolist() == reference_rows
+            assert [
+                (distinct.tx_sets[t], distinct.targets[z]) for t, z in zip(distinct.tx_ids, distinct.target_ids)
+            ] == pairs
+            # each row of the batched weights is the pair's own precoder: the first m+1 of its
+            # sorted transmitters are active, the largest weight is 1 and the m targets are nulled
+            weights, _ = distinct.weights(h.entries)
+            for k, (ts, targets) in enumerate(pairs):
+                active = sorted(ts)[: len(targets) + 1]
+                assert np.flatnonzero(weights[k]).tolist() == active
+                assert np.max(np.abs(weights[k])) == pytest.approx(1.0, rel=1e-12)
+                gains = np.abs(h.entries @ weights[k])
+                assert np.all(gains[list(targets)] <= 1e-9 * gains.max())
+
+    def _entries44(self):
+        cfg = NetworkConfig(k_t=4, k_r=4, n_files=4, m_t=2, m_r=1)
+        plan = build_centralized_plan(cfg, place_centralized(cfg), DemandVector.worst_case(cfg))
+        return list(plan.blocks[0])
+
+    @pytest.mark.parametrize("first", ["targets", "empty"])
+    def test_first_offending_pair_names_the_error(self, first):
+        entries = self._entries44()
+        e = entries[3]
+        too_many = e._replace(zf_targets=frozenset(sorted({0, 1, 2, 3} - {e.dest})[:2]))
+        assert len(too_many.subfile.tx_set) == 2
+        empty = entries[9]._replace(subfile=entries[9].subfile._replace(tx_set=frozenset()))
+        # the offender used first is named, whichever kind it is
+        offenders = [too_many, empty] if first == "targets" else [empty, too_many]
+        block = Block.encode((*entries[:2], offenders[0], *entries[2:6], offenders[1], *entries[6:]))
+        if first == "targets":
+            with pytest.raises(GenericityError, match="^2 transmitters cannot zero-force at 2 receivers$"):
+                _precoders((block,))
+        else:
+            with pytest.raises(ValueError, match="^empty transmitter set$"):
+                _precoders((block,))
+
+    def test_degenerate_channel_names_the_first_pair(self):
+        blocks = (Block.encode(self._entries44()),)
+        distinct, _ = _precoders(blocks)
+        (ts, targets), *_ = per_entry.precoders(blocks)[0]
+        h = np.ones((4, 4), dtype=complex)
+        h[list(targets)] = 0  # every pair with these targets is degenerate; the first one used is named
+        assert len([pair for pair in per_entry.precoders(blocks)[0] if pair[1] == targets]) > 1
+        with pytest.raises(GenericityError) as err:
+            distinct.weights(h)
+        named = f"degenerate ZF subsystem for tx={tuple(sorted(ts))} targets={tuple(sorted(targets))};"
+        assert str(err.value).startswith(named)

@@ -8,6 +8,7 @@ suite draws the same corners.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -64,6 +65,49 @@ def test_plans_are_complete(cfg):
     for placement, demand, plans in (centralized(cfg), decentralized(cfg)):
         report = verify_completeness(cfg, plans, placement, demand)
         assert report.complete, report.summary()
+
+
+def damage(cfg: NetworkConfig, entries: list[ScheduledSubfile], rnd: random.Random, kind: str) -> None:
+    """Apply one kind of damage to a random entry, in place."""
+    i = rnd.randrange(len(entries))
+    e = entries[i]
+    sub = e.subfile
+    if kind == "drop":
+        del entries[i]
+    elif kind == "duplicate":
+        entries.insert(rnd.randrange(len(entries) + 1), e)
+    elif kind == "refile":  # another file: extraneous, and its own subfile goes missing
+        entries[i] = e._replace(subfile=sub._replace(file=(sub.file + 1) % cfg.n_files))
+    elif kind == "recache":  # another cache-holder set, possibly of another tier or holding the destination
+        entries[i] = e._replace(subfile=sub._replace(rx_set=sub.rx_set ^ {rnd.randrange(cfg.k_r)}))
+    else:  # a tx set of the wrong size
+        entries[i] = e._replace(subfile=sub._replace(tx_set=sub.tx_set ^ {rnd.randrange(cfg.k_t)}))
+
+
+@PROPERTY
+@given(corners(), st.booleans(), st.randoms(use_true_random=False), st.lists(
+    st.sampled_from(["drop", "duplicate", "refile", "recache", "resize"]), max_size=4
+))
+def test_completeness_matches_per_entry_reference(cfg, decentral, rnd, damages):
+    # built, shuffled and damaged plans all give the reference's counts, listings and listing order
+    placement, demand, plans = decentralized(cfg) if decentral else centralized(cfg)
+    plans = plans if decentral else [plans]
+    assert verify_completeness(cfg, plans, placement, demand) == per_entry.verify_completeness(
+        cfg, plans, placement, demand
+    )
+    entries = [e for p in plans for e in p.entries()]
+    rnd.shuffle(entries)
+    for kind in damages:
+        if entries:
+            damage(cfg, entries, rnd, kind)
+    # shuffled entries keep their block positions; each position becomes one block
+    by_block: dict[int, list[ScheduledSubfile]] = {}
+    for e in entries:
+        by_block.setdefault(e.block, []).append(e)
+    damaged = [DeliveryPlan(blocks=tuple(map(tuple, by_block.values())), mode="damaged")]
+    report = verify_completeness(cfg, damaged, placement, demand)
+    assert report == per_entry.verify_completeness(cfg, damaged, placement, demand)
+    assert report.scheduled == len(entries)
 
 
 @PROPERTY
