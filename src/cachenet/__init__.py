@@ -14,7 +14,6 @@ from .delivery import (
     build_centralized_plan,
     build_decentralized_plan,
     build_tier_plan,
-    parse_plan,
     parse_plans,
     plan_sdof,
     serialize_plan,
@@ -47,7 +46,6 @@ from .phy import (
     equivalent_gains,
     minor,
     sample_channel,
-    verify_block_phy,
     verify_plan_phy,
     zf_weights,
 )

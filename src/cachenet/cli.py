@@ -75,10 +75,13 @@ def _read_config_file(path: str) -> dict[str, str]:
 def _merge_config(args: argparse.Namespace) -> None:
     """Flags override config-file values; fill unset flags from the file."""
     if getattr(args, "config", None):
-        casts = {"kt": int, "kr": int, "n": int, "file_bits": int, "seed": int}
+        casts = {"kt": int, "kr": int, "n": int, "file_bits": int, "seed": count}
         for key, value in _read_config_file(args.config).items():
             if getattr(args, key, None) is None:
-                setattr(args, key, casts.get(key, str)(value))
+                try:
+                    setattr(args, key, casts.get(key, str)(value))
+                except ValueError:
+                    raise ConfigurationError(f"{args.config}: invalid value in {key}={value}") from None
     if getattr(args, "seed", None) is None:
         args.seed = 1
     if hasattr(args, "mode") and args.mode is None:
@@ -250,19 +253,14 @@ def cmd_verify(args, parser) -> int:
     plans = parse_plans(text)
     if any(p.mode.startswith("decentralized") for p in plans):
         args.mode = "decentralized"
-    tx_range = frozenset(range(cfg.k_t))
     for p in plans:
         for position, r in p.runs():
-            # a run's entries differ only in tx, so past its first entry only tx can be out of range
-            for i, ts in enumerate(r.tx_sets):
-                if i == 0 or not ts <= tx_range:
-                    r.entry(ts, position).check_indices(cfg)
+            r.check_indices(cfg, position)
     demand = _infer_demand(cfg, plans, args)
     try:
-        # check() reads only the label, which a run's entries share
         for p in plans:
-            for position, r in p.runs():
-                r.entry(r.tx_sets[0], position).check()
+            for _, r in p.runs():
+                r.check()
     except ConfigurationError as exc:
         print(f"malformed plan: {exc}")
         return 1

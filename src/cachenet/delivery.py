@@ -14,10 +14,12 @@ set, and zero-forces them at the receivers following those offsets
 cyclically.  Any schedule with the same per-receiver dimension counts is
 equally valid; the cyclic one is the simplest deterministic choice.
 
-Blocks are stored as runs: consecutive entries that differ only in their
-transmitter set form one `Run`, so a rotation block is one run per
-receiver.  Ledgers, oracle and completeness check read runs; a block still
-reads as a sequence of `ScheduledSubfile` records, expanded on first use.
+Blocks are stored as runs, the one plan form: consecutive entries that
+differ only in their transmitter set form one `Run`, so a rotation block is
+one run per receiver.  Ledgers, oracle, completeness, label and range
+checks, the plan text format and the phy verifier all read runs;
+`DeliveryPlan.entries()` expands a plan into flat `ScheduledSubfile`
+records for callers that want one record per transmission.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from __future__ import annotations
 import functools
 import re
 from collections import Counter
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
@@ -60,42 +62,17 @@ __all__ = [
     "plan_sdof",
     "verify_completeness",
     "serialize_plan",
-    "parse_plan",
     "parse_plans",
 ]
 
 
 class ScheduledSubfile(NamedTuple):
-    """One subfile transmission: destination, cache holders, ZF targets, block index (a plain tuple)."""
+    """One subfile transmission as a flat record: the subfile, its destination, ZF targets and block index."""
 
     subfile: SubfileId
     dest: int
     zf_targets: frozenset[int]
     block: int
-
-    def check(self) -> None:
-        if self.dest in self.subfile.rx_set:
-            raise ConfigurationError(f"{self.subfile.label()} scheduled to a receiver that cached it")
-        if self.zf_targets & ({self.dest} | self.subfile.rx_set):
-            raise ConfigurationError(
-                f"{self.subfile.label()} zero-forced at its destination or at a caching receiver"
-            )
-
-    def check_indices(self, cfg: NetworkConfig) -> None:
-        """Reject file, transmitter and receiver indices outside `cfg` (e.g. from a plan file)."""
-        sub = self.subfile
-        for name, indices, bound in (
-            ("file", (sub.file,), cfg.n_files),
-            ("tx", sub.tx_set, cfg.k_t),
-            ("cachedRx", sub.rx_set, cfg.k_r),
-            ("zf", self.zf_targets, cfg.k_r),
-            ("dest", (self.dest,), cfg.k_r),
-        ):
-            bad = sorted(i + 1 for i in indices if not 0 <= i < bound)
-            if bad:
-                raise ConfigurationError(
-                    f"block {self.block + 1}: {name} index {bad[0]} outside 1..{bound} in {sub.label()}"
-                )
 
 
 class Run(NamedTuple):
@@ -107,8 +84,37 @@ class Run(NamedTuple):
     zf_targets: frozenset[int]
     tx_sets: tuple[frozenset[int], ...]
 
-    def entry(self, tx_set: frozenset[int], block: int) -> ScheduledSubfile:
-        return ScheduledSubfile(SubfileId(self.file, tx_set, self.rx_set), self.dest, self.zf_targets, block)
+    def _label(self, tx_set: frozenset[int]) -> str:
+        return SubfileId(self.file, tx_set, self.rx_set).label()
+
+    def check(self) -> None:
+        """Reject delivery to a caching receiver and ZF at the destination or at a caching receiver."""
+        if self.dest in self.rx_set:
+            raise ConfigurationError(f"{self._label(self.tx_sets[0])} scheduled to a receiver that cached it")
+        if self.dest in self.zf_targets or not self.zf_targets.isdisjoint(self.rx_set):
+            raise ConfigurationError(
+                f"{self._label(self.tx_sets[0])} zero-forced at its destination or at a caching receiver"
+            )
+
+    def check_indices(self, cfg: NetworkConfig, position: int) -> None:
+        """Reject file, transmitter and receiver indices outside `cfg` (e.g. from a plan file), naming the entry.
+
+        Past the first entry only the tx set differs, so only tx sets outside range(K_T) are checked there.
+        """
+        first, tx_range = self.tx_sets[0], frozenset(range(cfg.k_t))
+        for name, indices, bound, tx_set in (
+            ("file", (self.file,), cfg.n_files, first),
+            ("tx", first, cfg.k_t, first),
+            ("cachedRx", self.rx_set, cfg.k_r, first),
+            ("zf", self.zf_targets, cfg.k_r, first),
+            ("dest", (self.dest,), cfg.k_r, first),
+            *(("tx", ts, cfg.k_t, ts) for ts in self.tx_sets[1:] if not ts <= tx_range),
+        ):
+            bad = sorted(i + 1 for i in indices if not 0 <= i < bound)
+            if bad:
+                raise ConfigurationError(
+                    f"block {position + 1}: {name} index {bad[0]} outside 1..{bound} in {self._label(tx_set)}"
+                )
 
 
 def _encode(pairs: Iterable[tuple[tuple, frozenset[int]]]) -> tuple[Run, ...]:
@@ -117,51 +123,34 @@ def _encode(pairs: Iterable[tuple[tuple, frozenset[int]]]) -> tuple[Run, ...]:
 
 
 @dataclass(frozen=True)
-class Block(Sequence):
-    """A channel block's 0-based position and runs; reads as its entries, expanded on first use."""
+class Block:
+    """A channel block's 0-based position and its runs, in entry order; len() counts its entries."""
 
     position: int
     runs: tuple[Run, ...]
 
-    @classmethod
-    def encode(cls, entries: Iterable[ScheduledSubfile]) -> Block:
-        """Run-length-encode one block's entries, which share its position; a `Block` is kept as is."""
-        if isinstance(entries, Block):
-            return entries
-        entries = tuple(entries)
-        positions = {e.block for e in entries} or {0}
-        if len(positions) > 1:
-            raise ValueError(f"entries of one block carry several block indices {sorted(positions)}")
-        pairs = (((e.subfile.file, e.dest, e.subfile.rx_set, e.zf_targets), e.subfile.tx_set) for e in entries)
-        return cls(positions.pop(), _encode(pairs))
-
-    @functools.cached_property
-    def _entries(self) -> tuple[ScheduledSubfile, ...]:
-        return tuple(r.entry(ts, self.position) for r in self.runs for ts in r.tx_sets)
-
     def __len__(self) -> int:
         return sum(len(r.tx_sets) for r in self.runs)
-
-    def __getitem__(self, i):
-        return self._entries[i]
 
 
 @dataclass(frozen=True)
 class DeliveryPlan:
-    """Ordered channel blocks of scheduled transmissions; entry tuples given as blocks are encoded."""
+    """Ordered channel blocks of scheduled transmissions."""
 
     blocks: tuple[Block, ...]
     mode: str
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "blocks", tuple(map(Block.encode, self.blocks)))
-
-    def entries(self) -> tuple[ScheduledSubfile, ...]:
-        return tuple(e for block in self.blocks for e in block)
-
     def runs(self) -> Iterator[tuple[int, Run]]:
         """(block position, run) of every run, in entry order."""
         return ((block.position, r) for block in self.blocks for r in block.runs)
+
+    def entries(self) -> tuple[ScheduledSubfile, ...]:
+        """Every transmission as a flat record, in entry order."""
+        return tuple(
+            ScheduledSubfile(SubfileId(r.file, ts, r.rx_set), r.dest, r.zf_targets, position)
+            for position, r in self.runs()
+            for ts in r.tx_sets
+        )
 
 
 class ReceiverLedger(NamedTuple):
@@ -306,7 +295,7 @@ def build_decentralized_plan(
     return [build_tier_plan(cfg, demand, t) for t in range(cfg.k_r)]
 
 
-def account_block(cfg: NetworkConfig, block: Block | Iterable[ScheduledSubfile]) -> SubspaceLedger:
+def account_block(cfg: NetworkConfig, block: Block) -> SubspaceLedger:
     """Classify every transmission at every receiver and count signal dimensions.
 
     At receiver r a transmission is desired (r is the destination),
@@ -318,13 +307,11 @@ def account_block(cfg: NetworkConfig, block: Block | Iterable[ScheduledSubfile])
     Interfering transmissions of one label align into a single dimension,
     so `aligned_dims` is the number of interfering labels.
     """
-    block = Block.encode(block)
     labels: dict[tuple[int, frozenset[int], frozenset[int]], int] = {}
     for run in block.runs:
         label = (run.dest, run.rx_set, run.zf_targets)
         if label not in labels:
-            if run.dest in run.rx_set or run.dest in run.zf_targets or run.zf_targets & run.rx_set:
-                run.entry(run.tx_sets[0], block.position).check()  # raises, naming the entry
+            run.check()
             labels[label] = 0
         labels[label] += len(run.tx_sets)
     ledgers = []
@@ -453,27 +440,14 @@ def serialize_plan(plan: DeliveryPlan) -> str:
 
 
 def parse_plans(text: str) -> list[DeliveryPlan]:
-    """Inverse of concatenated serialize_plan outputs: one plan per `# mode=` header.
+    """Inverse of serialize_plan and of concatenated serialize_plan outputs: one plan per `# mode=` header.
 
     A decentralized run writes one plan per tier into one file; this splits
-    them back apart.  Tolerates comments and blank lines.
+    them back apart, so tiers are never merged.  Tolerates comments and blank lines.
     """
-    return _parse(text, single=False)
-
-
-def parse_plan(text: str) -> DeliveryPlan:
-    """Inverse of serialize_plan; tolerates comments and blank lines.
-
-    Rejects a second `# mode=` header: concatenated plans go through
-    parse_plans, so their tiers are never merged.
-    """
-    return _parse(text, single=True)[0]
-
-
-def _parse(text: str, single: bool) -> list[DeliveryPlan]:
-    plans: list[DeliveryPlan] = []
-    mode = None
-    by_block: dict[int, list[tuple[tuple, frozenset[int]]]] = {}
+    modes: list[str] = []
+    # per plan, each block position's (label, tx_set) pairs in entry order
+    sections: list[dict[int, list[tuple[tuple, frozenset[int]]]]] = [{}]
     # a plan repeats a few index sets many times; the memo keeps no failed parse
     index_set = functools.lru_cache(maxsize=None)(parse_index_set)
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -483,14 +457,9 @@ def _parse(text: str, single: bool) -> list[DeliveryPlan]:
         if line.startswith("#"):
             m = re.search(r"mode=(\S+)", line)
             if m:
-                if mode is not None:
-                    if single:
-                        raise ValueError(
-                            f"line {lineno}: second '# mode=' header; use parse_plans for concatenated plans"
-                        )
-                    plans.append(_assemble(by_block, mode))
-                    by_block = {}
-                mode = m.group(1)
+                if modes:
+                    sections.append({})
+                modes.append(m.group(1))
             continue
         m = _LINE_RE.match(line)
         if m is None:
@@ -503,10 +472,8 @@ def _parse(text: str, single: bool) -> list[DeliveryPlan]:
             label = (int(m.group(2)) - 1, int(m.group(6)) - 1, index_set(m.group(4)), index_set(m.group(5)))
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
-        by_block.setdefault(block, []).append((label, tx_set))
-    plans.append(_assemble(by_block, mode or "unknown"))
-    return plans
-
-
-def _assemble(by_block: dict[int, list[tuple[tuple, frozenset[int]]]], mode: str) -> DeliveryPlan:
-    return DeliveryPlan(blocks=tuple(Block(b, _encode(by_block[b])) for b in sorted(by_block)), mode=mode)
+        sections[-1].setdefault(block, []).append((label, tx_set))
+    return [
+        DeliveryPlan(blocks=tuple(Block(b, _encode(by_block[b])) for b in sorted(by_block)), mode=mode)
+        for by_block, mode in zip(sections, modes or ["unknown"])
+    ]

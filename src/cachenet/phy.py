@@ -7,14 +7,16 @@ with channel-matrix minors.  Interference alignment is *not* constructed
 numerically; its feasibility enters only as the dimension counts of the
 delivery ledger, and every report says so.
 
-All checks are batched, so their cost grows with the number of numpy calls
-per channel rather than with the number of minors or transmissions.  The
-genericity check stays exhaustive and builds the square minors of each size
-from those one size smaller, which checks a 12 x 12 draw in about 0.2 s.
-Precoders are computed once per distinct (transmitter set, ZF targets) pair,
-found by integer ids per run rather than per transmission, with one
-determinant call per target count; every equivalent gain of a channel
-comes from one matrix product.
+`verify_plan_phy` is the one verifier: it reads the runs of a plan (or of
+tier plans) and checks every transmission of every block.  All checks are
+batched, so their cost grows with the number of numpy calls per channel
+rather than with the number of minors or transmissions.  The genericity
+check stays exhaustive and builds the square minors of each size from those
+one size smaller, which checks a 12 x 12 draw in about 0.2 s.  Precoders
+are computed once per distinct (transmitter set, ZF targets) pair, found by
+integer ids per run rather than per transmission, with one determinant call
+per target count; every equivalent gain of a channel comes from one matrix
+product.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .delivery import Block, DeliveryPlan, ScheduledSubfile
-from .model import NetworkConfig
+from .delivery import Block, DeliveryPlan
+from .model import NetworkConfig, SubfileId, _is_int
 
 __all__ = [
     "GenericityError",
@@ -38,7 +40,6 @@ __all__ = [
     "zf_weights",
     "equivalent_gains",
     "minor",
-    "verify_block_phy",
     "verify_plan_phy",
     "IA_ASSUMPTION_NOTE",
 ]
@@ -128,8 +129,9 @@ def _minors(h: np.ndarray) -> Iterator[np.ndarray]:
         yield minors
 
 
-def _all_minors_generic(h: np.ndarray, threshold: float) -> bool:
-    return all(np.abs(minors).min() >= threshold for minors in _minors(h))
+def _smallest_minor(h: np.ndarray) -> float:
+    """The smallest |square minor| of h over all sizes, not only up to the first size below a threshold."""
+    return min(float(np.abs(minors).min()) for minors in _minors(h))
 
 
 def sample_channel(
@@ -150,8 +152,7 @@ def sample_channel(
     rng = np.random.default_rng(seed)
     for redraws in range(MAX_SAMPLE_RETRIES):
         entries = (rng.standard_normal((k_r, k_t)) + 1j * rng.standard_normal((k_r, k_t))) / np.sqrt(2)
-        # all sizes, not only up to the first failing one: the smallest |minor| is kept, and re-draws are rare
-        smallest = min(float(np.abs(minors).min()) for minors in _minors(entries))
+        smallest = _smallest_minor(entries)
         if smallest >= genericity_threshold:
             entries.setflags(write=False)
             return ChannelMatrix(entries=entries, seed=seed, min_minor=smallest, redraws=redraws)
@@ -331,7 +332,7 @@ def _mask(sets: list[frozenset[int]], k_r: int) -> np.ndarray:
     return mask
 
 
-def _layout(blocks: Iterable[Block | tuple[ScheduledSubfile, ...]], k_r: int) -> _Layout:
+def _layout(blocks: tuple[Block, ...], k_r: int) -> _Layout:
     """Classify every (transmission, receiver) pair as in `account_block`.
 
     A receiver that is neither the destination nor a ZF target is
@@ -340,7 +341,6 @@ def _layout(blocks: Iterable[Block | tuple[ScheduledSubfile, ...]], k_r: int) ->
     targets) labels of a block, each spanning its interfering receivers.
     All of this is classified once per run and repeated over its entries.
     """
-    blocks = tuple(map(Block.encode, blocks))
     runs = tuple(r for block in blocks for r in block.runs)
     dest = np.fromiter((r.dest for r in runs), dtype=np.intp, count=len(runs))
     zf = _mask([r.zf_targets for r in runs], k_r)
@@ -390,9 +390,7 @@ def _precoders(blocks: tuple[Block, ...]) -> tuple[_ZfPrecoders, np.ndarray]:
     return _ZfPrecoders(list(tx_index), list(target_index), tx_ids, target_ids), np.concatenate(rows)
 
 
-def _check(
-    h: ChannelMatrix, layout: _Layout, mag: np.ndarray, rows: np.ndarray, rel_tol: float, floor: float
-) -> PhyReport:
+def _check(h: ChannelMatrix, layout: _Layout, mag: np.ndarray, rows: np.ndarray, rel_tol: float) -> PhyReport:
     """Leak, destination and interference checks of every transmission.
 
     `mag` holds the gain magnitudes of each precoder (precoders x K_R) and
@@ -404,23 +402,25 @@ def _check(
     n = len(layout.dest)
     gmax = mag.max(axis=1)
     leak = layout.zf & (mag > rel_tol * gmax[:, None])[rows]
-    quiet = (mag < floor * gmax[:, None])[rows]
+    quiet = (mag < GENERICITY_FLOOR * gmax[:, None])[rows]
     weak_dest = quiet[np.arange(n), layout.dest]
     weak = layout.interfering & quiet
     violations = []
     bad = np.flatnonzero(leak.any(axis=1) | weak_dest | weak.any(axis=1))
-    entries = [e for block in layout.blocks for e in block] if bad.size else []
+    # (position, run, tx set) of every transmission, in row order
+    where = [(b.position, r, ts) for b in layout.blocks for r in b.runs for ts in r.tx_sets] if bad.size else []
     for i in bad:
-        e = entries[i]
+        position, r, ts = where[i]
         issues = [
             f"zf-leak at rx {z + 1} (|gain|={mag[rows[i], z]:.3e}, max {gmax[rows[i]]:.3e})"
             for z in np.flatnonzero(leak[i])
         ]
         if weak_dest[i]:
-            issues.append(f"degenerate destination gain at rx {e.dest + 1}")
-        issues += [f"degenerate interference gain at rx {r + 1}" for r in np.flatnonzero(weak[i])]
+            issues.append(f"degenerate destination gain at rx {r.dest + 1}")
+        issues += [f"degenerate interference gain at rx {j + 1}" for j in np.flatnonzero(weak[i])]
         violations.append(
-            f"block={e.block + 1} subfile={e.subfile.label()} dest={e.dest + 1}: " + "; ".join(issues)
+            f"block={position + 1} subfile={SubfileId(r.file, ts, r.rx_set).label()} dest={r.dest + 1}: "
+            + "; ".join(issues)
         )
     # transmissions sharing a precoder share its ZF targets
     zf = np.zeros(mag.shape, dtype=bool)
@@ -439,34 +439,6 @@ def _check(
     )
 
 
-def verify_block_phy(
-    h: ChannelMatrix,
-    block: tuple[ScheduledSubfile, ...],
-    precoders: list[PrecodingVector] | None = None,
-) -> PhyReport:
-    """Check every transmission of one block against a sampled channel, at the default tolerance.
-
-    Asserts: gains vanish (relatively) at ZF targets; gains stay generic at
-    the destination and at receivers relying on alignment.  Gains at caching
-    receivers are only flagged: those receivers cancel from cache, so their
-    gain value is irrelevant.  Precoders are recomputed from the block
-    unless supplied, so a plan whose claimed targets disagree with the
-    precoders actually in use shows up as ZF leaks.
-    """
-    if precoders is not None and len(precoders) != len(block):
-        raise ValueError("need one precoder per scheduled transmission")
-    layout = _layout([block], h.k_r)
-    if precoders is None:
-        distinct, rows = _precoders(layout.blocks)
-        weights, _ = distinct.weights(h.entries)
-    else:
-        rows = np.arange(len(block))
-        weights = np.zeros((len(block), h.k_t), dtype=complex)
-        for i, p in enumerate(precoders):
-            weights[i, list(p.tx_set)] = p.weights
-    return _check(h, layout, np.abs(weights @ h.entries.T), rows, 1e-9, GENERICITY_FLOOR)
-
-
 def verify_plan_phy(
     cfg: NetworkConfig,
     plan: DeliveryPlan | list[DeliveryPlan],
@@ -475,19 +447,22 @@ def verify_plan_phy(
 ) -> list[PhyReport]:
     """Monte-Carlo ZF verification of a plan (or tier plans, in order) over seeded channels.
 
-    One report per seed, covering every block of every plan.  `rel_tol` must lie in (0, 1).
+    One report per seed, covering every block of every plan.  `channel_seeds` is a
+    non-negative int (seeds 0..n-1) or a list of seeds; `rel_tol` must lie in (0, 1).
     """
     if not 0 < rel_tol < 1:
         raise ValueError(f"relative ZF tolerance must lie in (0, 1), got {rel_tol}")
+    if isinstance(channel_seeds, int) and (not _is_int(channel_seeds) or channel_seeds < 0):
+        raise ValueError(f"channel seed count must be a non-negative int, got {channel_seeds!r}")
     seeds = list(range(channel_seeds)) if isinstance(channel_seeds, int) else list(channel_seeds)
     if not seeds:
         return []
     plans = [plan] if isinstance(plan, DeliveryPlan) else list(plan)
-    layout = _layout((block for p in plans for block in p.blocks), cfg.k_r)
+    layout = _layout(tuple(block for p in plans for block in p.blocks), cfg.k_r)
     distinct, rows = _precoders(layout.blocks)
     reports = []
     for seed in seeds:
         h = sample_channel(cfg.k_r, cfg.k_t, seed)
         weights, _ = distinct.weights(h.entries)
-        reports.append(_check(h, layout, np.abs(weights @ h.entries.T), rows, rel_tol, GENERICITY_FLOOR))
+        reports.append(_check(h, layout, np.abs(weights @ h.entries.T), rows, rel_tol))
     return reports

@@ -1,7 +1,8 @@
 """Per-entry reference forms of plan building, checks, the exact accounting and placement, for equivalence tests.
 
 The library stores blocks as runs of entries that differ only in their
-transmitter set, and counts a plan's entries by caching weight and a
+transmitter set (`entries` and `block_of` convert between a block and its
+records here), and counts a plan's entries by caching weight and a
 block's transmissions by label before doing any arithmetic.  It checks
 completeness per (dest, file, rx_set) label and finds a plan's distinct
 precoders from integer ids.  It stores a decentralized placement as one
@@ -18,16 +19,30 @@ from fractions import Fraction
 import numpy as np
 
 from cachenet.delivery import (
+    Block,
     CompletenessReport,
     DeliveryPlan,
     ReceiverLedger,
     ScheduledSubfile,
     SubspaceLedger,
     _cyclic_blocks,
+    _encode,
     build_tier_plan,
 )
-from cachenet.model import DemandVector, NetworkConfig, SubfileId, binomial, subsets
+from cachenet.model import ConfigurationError, DemandVector, NetworkConfig, SubfileId, binomial, subsets
 from cachenet.placement import CentralizedPlacement, expected_fraction
+
+
+def entries(block: Block) -> tuple[ScheduledSubfile, ...]:
+    """One block's transmissions as flat records, in entry order."""
+    return DeliveryPlan(blocks=(block,), mode="block").entries()
+
+
+def block_of(records) -> Block:
+    """The block of records given in entry order, at the first record's block index (crafted and damaged blocks)."""
+    records = tuple(records)
+    pairs = (((e.subfile.file, e.dest, e.subfile.rx_set, e.zf_targets), e.subfile.tx_set) for e in records)
+    return Block(records[0].block, _encode(pairs))
 
 
 def rotation_blocks(
@@ -68,7 +83,10 @@ def tier_fractions(cfg: NetworkConfig, plans: list[DeliveryPlan]) -> list[Fracti
 def account_block(cfg: NetworkConfig, block: tuple[ScheduledSubfile, ...]) -> SubspaceLedger:
     """Classify each entry at each receiver; one alignment group per interfering label."""
     for e in block:
-        e.check()
+        if e.dest in e.subfile.rx_set:
+            raise ConfigurationError(f"{e.subfile.label()} scheduled to a receiver that cached it")
+        if e.zf_targets & ({e.dest} | e.subfile.rx_set):
+            raise ConfigurationError(f"{e.subfile.label()} zero-forced at its destination or at a caching receiver")
     ledgers = []
     for r in range(cfg.k_r):
         desired = zf = ic = interfering = 0
@@ -88,7 +106,7 @@ def account_block(cfg: NetworkConfig, block: tuple[ScheduledSubfile, ...]) -> Su
 
 
 def plan_sdof(cfg: NetworkConfig, plan: DeliveryPlan) -> Fraction:
-    (value,) = {account_block(cfg, block).sdof for block in plan.blocks}
+    (value,) = {account_block(cfg, entries(block)).sdof for block in plan.blocks}
     return value
 
 
@@ -117,7 +135,9 @@ def verify_completeness(cfg: NetworkConfig, plans: list[DeliveryPlan], placement
 def precoders(blocks) -> tuple[list[tuple[frozenset[int], frozenset[int]]], list[int]]:
     """Distinct (tx_set, zf_targets) pairs in order of first use, and each transmission's pair, one entry at a time."""
     index: dict[tuple[frozenset[int], frozenset[int]], int] = {}
-    rows = [index.setdefault((e.subfile.tx_set, e.zf_targets), len(index)) for block in blocks for e in block]
+    rows = [
+        index.setdefault((e.subfile.tx_set, e.zf_targets), len(index)) for block in blocks for e in entries(block)
+    ]
     return list(index), rows
 
 

@@ -233,6 +233,17 @@ def test_unknown_config_key(tmp_path):
     assert r.returncode == 2 and "unknown key" in r.stderr
 
 
+@pytest.mark.parametrize("line,flag", [("seed=-5", "--seed"), ("kt=x", "--kt"), ("file_bits=abc", "--file-bits")])
+def test_bad_config_values_exit_2_naming_the_file_and_key(line, flag, tmp_path, monkeypatch, capsys):
+    # a config-file value gets its flag's type; a rejected one names the file and its key=value
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text(f"kt=4\nkr=4\nn=4\nmt=2\nmr=1\n{line}\n")
+    assert cli.main(["ndt", "--config", "run.cfg"]) == 2
+    assert capsys.readouterr().err == f"error: run.cfg: invalid value in {line}\n"
+    # a flag wins over the file, so the bad value is never read
+    assert cli.main(["ndt", "--config", "run.cfg", flag, "4"]) == 0
+
+
 def test_demand_flag():
     r = run_cli(
         "plan", "--kt", "3", "--kr", "3", "--n", "3", "--mt", "2", "--mr", "0",

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 import per_entry
+from per_entry import block_of, entries
 from cachenet.delivery import (
     DeliveryPlan,
     ReceiverLedger,
@@ -17,7 +18,6 @@ from cachenet.delivery import (
     build_decentralized_plan,
     build_tier_plan,
     common_sdof,
-    parse_plan,
     parse_plans,
     plan_sdof,
     serialize_plan,
@@ -56,7 +56,7 @@ class TestCentralized4x4:
         # 18 needed subfiles per receiver, six per block
         for j in range(4):
             for block in plan.blocks:
-                assert sum(1 for e in block if e.dest == j) == 6
+                assert sum(len(r.tx_sets) for r in block.runs if r.dest == j) == 6
 
     def test_first_block_grouping(self):
         # block 1: dest j gets the file it demanded, cached at j+1, zero-forced at j+2
@@ -111,7 +111,7 @@ class TestCentralized4x4:
 def test_differing_block_sdofs_rejected():
     cfg = cfg44()
     _, _, plan = centralized_setup(cfg)
-    crafted = DeliveryPlan(blocks=(tuple(plan.blocks[0]), tuple(plan.blocks[1])[:-1]), mode=plan.mode)
+    crafted = DeliveryPlan(blocks=(plan.blocks[0], block_of(entries(plan.blocks[1])[:-1])), mode=plan.mode)
     message = r"blocks have differing sum DoF: \[Fraction\(23, 7\), Fraction\(24, 7\)\]"
     with pytest.raises(ConfigurationError, match=message):
         plan_sdof(cfg, crafted)
@@ -223,7 +223,7 @@ class TestDecentralizedTiers:
         # dest 1 cached {2} zf {3}; dest 2 cached {3} zf {1}; dest 3 cached {1} zf {2}
         cfg = cfg33()
         plan = build_tier_plan(cfg, DemandVector.worst_case(cfg), 1)
-        got = {(e.dest, e.subfile.rx_set, e.zf_targets) for e in plan.blocks[0]}
+        got = {(r.dest, r.rx_set, r.zf_targets) for r in plan.blocks[0].runs}
         assert got == {
             (0, frozenset({1}), frozenset({2})),
             (1, frozenset({2}), frozenset({0})),
@@ -249,7 +249,7 @@ class TestAccountBlockValidation:
             subfile=SubfileId(0, frozenset({0, 1}), frozenset({0})), dest=0, zf_targets=frozenset(), block=0
         )
         with pytest.raises(ConfigurationError):
-            account_block(cfg, (bad,))
+            account_block(cfg, block_of([bad]))
 
     def test_rejects_zf_overlap(self):
         cfg = cfg33()
@@ -257,7 +257,7 @@ class TestAccountBlockValidation:
             subfile=SubfileId(0, frozenset({0, 1}), frozenset({1})), dest=0, zf_targets=frozenset({1}), block=0
         )
         with pytest.raises(ConfigurationError):
-            account_block(cfg, (bad,))
+            account_block(cfg, block_of([bad]))
 
     @pytest.mark.parametrize(
         "rx,zf,message",
@@ -272,7 +272,7 @@ class TestAccountBlockValidation:
         good = ScheduledSubfile(SubfileId(1, frozenset({0, 1}), frozenset({2})), 1, frozenset({0}), 0)
         bad = ScheduledSubfile(SubfileId(0, frozenset({0, 1}), frozenset(rx)), 0, frozenset(zf), 0)
         with pytest.raises(ConfigurationError, match=f"^W1\\[tx=12 rx=[-0-9]+\\] {message}$"):
-            account_block(cfg33(), (good, bad))
+            account_block(cfg33(), block_of([good, bad]))
 
 
 def test_receiver_ledger_is_a_plain_tuple():
@@ -296,13 +296,14 @@ class TestPerLabelEquivalence:
                 if t_r == 0:  # the tier plans do not depend on t_R
                     plans += [build_tier_plan(cfg, demand, t) for t in range(k_r)]
                 for plan in plans:
-                    expected = [per_entry.account_block(cfg, block) for block in plan.blocks]
+                    expected = [per_entry.account_block(cfg, entries(block)) for block in plan.blocks]
                     assert account_plan(cfg, plan) == expected
-                    assert account_plan(cfg, parse_plan(serialize_plan(plan))) == expected
+                    (parsed,) = parse_plans(serialize_plan(plan))
+                    assert account_plan(cfg, parsed) == expected
                     for block, ledger in zip(plan.blocks, expected):
-                        shuffled = list(block)
+                        shuffled = list(entries(block))
                         rng.shuffle(shuffled)
-                        assert account_block(cfg, tuple(shuffled)) == ledger
+                        assert account_block(cfg, block_of(shuffled)) == ledger
 
     def test_crafted_non_uniform_block(self):
         cfg = cfg44()
@@ -320,7 +321,7 @@ class TestPerLabelEquivalence:
             entry(3, {0, 1}, set(), {0, 1}),
             entry(0, {0, 3}, {1}, {2}),
         )
-        ledger = account_block(cfg, block)
+        ledger = account_block(cfg, block_of(block))
         assert ledger == per_entry.account_block(cfg, block)
         assert not ledger.uniform
         # at rx 4 (1-based) two labels interfere: dest=1 cachedRx={2} zf={3} with
@@ -332,7 +333,7 @@ class TestPerLabelEquivalence:
     def test_first_bad_entry_is_named(self):
         cfg = cfg44()
         _, _, plan = centralized_setup(cfg)
-        good = list(plan.blocks[0])
+        good = list(entries(plan.blocks[0]))
         e = good[5]
         # `first` and `second` share one bad label (destination among the cache
         # holders); `third` is bad in another way and sits between them
@@ -345,7 +346,7 @@ class TestPerLabelEquivalence:
         third = ScheduledSubfile(e.subfile, e.dest, frozenset({e.dest}), 0)
         block = tuple(good[:3] + [first] + good[3:7] + [third, second] + good[7:])
         with pytest.raises(ConfigurationError) as grouped:
-            account_block(cfg, block)
+            account_block(cfg, block_of(block))
         with pytest.raises(ConfigurationError) as reference:
             per_entry.account_block(cfg, block)
         assert str(grouped.value) == str(reference.value)
@@ -357,12 +358,12 @@ def test_literal_worked_block_accounts_with_degraded_receiver():
     valid (complete, well-formed) block but its ledger is non-uniform."""
     cfg = cfg44()
     _, _, plan = centralized_setup(cfg)
-    entries = []
-    for e in plan.blocks[0]:
+    literal = []
+    for e in entries(plan.blocks[0]):
         if e.dest == 3 and e.subfile.tx_set == frozenset({0, 3}):
             e = ScheduledSubfile(e.subfile, e.dest, frozenset({2}), e.block)
-        entries.append(e)
-    ledger = account_block(cfg, tuple(entries))
+        literal.append(e)
+    ledger = account_block(cfg, block_of(literal))
     assert not ledger.uniform
     assert ledger.receivers[1].dof == Fraction(3, 4)  # extra alignment group at rx 2
     assert ledger.receivers[0].dof == Fraction(6, 7)
@@ -372,15 +373,15 @@ def test_literal_worked_block_accounts_with_degraded_receiver():
 def test_serialize_round_trip():
     cfg = cfg44()
     _, _, plan = centralized_setup(cfg)
-    assert parse_plan(serialize_plan(plan)) == plan
+    assert parse_plans(serialize_plan(plan)) == [plan]
     cfg3 = cfg33(file_bits=300)
     for tier in build_decentralized_plan(cfg3, place_decentralized(cfg3, 1), DemandVector.worst_case(cfg3)):
-        assert parse_plan(serialize_plan(tier)) == tier
+        assert parse_plans(serialize_plan(tier)) == [tier]
 
 
 def test_parse_rejects_malformed():
     with pytest.raises(ValueError):
-        parse_plan("block=1 file=1 oops\n")
+        parse_plans("block=1 file=1 oops\n")
 
 
 @pytest.mark.parametrize("k", [3, 4])
@@ -389,10 +390,6 @@ def test_parse_plans_splits_concatenated_tiers(k):
     tiers = build_decentralized_plan(cfg, place_decentralized(cfg, 1), DemandVector.worst_case(cfg))
     text = "".join(serialize_plan(tier) for tier in tiers)
     assert parse_plans(text) == tiers
-    # the second header is the line after the first tier's entries
-    second = 2 + len(tiers[0].entries())
-    with pytest.raises(ValueError, match=f"line {second}: second '# mode=' header"):
-        parse_plan(text)
 
 
 def test_parse_plans_single_plan():
@@ -403,11 +400,10 @@ def test_parse_plans_single_plan():
 
 
 def test_block_entries_must_share_one_block_index():
+    # every record of a block carries the block's position, also when it is a plan's only block
     cfg = cfg44()
     _, _, plan = centralized_setup(cfg)
-    first, second = plan.blocks[0][0], plan.blocks[1][0]
-    with pytest.raises(ValueError, match=r"several block indices \[0, 1\]"):
-        DeliveryPlan(blocks=((first, second),), mode=plan.mode)
-    # blocks given as entry tuples keep their index as the block's position
-    moved = DeliveryPlan(blocks=(tuple(plan.blocks[1]),), mode=plan.mode)
-    assert moved.blocks[0].position == 1 and serialize_plan(moved).splitlines()[1].startswith("block=2 ")
+    moved = DeliveryPlan(blocks=plan.blocks[1:2], mode=plan.mode)
+    assert {e.block for e in moved.entries()} == {1} and len(moved.entries()) == len(plan.blocks[1])
+    text = serialize_plan(moved)
+    assert text.splitlines()[1].startswith("block=2 ") and parse_plans(text) == [moved]

@@ -341,9 +341,10 @@ class TestMonteCarlo:
         assert peak < cfg.k_r * cfg.n_files * cfg.file_bits
 
 
-def test_oracle_and_plan_sdof_leave_blocks_unexpanded():
-    # ledgers, tier masses and completeness read runs; only reading entries expands a block
+def test_oracle_and_plan_sdof_leave_blocks_unexpanded(monkeypatch):
+    # ledgers, tier masses and completeness read runs; none of them expands a plan into records
     cfg = make_cfg(4, 4, 4, 2, 1)
+    monkeypatch.setattr(DeliveryPlan, "entries", lambda plan: pytest.fail(f"{plan.mode} plan expanded into records"))
     demand = DemandVector.worst_case(cfg)
     tiers = [build_tier_plan(cfg, demand, t) for t in range(cfg.k_r)]
     ndt_oracle(cfg, plans=tiers, demand=demand)
@@ -354,6 +355,3 @@ def test_oracle_and_plan_sdof_leave_blocks_unexpanded():
     blocks = [block for plan in [*tiers, central] for block in plan.blocks]
     # 8 tier blocks and 3 centralized ones, each with 4 receivers x C(4,2) tx subsets
     assert sum(map(len, blocks)) == 11 * 4 * 6
-    assert not any("_entries" in vars(block) for block in blocks)
-    first = central.blocks[0]
-    assert first[0].block == 0 and "_entries" in vars(first)

@@ -9,7 +9,6 @@ import pytest
 
 import per_entry
 from cachenet.delivery import (
-    Block,
     DeliveryPlan,
     ScheduledSubfile,
     build_centralized_plan,
@@ -24,17 +23,17 @@ from cachenet.phy import (
     ChannelMatrix,
     GenericityError,
     PrecodingVector,
-    _all_minors_generic,
     _minors,
     _precoders,
+    _smallest_minor,
     equivalent_gains,
     minor,
     sample_channel,
-    verify_block_phy,
     verify_plan_phy,
     zf_weights,
 )
 from cachenet.placement import place_centralized
+from per_entry import block_of, entries
 
 
 def det_cofactor(a: np.ndarray) -> complex:
@@ -70,6 +69,7 @@ class TestSampling:
                 for cols in itertools.combinations(range(4), size):
                     sub = h.entries[np.ix_(rows, cols)]
                     assert abs(det_cofactor(sub)) > 1e-9
+        assert _smallest_minor(h.entries) == h.min_minor >= GENERICITY_THRESHOLD
 
 
 def minors_generic_loop(h: np.ndarray, threshold: float) -> bool:
@@ -90,7 +90,7 @@ class TestGenericity:
         for size in range(1, min(k_r, k_t) + 1):
             for _ in range(5):
                 h = rng.standard_normal((k_r, k_t)) + 1j * rng.standard_normal((k_r, k_t))
-                assert _all_minors_generic(h, 1e-9) and minors_generic_loop(h, 1e-9)
+                assert _smallest_minor(h) >= 1e-9 and minors_generic_loop(h, 1e-9)
                 rows = np.sort(rng.choice(k_r, size=size, replace=False))
                 cols = np.sort(rng.choice(k_t, size=size, replace=False))
                 # make the last planted column a combination of the others: a singular minor
@@ -98,7 +98,7 @@ class TestGenericity:
                 sub[:, -1] = sub[:, :-1] @ rng.standard_normal(size - 1) if size > 1 else 0.0
                 h[np.ix_(rows, cols)] = sub
                 assert not minors_generic_loop(h, 1e-9)
-                assert not _all_minors_generic(h, 1e-9)
+                assert not _smallest_minor(h) >= 1e-9
 
 
 def complex_gaussian(rng: np.random.Generator, k_r: int, k_t: int) -> np.ndarray:
@@ -138,7 +138,7 @@ class TestMinorRecurrence:
         for i in range(200):
             h = complex_gaussian(rng, k_r, k_t)
             threshold = (0.01, 0.1, 0.5)[i % 3]
-            verdicts.append(_all_minors_generic(h, threshold))
+            verdicts.append(_smallest_minor(h) >= threshold)
             assert verdicts[-1] == minors_generic_loop(h, threshold)
         assert any(verdicts) and not all(verdicts)
 
@@ -284,25 +284,22 @@ class TestBlockVerification:
 
     def test_clean_block(self):
         cfg, plan = self._plan44()
-        h = sample_channel(4, 4, seed=21)
-        report = verify_block_phy(h, plan.blocks[0])
+        (report,) = verify_plan_phy(cfg, DeliveryPlan(blocks=plan.blocks[:1], mode=plan.mode), channel_seeds=[21])
         assert report.ok and report.checked == 24
         assert report.alignment_groups == 4  # one residual group per receiver
         assert "alignment" in report.note
 
-    def test_wrong_target_is_one_violation(self):
-        # keep the original precoders but claim a different ZF target in one entry
+    def test_leak_is_one_violation_per_transmission(self):
+        # a tolerance below rounding turns every ZF target's residual gain into a reported leak
         cfg, plan = self._plan44()
-        h = sample_channel(4, 4, seed=22)
-        block = plan.blocks[0]
-        precoders = [zf_weights(h, e.subfile.tx_set, e.zf_targets) for e in block]
-        tampered = list(block)
-        e = tampered[0]
-        assert e.zf_targets == frozenset({2})
-        tampered[0] = ScheduledSubfile(e.subfile, e.dest, frozenset({3}), e.block)
-        report = verify_block_phy(h, tuple(tampered), precoders=precoders)
-        assert len(report.violations) == 1
-        assert "zf-leak at rx 4" in report.violations[0]
+        records = plan.entries()
+        assert all(len(e.zf_targets) == 1 for e in records)
+        for r in verify_plan_phy(cfg, plan, channel_seeds=5, rel_tol=1e-300):
+            assert len(r.violations) == r.checked == len(records) == 72
+            for v, e in zip(r.violations, records):
+                (z,) = e.zf_targets
+                named = f"block={e.block + 1} subfile={e.subfile.label()} dest={e.dest + 1}: "
+                assert v.startswith(f"{named}zf-leak at rx {z + 1} (|gain|=") and ";" not in v
 
     def test_plan_monte_carlo(self):
         cfg, plan = self._plan44()
@@ -318,19 +315,18 @@ class TestBlockVerification:
         assert all(r.ok for r in reports)
 
 
-def reference_blocks(h, blocks, rel_tol=1e-9, floor=1e-12, precoders=None):
+def reference_blocks(h, blocks, rel_tol=1e-9, floor=1e-12):
     """Per-transmission reference for the batched checks.
 
-    Returns (checked, violations, ic_flagged, alignment_groups, worst_leak)
-    over `blocks`; precoders, when given, are one per transmission in order.
+    Returns (checked, violations, ic_flagged, alignment_groups, worst_leak) over `blocks`.
     """
     checked = ic_flagged = groups = 0
     violations = []
     worst_leak = 0.0
     for block in blocks:
         labels = set()
-        for e in block:
-            p = precoders[checked] if precoders is not None else zf_weights(h, e.subfile.tx_set, e.zf_targets)
+        for e in entries(block):
+            p = zf_weights(h, e.subfile.tx_set, e.zf_targets)
             checked += 1
             gains = equivalent_gains(h, p)
             gmax = float(np.max(np.abs(gains)))
@@ -402,11 +398,11 @@ class TestBatchedEquivalence:
         # t_T = 3, t_R = 2: three transmitters per subfile zero-force at one receiver, so one more target fits
         cfg = NetworkConfig(k_t=4, k_r=4, n_files=4, m_t=3, m_r=2)
         plan = build_centralized_plan(cfg, place_centralized(cfg), DemandVector.worst_case(cfg))
-        blocks = [list(b) for b in plan.blocks]
+        blocks = [list(entries(b)) for b in plan.blocks]
         e = blocks[1][5]
         assert len(e.subfile.tx_set) == 3 and len(e.zf_targets) == 1
         blocks[1][5] = ScheduledSubfile(e.subfile, e.dest, e.zf_targets | {e.dest}, e.block)
-        crafted = DeliveryPlan(blocks=tuple(map(tuple, blocks)), mode=plan.mode)
+        crafted = DeliveryPlan(blocks=tuple(map(block_of, blocks)), mode=plan.mode)
         reports = verify_plan_phy(cfg, crafted, channel_seeds=3)
         for r in reports:
             assert r.violations == (
@@ -415,28 +411,14 @@ class TestBatchedEquivalence:
             )
             assert_matches_reference(r, reference_blocks(sample_channel(4, 4, r.seed), crafted.blocks))
 
-    def test_supplied_precoders_match_reference(self):
-        cfg, plan = self._plan44()
-        h = sample_channel(4, 4, seed=22)
-        block = list(plan.blocks[0])
-        precoders = [zf_weights(h, e.subfile.tx_set, e.zf_targets) for e in block]
-        for i in (0, 7):
-            e = block[i]
-            block[i] = ScheduledSubfile(e.subfile, e.dest, frozenset({(e.dest + 3) % 4}), e.block)
-        report = verify_block_phy(h, tuple(block), precoders=precoders)
-        assert len(report.violations) == 2
-        assert_matches_reference(report, reference_blocks(h, [block], precoders=precoders))
-
     def test_too_many_targets_raises(self):
         cfg, plan = self._plan44()
-        e = plan.blocks[0][0]
+        e, *rest = entries(plan.blocks[0])
         assert len(e.subfile.tx_set) == 2
         bad = ScheduledSubfile(e.subfile, e.dest, frozenset(set(range(4)) - {e.dest}), e.block)
-        crafted = DeliveryPlan(blocks=((bad,) + plan.blocks[0][1:],), mode=plan.mode)
+        crafted = DeliveryPlan(blocks=(block_of([bad, *rest]),), mode=plan.mode)
         with pytest.raises(GenericityError):
             verify_plan_phy(cfg, crafted, channel_seeds=1)
-        with pytest.raises(GenericityError):
-            verify_block_phy(sample_channel(4, 4, seed=0), crafted.blocks[0])
 
     @pytest.mark.parametrize("rel_tol", [float("nan"), float("inf"), 1.0, 0.0, -1e-9])
     def test_tolerance_outside_unit_interval_rejected(self, rel_tol):
@@ -448,6 +430,13 @@ class TestBatchedEquivalence:
         cfg, plan = self._plan44()
         assert verify_plan_phy(cfg, plan, channel_seeds=0) == []
         assert verify_plan_phy(cfg, [plan], channel_seeds=[]) == []
+
+    @pytest.mark.parametrize("count", [-2, -1, True, False])
+    def test_negative_or_bool_seed_count_rejected(self, count):
+        # -2 would check no channel and read as verified, True would check seed 0 alone
+        cfg, plan = self._plan44()
+        with pytest.raises(ValueError, match="channel seed count must be a non-negative int"):
+            verify_plan_phy(cfg, plan, channel_seeds=count)
 
     def test_worst_leak_is_headroom(self):
         cfg, plan = self._plan44()
@@ -463,8 +452,6 @@ class TestBatchedEquivalence:
             assert r.genericity_margin == h.min_minor / GENERICITY_THRESHOLD > 1.0
             assert r.redraws == h.redraws == 0
             assert "margin" not in r.summary() and "redraw" not in r.summary()
-        block_report = verify_block_phy(ChannelMatrix(entries=h.entries, seed=0), plan.blocks[0])
-        assert np.isnan(block_report.genericity_margin) and block_report.redraws == 0
 
 
 def precoder_plans(k_t, k_r, t_t, t_r, tiers):
@@ -479,8 +466,8 @@ def precoder_plans(k_t, k_r, t_t, t_r, tiers):
 def shuffled(plans, seed):
     """Every block's entries in a seeded random order, so first uses come in another order."""
     rnd = random.Random(seed)
-    blocks = [rnd.sample(list(b), len(b)) for p in plans for b in p.blocks]
-    return [DeliveryPlan(blocks=tuple(map(tuple, blocks)), mode="shuffled")]
+    blocks = [rnd.sample(entries(b), len(b)) for p in plans for b in p.blocks]
+    return [DeliveryPlan(blocks=tuple(map(block_of, blocks)), mode="shuffled")]
 
 
 class TestPrecoderTables:
@@ -514,18 +501,18 @@ class TestPrecoderTables:
     def _entries44(self):
         cfg = NetworkConfig(k_t=4, k_r=4, n_files=4, m_t=2, m_r=1)
         plan = build_centralized_plan(cfg, place_centralized(cfg), DemandVector.worst_case(cfg))
-        return list(plan.blocks[0])
+        return list(entries(plan.blocks[0]))
 
     @pytest.mark.parametrize("first", ["targets", "empty"])
     def test_first_offending_pair_names_the_error(self, first):
-        entries = self._entries44()
-        e = entries[3]
+        records = self._entries44()
+        e = records[3]
         too_many = e._replace(zf_targets=frozenset(sorted({0, 1, 2, 3} - {e.dest})[:2]))
         assert len(too_many.subfile.tx_set) == 2
-        empty = entries[9]._replace(subfile=entries[9].subfile._replace(tx_set=frozenset()))
+        empty = records[9]._replace(subfile=records[9].subfile._replace(tx_set=frozenset()))
         # the offender used first is named, whichever kind it is
         offenders = [too_many, empty] if first == "targets" else [empty, too_many]
-        block = Block.encode((*entries[:2], offenders[0], *entries[2:6], offenders[1], *entries[6:]))
+        block = block_of((*records[:2], offenders[0], *records[2:6], offenders[1], *records[6:]))
         if first == "targets":
             with pytest.raises(GenericityError, match="^2 transmitters cannot zero-force at 2 receivers$"):
                 _precoders((block,))
@@ -534,7 +521,7 @@ class TestPrecoderTables:
                 _precoders((block,))
 
     def test_degenerate_channel_names_the_first_pair(self):
-        blocks = (Block.encode(self._entries44()),)
+        blocks = (block_of(self._entries44()),)
         distinct, _ = _precoders(blocks)
         (ts, targets), *_ = per_entry.precoders(blocks)[0]
         h = np.ones((4, 4), dtype=complex)

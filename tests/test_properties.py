@@ -22,7 +22,6 @@ from cachenet.delivery import (
     account_plan,
     build_centralized_plan,
     build_decentralized_plan,
-    parse_plan,
     parse_plans,
     plan_sdof,
     serialize_plan,
@@ -104,7 +103,7 @@ def test_completeness_matches_per_entry_reference(cfg, decentral, rnd, damages):
     by_block: dict[int, list[ScheduledSubfile]] = {}
     for e in entries:
         by_block.setdefault(e.block, []).append(e)
-    damaged = [DeliveryPlan(blocks=tuple(map(tuple, by_block.values())), mode="damaged")]
+    damaged = [DeliveryPlan(blocks=tuple(map(per_entry.block_of, by_block.values())), mode="damaged")]
     report = verify_completeness(cfg, damaged, placement, demand)
     assert report == per_entry.verify_completeness(cfg, damaged, placement, demand)
     assert report.scheduled == len(entries)
@@ -128,7 +127,7 @@ def test_ledger_sdof_is_the_closed_form(cfg):
 @given(corners())
 def test_serialize_parse_round_trip(cfg):
     plan = centralized(cfg)[2]
-    parsed = parse_plan(serialize_plan(plan))
+    (parsed,) = parse_plans(serialize_plan(plan))
     assert parsed == plan
     tiers = decentralized(cfg)[2]
     parsed_tiers = parse_plans("".join(serialize_plan(tier) for tier in tiers))
@@ -147,9 +146,10 @@ def test_run_blocks_match_per_entry_reference(cfg):
         reference = per_entry.rotation_blocks(cfg, demand, n_cached)
         # runs expand to exactly the reference entries, and len() agrees without expanding
         assert [len(block) for block in plan.blocks] == [len(block) for block in reference]
-        assert tuple(tuple(block) for block in plan.blocks) == reference
+        assert tuple(map(per_entry.entries, plan.blocks)) == reference
+        assert plan.entries() == tuple(e for block in reference for e in block)
         # encoding the reference entries gives back the same positions and runs
-        assert DeliveryPlan(blocks=reference, mode=plan.mode) == plan
+        assert DeliveryPlan(blocks=tuple(map(per_entry.block_of, reference)), mode=plan.mode) == plan
         assert all(type(r) is Run for block in plan.blocks for r in block.runs)
 
 
