@@ -34,13 +34,11 @@ from .metrics import (
     sdof_report,
     sweep_figure,
 )
-from .model import ConfigurationError, DemandVector, NetworkConfig, as_fraction, fmt_decimal, fmt_rational
+from .model import ConfigurationError, DemandVector, NetworkConfig, fmt_decimal, fmt_rational
 from .phy import IA_ASSUMPTION_NOTE, verify_plan_phy
-from .placement import CentralizedPlacement, DecentralizedPlacement, place_centralized, place_decentralized
+from .placement import MODES, place_centralized, place_decentralized
 
 __all__ = ["main"]
-
-_CONFIG_KEYS = ("kt", "kr", "n", "mt", "mr", "file_bits", "seed", "mode", "demand")
 
 
 def count(text: str) -> int:
@@ -57,7 +55,20 @@ def tolerance(text: str) -> float:
     return float(text)
 
 
-def _read_config_file(path: str) -> dict[str, str]:
+def rational(text: str) -> Fraction:
+    """Type of `--mt` and `--mr`: an exact int or p/q; a zero denominator is a ValueError like any bad value."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(text) from None
+
+
+def file_numbers(text: str) -> tuple[int, ...]:
+    """Type of `--demand`: 1-based file numbers, one per receiver (e.g. 1,2,3,4), as 0-based file indices."""
+    return tuple(int(tok) - 1 for tok in text.split(","))
+
+
+def _read_config_file(path: str, keys: dict[str, argparse.Action]) -> dict[str, str]:
     values: dict[str, str] = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -66,50 +77,59 @@ def _read_config_file(path: str) -> dict[str, str]:
         if "=" not in line:
             raise ConfigurationError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _CONFIG_KEYS:
+        if key not in keys:
             raise ConfigurationError(f"{path}:{lineno}: unknown key {key!r}")
         values[key] = value
     return values
 
 
-def _merge_config(args: argparse.Namespace) -> None:
-    """Flags override config-file values; fill unset flags from the file."""
-    if getattr(args, "config", None):
-        casts = {"kt": int, "kr": int, "n": int, "file_bits": int, "seed": count}
-        for key, value in _read_config_file(args.config).items():
+def _merge_config(args: argparse.Namespace, keys: dict[str, argparse.Action]) -> None:
+    """Flags override config-file values; fill unset flags from the file.
+
+    A file value is parsed only when its flag is unset, by the type and
+    choices of the flag's own action, so it passes the flag's checks.
+    """
+    if args.config:
+        for key, value in _read_config_file(args.config, keys).items():
             if getattr(args, key, None) is None:
+                action = keys[key]
                 try:
-                    setattr(args, key, casts.get(key, str)(value))
+                    parsed = action.type(value) if action.type else value
+                    if action.choices is not None and parsed not in action.choices:
+                        raise ValueError(value)
                 except ValueError:
                     raise ConfigurationError(f"{args.config}: invalid value in {key}={value}") from None
-    if getattr(args, "seed", None) is None:
+                setattr(args, key, parsed)
+    if args.seed is None:
         args.seed = 1
     if hasattr(args, "mode") and args.mode is None:
         args.mode = "centralized"
 
 
 def _network(args: argparse.Namespace, parser: argparse.ArgumentParser) -> NetworkConfig:
-    missing = [flag for flag in ("kt", "kr", "n", "mt", "mr") if getattr(args, flag, None) is None]
+    missing = [flag for flag in ("kt", "kr", "n", "mt", "mr") if getattr(args, flag) is None]
     if missing:
         parser.error("missing required network parameters: " + ", ".join(f"--{m}" for m in missing))
     return NetworkConfig(
         k_t=args.kt,
         k_r=args.kr,
         n_files=args.n,
-        m_t=as_fraction(args.mt),
-        m_r=as_fraction(args.mr),
-        file_bits=getattr(args, "file_bits", None),
+        m_t=args.mt,
+        m_r=args.mr,
+        file_bits=args.file_bits,
     )
 
 
 def _demand(args: argparse.Namespace, cfg: NetworkConfig) -> DemandVector:
-    if getattr(args, "demand", None):
-        entries = tuple(int(tok) - 1 for tok in str(args.demand).split(","))
-        demand = DemandVector(entries)
-    else:
-        demand = DemandVector.worst_case(cfg)
+    demand = DemandVector(args.demand) if args.demand else DemandVector.worst_case(cfg)
     demand.validate(cfg)
     return demand
+
+
+def _check_file_bits(cfg: NetworkConfig, args) -> None:
+    """A decentralized run is one of finite file size, so it needs --file-bits."""
+    if args.mode == "decentralized" and cfg.file_bits is None:
+        raise ConfigurationError("decentralized mode needs --file-bits")
 
 
 def _rat(x: Fraction) -> str:
@@ -158,18 +178,6 @@ def cmd_oracle_ndt(args, parser) -> int:
     return _print_ndt(*ndt_oracle(cfg, demand=demand), (), mc_ndt(cfg, demand, seeds) if seeds else None)
 
 
-def _build_plans(cfg: NetworkConfig, args, demand: DemandVector):
-    if args.mode == "centralized":
-        placement = place_centralized(cfg)
-        plans = [build_centralized_plan(cfg, placement, demand)]
-    else:
-        if cfg.file_bits is None:
-            raise ConfigurationError("decentralized mode needs --file-bits")
-        placement = place_decentralized(cfg, args.seed)
-        plans = build_decentralized_plan(cfg, placement, demand)
-    return placement, plans
-
-
 def _print_ledgers(cfg: NetworkConfig, plan: DeliveryPlan) -> list[SubspaceLedger]:
     ledgers = account_plan(cfg, plan)
     for b, ledger in enumerate(ledgers):
@@ -191,31 +199,37 @@ def _print_ledgers(cfg: NetworkConfig, plan: DeliveryPlan) -> list[SubspaceLedge
 def cmd_plan(args, parser) -> int:
     cfg = _network(args, parser)
     demand = _demand(args, cfg)
-    placement, plans = _build_plans(cfg, args, demand)
+    _check_file_bits(cfg, args)
+    if args.mode == "centralized":
+        plans = [build_centralized_plan(cfg, None, demand)]
+    else:
+        plans = build_decentralized_plan(cfg, demand)
     text = "".join(serialize_plan(p) for p in plans)
     if args.out:
         Path(args.out).write_text(text)
         print(f"wrote {args.out} ({sum(len(b) for p in plans for b in p.blocks)} scheduled subfiles)")
     else:
         sys.stdout.write(text)
-    if args.show:
-        sys.stdout.write(placement.export_text() if args.mode == "centralized" else placement.export_text(max_ranges=8))
+    # only the listings need a placement; the plans follow from cfg and the mode
+    if args.show and args.mode == "centralized":
+        sys.stdout.write(place_centralized(cfg).export_text())
+    elif args.show:
+        sys.stdout.write(place_decentralized(cfg, args.seed).export_text(max_ranges=8))
     ledgers = [_print_ledgers(cfg, plan) for plan in plans]
     if args.verify:
-        return _verify(cfg, plans, placement, demand, args, ledgers)
+        return _verify(cfg, plans, demand, args, ledgers)
     return 0
 
 
 def _verify(
     cfg: NetworkConfig,
     plans: list[DeliveryPlan],
-    placement: CentralizedPlacement | DecentralizedPlacement,
     demand: DemandVector,
     args,
     ledgers: list[list[SubspaceLedger]],
 ) -> int:
     failures = 0
-    completeness = verify_completeness(cfg, plans, placement, demand)
+    completeness = verify_completeness(cfg, plans, args.mode, demand)
     print(f"completeness: {completeness.summary()}")
     if not completeness.complete:
         failures += 1
@@ -264,16 +278,12 @@ def cmd_verify(args, parser) -> int:
     except ConfigurationError as exc:
         print(f"malformed plan: {exc}")
         return 1
-    placement = (
-        place_centralized(cfg)
-        if args.mode == "centralized"
-        else place_decentralized(cfg, args.seed)
-    )
-    return _verify(cfg, plans, placement, demand, args, [account_plan(cfg, p) for p in plans])
+    _check_file_bits(cfg, args)
+    return _verify(cfg, plans, demand, args, [account_plan(cfg, p) for p in plans])
 
 
 def _infer_demand(cfg: NetworkConfig, plans: list[DeliveryPlan], args) -> DemandVector:
-    if getattr(args, "demand", None):
+    if args.demand:
         return _demand(args, cfg)
     files: dict[int, int] = {}
     for p in plans:
@@ -292,7 +302,7 @@ def cmd_sweep(args, parser) -> int:
         if getattr(args, attr, None) is None:
             setattr(args, attr, template_defaults[key])
     cfg = NetworkConfig(
-        k_t=args.kt, k_r=args.kr, n_files=args.n, m_t=as_fraction(args.mt), m_r=0, file_bits=None
+        k_t=args.kt, k_r=args.kr, n_files=args.n, m_t=args.mt, m_r=0, file_bits=None
     )
     rows = sweep_figure(cfg, args.figure)
     header = (
@@ -315,8 +325,8 @@ def cmd_sweep(args, parser) -> int:
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process: parsing never changes it."""
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Action]]:
+    """The argument parser and its config-file keys' actions, built once per process: parsing never changes them."""
     parser = argparse.ArgumentParser(
         prog="cachenet",
         description="Cache-aided interference network toolkit: placement, delivery plans, sDoF/NDT metrics.",
@@ -324,15 +334,19 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     net = argparse.ArgumentParser(add_help=False)
-    net.add_argument("--kt", type=int, help="number of transmitters")
-    net.add_argument("--kr", type=int, help="number of receivers")
-    net.add_argument("--n", type=int, help="library size in files")
-    net.add_argument("--mt", help="transmitter cache size in files (int or p/q)")
-    net.add_argument("--mr", help="receiver cache size in files (int or p/q)")
-    net.add_argument("--file-bits", dest="file_bits", type=int, help="finite file length in bits")
-    net.add_argument("--seed", type=count, help="base seed for random placement (default 1)")
-    net.add_argument("--demand", help="1-based demanded file per receiver, e.g. 1,2,3,4")
+    config_keys = [
+        net.add_argument("--kt", type=int, help="number of transmitters"),
+        net.add_argument("--kr", type=int, help="number of receivers"),
+        net.add_argument("--n", type=int, help="library size in files"),
+        net.add_argument("--mt", type=rational, help="transmitter cache size in files (int or p/q)"),
+        net.add_argument("--mr", type=rational, help="receiver cache size in files (int or p/q)"),
+        net.add_argument("--file-bits", dest="file_bits", type=int, help="finite file length in bits"),
+        net.add_argument("--seed", type=count, help="base seed for random placement (default 1)"),
+        net.add_argument("--demand", type=file_numbers, help="1-based demanded file per receiver, e.g. 1,2,3,4"),
+    ]
     net.add_argument("--config", help="key=value config file; flags override it")
+    placed = argparse.ArgumentParser(add_help=False)
+    config_keys.append(placed.add_argument("--mode", choices=MODES))
 
     p = sub.add_parser("sdof", parents=[net], help="achievable and baseline sum-DoF")
     p.set_defaults(func=cmd_sdof)
@@ -345,8 +359,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", type=count, default=0, help="Monte-Carlo placements (needs --file-bits)")
     p.set_defaults(func=cmd_oracle_ndt)
 
-    p = sub.add_parser("plan", parents=[net], help="generate a delivery plan with its ledger")
-    p.add_argument("--mode", choices=("centralized", "decentralized"))
+    p = sub.add_parser("plan", parents=[net, placed], help="generate a delivery plan with its ledger")
     p.add_argument("--out", help="write the plan text here instead of stdout")
     p.add_argument("--show", action="store_true", help="also print the placement export")
     p.add_argument("--verify", action="store_true", help="run completeness and phy checks")
@@ -354,9 +367,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=tolerance, default=1e-9, help="relative ZF tolerance")
     p.set_defaults(func=cmd_plan)
 
-    p = sub.add_parser("verify", parents=[net], help="verify a serialized plan")
+    p = sub.add_parser("verify", parents=[net, placed], help="verify a serialized plan")
     p.add_argument("--plan-file", dest="plan_file", help="plan text (default: stdin)")
-    p.add_argument("--mode", choices=("centralized", "decentralized"))
     p.add_argument("--channel-seeds", dest="channel_seeds", type=count, default=10)
     p.add_argument("--tol", type=tolerance, default=1e-9, help="relative ZF tolerance")
     p.set_defaults(func=cmd_verify)
@@ -366,14 +378,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="CSV output path (default <figure>.csv)")
     p.set_defaults(func=cmd_sweep)
 
-    return parser
+    return parser, {action.dest: action for action in config_keys}
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    parser, config_keys = _build_parser()
     args = parser.parse_args(argv)
     try:
-        _merge_config(args)
+        _merge_config(args, config_keys)
         return args.func(args, parser)
     except (ConfigurationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -43,7 +43,7 @@ from .model import (
     parse_index_set,
     subsets,
 )
-from .placement import CentralizedPlacement, DecentralizedPlacement
+from .placement import CentralizedPlacement, check_corner
 
 __all__ = [
     "ScheduledSubfile",
@@ -253,45 +253,41 @@ def _build_rotation_plan(
 
 
 def build_centralized_plan(
-    cfg: NetworkConfig, placement: CentralizedPlacement, demand: DemandVector
+    cfg: NetworkConfig, placement: CentralizedPlacement | None, demand: DemandVector
 ) -> DeliveryPlan:
     """Schedule every demanded, non-cached subfile exactly once.
 
     Each of the C(K_R-1, t_R) blocks delivers, per receiver, the
     C(K_T,t_T) subfiles sharing one (cache-holder, ZF-target) assignment;
     rotating the assignment across blocks covers every receiver subset not
-    containing the destination exactly once.
+    containing the destination exactly once.  The plan follows from `cfg`
+    alone: `placement` is unused, and kept only because
+    perfbench/workloads.py passes one positionally (ROADMAP item 2).
     """
-    if not (cfg.t_t_integral and cfg.t_r_integral):
-        raise ConfigurationError(
-            f"centralized delivery needs integral replication factors, got t_T={cfg.t_t}, t_R={cfg.t_r}"
-        )
+    check_corner(cfg, "centralized")
     demand.validate(cfg)
     return _build_rotation_plan(cfg, demand, int(cfg.t_r), mode="centralized")
 
 
 def build_tier_plan(cfg: NetworkConfig, demand: DemandVector, tier: int) -> DeliveryPlan:
     """Decentralized delivery of the subfile classes cached at exactly `tier` other receivers."""
-    if not cfg.t_t_integral:
-        raise ConfigurationError(f"decentralized delivery needs integral t_T, got {cfg.t_t}")
+    check_corner(cfg, "decentralized")
     if not 0 <= tier <= cfg.k_r - 1:
         raise ValueError(f"tier {tier} outside [0, {cfg.k_r - 1}]")
     demand.validate(cfg)
     return _build_rotation_plan(cfg, demand, tier, mode=f"decentralized-tier({tier})")
 
 
-def build_decentralized_plan(
-    cfg: NetworkConfig, placement: DecentralizedPlacement, demand: DemandVector
-) -> list[DeliveryPlan]:
+def build_decentralized_plan(cfg: NetworkConfig, demand: DemandVector) -> list[DeliveryPlan]:
     """One plan per caching tier t = 0..K_R-1.
 
     Tier t groups the classes cached at t receivers other than the
     destination.  Tiers with enough caching receivers need no alignment;
     the top tier t = K_R-1 degenerates to plain broadcast (no ZF targets
     remain).  Classes cached at the destination itself are never scheduled.
+    A random placement only sets how many bits each class holds, so the
+    plans follow from `cfg` alone.
     """
-    if placement.cfg != cfg:
-        raise ConfigurationError("placement was built for a different configuration")
     return [build_tier_plan(cfg, demand, t) for t in range(cfg.k_r)]
 
 
@@ -371,20 +367,20 @@ class CompletenessReport:
 
 
 def verify_completeness(
-    cfg: NetworkConfig,
-    plans: list[DeliveryPlan] | DeliveryPlan,
-    placement: CentralizedPlacement | DecentralizedPlacement,
-    demand: DemandVector,
+    cfg: NetworkConfig, plans: list[DeliveryPlan], mode: str, demand: DemandVector
 ) -> CompletenessReport:
-    """Check that each destination receives exactly the subfiles it lacks.
+    """Check that each destination receives exactly the subfiles it lacks under `mode`'s placement.
 
-    Transmissions are grouped by (dest, file, rx_set) label, and each label's tx sets are checked at once.
+    A centralized placement caches each subfile at t_R receivers; a
+    decentralized one at any number.  Transmissions are grouped by
+    (dest, file, rx_set) label, and each label's tx sets are checked at once.
     """
-    if isinstance(plans, DeliveryPlan):
-        plans = [plans]
+    # perfbench/workloads.py passes a CentralizedPlacement positionally until ROADMAP item 2 drops it
+    mode = "centralized" if isinstance(mode, CentralizedPlacement) else mode
+    check_corner(cfg, mode)
     demand.validate(cfg)
     all_tx = {frozenset(ts) for ts in subsets(cfg.k_t, int(cfg.t_t))}
-    sizes = [int(cfg.t_r)] if isinstance(placement, CentralizedPlacement) else range(cfg.k_r + 1)
+    sizes = [int(cfg.t_r)] if mode == "centralized" else range(cfg.k_r + 1)
     rx_sets = [frozenset(rs) for size in sizes for rs in subsets(cfg.k_r, size)]
     needed = {(j, demand.d[j], rs) for j in range(cfg.k_r) for rs in rx_sets if j not in rs}
     scheduled: dict[tuple[int, int, frozenset[int]], list[frozenset[int]]] = {}

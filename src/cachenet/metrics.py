@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .delivery import DeliveryPlan, build_tier_plan, plan_sdof, verify_completeness
+from .delivery import DeliveryPlan, build_decentralized_plan, plan_sdof
 from .model import ConfigurationError, DemandVector, NetworkConfig, binomial, fmt_rational
 from .placement import DecentralizedPlacement, expected_fraction, place_decentralized, subset_profile
 
@@ -119,16 +119,13 @@ def sdof_baseline(cfg: NetworkConfig) -> Fraction:
 
 
 def sdof_report(cfg: NetworkConfig) -> DofReport:
-    t_t, t_r = _require_integral(cfg, need_t_r=True)
+    """Both sum-DoF values; the proposed one is capped when it reaches K_R."""
     proposed = sdof_achievable(cfg)
-    c = binomial(cfg.k_t, t_t)
-    denom = c + cfg.k_r - t_t - t_r
-    capped = denom <= 0 or Fraction(c * cfg.k_r, denom) >= cfg.k_r
     return DofReport(
         proposed=proposed,
         baseline=sdof_baseline(cfg),
         per_user=proposed / cfg.k_r,
-        capped=capped,
+        capped=proposed == cfg.k_r,
     )
 
 
@@ -154,18 +151,15 @@ def ndt_closed_form(cfg: NetworkConfig) -> Fraction:
     return total
 
 
-def ndt_centralized(cfg: NetworkConfig, scheme: str = "baseline") -> Fraction:
-    """Delivery time of a centralized corner point: non-cached demand over sum-DoF.
+def ndt_centralized(cfg: NetworkConfig) -> Fraction:
+    """Delivery time of a centralized corner point: non-cached demand over the baseline sum-DoF.
 
-    K_R * (1 - M_R/N) / sDoF.  This conversion exists to compare against
-    the decentralized curve; it is bookkeeping, not a separate scheme.
+    K_R * (1 - M_R/N) / min{t_T + t_R, K_R}.  This conversion exists to
+    compare against the decentralized curve; it is bookkeeping, not a
+    separate scheme.
     """
-    _require_integral(cfg, need_t_r=True)
-    remaining = cfg.k_r * (1 - cfg.m_r / cfg.n_files)
-    if remaining == 0:
-        return Fraction(0)
-    sdof = {"proposed": sdof_achievable, "baseline": sdof_baseline}[scheme](cfg)
-    return remaining / sdof
+    # t_T + t_R >= 1 in every feasible configuration, so the sum-DoF is never 0
+    return cfg.k_r * (1 - cfg.m_r / cfg.n_files) / sdof_baseline(cfg)
 
 
 def _tier_fractions(cfg: NetworkConfig, plans: list[DeliveryPlan]) -> list[Fraction]:
@@ -188,26 +182,17 @@ def _tier_fractions(cfg: NetworkConfig, plans: list[DeliveryPlan]) -> list[Fract
 
 
 def ndt_oracle(
-    cfg: NetworkConfig,
-    plans: list[DeliveryPlan] | None = None,
-    demand: DemandVector | None = None,
-    placement: DecentralizedPlacement | None = None,
+    cfg: NetworkConfig, demand: DemandVector | None = None
 ) -> tuple[Fraction, tuple[tuple[int, Fraction], ...]]:
     """Scheme-derived asymptotic delivery time: per tier, scheduled mass over ledger sum-DoF.
 
     Returns the total and the per-tier contributions.  Independent of the
-    closed form: the sum-DoF comes from accounting the actual tier plans.
-    Caller-provided plans are checked for completeness when a placement is
-    given; internally built plans are complete by construction.
+    closed form: the sum-DoF comes from accounting the actual tier plans,
+    which are complete by construction.
     """
     if demand is None:
         demand = DemandVector.worst_case(cfg)
-    if plans is None:
-        plans = [build_tier_plan(cfg, demand, t) for t in range(cfg.k_r)]
-    elif placement is not None:
-        report = verify_completeness(cfg, plans, placement, demand)
-        if not report.complete:
-            raise ConfigurationError(f"cannot account an incomplete plan: {report.summary()}")
+    plans = build_decentralized_plan(cfg, demand)
     fractions = _tier_fractions(cfg, plans)
     breakdown = []
     total = Fraction(0)
@@ -245,7 +230,7 @@ def mc_ndt(cfg: NetworkConfig, demand: DemandVector, seeds: list[int]) -> McNdt:
         raise ConfigurationError("Monte-Carlo delivery time needs file_bits")
     if not seeds:
         raise ValueError("need at least one seed")
-    plans = [build_tier_plan(cfg, demand, t) for t in range(cfg.k_r)]
+    plans = build_decentralized_plan(cfg, demand)
     values = []
     for seed in seeds:
         # no reference outlives the call, so one N x F receiver-code array is alive at a time
@@ -339,19 +324,8 @@ FIG4_TEMPLATE = dict(k_t=3, k_r=3, n_files=3, m_t=2)
 
 def _corner_points(template: NetworkConfig, metric) -> list[tuple[Fraction, Fraction]]:
     """Evaluate `metric` at every integral-t_R receiver-memory corner."""
-    points = []
-    for t_r in range(template.k_r + 1):
-        m_r = Fraction(t_r * template.n_files, template.k_r)
-        cfg = NetworkConfig(
-            k_t=template.k_t,
-            k_r=template.k_r,
-            n_files=template.n_files,
-            m_t=template.m_t,
-            m_r=m_r,
-            file_bits=template.file_bits,
-        )
-        points.append((m_r, metric(cfg)))
-    return points
+    corners = [Fraction(t_r * template.n_files, template.k_r) for t_r in range(template.k_r + 1)]
+    return [(m_r, metric(replace(template, m_r=m_r))) for m_r in corners]
 
 
 def sweep_figure(
@@ -372,18 +346,8 @@ def sweep_figure(
             (m, memory_share(proposed, m), memory_share(reference, m)) for m in values
         ]
     elif figure == "fig4":
-        reference = _corner_points(template, lambda c: ndt_centralized(c, scheme="baseline"))
-        rows = []
-        for m in values:
-            cfg = NetworkConfig(
-                k_t=template.k_t,
-                k_r=template.k_r,
-                n_files=template.n_files,
-                m_t=template.m_t,
-                m_r=m,
-                file_bits=template.file_bits,
-            )
-            rows.append((m, ndt_closed_form(cfg), memory_share(reference, m)))
+        reference = _corner_points(template, ndt_centralized)
+        rows = [(m, ndt_closed_form(replace(template, m_r=m)), memory_share(reference, m)) for m in values]
     else:
         raise ValueError(f"unknown figure {figure!r} (expected 'fig2' or 'fig4')")
     return rows

@@ -167,10 +167,6 @@ class DemandVector:
             if not _is_int(f) or not 0 <= f < cfg.n_files:
                 raise ConfigurationError(f"demanded file index {f} outside [0, {cfg.n_files})")
 
-    @property
-    def all_distinct(self) -> bool:
-        return len(set(self.d)) == len(self.d)
-
 
 # -- formatting boundary: 1-based display ---------------------------------
 

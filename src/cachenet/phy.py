@@ -441,11 +441,11 @@ def _check(h: ChannelMatrix, layout: _Layout, mag: np.ndarray, rows: np.ndarray,
 
 def verify_plan_phy(
     cfg: NetworkConfig,
-    plan: DeliveryPlan | list[DeliveryPlan],
+    plans: list[DeliveryPlan],
     channel_seeds: int | list[int],
     rel_tol: float = 1e-9,
 ) -> list[PhyReport]:
-    """Monte-Carlo ZF verification of a plan (or tier plans, in order) over seeded channels.
+    """Monte-Carlo ZF verification of a list of plans (one plan, or tier plans in order) over seeded channels.
 
     One report per seed, covering every block of every plan.  `channel_seeds` is a
     non-negative int (seeds 0..n-1) or a list of seeds; `rel_tol` must lie in (0, 1).
@@ -457,7 +457,6 @@ def verify_plan_phy(
     seeds = list(range(channel_seeds)) if isinstance(channel_seeds, int) else list(channel_seeds)
     if not seeds:
         return []
-    plans = [plan] if isinstance(plan, DeliveryPlan) else list(plan)
     layout = _layout(tuple(block for p in plans for block in p.blocks), cfg.k_r)
     distinct, rows = _precoders(layout.blocks)
     reports = []

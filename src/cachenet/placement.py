@@ -32,11 +32,33 @@ __all__ = [
     "subset_profile",
     "expected_fraction",
     "subfile_class_count",
+    "check_corner",
+    "MODES",
     "RNG_ALGORITHM",
 ]
 
 # Recorded in exports so runs can be reproduced bit-exactly.
 RNG_ALGORITHM = "numpy.random.Generator(PCG64)"
+
+MODES = ("centralized", "decentralized")
+
+
+def check_corner(cfg: NetworkConfig, mode: str) -> None:
+    """Reject a mode other than MODES, or a corner its placement cannot split.
+
+    Both placements split files over transmitter sets of size t_T; the
+    centralized one also over receiver sets of size t_R.  Plans and checks
+    of a mode need the same integral factors as its placement.
+    """
+    if mode not in MODES:
+        raise ConfigurationError(f"unknown placement mode {mode!r} (expected {' or '.join(MODES)})")
+    if mode == "centralized" and not (cfg.t_t_integral and cfg.t_r_integral):
+        raise ConfigurationError(
+            f"centralized placement needs integral replication factors, got "
+            f"t_T={cfg.t_t}, t_R={cfg.t_r}; use memory-sharing between integral corners"
+        )
+    if not cfg.t_t_integral:
+        raise ConfigurationError(f"decentralized placement needs integral t_T, got {cfg.t_t}")
 
 
 @dataclass(frozen=True)
@@ -50,14 +72,6 @@ class CentralizedPlacement:
     """
 
     cfg: NetworkConfig
-
-    @property
-    def subfiles_per_file(self) -> int:
-        return binomial(self.cfg.k_t, int(self.cfg.t_t)) * binomial(self.cfg.k_r, int(self.cfg.t_r))
-
-    @property
-    def subfile_fraction(self) -> Fraction:
-        return Fraction(1, self.subfiles_per_file)
 
     @cached_property
     def tx_cache(self) -> dict[int, frozenset[SubfileId]]:
@@ -125,9 +139,6 @@ class DecentralizedPlacement:
     def partition_size(self) -> int:
         return self.padded_bits // len(self.tx_sets)
 
-    def partition_of(self, bit: int) -> int:
-        return bit // self.partition_size
-
     def cached_bits(self, rx: int, file: int) -> np.ndarray:
         """Sorted bit indices cached by `rx` for `file`."""
         return np.flatnonzero(self.rx_codes[file] >> rx & 1)
@@ -168,12 +179,7 @@ def _as_ranges(indices: np.ndarray) -> list[str]:
 class SubsetProfile:
     """Bit counts of one file grouped by (tx partition, exact caching receiver set)."""
 
-    file: int
-    file_bits: int
     counts: dict[tuple[frozenset[int], frozenset[int]], int]
-
-    def total(self) -> int:
-        return sum(self.counts.values())
 
 
 def place_centralized(cfg: NetworkConfig) -> CentralizedPlacement:
@@ -182,11 +188,7 @@ def place_centralized(cfg: NetworkConfig) -> CentralizedPlacement:
     Requires integral t_T and t_R; fractional operating points are reached
     by memory-sharing between integral corners instead (see metrics.memory_share).
     """
-    if not (cfg.t_t_integral and cfg.t_r_integral):
-        raise ConfigurationError(
-            f"centralized placement needs integral replication factors, got "
-            f"t_T={cfg.t_t}, t_R={cfg.t_r}; use memory-sharing between integral corners"
-        )
+    check_corner(cfg, "centralized")
     return CentralizedPlacement(cfg)
 
 
@@ -197,8 +199,7 @@ def place_decentralized(cfg: NetworkConfig, seed: int) -> DecentralizedPlacement
     equal-size; pad bits carry no content and are never cached or delivered.
     Deterministic given `seed`.
     """
-    if not cfg.t_t_integral:
-        raise ConfigurationError(f"decentralized placement needs integral t_T, got {cfg.t_t}")
+    check_corner(cfg, "decentralized")
     if cfg.file_bits is None:
         raise ConfigurationError("decentralized placement needs file_bits set on the config")
     n_parts = binomial(cfg.k_t, int(cfg.t_t))
@@ -232,7 +233,7 @@ def subset_profile(placement: DecentralizedPlacement, file: int) -> SubsetProfil
         for code in np.flatnonzero(binc):
             rx = frozenset(j for j in range(cfg.k_r) if code >> j & 1)
             counts[(frozenset(ts), rx)] = int(binc[code])
-    return SubsetProfile(file=file, file_bits=f_bits, counts=counts)
+    return SubsetProfile(counts=counts)
 
 
 def expected_fraction(cfg: NetworkConfig, t: int) -> Fraction:
@@ -250,6 +251,5 @@ def expected_fraction(cfg: NetworkConfig, t: int) -> Fraction:
 
 def subfile_class_count(cfg: NetworkConfig) -> int:
     """Number of subfile classes a file splits into under decentralized placement."""
-    if not cfg.t_t_integral:
-        raise ConfigurationError(f"needs integral t_T, got {cfg.t_t}")
+    check_corner(cfg, "decentralized")
     return binomial(cfg.k_t, int(cfg.t_t)) * sum(binomial(cfg.k_r, j) for j in range(cfg.k_r + 1))

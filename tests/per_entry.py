@@ -30,7 +30,7 @@ from cachenet.delivery import (
     build_tier_plan,
 )
 from cachenet.model import ConfigurationError, DemandVector, NetworkConfig, SubfileId, binomial, subsets
-from cachenet.placement import CentralizedPlacement, expected_fraction
+from cachenet.placement import expected_fraction
 
 
 def entries(block: Block) -> tuple[ScheduledSubfile, ...]:
@@ -110,10 +110,10 @@ def plan_sdof(cfg: NetworkConfig, plan: DeliveryPlan) -> Fraction:
     return value
 
 
-def verify_completeness(cfg: NetworkConfig, plans: list[DeliveryPlan], placement, demand: DemandVector):
+def verify_completeness(cfg: NetworkConfig, plans: list[DeliveryPlan], mode: str, demand: DemandVector):
     """Completeness from one (dest, (file, tx_set, rx_set)) key per needed subfile and per scheduled entry."""
     tx_sets = [frozenset(ts) for ts in subsets(cfg.k_t, int(cfg.t_t))]
-    sizes = [int(cfg.t_r)] if isinstance(placement, CentralizedPlacement) else range(cfg.k_r + 1)
+    sizes = [int(cfg.t_r)] if mode == "centralized" else range(cfg.k_r + 1)
     rx_sets = [frozenset(rs) for size in sizes for rs in subsets(cfg.k_r, size)]
     needed = {
         (j, (demand.d[j], ts, rs)) for j in range(cfg.k_r) for rs in rx_sets if j not in rs for ts in tx_sets
@@ -130,6 +130,11 @@ def verify_completeness(cfg: NetworkConfig, plans: list[DeliveryPlan], placement
         extraneous=listing(seen.keys() - needed),
         scheduled=seen.total(),
     )
+
+
+def subfile_fraction(cfg: NetworkConfig) -> Fraction:
+    """Share of a file in one centralized subfile: 1 / (C(K_T,t_T) C(K_R,t_R))."""
+    return Fraction(1, binomial(cfg.k_t, int(cfg.t_t)) * binomial(cfg.k_r, int(cfg.t_r)))
 
 
 def precoders(blocks) -> tuple[list[tuple[frozenset[int], frozenset[int]]], list[int]]:

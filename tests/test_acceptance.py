@@ -160,7 +160,7 @@ def test_criterion_7_completeness_grid():
                 placement = place_centralized(cfg)
                 demand = DemandVector.worst_case(cfg)
                 plan = build_centralized_plan(cfg, placement, demand)
-                report = verify_completeness(cfg, plan, placement, demand)
+                report = verify_completeness(cfg, [plan], "centralized", demand)
                 assert report.complete, (k_t, k_r, t_t, t_r, report.summary())
                 for block, ledger in zip(plan.blocks, account_plan(cfg, plan)):
                     for r in ledger.receivers:

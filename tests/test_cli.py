@@ -1,11 +1,12 @@
 from __future__ import annotations
 
+import io
 import subprocess
 import sys
 
 import pytest
 
-from cachenet import cli, delivery
+from cachenet import cli, delivery, metrics, placement
 from conftest import cachenet_env
 
 BASE = [sys.executable, "-m", "cachenet"]
@@ -88,7 +89,7 @@ def test_plan_show_lists_placement(tmp_path):
 
 @pytest.mark.parametrize("show", [False, True])
 def test_plan_builds_placement_listings_only_when_shown(show, monkeypatch):
-    # only `plan --show` reads the per-node cache listings, so only it builds them
+    # plans follow from the configuration and the mode; only `plan --show` prints a placement, so only it builds one
     built = []
     original = cli.place_centralized
 
@@ -97,11 +98,51 @@ def test_plan_builds_placement_listings_only_when_shown(show, monkeypatch):
         return built[-1]
 
     monkeypatch.setattr(cli, "place_centralized", place)
+    monkeypatch.setattr(cli, "place_decentralized", lambda cfg, seed: pytest.fail("decentralized placement drawn"))
     argv = ["plan", "--kt", "4", "--kr", "4", "--n", "4", "--mt", "2", "--mr", "1", "--verify", "--channel-seeds", "1"]
     assert cli.main(argv + ["--show"] * show) == 0
-    (placement,) = built
-    listings = {"tx_cache", "rx_cache"} & set(vars(placement))
-    assert listings == ({"tx_cache", "rx_cache"} if show else set())
+    listings = [{"tx_cache", "rx_cache"} & set(vars(pl)) for pl in built]
+    assert listings == ([{"tx_cache", "rx_cache"}] if show else [])
+
+
+def test_decentralized_plan_and_verify_draw_no_placement(tmp_path, monkeypatch, capsys):
+    # the tier plans and their checks need only the mode; no N x F placement is drawn without --show
+    monkeypatch.chdir(tmp_path)
+    for module in (cli, metrics, placement):
+        for name in ("place_centralized", "place_decentralized"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, lambda *args, name=name: pytest.fail(f"{name} called"))
+    net = ["--kt", "3", "--kr", "3", "--n", "3", "--mt", "2", "--mr", "1", "--file-bits", "300"]
+    assert cli.main(["plan", *net, "--mode", "decentralized", "--out", "tiers.txt"]) == 0
+    assert cli.main(["verify", *net, "--plan-file", "tiers.txt", "--channel-seeds", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "wrote tiers.txt (36 scheduled subfiles)" in out
+    assert "completeness: complete: 36 scheduled transmissions" in out and ", 0 violations;" in out
+    # a decentralized run still needs a finite file size, with one message for both commands
+    for argv in (["plan", "--mode", "decentralized"], ["verify", "--plan-file", "tiers.txt"]):
+        assert cli.main([*argv, *net[:-2]]) == 2
+        assert capsys.readouterr() == ("", "error: decentralized mode needs --file-bits\n")
+
+
+def test_verify_reads_tier_plans_from_stdin(tmp_path, monkeypatch, capsys):
+    # without --plan-file the plan text comes from stdin; its tier headers split it and set the mode
+    monkeypatch.chdir(tmp_path)
+    net = ["--kt", "3", "--kr", "3", "--n", "3", "--mt", "2", "--mr", "1", "--file-bits", "300"]
+    assert cli.main(["plan", *net, "--mode", "decentralized", "--out", "tiers.txt"]) == 0
+    checked = []
+    verify_completeness = cli.verify_completeness
+
+    def spy(cfg, plans, mode, demand):
+        checked.append(([p.mode for p in plans], mode))
+        return verify_completeness(cfg, plans, mode, demand)
+
+    monkeypatch.setattr(cli, "verify_completeness", spy)
+    monkeypatch.setattr(sys, "stdin", io.StringIO((tmp_path / "tiers.txt").read_text()))
+    capsys.readouterr()
+    assert cli.main(["verify", *net, "--channel-seeds", "1"]) == 0
+    tiers = [f"decentralized-tier({t})" for t in range(3)]
+    assert checked == [(tiers, "decentralized")]
+    assert "completeness: complete: 36 scheduled transmissions" in capsys.readouterr().out
 
 
 def test_plan_verify_clean(tmp_path):
@@ -233,15 +274,38 @@ def test_unknown_config_key(tmp_path):
     assert r.returncode == 2 and "unknown key" in r.stderr
 
 
-@pytest.mark.parametrize("line,flag", [("seed=-5", "--seed"), ("kt=x", "--kt"), ("file_bits=abc", "--file-bits")])
-def test_bad_config_values_exit_2_naming_the_file_and_key(line, flag, tmp_path, monkeypatch, capsys):
+BAD_CONFIG_VALUES = [
+    ("seed=-5", "--seed", "4"),
+    ("kt=x", "--kt", "4"),
+    ("file_bits=abc", "--file-bits", "4"),
+    ("mt=abc", "--mt", "2"),
+    ("mr=1/0", "--mr", "1"),
+    ("demand=x", "--demand", "1,2,3,4"),
+]
+
+
+@pytest.mark.parametrize(
+    "line,flag,value", BAD_CONFIG_VALUES, ids=[f"{line}-{flag}" for line, flag, _ in BAD_CONFIG_VALUES]
+)
+def test_bad_config_values_exit_2_naming_the_file_and_key(line, flag, value, tmp_path, monkeypatch, capsys):
     # a config-file value gets its flag's type; a rejected one names the file and its key=value
     monkeypatch.chdir(tmp_path)
     (tmp_path / "run.cfg").write_text(f"kt=4\nkr=4\nn=4\nmt=2\nmr=1\n{line}\n")
     assert cli.main(["ndt", "--config", "run.cfg"]) == 2
     assert capsys.readouterr().err == f"error: run.cfg: invalid value in {line}\n"
     # a flag wins over the file, so the bad value is never read
-    assert cli.main(["ndt", "--config", "run.cfg", flag, "4"]) == 0
+    assert cli.main(["ndt", "--config", "run.cfg", flag, value]) == 0
+
+
+def test_misspelt_config_mode_exits_2_and_writes_no_plan(tmp_path, monkeypatch, capsys):
+    # a config-file mode gets the --mode choices; before, any mode but "centralized" ran decentralized
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text("kt=3\nkr=3\nn=3\nmt=2\nmr=1\nmode=centralised\nfile_bits=300\n")
+    assert cli.main(["plan", "--config", "run.cfg", "--out", "plan.txt"]) == 2
+    assert capsys.readouterr().err == "error: run.cfg: invalid value in mode=centralised\n"
+    assert not (tmp_path / "plan.txt").exists()
+    assert cli.main(["plan", "--config", "run.cfg", "--mode", "centralized", "--out", "plan.txt"]) == 0
+    assert (tmp_path / "plan.txt").read_text().startswith("# mode=centralized\n")
 
 
 def test_demand_flag():
@@ -363,6 +427,11 @@ NET44 = ["--kt", "4", "--kr", "4", "--n", "4", "--mt", "2", "--mr", "1"]
         # NaN fails every comparison and inf or values >= 1 accept any leak; <= 0 flags every ZF target
         *((["plan", "--verify", "--tol", tol], "--tol") for tol in ("nan", "inf", "1", "2", "0", "-1")),
         (["verify", "--tol", "nan"], "--tol"),
+        # a zero denominator is a bad value like any other, not a ZeroDivisionError traceback
+        (["sdof", "--mt", "1/0"], "--mt"),
+        (["ndt", "--mr", "1/0"], "--mr"),
+        (["sdof", "--mt", "abc"], "--mt"),
+        (["plan", "--demand", "x"], "--demand"),
     ],
 )
 def test_out_of_range_flag_values_exit_2_naming_the_flag(argv, flag, capsys):

@@ -24,7 +24,7 @@ from cachenet.delivery import (
     verify_completeness,
 )
 from cachenet.model import ConfigurationError, DemandVector, NetworkConfig, SubfileId, binomial
-from cachenet.placement import place_centralized, place_decentralized
+from cachenet.placement import place_centralized
 
 
 def cfg44(m_r=1):
@@ -36,9 +36,8 @@ def cfg33(m_r=1, file_bits=None):
 
 
 def centralized_setup(cfg):
-    placement = place_centralized(cfg)
     demand = DemandVector.worst_case(cfg)
-    return placement, demand, build_centralized_plan(cfg, placement, demand)
+    return demand, build_centralized_plan(cfg, None, demand)
 
 
 def corner_cfg(k_t, k_r, t_t, t_r):
@@ -50,7 +49,7 @@ def corner_cfg(k_t, k_r, t_t, t_r):
 
 class TestCentralized4x4:
     def test_shape(self):
-        _, _, plan = centralized_setup(cfg44())
+        _, plan = centralized_setup(cfg44())
         assert len(plan.blocks) == 3
         assert all(len(b) == 24 for b in plan.blocks)
         # 18 needed subfiles per receiver, six per block
@@ -60,7 +59,7 @@ class TestCentralized4x4:
 
     def test_first_block_grouping(self):
         # block 1: dest j gets the file it demanded, cached at j+1, zero-forced at j+2
-        _, _, plan = centralized_setup(cfg44())
+        _, plan = centralized_setup(cfg44())
         lines = serialize_plan(plan).splitlines()
         first = [ln for ln in lines if ln.startswith("block=1 ")]
         assert len(first) == 24
@@ -75,7 +74,7 @@ class TestCentralized4x4:
 
     def test_ledger(self):
         cfg = cfg44()
-        _, _, plan = centralized_setup(cfg)
+        _, plan = centralized_setup(cfg)
         for ledger in account_plan(cfg, plan):
             assert ledger.uniform
             for r in ledger.receivers:
@@ -86,15 +85,15 @@ class TestCentralized4x4:
 
     def test_completeness(self):
         cfg = cfg44()
-        placement, demand, plan = centralized_setup(cfg)
-        report = verify_completeness(cfg, plan, placement, demand)
+        demand, plan = centralized_setup(cfg)
+        report = verify_completeness(cfg, [plan], "centralized", demand)
         assert report.complete and report.scheduled == 72
 
     def test_missing_block_detected(self):
         cfg = cfg44()
-        placement, demand, plan = centralized_setup(cfg)
+        demand, plan = centralized_setup(cfg)
         truncated = DeliveryPlan(blocks=plan.blocks[:2], mode=plan.mode)
-        report = verify_completeness(cfg, truncated, placement, demand)
+        report = verify_completeness(cfg, [truncated], "centralized", demand)
         assert not report.complete
         assert len(report.missing) == 24
         for j in range(4):
@@ -102,15 +101,15 @@ class TestCentralized4x4:
 
     def test_duplicate_block_detected(self):
         cfg = cfg44()
-        placement, demand, plan = centralized_setup(cfg)
+        demand, plan = centralized_setup(cfg)
         doubled = DeliveryPlan(blocks=plan.blocks + plan.blocks[:1], mode=plan.mode)
-        report = verify_completeness(cfg, doubled, placement, demand)
+        report = verify_completeness(cfg, [doubled], "centralized", demand)
         assert len(report.duplicated) == 24 and not report.missing
 
 
 def test_differing_block_sdofs_rejected():
     cfg = cfg44()
-    _, _, plan = centralized_setup(cfg)
+    _, plan = centralized_setup(cfg)
     crafted = DeliveryPlan(blocks=(plan.blocks[0], block_of(entries(plan.blocks[1])[:-1])), mode=plan.mode)
     message = r"blocks have differing sum DoF: \[Fraction\(23, 7\), Fraction\(24, 7\)\]"
     with pytest.raises(ConfigurationError, match=message):
@@ -123,15 +122,29 @@ def test_differing_block_sdofs_rejected():
 
 def test_everything_cached_gives_empty_plan():
     cfg = cfg44(m_r=4)
-    placement, demand, plan = centralized_setup(cfg)
+    demand, plan = centralized_setup(cfg)
     assert plan.blocks == ()
-    assert verify_completeness(cfg, plan, placement, demand).complete
+    assert verify_completeness(cfg, [plan], "centralized", demand).complete
 
 
 def test_non_integral_rejected():
     cfg = NetworkConfig(k_t=3, k_r=3, n_files=4, m_t=2, m_r=1)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match="use memory-sharing between integral corners"):
         build_centralized_plan(cfg, None, DemandVector.worst_case(cfg))
+    with pytest.raises(ConfigurationError, match="use memory-sharing between integral corners"):
+        verify_completeness(cfg, [], "centralized", DemandVector.worst_case(cfg))
+    with pytest.raises(ConfigurationError, match="decentralized placement needs integral t_T, got 3/2"):
+        verify_completeness(cfg, [], "decentralized", DemandVector.worst_case(cfg))
+
+
+def test_completeness_takes_a_mode_or_a_centralized_placement():
+    cfg = cfg44()
+    demand, plan = centralized_setup(cfg)
+    with pytest.raises(ConfigurationError, match="unknown placement mode 'centralised'"):
+        verify_completeness(cfg, [plan], "centralised", demand)
+    # perfbench/workloads.py still passes a CentralizedPlacement positionally
+    report = verify_completeness(cfg, [plan], place_centralized(cfg), demand)
+    assert report == verify_completeness(cfg, [plan], "centralized", demand) and report.complete
 
 
 class TestLedgerGrid:
@@ -142,7 +155,7 @@ class TestLedgerGrid:
         for t_t in range(1, k_t + 1):
             for t_r in range(0, k_r + 1):
                 cfg = corner_cfg(k_t, k_r, t_t, t_r)
-                placement, demand, plan = centralized_setup(cfg)
+                demand, plan = centralized_setup(cfg)
                 expected_blocks = binomial(k_r - 1, t_r) if t_r < k_r else 0
                 assert len(plan.blocks) == expected_blocks
                 c = binomial(k_t, t_t)
@@ -152,13 +165,13 @@ class TestLedgerGrid:
                         assert r.desired + r.zf_nulled + r.ic_cancelled + r.interfering == len(block)
                         assert r.dof == expected_dof
                         assert r.aligned_dims <= r.interfering
-                report = verify_completeness(cfg, plan, placement, demand)
+                report = verify_completeness(cfg, [plan], "centralized", demand)
                 assert report.complete, (k_t, k_r, t_t, t_r, report.summary())
 
 
 def test_no_self_targeting():
     for cfg in (cfg44(), cfg44(m_r=2), corner_cfg(4, 3, 3, 1)):
-        _, _, plan = centralized_setup(cfg)
+        _, plan = centralized_setup(cfg)
         for e in plan.entries():
             assert e.dest not in e.subfile.rx_set
             assert not e.zf_targets & ({e.dest} | e.subfile.rx_set)
@@ -166,9 +179,8 @@ def test_no_self_targeting():
 
 def test_demand_permutation_leaves_ledgers_unchanged():
     cfg = cfg44()
-    placement = place_centralized(cfg)
-    base = build_centralized_plan(cfg, placement, DemandVector((0, 1, 2, 3)))
-    permuted = build_centralized_plan(cfg, placement, DemandVector((2, 0, 3, 1)))
+    base = build_centralized_plan(cfg, None, DemandVector((0, 1, 2, 3)))
+    permuted = build_centralized_plan(cfg, None, DemandVector((2, 0, 3, 1)))
     assert account_plan(cfg, base) == account_plan(cfg, permuted)
     # structure identical, only file labels moved
     for eb, ep in zip(base.entries(), permuted.entries()):
@@ -182,10 +194,9 @@ def test_demand_permutation_leaves_ledgers_unchanged():
 
 def test_duplicate_demands_scheduled_independently():
     cfg = NetworkConfig(k_t=2, k_r=3, n_files=2, m_t=1, m_r=Fraction(2, 3))
-    placement = place_centralized(cfg)
     demand = DemandVector((0, 1, 0))
-    plan = build_centralized_plan(cfg, placement, demand)
-    report = verify_completeness(cfg, plan, placement, demand)
+    plan = build_centralized_plan(cfg, None, demand)
+    report = verify_completeness(cfg, [plan], "centralized", demand)
     assert report.complete
     assert {e.dest for e in plan.entries()} == {0, 1, 2}
 
@@ -232,11 +243,10 @@ class TestDecentralizedTiers:
 
     def test_full_coverage(self):
         cfg = cfg33(file_bits=300)
-        placement = place_decentralized(cfg, seed=1)
         demand = DemandVector.worst_case(cfg)
-        plans = build_decentralized_plan(cfg, placement, demand)
+        plans = build_decentralized_plan(cfg, demand)
         assert len(plans) == 3
-        report = verify_completeness(cfg, plans, placement, demand)
+        report = verify_completeness(cfg, plans, "decentralized", demand)
         assert report.complete
         # 3 partitions x (4 rx-subsets excluding dest) per receiver
         assert report.scheduled == 3 * 3 * 4
@@ -292,7 +302,7 @@ class TestPerLabelEquivalence:
             for t_r in range(k_r):
                 cfg = corner_cfg(k_t, k_r, t_t, t_r)
                 demand = DemandVector.worst_case(cfg)
-                plans = [centralized_setup(cfg)[2]]
+                plans = [centralized_setup(cfg)[1]]
                 if t_r == 0:  # the tier plans do not depend on t_R
                     plans += [build_tier_plan(cfg, demand, t) for t in range(k_r)]
                 for plan in plans:
@@ -332,7 +342,7 @@ class TestPerLabelEquivalence:
 
     def test_first_bad_entry_is_named(self):
         cfg = cfg44()
-        _, _, plan = centralized_setup(cfg)
+        _, plan = centralized_setup(cfg)
         good = list(entries(plan.blocks[0]))
         e = good[5]
         # `first` and `second` share one bad label (destination among the cache
@@ -357,7 +367,7 @@ def test_literal_worked_block_accounts_with_degraded_receiver():
     """The widely-quoted 4x4 first block has one off-pattern ZF target; it stays a
     valid (complete, well-formed) block but its ledger is non-uniform."""
     cfg = cfg44()
-    _, _, plan = centralized_setup(cfg)
+    _, plan = centralized_setup(cfg)
     literal = []
     for e in entries(plan.blocks[0]):
         if e.dest == 3 and e.subfile.tx_set == frozenset({0, 3}):
@@ -372,10 +382,10 @@ def test_literal_worked_block_accounts_with_degraded_receiver():
 
 def test_serialize_round_trip():
     cfg = cfg44()
-    _, _, plan = centralized_setup(cfg)
+    _, plan = centralized_setup(cfg)
     assert parse_plans(serialize_plan(plan)) == [plan]
     cfg3 = cfg33(file_bits=300)
-    for tier in build_decentralized_plan(cfg3, place_decentralized(cfg3, 1), DemandVector.worst_case(cfg3)):
+    for tier in build_decentralized_plan(cfg3, DemandVector.worst_case(cfg3)):
         assert parse_plans(serialize_plan(tier)) == [tier]
 
 
@@ -387,14 +397,14 @@ def test_parse_rejects_malformed():
 @pytest.mark.parametrize("k", [3, 4])
 def test_parse_plans_splits_concatenated_tiers(k):
     cfg = NetworkConfig(k_t=k, k_r=k, n_files=k, m_t=2, m_r=1, file_bits=300)
-    tiers = build_decentralized_plan(cfg, place_decentralized(cfg, 1), DemandVector.worst_case(cfg))
+    tiers = build_decentralized_plan(cfg, DemandVector.worst_case(cfg))
     text = "".join(serialize_plan(tier) for tier in tiers)
     assert parse_plans(text) == tiers
 
 
 def test_parse_plans_single_plan():
     cfg = cfg44()
-    _, _, plan = centralized_setup(cfg)
+    _, plan = centralized_setup(cfg)
     assert parse_plans(serialize_plan(plan)) == [plan]
     assert parse_plans("") == [DeliveryPlan(blocks=(), mode="unknown")]
 
@@ -402,7 +412,7 @@ def test_parse_plans_single_plan():
 def test_block_entries_must_share_one_block_index():
     # every record of a block carries the block's position, also when it is a plan's only block
     cfg = cfg44()
-    _, _, plan = centralized_setup(cfg)
+    _, plan = centralized_setup(cfg)
     moved = DeliveryPlan(blocks=plan.blocks[1:2], mode=plan.mode)
     assert {e.block for e in moved.entries()} == {1} and len(moved.entries()) == len(plan.blocks[1])
     text = serialize_plan(moved)

@@ -29,7 +29,6 @@ from cachenet.metrics import (
     sweep_figure,
 )
 from cachenet.model import ConfigurationError, DemandVector, NetworkConfig, binomial
-from cachenet.placement import place_centralized
 
 
 def make_cfg(k_t, k_r, n, m_t, m_r, file_bits=None):
@@ -58,6 +57,15 @@ class TestSdof:
         assert not sdof_report(make_cfg(4, 4, 4, 2, 1)).capped
         assert sdof_report(make_cfg(4, 4, 4, 2, 2)).capped  # 24/6 ties the cap
         assert sdof_report(make_cfg(4, 4, 4, 2, 3)).capped  # 24/5 exceeds it
+
+    @pytest.mark.parametrize("k_t,k_r", list(itertools.product(range(1, 8), repeat=2)))
+    def test_cap_flag_is_the_ratio_test(self, k_t, k_r):
+        # capped means C K_R / (C + K_R - t_T - t_R) reaches K_R, or that denominator is <= 0
+        for t_t in range(1, k_t + 1):
+            for t_r in range(k_r + 1):
+                c, denom = binomial(k_t, t_t), binomial(k_t, t_t) + k_r - t_t - t_r
+                expected = denom <= 0 or Fraction(c * k_r, denom) >= k_r
+                assert sdof_report(corner_cfg(k_t, k_r, t_t, t_r)).capped == expected, (k_t, k_r, t_t, t_r)
 
     def test_per_user(self):
         report = sdof_report(make_cfg(4, 4, 4, 2, 1))
@@ -170,17 +178,6 @@ class TestNdtOracle:
         assert report.formula_value == report.oracle_value == Fraction(62, 81)
         assert any("147/95" in f and "14/9" in f for f in report.flags)
 
-    def test_rejects_incomplete_plans(self):
-        from cachenet.delivery import build_tier_plan
-        from cachenet.placement import place_decentralized
-
-        cfg = make_cfg(3, 3, 3, 2, 1, file_bits=300)
-        demand = DemandVector.worst_case(cfg)
-        placement = place_decentralized(cfg, seed=1)
-        partial = [build_tier_plan(cfg, demand, t) for t in range(2)]  # tier 2 missing
-        with pytest.raises(ConfigurationError, match="incomplete"):
-            ndt_oracle(cfg, plans=partial, demand=demand, placement=placement)
-
 
 class TestPerEntryEquivalence:
     """Counting entries by caching weight gives exactly the per-entry sums."""
@@ -203,15 +200,15 @@ class TestPerEntryEquivalence:
                     (t, m / s if s else Fraction(0)) for t, (m, s) in enumerate(zip(masses, sdofs))
                 )
                 expected = (sum((c for _, c in breakdown), Fraction(0)), breakdown)
-                assert ndt_oracle(cfg, plans=plans) == expected, (k_t, k_r, t_t, t_r)
-            assert ndt_oracle(cfg) == expected
+                assert ndt_oracle(cfg) == expected, (k_t, k_r, t_t, t_r)
 
 
 class TestNdtCentralized:
     def test_values_4x4(self):
         cfg = make_cfg(4, 4, 4, 2, 1)
-        assert ndt_centralized(cfg, scheme="proposed") == Fraction(7, 8)
-        assert ndt_centralized(cfg, scheme="baseline") == 1
+        assert ndt_centralized(cfg) == 1  # K_R (1 - M_R/N) over the baseline sDoF 3
+        # the same conversion with the proposed sDoF 24/7
+        assert cfg.k_r * (1 - cfg.m_r / cfg.n_files) / sdof_achievable(cfg) == Fraction(7, 8)
 
     def test_full_cache(self):
         assert ndt_centralized(make_cfg(4, 4, 4, 2, 4)) == 0
@@ -347,11 +344,10 @@ def test_oracle_and_plan_sdof_leave_blocks_unexpanded(monkeypatch):
     monkeypatch.setattr(DeliveryPlan, "entries", lambda plan: pytest.fail(f"{plan.mode} plan expanded into records"))
     demand = DemandVector.worst_case(cfg)
     tiers = [build_tier_plan(cfg, demand, t) for t in range(cfg.k_r)]
-    ndt_oracle(cfg, plans=tiers, demand=demand)
-    placement = place_centralized(cfg)
-    central = build_centralized_plan(cfg, placement, demand)
+    ndt_oracle(cfg, demand=demand)
+    central = build_centralized_plan(cfg, None, demand)
     plan_sdof(cfg, central)
-    assert verify_completeness(cfg, central, placement, demand).complete
+    assert verify_completeness(cfg, [central], "centralized", demand).complete
     blocks = [block for plan in [*tiers, central] for block in plan.blocks]
     # 8 tier blocks and 3 centralized ones, each with 4 receivers x C(4,2) tx subsets
     assert sum(map(len, blocks)) == 11 * 4 * 6

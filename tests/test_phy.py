@@ -284,7 +284,7 @@ class TestBlockVerification:
 
     def test_clean_block(self):
         cfg, plan = self._plan44()
-        (report,) = verify_plan_phy(cfg, DeliveryPlan(blocks=plan.blocks[:1], mode=plan.mode), channel_seeds=[21])
+        (report,) = verify_plan_phy(cfg, [DeliveryPlan(blocks=plan.blocks[:1], mode=plan.mode)], channel_seeds=[21])
         assert report.ok and report.checked == 24
         assert report.alignment_groups == 4  # one residual group per receiver
         assert "alignment" in report.note
@@ -294,7 +294,7 @@ class TestBlockVerification:
         cfg, plan = self._plan44()
         records = plan.entries()
         assert all(len(e.zf_targets) == 1 for e in records)
-        for r in verify_plan_phy(cfg, plan, channel_seeds=5, rel_tol=1e-300):
+        for r in verify_plan_phy(cfg, [plan], channel_seeds=5, rel_tol=1e-300):
             assert len(r.violations) == r.checked == len(records) == 72
             for v, e in zip(r.violations, records):
                 (z,) = e.zf_targets
@@ -303,7 +303,7 @@ class TestBlockVerification:
 
     def test_plan_monte_carlo(self):
         cfg, plan = self._plan44()
-        reports = verify_plan_phy(cfg, plan, channel_seeds=10)
+        reports = verify_plan_phy(cfg, [plan], channel_seeds=10)
         assert len(reports) == 10
         assert all(r.ok for r in reports)
         assert all(r.checked == 72 for r in reports)
@@ -311,7 +311,7 @@ class TestBlockVerification:
     def test_decentralized_tier0_nulls_hold(self):
         cfg = NetworkConfig(k_t=3, k_r=3, n_files=3, m_t=2, m_r=1, file_bits=300)
         plan = build_tier_plan(cfg, DemandVector.worst_case(cfg), 0)
-        reports = verify_plan_phy(cfg, plan, channel_seeds=20)
+        reports = verify_plan_phy(cfg, [plan], channel_seeds=20)
         assert all(r.ok for r in reports)
 
 
@@ -403,7 +403,7 @@ class TestBatchedEquivalence:
         assert len(e.subfile.tx_set) == 3 and len(e.zf_targets) == 1
         blocks[1][5] = ScheduledSubfile(e.subfile, e.dest, e.zf_targets | {e.dest}, e.block)
         crafted = DeliveryPlan(blocks=tuple(map(block_of, blocks)), mode=plan.mode)
-        reports = verify_plan_phy(cfg, crafted, channel_seeds=3)
+        reports = verify_plan_phy(cfg, [crafted], channel_seeds=3)
         for r in reports:
             assert r.violations == (
                 f"block=2 subfile={e.subfile.label()} dest={e.dest + 1}: "
@@ -418,17 +418,17 @@ class TestBatchedEquivalence:
         bad = ScheduledSubfile(e.subfile, e.dest, frozenset(set(range(4)) - {e.dest}), e.block)
         crafted = DeliveryPlan(blocks=(block_of([bad, *rest]),), mode=plan.mode)
         with pytest.raises(GenericityError):
-            verify_plan_phy(cfg, crafted, channel_seeds=1)
+            verify_plan_phy(cfg, [crafted], channel_seeds=1)
 
     @pytest.mark.parametrize("rel_tol", [float("nan"), float("inf"), 1.0, 0.0, -1e-9])
     def test_tolerance_outside_unit_interval_rejected(self, rel_tol):
         cfg, plan = self._plan44()
         with pytest.raises(ValueError, match="tolerance must lie in"):
-            verify_plan_phy(cfg, plan, channel_seeds=1, rel_tol=rel_tol)
+            verify_plan_phy(cfg, [plan], channel_seeds=1, rel_tol=rel_tol)
 
     def test_zero_seeds(self):
         cfg, plan = self._plan44()
-        assert verify_plan_phy(cfg, plan, channel_seeds=0) == []
+        assert verify_plan_phy(cfg, [plan], channel_seeds=0) == []
         assert verify_plan_phy(cfg, [plan], channel_seeds=[]) == []
 
     @pytest.mark.parametrize("count", [-2, -1, True, False])
@@ -436,17 +436,17 @@ class TestBatchedEquivalence:
         # -2 would check no channel and read as verified, True would check seed 0 alone
         cfg, plan = self._plan44()
         with pytest.raises(ValueError, match="channel seed count must be a non-negative int"):
-            verify_plan_phy(cfg, plan, channel_seeds=count)
+            verify_plan_phy(cfg, [plan], channel_seeds=count)
 
     def test_worst_leak_is_headroom(self):
         cfg, plan = self._plan44()
-        reports = verify_plan_phy(cfg, plan, channel_seeds=5, rel_tol=1e-9)
+        reports = verify_plan_phy(cfg, [plan], channel_seeds=5, rel_tol=1e-9)
         assert all(r.ok and 0.0 <= r.worst_leak < 1e-9 for r in reports)
         assert any(r.worst_leak > 0.0 for r in reports)
 
     def test_reports_carry_genericity_margin(self):
         cfg, plan = self._plan44()
-        reports = verify_plan_phy(cfg, plan, channel_seeds=3)
+        reports = verify_plan_phy(cfg, [plan], channel_seeds=3)
         for r in reports:
             h = sample_channel(4, 4, r.seed)
             assert r.genericity_margin == h.min_minor / GENERICITY_THRESHOLD > 1.0

@@ -31,8 +31,8 @@ def cfg33(**kw):
 class TestCentralized:
     def test_subfile_counts_4x4(self):
         pl = place_centralized(cfg44())
-        assert pl.subfiles_per_file == 24
-        assert pl.subfile_fraction == Fraction(1, 24)
+        assert len({s for subs in pl.tx_cache.values() for s in subs if s.file == 0}) == 24
+        assert per_entry.subfile_fraction(cfg44()) == Fraction(1, 24)
 
     def test_cache_shares_4x4(self):
         # each transmitter holds half, each receiver a quarter, of every file
@@ -50,10 +50,11 @@ class TestCentralized:
         # fully utilized caches: total stored fraction equals M in file units
         for cfg in (cfg44(), cfg33(), cfg44(m_r=2)):
             pl = place_centralized(cfg)
+            fraction = per_entry.subfile_fraction(cfg)
             for i, subs in pl.tx_cache.items():
-                assert len(subs) * pl.subfile_fraction == cfg.m_t
+                assert len(subs) * fraction == cfg.m_t
             for j, subs in pl.rx_cache.items():
-                assert len(subs) * pl.subfile_fraction == cfg.m_r
+                assert len(subs) * fraction == cfg.m_r
 
     def test_partition_property(self):
         cfg = cfg44()
@@ -131,7 +132,7 @@ class TestDecentralized:
         pl = place_decentralized(cfg, seed=1)
         assert pl.padded_bits == 12 and pl.partition_size == 4
         profile = subset_profile(pl, 0)
-        assert profile.total() == 10  # pad bits excluded
+        assert sum(profile.counts.values()) == 10  # pad bits excluded
 
     def test_requires_file_bits(self):
         with pytest.raises(ConfigurationError, match="file_bits"):
@@ -149,7 +150,7 @@ class TestSubsetProfile:
         cfg = cfg33(file_bits=999)
         pl = place_decentralized(cfg, seed=3)
         for f in range(3):
-            assert subset_profile(pl, f).total() == 999
+            assert sum(subset_profile(pl, f).counts.values()) == 999
 
     def test_zero_cache_all_uncached(self):
         cfg = cfg33(m_r=0, m_t=3, file_bits=300)
@@ -174,7 +175,7 @@ class TestSubsetProfile:
             expected: dict = {}
             for b in range(cfg.file_bits):
                 rx = frozenset(j for j in range(k_r) if pl.rx_mask[j, f, b])
-                key = (frozenset(pl.tx_sets[pl.partition_of(b)]), rx)
+                key = (frozenset(pl.tx_sets[b // pl.partition_size]), rx)
                 expected[key] = expected.get(key, 0) + 1
             assert subset_profile(pl, f).counts == expected
 

@@ -29,7 +29,7 @@ from cachenet.delivery import (
 )
 from cachenet.metrics import sdof_achievable
 from cachenet.model import DemandVector, NetworkConfig, SubfileId, subsets
-from cachenet.placement import place_centralized, place_decentralized
+from cachenet.placement import place_centralized
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=150)
 DEC_FILE_BITS = 60
@@ -47,22 +47,20 @@ def corners(draw) -> NetworkConfig:
 
 
 def centralized(cfg: NetworkConfig):
-    placement = place_centralized(cfg)
     demand = DemandVector.worst_case(cfg)
-    return placement, demand, build_centralized_plan(cfg, placement, demand)
+    return "centralized", demand, build_centralized_plan(cfg, None, demand)
 
 
 def decentralized(cfg: NetworkConfig):
-    placement = place_decentralized(cfg, seed=1)
     demand = DemandVector.worst_case(cfg)
-    return placement, demand, build_decentralized_plan(cfg, placement, demand)
+    return "decentralized", demand, build_decentralized_plan(cfg, demand)
 
 
 @PROPERTY
 @given(corners())
 def test_plans_are_complete(cfg):
-    for placement, demand, plans in (centralized(cfg), decentralized(cfg)):
-        report = verify_completeness(cfg, plans, placement, demand)
+    for mode, demand, plans in (centralized(cfg), decentralized(cfg)):
+        report = verify_completeness(cfg, plans if mode == "decentralized" else [plans], mode, demand)
         assert report.complete, report.summary()
 
 
@@ -89,11 +87,9 @@ def damage(cfg: NetworkConfig, entries: list[ScheduledSubfile], rnd: random.Rand
 ))
 def test_completeness_matches_per_entry_reference(cfg, decentral, rnd, damages):
     # built, shuffled and damaged plans all give the reference's counts, listings and listing order
-    placement, demand, plans = decentralized(cfg) if decentral else centralized(cfg)
+    mode, demand, plans = decentralized(cfg) if decentral else centralized(cfg)
     plans = plans if decentral else [plans]
-    assert verify_completeness(cfg, plans, placement, demand) == per_entry.verify_completeness(
-        cfg, plans, placement, demand
-    )
+    assert verify_completeness(cfg, plans, mode, demand) == per_entry.verify_completeness(cfg, plans, mode, demand)
     entries = [e for p in plans for e in p.entries()]
     rnd.shuffle(entries)
     for kind in damages:
@@ -104,8 +100,8 @@ def test_completeness_matches_per_entry_reference(cfg, decentral, rnd, damages):
     for e in entries:
         by_block.setdefault(e.block, []).append(e)
     damaged = [DeliveryPlan(blocks=tuple(map(per_entry.block_of, by_block.values())), mode="damaged")]
-    report = verify_completeness(cfg, damaged, placement, demand)
-    assert report == per_entry.verify_completeness(cfg, damaged, placement, demand)
+    report = verify_completeness(cfg, damaged, mode, demand)
+    assert report == per_entry.verify_completeness(cfg, damaged, mode, demand)
     assert report.scheduled == len(entries)
 
 
@@ -171,4 +167,3 @@ def test_lazy_cache_listings_match_eager_reference(cfg):
     placement = place_centralized(cfg)
     assert placement.tx_cache == {i: frozenset(v) for i, v in tx_cache.items()}
     assert placement.rx_cache == {j: frozenset(v) for j, v in rx_cache.items()}
-    assert placement.subfile_fraction == Fraction(1, len(tx_sets) * len(rx_sets))
