@@ -28,6 +28,7 @@ from .delivery import (
 from .metrics import (
     FIG2_TEMPLATE,
     FIG4_TEMPLATE,
+    McNdt,
     mc_ndt,
     ndt_oracle,
     ndt_report,
@@ -102,8 +103,6 @@ def _merge_config(args: argparse.Namespace, keys: dict[str, argparse.Action]) ->
                 setattr(args, key, parsed)
     if args.seed is None:
         args.seed = 1
-    if hasattr(args, "mode") and args.mode is None:
-        args.mode = "centralized"
 
 
 def _network(args: argparse.Namespace, parser: argparse.ArgumentParser) -> NetworkConfig:
@@ -146,10 +145,11 @@ def cmd_sdof(args, parser) -> int:
     return 0
 
 
-def _mc_seeds(cfg: NetworkConfig, args) -> list[int] | None:
+def _mc(cfg: NetworkConfig, demand: DemandVector, args) -> McNdt | None:
+    """The Monte-Carlo delivery time over `--seeds` placements from `--seed` on; None without `--seeds`."""
     if args.seeds and cfg.file_bits is None:
         raise ConfigurationError("--seeds needs --file-bits for finite-size runs")
-    return list(range(args.seed, args.seed + args.seeds)) if args.seeds else None
+    return mc_ndt(cfg, demand, list(range(args.seed, args.seed + args.seeds))) if args.seeds else None
 
 
 def _print_ndt(oracle: Fraction, breakdown, flags, mc) -> int:
@@ -166,16 +166,17 @@ def _print_ndt(oracle: Fraction, breakdown, flags, mc) -> int:
 
 def cmd_ndt(args, parser) -> int:
     cfg = _network(args, parser)
-    report = ndt_report(cfg, demand=_demand(args, cfg), seeds=_mc_seeds(cfg, args))
+    demand = _demand(args, cfg)
+    report = ndt_report(cfg, demand)
+    mc = _mc(cfg, demand, args)
     print(f"formula={_rat(report.formula_value)}")
-    return _print_ndt(report.oracle_value, report.tier_breakdown, report.flags, report.mc)
+    return _print_ndt(report.oracle_value, report.tier_breakdown, report.flags, mc)
 
 
 def cmd_oracle_ndt(args, parser) -> int:
     cfg = _network(args, parser)
     demand = _demand(args, cfg)
-    seeds = _mc_seeds(cfg, args)
-    return _print_ndt(*ndt_oracle(cfg, demand=demand), (), mc_ndt(cfg, demand, seeds) if seeds else None)
+    return _print_ndt(*ndt_oracle(cfg, demand), (), _mc(cfg, demand, args))
 
 
 def _print_ledgers(cfg: NetworkConfig, plan: DeliveryPlan) -> list[SubspaceLedger]:
@@ -199,6 +200,7 @@ def _print_ledgers(cfg: NetworkConfig, plan: DeliveryPlan) -> list[SubspaceLedge
 def cmd_plan(args, parser) -> int:
     cfg = _network(args, parser)
     demand = _demand(args, cfg)
+    args.mode = args.mode or "centralized"
     _check_file_bits(cfg, args)
     if args.mode == "centralized":
         plans = [build_centralized_plan(cfg, None, demand)]
@@ -211,10 +213,9 @@ def cmd_plan(args, parser) -> int:
     else:
         sys.stdout.write(text)
     # only the listings need a placement; the plans follow from cfg and the mode
-    if args.show and args.mode == "centralized":
-        sys.stdout.write(place_centralized(cfg).export_text())
-    elif args.show:
-        sys.stdout.write(place_decentralized(cfg, args.seed).export_text(max_ranges=8))
+    if args.show:
+        placement = place_centralized(cfg) if args.mode == "centralized" else place_decentralized(cfg, args.seed)
+        sys.stdout.write(placement.export_text())
     ledgers = [_print_ledgers(cfg, plan) for plan in plans]
     if args.verify:
         return _verify(cfg, plans, demand, args, ledgers)
@@ -233,12 +234,9 @@ def _verify(
     print(f"completeness: {completeness.summary()}")
     if not completeness.complete:
         failures += 1
-        for dest, sub in completeness.missing[:10]:
-            print(f"  missing for rx {dest + 1}: {sub.label()}")
-        for dest, sub in completeness.duplicated[:10]:
-            print(f"  duplicated for rx {dest + 1}: {sub.label()}")
-        for dest, sub in completeness.extraneous[:10]:
-            print(f"  extraneous for rx {dest + 1}: {sub.label()}")
+        for kind in ("missing", "duplicated", "extraneous"):
+            for dest, sub in getattr(completeness, kind)[:10]:
+                print(f"  {kind} for rx {dest + 1}: {sub.label()}")
     for plan, plan_ledgers in zip(plans, ledgers):
         for b, ledger in enumerate(plan_ledgers):
             if not ledger.uniform:
@@ -265,21 +263,23 @@ def cmd_verify(args, parser) -> int:
     text = Path(args.plan_file).read_text() if args.plan_file else sys.stdin.read()
     # a serialized decentralized run concatenates one plan per tier
     plans = parse_plans(text)
-    if any(p.mode.startswith("decentralized") for p in plans):
-        args.mode = "decentralized"
+    # the `# mode=` headers set the mode; an explicit one, from the flag or a config file, must agree
+    header_mode = next((m for m in ("decentralized", "centralized") if any(p.mode.startswith(m) for p in plans)), None)
+    if header_mode and args.mode not in (None, header_mode):
+        raise ConfigurationError(f"mode {args.mode} contradicts the plan file's {header_mode} mode headers")
+    args.mode = header_mode or args.mode or "centralized"
     for p in plans:
         for position, r in p.runs():
             r.check_indices(cfg, position)
     demand = _infer_demand(cfg, plans, args)
     try:
-        for p in plans:
-            for _, r in p.runs():
-                r.check()
+        # accounting checks each label once, so the first malformed run fails first
+        ledgers = [account_plan(cfg, p) for p in plans]
     except ConfigurationError as exc:
         print(f"malformed plan: {exc}")
         return 1
     _check_file_bits(cfg, args)
-    return _verify(cfg, plans, demand, args, [account_plan(cfg, p) for p in plans])
+    return _verify(cfg, plans, demand, args, ledgers)
 
 
 def _infer_demand(cfg: NetworkConfig, plans: list[DeliveryPlan], args) -> DemandVector:
@@ -311,15 +311,9 @@ def cmd_sweep(args, parser) -> int:
         else "m_r,ndt_decentralized,ndt_centralized"
     )
     out = Path(args.out or f"{args.figure}.csv")
-    decimal_lines = [header] + [
-        f"{fmt_decimal(m)},{fmt_decimal(a)},{fmt_decimal(b)}" for m, a, b in rows
-    ]
-    out.write_text("\n".join(decimal_lines) + "\n")
     sidecar = out.with_suffix(out.suffix + ".exact")
-    exact_lines = [header] + [
-        f"{fmt_rational(m)},{fmt_rational(a)},{fmt_rational(b)}" for m, a, b in rows
-    ]
-    sidecar.write_text("\n".join(exact_lines) + "\n")
+    for path, fmt in ((out, fmt_decimal), (sidecar, fmt_rational)):
+        path.write_text("\n".join([header] + [",".join(map(fmt, row)) for row in rows]) + "\n")
     print(f"wrote {out} ({len(rows)} rows) and {sidecar}")
     return 0
 
@@ -347,30 +341,28 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Action]
     net.add_argument("--config", help="key=value config file; flags override it")
     placed = argparse.ArgumentParser(add_help=False)
     config_keys.append(placed.add_argument("--mode", choices=MODES))
+    placed.add_argument("--channel-seeds", dest="channel_seeds", type=count, default=10)
+    placed.add_argument("--tol", type=tolerance, default=1e-9, help="relative ZF tolerance")
+    mc = argparse.ArgumentParser(add_help=False)
+    mc.add_argument("--seeds", type=count, default=0, help="Monte-Carlo placements (needs --file-bits)")
 
     p = sub.add_parser("sdof", parents=[net], help="achievable and baseline sum-DoF")
     p.set_defaults(func=cmd_sdof)
 
-    p = sub.add_parser("ndt", parents=[net], help="closed-form and scheme-derived delivery time")
-    p.add_argument("--seeds", type=count, default=0, help="Monte-Carlo placements (needs --file-bits)")
+    p = sub.add_parser("ndt", parents=[net, mc], help="closed-form and scheme-derived delivery time")
     p.set_defaults(func=cmd_ndt)
 
-    p = sub.add_parser("oracle-ndt", parents=[net], help="scheme-derived delivery time only")
-    p.add_argument("--seeds", type=count, default=0, help="Monte-Carlo placements (needs --file-bits)")
+    p = sub.add_parser("oracle-ndt", parents=[net, mc], help="scheme-derived delivery time only")
     p.set_defaults(func=cmd_oracle_ndt)
 
     p = sub.add_parser("plan", parents=[net, placed], help="generate a delivery plan with its ledger")
     p.add_argument("--out", help="write the plan text here instead of stdout")
     p.add_argument("--show", action="store_true", help="also print the placement export")
     p.add_argument("--verify", action="store_true", help="run completeness and phy checks")
-    p.add_argument("--channel-seeds", dest="channel_seeds", type=count, default=10)
-    p.add_argument("--tol", type=tolerance, default=1e-9, help="relative ZF tolerance")
     p.set_defaults(func=cmd_plan)
 
     p = sub.add_parser("verify", parents=[net, placed], help="verify a serialized plan")
     p.add_argument("--plan-file", dest="plan_file", help="plan text (default: stdin)")
-    p.add_argument("--channel-seeds", dest="channel_seeds", type=count, default=10)
-    p.add_argument("--tol", type=tolerance, default=1e-9, help="relative ZF tolerance")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("sweep", parents=[net], help="figure-reproduction CSV")

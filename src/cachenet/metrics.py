@@ -72,12 +72,11 @@ class McNdt:
 
 @dataclass(frozen=True)
 class NdtReport:
-    """Delivery time: closed form, scheme oracle, per-tier breakdown, optional Monte-Carlo."""
+    """Delivery time: closed form, scheme oracle and per-tier breakdown."""
 
     formula_value: Fraction
     oracle_value: Fraction
     tier_breakdown: tuple[tuple[int, Fraction], ...]
-    mc: McNdt | None
     flags: tuple[str, ...]
 
 
@@ -214,7 +213,7 @@ def ndt_finite(
 ) -> Fraction:
     """Delivery time of one finite-size placement: actual scheduled bits over tier sum-DoF."""
     assert cfg.file_bits is not None
-    profiles = {f: subset_profile(placement, f).counts for f in sorted(set(demand.d))}
+    profiles = {f: subset_profile(placement, f) for f in sorted(set(demand.d))}
     total = Fraction(0)
     for plan in plans:
         if not plan.blocks:
@@ -247,11 +246,7 @@ def mc_ndt(cfg: NetworkConfig, demand: DemandVector, seeds: list[int]) -> McNdt:
     )
 
 
-def ndt_report(
-    cfg: NetworkConfig,
-    demand: DemandVector | None = None,
-    seeds: list[int] | None = None,
-) -> NdtReport:
+def ndt_report(cfg: NetworkConfig, demand: DemandVector | None = None) -> NdtReport:
     """Side-by-side delivery-time report; never hides a closed-form/oracle mismatch."""
     if demand is None:
         demand = DemandVector.worst_case(cfg)
@@ -271,14 +266,10 @@ def ndt_report(
             f"({fmt_rational(REFERENCE_EXAMPLE_INLINE)}) and with the closed form "
             f"({fmt_rational(formula)}); flagged, not adopted"
         )
-    mc = None
-    if seeds is not None:
-        mc = mc_ndt(cfg, demand, seeds)
     return NdtReport(
         formula_value=formula,
         oracle_value=oracle,
         tier_breakdown=breakdown,
-        mc=mc,
         flags=tuple(flags),
     )
 
@@ -328,17 +319,14 @@ def _corner_points(template: NetworkConfig, metric) -> list[tuple[Fraction, Frac
     return [(m_r, metric(replace(template, m_r=m_r))) for m_r in corners]
 
 
-def sweep_figure(
-    template: NetworkConfig, figure: str, values: list[Fraction] | None = None
-) -> list[tuple[Fraction, Fraction, Fraction]]:
-    """Rows (M_R, proposed-scheme metric, reference metric) for the comparison figures.
+def sweep_figure(template: NetworkConfig, figure: str) -> list[tuple[Fraction, Fraction, Fraction]]:
+    """Rows (M_R, proposed-scheme metric, reference metric) at M_R = 0..N for the comparison figures.
 
     fig2 plots 1/sDoF (convex, so corners memory-share); fig4 plots the
-    decentralized delivery time against the centralized reference.  Queries
+    decentralized delivery time against the centralized reference.  Rows
     between corners are filled by memory-sharing.
     """
-    if values is None:
-        values = [Fraction(i) for i in range(template.n_files + 1)]
+    values = [Fraction(i) for i in range(template.n_files + 1)]
     if figure == "fig2":
         proposed = _corner_points(template, lambda c: 1 / sdof_achievable(c))
         reference = _corner_points(template, lambda c: 1 / sdof_baseline(c))

@@ -175,8 +175,8 @@ def fmt_rational(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
-def fmt_decimal(x: Fraction | float, digits: int = 12) -> str:
-    return f"{float(x):.{digits}g}"
+def fmt_decimal(x: Fraction | float) -> str:
+    return f"{float(x):.12g}"
 
 
 def fmt_index_set(s: frozenset[int] | tuple[int, ...]) -> str:

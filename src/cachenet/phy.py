@@ -295,7 +295,6 @@ class PhyReport:
     worst_leak: float = 0.0
     genericity_margin: float = float("nan")
     redraws: int = 0
-    note: str = IA_ASSUMPTION_NOTE
 
     @property
     def ok(self) -> bool:
@@ -306,7 +305,7 @@ class PhyReport:
         return (
             f"seed={self.seed}: {status}, {self.checked} transmissions checked, "
             f"{self.ic_flagged} cache-cancelled gains flagged, "
-            f"{self.alignment_groups} alignment groups ({self.note})"
+            f"{self.alignment_groups} alignment groups ({IA_ASSUMPTION_NOTE})"
         )
 
 

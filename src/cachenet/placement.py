@@ -26,7 +26,6 @@ from .model import (
 __all__ = [
     "CentralizedPlacement",
     "DecentralizedPlacement",
-    "SubsetProfile",
     "place_centralized",
     "place_decentralized",
     "subset_profile",
@@ -41,6 +40,9 @@ __all__ = [
 RNG_ALGORITHM = "numpy.random.Generator(PCG64)"
 
 MODES = ("centralized", "decentralized")
+
+# `plan --show` lists at most this many cached bit ranges per receiver and file.
+MAX_RANGES = 8
 
 
 def check_corner(cfg: NetworkConfig, mode: str) -> None:
@@ -143,8 +145,8 @@ class DecentralizedPlacement:
         """Sorted bit indices cached by `rx` for `file`."""
         return np.flatnonzero(self.rx_codes[file] >> rx & 1)
 
-    def export_text(self, max_ranges: int | None = None) -> str:
-        """Per-(receiver, file) listing of cached bit-index ranges."""
+    def export_text(self) -> str:
+        """Per-(receiver, file) listing of cached bit-index ranges, at most MAX_RANGES each."""
         lines = [
             f"# decentralized placement kt={self.cfg.k_t} kr={self.cfg.k_r} "
             f"n={self.cfg.n_files} file_bits={self.cfg.file_bits} seed={self.seed} rng={RNG_ALGORITHM}"
@@ -155,8 +157,8 @@ class DecentralizedPlacement:
         for j in range(self.cfg.k_r):
             for f in range(self.cfg.n_files):
                 ranges = _as_ranges(self.cached_bits(j, f))
-                if max_ranges is not None and len(ranges) > max_ranges:
-                    shown = ",".join(ranges[:max_ranges]) + f",...({len(ranges)} ranges)"
+                if len(ranges) > MAX_RANGES:
+                    shown = ",".join(ranges[:MAX_RANGES]) + f",...({len(ranges)} ranges)"
                 else:
                     shown = ",".join(ranges)
                 lines.append(f"rx {j + 1} file {f + 1}: {shown}")
@@ -173,13 +175,6 @@ def _as_ranges(indices: np.ndarray) -> list[str]:
         f"{indices[s]}" if indices[s] == indices[e] else f"{indices[s]}-{indices[e]}"
         for s, e in zip(starts, ends)
     ]
-
-
-@dataclass(frozen=True)
-class SubsetProfile:
-    """Bit counts of one file grouped by (tx partition, exact caching receiver set)."""
-
-    counts: dict[tuple[frozenset[int], frozenset[int]], int]
 
 
 def place_centralized(cfg: NetworkConfig) -> CentralizedPlacement:
@@ -215,8 +210,8 @@ def place_decentralized(cfg: NetworkConfig, seed: int) -> DecentralizedPlacement
     return DecentralizedPlacement(cfg=cfg, seed=seed, padded_bits=padded, rx_codes=codes)
 
 
-def subset_profile(placement: DecentralizedPlacement, file: int) -> SubsetProfile:
-    """Classify every real bit of `file` by (tx partition, exact caching receiver set)."""
+def subset_profile(placement: DecentralizedPlacement, file: int) -> dict[tuple[frozenset[int], frozenset[int]], int]:
+    """Bit counts of `file`, every real bit classified by (tx partition, exact caching receiver set)."""
     cfg = placement.cfg
     if not 0 <= file < cfg.n_files:
         raise ValueError(f"file index {file} outside [0, {cfg.n_files})")
@@ -233,7 +228,7 @@ def subset_profile(placement: DecentralizedPlacement, file: int) -> SubsetProfil
         for code in np.flatnonzero(binc):
             rx = frozenset(j for j in range(cfg.k_r) if code >> j & 1)
             counts[(frozenset(ts), rx)] = int(binc[code])
-    return SubsetProfile(counts=counts)
+    return counts
 
 
 def expected_fraction(cfg: NetworkConfig, t: int) -> Fraction:

@@ -145,6 +145,44 @@ def test_verify_reads_tier_plans_from_stdin(tmp_path, monkeypatch, capsys):
     assert "completeness: complete: 36 scheduled transmissions" in capsys.readouterr().out
 
 
+def test_verify_rejects_a_mode_that_contradicts_the_plan_headers(tmp_path, monkeypatch, capsys):
+    # the `# mode=` headers decide; an explicit mode from the flag or a config file must agree with them
+    monkeypatch.chdir(tmp_path)
+    net = ["--kt", "3", "--kr", "3", "--n", "3", "--mt", "2", "--mr", "1", "--file-bits", "300"]
+    assert cli.main(["plan", *net, "--mode", "decentralized", "--out", "tiers.txt"]) == 0
+    assert cli.main(["plan", *net, "--out", "central.txt"]) == 0
+    (tmp_path / "central.cfg").write_text("mode=centralized\n")
+    for plan_file, flags, explicit, headers in (
+        ("tiers.txt", ["--mode", "centralized"], "centralized", "decentralized"),
+        ("tiers.txt", ["--config", "central.cfg"], "centralized", "decentralized"),
+        ("central.txt", ["--mode", "decentralized"], "decentralized", "centralized"),
+    ):
+        capsys.readouterr()
+        assert cli.main(["verify", *net, "--plan-file", plan_file, "--channel-seeds", "1", *flags]) == 2
+        out, err = capsys.readouterr()
+        assert "completeness:" not in out
+        assert err == f"error: mode {explicit} contradicts the plan file's {headers} mode headers\n"
+    # a matching mode, or none, still verifies the tiers
+    for flags in (["--mode", "decentralized"], []):
+        capsys.readouterr()
+        assert cli.main(["verify", *net, "--plan-file", "tiers.txt", "--channel-seeds", "1", *flags]) == 0
+        assert "completeness: complete: 36 scheduled transmissions" in capsys.readouterr().out
+    # a headerless file takes the flag's mode, or centralized
+    headerless = "".join(ln for ln in (tmp_path / "central.txt").read_text().splitlines(True) if not ln.startswith("#"))
+    (tmp_path / "headerless.txt").write_text(headerless)
+    for flags, code in (([], 0), (["--mode", "centralized"], 0), (["--mode", "decentralized"], 1)):
+        assert cli.main(["verify", *net, "--plan-file", "headerless.txt", "--channel-seeds", "1", *flags]) == code
+
+
+def test_ndt_and_oracle_ndt_print_the_same_monte_carlo_line(capsys):
+    net = ["--kt", "3", "--kr", "3", "--n", "3", "--mt", "2", "--mr", "1", "--seeds", "2", "--file-bits", "300"]
+    lines = []
+    for command in ("ndt", "oracle-ndt"):
+        assert cli.main([command, *net]) == 0
+        lines.append([ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("mc=")])
+    assert lines[0] == lines[1] and len(lines[0]) == 1
+
+
 def test_plan_verify_clean(tmp_path):
     r = run_cli(
         "plan", "--kt", "4", "--kr", "4", "--n", "4", "--mt", "2", "--mr", "1",
@@ -192,7 +230,24 @@ def test_verify_malformed_entry_fails(tmp_path):
         "verify", "--plan-file", "bad.txt", "--kt", "4", "--kr", "4", "--n", "4",
         "--mt", "2", "--mr", "1", cwd=tmp_path,
     )
-    assert r.returncode == 1 and "malformed plan" in r.stdout
+    assert r.returncode == 1
+    assert r.stdout == "malformed plan: W1[tx=12 rx=2] zero-forced at its destination or at a caching receiver\n"
+
+
+def test_verify_reports_the_first_malformed_label_past_a_clean_block(tmp_path, monkeypatch, capsys):
+    # block 1 is clean; block 2 zero-forces at its destination and block 3 delivers to a caching receiver
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.txt").write_text(
+        "# mode=centralized\n"
+        "block=1 file=1 tx={1,2} cachedRx={2} zf={3} dest=1\n"
+        "block=2 file=1 tx={1,3} cachedRx={3} zf={1} dest=1\n"
+        "block=3 file=1 tx={1,2} cachedRx={1} zf={2} dest=1\n"
+    )
+    net = ["--kt", "4", "--kr", "4", "--n", "4", "--mt", "2", "--mr", "1"]
+    assert cli.main(["verify", *net, "--plan-file", "bad.txt", "--channel-seeds", "1"]) == 1
+    assert capsys.readouterr() == (
+        "malformed plan: W1[tx=13 rx=3] zero-forced at its destination or at a caching receiver\n", ""
+    )
 
 
 @pytest.mark.parametrize(

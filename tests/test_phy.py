@@ -19,6 +19,7 @@ from cachenet.delivery import (
 from cachenet.model import DemandVector, NetworkConfig, SubfileId
 from cachenet.phy import (
     GENERICITY_THRESHOLD,
+    IA_ASSUMPTION_NOTE,
     MAX_SAMPLE_RETRIES,
     ChannelMatrix,
     GenericityError,
@@ -287,7 +288,7 @@ class TestBlockVerification:
         (report,) = verify_plan_phy(cfg, [DeliveryPlan(blocks=plan.blocks[:1], mode=plan.mode)], channel_seeds=[21])
         assert report.ok and report.checked == 24
         assert report.alignment_groups == 4  # one residual group per receiver
-        assert "alignment" in report.note
+        assert IA_ASSUMPTION_NOTE in report.summary()
 
     def test_leak_is_one_violation_per_transmission(self):
         # a tolerance below rounding turns every ZF target's residual gain into a reported leak

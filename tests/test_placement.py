@@ -132,7 +132,7 @@ class TestDecentralized:
         pl = place_decentralized(cfg, seed=1)
         assert pl.padded_bits == 12 and pl.partition_size == 4
         profile = subset_profile(pl, 0)
-        assert sum(profile.counts.values()) == 10  # pad bits excluded
+        assert sum(profile.values()) == 10  # pad bits excluded
 
     def test_requires_file_bits(self):
         with pytest.raises(ConfigurationError, match="file_bits"):
@@ -150,13 +150,13 @@ class TestSubsetProfile:
         cfg = cfg33(file_bits=999)
         pl = place_decentralized(cfg, seed=3)
         for f in range(3):
-            assert sum(subset_profile(pl, f).counts.values()) == 999
+            assert sum(subset_profile(pl, f).values()) == 999
 
     def test_zero_cache_all_uncached(self):
         cfg = cfg33(m_r=0, m_t=3, file_bits=300)
         pl = place_decentralized(cfg, seed=4)
         profile = subset_profile(pl, 0)
-        assert all(rx == frozenset() for _, rx in profile.counts)
+        assert all(rx == frozenset() for _, rx in profile)
 
     def test_class_count_3x3(self):
         assert subfile_class_count(cfg33()) == 24
@@ -164,7 +164,7 @@ class TestSubsetProfile:
         pl = place_decentralized(cfg, seed=6)
         profile = subset_profile(pl, 0)
         # at this size every one of the 24 classes is populated
-        assert len(profile.counts) == 24
+        assert len(profile) == 24
 
     @pytest.mark.parametrize("k_r", [3, 8, 9])
     def test_matches_per_bit_classification(self, k_r):
@@ -177,7 +177,7 @@ class TestSubsetProfile:
                 rx = frozenset(j for j in range(k_r) if pl.rx_mask[j, f, b])
                 key = (frozenset(pl.tx_sets[b // pl.partition_size]), rx)
                 expected[key] = expected.get(key, 0) + 1
-            assert subset_profile(pl, f).counts == expected
+            assert subset_profile(pl, f) == expected
 
     @pytest.mark.parametrize("file_bits", [999, 1000])
     @pytest.mark.parametrize("m_r", [Fraction(0), Fraction(5, 4), Fraction(3)])
@@ -190,7 +190,7 @@ class TestSubsetProfile:
         assert pl.rx_codes.dtype == (np.uint16 if k_r > 8 else np.uint8)
         assert np.array_equal(pl.rx_mask, mask)
         for f in range(cfg.n_files):
-            assert subset_profile(pl, f).counts == per_entry.mask_profile(cfg, mask, f)
+            assert subset_profile(pl, f) == per_entry.mask_profile(cfg, mask, f)
 
     def test_binomial_concentration(self):
         # empirical class sizes stay within 3 sigma of the i.i.d. caching law
@@ -199,9 +199,9 @@ class TestSubsetProfile:
         q = math.floor(cfg.file_bits / 3) / cfg.file_bits  # realized per-bit caching probability
         profile = subset_profile(pl, 0)
         part_real = {ts: 0 for ts in map(frozenset, pl.tx_sets)}
-        for (ts, _), n in profile.counts.items():
+        for (ts, _), n in profile.items():
             part_real[ts] += n
-        for (ts, rx), n in profile.counts.items():
+        for (ts, rx), n in profile.items():
             p = q ** len(rx) * (1 - q) ** (3 - len(rx))
             mean = part_real[ts] * p
             sigma = math.sqrt(part_real[ts] * p * (1 - p))
