@@ -3,6 +3,9 @@
 Placement, ZF/IA/IC delivery planning with signal-dimension accounting,
 numeric zero-forcing verification, and exact sum-DoF / delivery-time
 evaluation for networks with caches at both transmitters and receivers.
+
+The `phy` names load on first access (PEP 562), so importing the package
+does not import numpy, which only sampling and verifying need.
 """
 
 from .delivery import (
@@ -39,16 +42,6 @@ from .model import (
     binomial,
     subsets,
 )
-from .phy import (
-    ChannelMatrix,
-    GenericityError,
-    PrecodingVector,
-    equivalent_gains,
-    minor,
-    sample_channel,
-    verify_plan_phy,
-    zf_weights,
-)
 from .placement import (
     CentralizedPlacement,
     DecentralizedPlacement,
@@ -60,3 +53,16 @@ from .placement import (
 )
 
 __version__ = "0.1.0"
+
+_PHY_NAMES = {
+    "ChannelMatrix", "GenericityError", "PrecodingVector", "equivalent_gains",
+    "minor", "sample_channel", "verify_plan_phy", "zf_weights",
+}
+
+
+def __getattr__(name: str):
+    if name not in _PHY_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import phy
+
+    return getattr(phy, name)

@@ -36,7 +36,6 @@ from .metrics import (
     sweep_figure,
 )
 from .model import ConfigurationError, DemandVector, NetworkConfig, fmt_decimal, fmt_rational
-from .phy import IA_ASSUMPTION_NOTE, verify_plan_phy
 from .placement import MODES, place_centralized, place_decentralized
 
 __all__ = ["main"]
@@ -181,12 +180,12 @@ def cmd_oracle_ndt(args, parser) -> int:
 
 def _print_ledgers(cfg: NetworkConfig, plan: DeliveryPlan) -> list[SubspaceLedger]:
     ledgers = account_plan(cfg, plan)
-    for b, ledger in enumerate(ledgers):
+    for block, ledger in zip(plan.blocks, ledgers):
         dofs = sorted({r.dof for r in ledger.receivers})
         shape = "uniform" if ledger.uniform else "NON-UNIFORM"
         first = ledger.receivers[0]
         print(
-            f"ledger {plan.mode} block={b + 1}: per-user DoF "
+            f"ledger {plan.mode} block={block.position + 1}: per-user DoF "
             f"{'/'.join(fmt_rational(d) for d in dofs)}, desired={first.desired} "
             f"aligned={first.aligned_dims} dims={first.total_dims} ({shape})"
         )
@@ -229,6 +228,9 @@ def _verify(
     args,
     ledgers: list[list[SubspaceLedger]],
 ) -> int:
+    # numpy comes in with phy; only the commands that check a channel pay for it
+    from .phy import IA_ASSUMPTION_NOTE, verify_plan_phy
+
     failures = 0
     completeness = verify_completeness(cfg, plans, args.mode, demand)
     print(f"completeness: {completeness.summary()}")
@@ -238,10 +240,10 @@ def _verify(
             for dest, sub in getattr(completeness, kind)[:10]:
                 print(f"  {kind} for rx {dest + 1}: {sub.label()}")
     for plan, plan_ledgers in zip(plans, ledgers):
-        for b, ledger in enumerate(plan_ledgers):
+        for block, ledger in zip(plan.blocks, plan_ledgers):
             if not ledger.uniform:
                 print(
-                    f"warning: {plan.mode} block={b + 1} has a non-uniform ledger; "
+                    f"warning: {plan.mode} block={block.position + 1} has a non-uniform ledger; "
                     f"accepted, but the schedule is not the rotation-generated one"
                 )
     reports = verify_plan_phy(cfg, plans, channel_seeds=args.channel_seeds, rel_tol=args.tol)

@@ -451,7 +451,8 @@ def parse_plans(text: str) -> list[DeliveryPlan]:
         if not line:
             continue
         if line.startswith("#"):
-            m = re.search(r"mode=(\S+)", line)
+            # a header is a comment whose text starts with mode=; any other comment is ignored
+            m = re.match(r"#\s*mode=(\S+)", line)
             if m:
                 if modes:
                     sections.append({})

@@ -4,6 +4,8 @@ Centralized placement splits every file into C(K_T,t_T)*C(K_R,t_R) equal
 subfiles indexed by (transmitter subset, receiver subset).  Decentralized
 placement keeps the deterministic transmitter partitioning but lets every
 receiver cache a uniformly random fixed-size subset of each file's bits.
+Only the decentralized functions use numpy, and each imports it where it
+runs, so the exact commands never load it.
 """
 
 from __future__ import annotations
@@ -11,8 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .model import (
     ConfigurationError,
@@ -22,6 +23,9 @@ from .model import (
     fmt_index_set,
     subsets,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "CentralizedPlacement",
@@ -130,6 +134,8 @@ class DecentralizedPlacement:
     @property
     def rx_mask(self) -> np.ndarray:
         """`rx_mask[j, f, b]` is True when receiver j cached bit b of file f; built anew on each access."""
+        import numpy as np
+
         shifts = np.arange(self.cfg.k_r, dtype=self.rx_codes.dtype)[:, None, None]
         return (self.rx_codes >> shifts & 1).astype(bool)
 
@@ -143,6 +149,8 @@ class DecentralizedPlacement:
 
     def cached_bits(self, rx: int, file: int) -> np.ndarray:
         """Sorted bit indices cached by `rx` for `file`."""
+        import numpy as np
+
         return np.flatnonzero(self.rx_codes[file] >> rx & 1)
 
     def export_text(self) -> str:
@@ -166,6 +174,8 @@ class DecentralizedPlacement:
 
 
 def _as_ranges(indices: np.ndarray) -> list[str]:
+    import numpy as np
+
     if indices.size == 0:
         return []
     breaks = np.flatnonzero(np.diff(indices) > 1)
@@ -194,6 +204,8 @@ def place_decentralized(cfg: NetworkConfig, seed: int) -> DecentralizedPlacement
     equal-size; pad bits carry no content and are never cached or delivered.
     Deterministic given `seed`.
     """
+    import numpy as np
+
     check_corner(cfg, "decentralized")
     if cfg.file_bits is None:
         raise ConfigurationError("decentralized placement needs file_bits set on the config")
@@ -212,6 +224,8 @@ def place_decentralized(cfg: NetworkConfig, seed: int) -> DecentralizedPlacement
 
 def subset_profile(placement: DecentralizedPlacement, file: int) -> dict[tuple[frozenset[int], frozenset[int]], int]:
     """Bit counts of `file`, every real bit classified by (tx partition, exact caching receiver set)."""
+    import numpy as np
+
     cfg = placement.cfg
     if not 0 <= file < cfg.n_files:
         raise ValueError(f"file index {file} outside [0, {cfg.n_files})")

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from cachenet import cli, delivery, metrics, placement
+from cachenet.model import NetworkConfig
 from conftest import cachenet_env
 
 BASE = [sys.executable, "-m", "cachenet"]
@@ -299,6 +300,41 @@ def test_verify_off_pattern_plan_warns_but_passes(tmp_path):
     )
     assert r.returncode == 0
     assert "warning" in r.stdout and "non-uniform" in r.stdout
+
+
+def test_verify_names_the_non_uniform_block_by_its_position(tmp_path, monkeypatch, capsys):
+    # with block 2 gone and block 3 cut short, the warning and the ledger lines name block 3, not the 2nd block read
+    monkeypatch.chdir(tmp_path)
+    net = ["--kt", "4", "--kr", "4", "--n", "4", "--mt", "2", "--mr", "1"]
+    assert cli.main(["plan", *net, "--out", "q.txt"]) == 0
+    no_block_2 = [ln for ln in (tmp_path / "q.txt").read_text().splitlines(True) if not ln.startswith("block=2 ")]
+    lines = list(no_block_2)
+    del lines[next(i for i, ln in enumerate(lines) if ln.startswith("block=3 "))]
+    (tmp_path / "gapped.txt").write_text("".join(lines))
+    capsys.readouterr()
+    assert cli.main(["verify", *net, "--plan-file", "gapped.txt", "--channel-seeds", "1"]) == 1
+    warnings = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("warning:")]
+    assert warnings == [
+        "warning: centralized block=3 has a non-uniform ledger; "
+        "accepted, but the schedule is not the rotation-generated one"
+    ]
+    [plan] = delivery.parse_plans("".join(no_block_2))
+    cli._print_ledgers(NetworkConfig(k_t=4, k_r=4, n_files=4, m_t=2, m_r=1), plan)
+    ledger_blocks = [ln.split()[2] for ln in capsys.readouterr().out.splitlines() if ln.startswith("ledger ")]
+    assert ledger_blocks == ["block=1:", "block=3:"]
+
+
+def test_verify_ignores_a_comment_that_mentions_mode(tmp_path, monkeypatch, capsys):
+    # only a comment whose text starts with mode= is a plan header; a note quoting one splits nothing
+    monkeypatch.chdir(tmp_path)
+    net = ["--kt", "3", "--kr", "3", "--n", "3", "--mt", "2", "--mr", "1"]
+    assert cli.main(["plan", *net, "--out", "p.txt"]) == 0
+    lines = (tmp_path / "p.txt").read_text().splitlines(True)
+    for note in ("# hand-edited: was mode=decentralized-tier(1) before, see notes\n", "# checked by hand\n"):
+        (tmp_path / "noted.txt").write_text("".join(lines[:6] + [note] + lines[6:]))
+        capsys.readouterr()
+        assert cli.main(["verify", *net, "--plan-file", "noted.txt", "--channel-seeds", "1"]) == 0
+        assert "completeness: complete: 18 scheduled transmissions" in capsys.readouterr().out
 
 
 def test_decentralized_plan_and_verify(tmp_path):

@@ -409,6 +409,16 @@ def test_parse_plans_single_plan():
     assert parse_plans("") == [DeliveryPlan(blocks=(), mode="unknown")]
 
 
+def test_parse_plans_headers_are_comments_starting_with_mode():
+    cfg = cfg44()
+    _, plan = centralized_setup(cfg)
+    header, *entries = serialize_plan(plan).splitlines(True)
+    noted = "".join([header, "# was mode=decentralized-tier(1), see mode=x\n", *entries])
+    assert parse_plans(noted) == [plan]
+    assert parse_plans("#mode=centralized\n" + "".join(entries)) == [plan]
+    assert [p.mode for p in parse_plans("# mode=a\n#  mode=b extra\n")] == ["a", "b"]
+
+
 def test_block_entries_must_share_one_block_index():
     # every record of a block carries the block's position, also when it is a plan's only block
     cfg = cfg44()
