@@ -3,13 +3,14 @@
 Every command is deterministic given its flags and seeds; reruns produce
 byte-identical output.  Exit status 0 means no verification failure and no
 configuration error; verification failures exit 1, usage and configuration
-errors exit 2.
+errors exit 2, and a reader that closes stdout early gives 141, as SIGPIPE would.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -277,6 +278,10 @@ def cmd_verify(args, parser) -> int:
     try:
         # accounting checks each label once, so the first malformed run fails first
         ledgers = [account_plan(cfg, p) for p in plans]
+        # phy sizes its genericity check by the ZF target counts, so infeasible ZF is caught first
+        for p in plans:
+            for position, r in p.runs():
+                r.check_zf(position)
     except ConfigurationError as exc:
         print(f"malformed plan: {exc}")
         return 1
@@ -380,7 +385,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         _merge_config(args, config_keys)
-        return args.func(args, parser)
+        code = args.func(args, parser)
+        sys.stdout.flush()  # a reader that closed stdout early shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # not a configuration error: point stdout at devnull so the exit-time flush is quiet; 128 + SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ConfigurationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

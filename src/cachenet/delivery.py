@@ -96,6 +96,15 @@ class Run(NamedTuple):
                 f"{self._label(self.tx_sets[0])} zero-forced at its destination or at a caching receiver"
             )
 
+    def check_zf(self, position: int) -> None:
+        """Reject a tx set too small to zero-force at the run's targets: m targets need m+1 transmitters."""
+        m = len(self.zf_targets)
+        short = next((ts for ts in self.tx_sets if len(ts) <= m), None)
+        if short is not None:
+            raise ConfigurationError(
+                f"block {position + 1}: {self._label(short)} zero-forced at {m} receiver(s) by {len(short)} transmitter(s)"
+            )
+
     def check_indices(self, cfg: NetworkConfig, position: int) -> None:
         """Reject file, transmitter and receiver indices outside `cfg` (e.g. from a plan file), naming the entry.
 

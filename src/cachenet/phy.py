@@ -11,8 +11,11 @@ delivery ledger, and every report says so.
 tier plans) and checks every transmission of every block.  All checks are
 batched, so their cost grows with the number of numpy calls per channel
 rather than with the number of minors or transmissions.  The genericity
-check stays exhaustive and builds the square minors of each size from those
-one size smaller, which checks a 12 x 12 draw in about 0.2 s.  Precoders
+check builds the square minors of each size from those one size smaller.
+`sample_channel` checks every size by default (about 0.2 s for a 12 x 12
+draw); `verify_plan_phy` checks only the sizes its plans' ZF claims rest
+on, up to max |ZF targets| + 1, which at t_T = 2 is sizes 1 and 2 (about
+0.1 ms for a 12 x 12 draw).  Precoders
 are computed once per distinct (transmitter set, ZF targets) pair, found by
 integer ids per run rather than per transmission, with one determinant call
 per target count; every equivalent gain of a channel comes from one matrix
@@ -23,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain, combinations
+from itertools import chain, combinations, islice
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -63,9 +66,11 @@ class ChannelMatrix:
 
     entries: np.ndarray = field(repr=False)
     seed: int
-    # smallest |square minor| of the accepted draw (nan unless drawn by sample_channel) and the draws rejected before it
+    # smallest |square minor| of size <= minor_size in the accepted draw (nan and 0 unless drawn by
+    # sample_channel) and the draws rejected before it
     min_minor: float = float("nan")
     redraws: int = 0
+    minor_size: int = 0
 
     @property
     def k_r(self) -> int:
@@ -129,9 +134,9 @@ def _minors(h: np.ndarray) -> Iterator[np.ndarray]:
         yield minors
 
 
-def _smallest_minor(h: np.ndarray) -> float:
-    """The smallest |square minor| of h over all sizes, not only up to the first size below a threshold."""
-    return min(float(np.abs(minors).min()) for minors in _minors(h))
+def _smallest_minor(h: np.ndarray, max_size: int | None = None) -> float:
+    """The smallest |square minor| of h over every size up to `max_size` (None: all); larger ones are never built."""
+    return min(float(np.abs(minors).min()) for minors in islice(_minors(h), max_size))
 
 
 def sample_channel(
@@ -139,23 +144,30 @@ def sample_channel(
     k_t: int,
     seed: int,
     genericity_threshold: float = GENERICITY_THRESHOLD,
+    max_size: int | None = None,
 ) -> ChannelMatrix:
-    """Deterministic channel draw; re-samples while any square minor is near zero.
+    """Deterministic channel draw; re-samples while any square minor of size <= `max_size` is near zero.
 
-    The check covers all C(K_R+K_T,K_R) - 1 square minors, built size by
-    size in about 1 ms at K = 8 and 0.2 s at K = 12; it is what guarantees
-    every ZF subsystem and equivalent gain the scheme touches is generic.
-    The result keeps the accepted draw's smallest |minor| and the re-draws.
+    By default the check covers all C(K_R+K_T,K_R) - 1 square minors, built
+    size by size in about 1 ms at K = 8 and 0.2 s at K = 12, so every ZF
+    subsystem and equivalent gain of any scheme is generic.  A ZF claim with
+    m targets rests only on minors of sizes m and m+1, so `max_size=m+1`
+    suffices for a plan whose largest target count is m; the draws come in
+    the same order.  The result keeps the accepted draw's smallest checked
+    |minor|, the largest size checked and the re-draws.
     """
     if k_r < 1 or k_t < 1:
         raise ValueError("channel dimensions must be >= 1")
+    if max_size is not None and max_size < 1:
+        raise ValueError(f"largest minor size must be >= 1, got {max_size}")
+    size = min(k_r, k_t) if max_size is None else min(k_r, k_t, max_size)
     rng = np.random.default_rng(seed)
     for redraws in range(MAX_SAMPLE_RETRIES):
         entries = (rng.standard_normal((k_r, k_t)) + 1j * rng.standard_normal((k_r, k_t))) / np.sqrt(2)
-        smallest = _smallest_minor(entries)
+        smallest = _smallest_minor(entries, size)
         if smallest >= genericity_threshold:
             entries.setflags(write=False)
-            return ChannelMatrix(entries=entries, seed=seed, min_minor=smallest, redraws=redraws)
+            return ChannelMatrix(entries=entries, seed=seed, min_minor=smallest, redraws=redraws, minor_size=size)
     raise GenericityError(
         f"no generic {k_r}x{k_t} channel found in {MAX_SAMPLE_RETRIES} draws (seed={seed})"
     )
@@ -283,8 +295,9 @@ class PhyReport:
     `worst_leak` is the ZF headroom: the largest |gain at a ZF target| /
     |largest gain| over all checked transmissions (0 when none has a ZF
     target); a transmission leaks when it exceeds the relative tolerance.
-    `genericity_margin` is the channel's smallest |square minor| / GENERICITY_THRESHOLD
-    (nan unless drawn by `sample_channel`), `redraws` the draws rejected before it.
+    `genericity_margin` is the channel's smallest |square minor| / GENERICITY_THRESHOLD over
+    the sizes `sample_channel` checked (its `minor_size`; nan unless drawn by `sample_channel`),
+    `redraws` the draws rejected before it.
     """
 
     seed: int
@@ -438,6 +451,11 @@ def _check(h: ChannelMatrix, layout: _Layout, mag: np.ndarray, rows: np.ndarray,
     )
 
 
+def _minor_size(blocks: tuple[Block, ...]) -> int:
+    """Largest square-minor size the blocks' ZF claims rest on: m+1 for m targets (gains; weights need size m)."""
+    return 1 + max((len(r.zf_targets) for block in blocks for r in block.runs), default=0)
+
+
 def verify_plan_phy(
     cfg: NetworkConfig,
     plans: list[DeliveryPlan],
@@ -448,6 +466,9 @@ def verify_plan_phy(
 
     One report per seed, covering every block of every plan.  `channel_seeds` is a
     non-negative int (seeds 0..n-1) or a list of seeds; `rel_tol` must lie in (0, 1).
+    Channels are checked for genericity only up to the minor size the plans use
+    (`_minor_size`).  The draws come in the exhaustive check's order, so the two
+    pick different channels only where a minor that no ZF claim uses is degenerate.
     """
     if not 0 < rel_tol < 1:
         raise ValueError(f"relative ZF tolerance must lie in (0, 1), got {rel_tol}")
@@ -458,9 +479,10 @@ def verify_plan_phy(
         return []
     layout = _layout(tuple(block for p in plans for block in p.blocks), cfg.k_r)
     distinct, rows = _precoders(layout.blocks)
+    size = _minor_size(layout.blocks)
     reports = []
     for seed in seeds:
-        h = sample_channel(cfg.k_r, cfg.k_t, seed)
+        h = sample_channel(cfg.k_r, cfg.k_t, seed, max_size=size)
         weights, _ = distinct.weights(h.entries)
         reports.append(_check(h, layout, np.abs(weights @ h.entries.T), rows, rel_tol))
     return reports

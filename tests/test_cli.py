@@ -252,6 +252,55 @@ def test_verify_reports_the_first_malformed_label_past_a_clean_block(tmp_path, m
 
 
 @pytest.mark.parametrize(
+    "net,original,edited,message",
+    [
+        # t_T = 1: a single transmitter cannot null its signal at a receiver
+        (
+            ["--kt", "3", "--kr", "3", "--n", "3", "--mt", "1", "--mr", "1"],
+            "cachedRx={2} zf={} dest=1",
+            "cachedRx={2} zf={3} dest=1",
+            "block 1: W1[tx=1 rx=2] zero-forced at 1 receiver(s) by 1 transmitter(s)",
+        ),
+        # the third tx set of block 1's first run loses a transmitter
+        (
+            ["--kt", "4", "--kr", "4", "--n", "4", "--mt", "2", "--mr", "1"],
+            "tx={1,4} cachedRx={2} zf={3} dest=1",
+            "tx={4} cachedRx={2} zf={3} dest=1",
+            "block 1: W1[tx=4 rx=2] zero-forced at 1 receiver(s) by 1 transmitter(s)",
+        ),
+    ],
+    ids=["3x3-t1", "4x4-mid-run"],
+)
+def test_verify_zf_infeasible_plan_is_malformed(net, original, edited, message, tmp_path, capsys, monkeypatch):
+    # m ZF targets need m+1 transmitters; the plan is rejected before any channel is checked
+    from cachenet import phy
+
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["plan", *net, "--out", "plan.txt"]) == 0
+    text = (tmp_path / "plan.txt").read_text()
+    assert original in text
+    (tmp_path / "bad.txt").write_text(text.replace(original, edited))
+    monkeypatch.setattr(phy, "verify_plan_phy", lambda *args, **kwargs: pytest.fail("channels checked"))
+    capsys.readouterr()
+    assert cli.main(["verify", *net, "--plan-file", "bad.txt"]) == 1
+    assert capsys.readouterr() == (f"malformed plan: {message}\n", "")
+
+
+def test_closed_stdout_exits_quietly_with_sigpipe_status():
+    # the plan text (about 230 kB) outgrows the pipe buffer, so the writer meets the closed pipe
+    argv = ["plan", "--kt", "8", "--kr", "8", "--n", "8", "--mt", "4", "--mr", "1"]
+    proc = subprocess.Popen(
+        BASE + argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=cachenet_env()
+    )
+    assert proc.stdout.readline() == "# mode=centralized\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert err == ""
+
+
+@pytest.mark.parametrize(
     "edited,message",
     [
         ("block=1 file=1 tx={1,2} cachedRx={2} zf={3} dest=9", "dest index 9 outside 1..4"),

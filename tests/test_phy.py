@@ -1,15 +1,21 @@
 from __future__ import annotations
 
+import importlib.util
 import itertools
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import per_entry
+from cachenet import phy
 from cachenet.delivery import (
+    Block,
     DeliveryPlan,
+    Run,
     ScheduledSubfile,
     build_centralized_plan,
     build_tier_plan,
@@ -24,6 +30,7 @@ from cachenet.phy import (
     ChannelMatrix,
     GenericityError,
     PrecodingVector,
+    _minor_size,
     _minors,
     _precoders,
     _smallest_minor,
@@ -446,13 +453,137 @@ class TestBatchedEquivalence:
         assert any(r.worst_leak > 0.0 for r in reports)
 
     def test_reports_carry_genericity_margin(self):
+        # t_T = 2: one ZF target per transmission, so the margin covers the minors of sizes 1 and 2
         cfg, plan = self._plan44()
         reports = verify_plan_phy(cfg, [plan], channel_seeds=3)
         for r in reports:
-            h = sample_channel(4, 4, r.seed)
+            h = sample_channel(4, 4, r.seed, max_size=2)
+            assert h.minor_size == 2
             assert r.genericity_margin == h.min_minor / GENERICITY_THRESHOLD > 1.0
+            assert h.min_minor >= sample_channel(4, 4, r.seed).min_minor
             assert r.redraws == h.redraws == 0
             assert "margin" not in r.summary() and "redraw" not in r.summary()
+
+
+def _workloads():
+    """The benchmark's job lists, read from perfbench/workloads.py (standard library only) by path."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+def _checked_channels():
+    """(K, t_T, t_R, tier plans?) -> channel seeds of every plan whose channels the goldens,
+    the acceptance suite, the CI steps and `zf-verify` at workload seeds 1-11 check; N = K files."""
+    cases = {
+        (4, 2, 1, False): set(range(5)),  # goldens (2 seeds); acceptance `plan --verify` (3), `verify` (5)
+        (3, 2, 1, True): set(range(2)),  # golden verify-decentralized
+        (10, 2, 1, False): set(range(2)),  # CI 10x10 `plan --verify` (2) and `verify` (1)
+        (6, 2, 1, True): set(range(1)),  # CI 6x6 decentralized `verify`
+        (12, 2, 1, False): set(range(10)),  # CI 12x12 `plan --verify`
+    }
+    workloads = _workloads()
+    for seed in range(1, 12):
+        for job in workloads.make_jobs("zf-verify", seed):
+            k, t_t, t_r, channel_seeds = job.params
+            cases.setdefault((k, t_t, t_r, False), set()).update(channel_seeds)
+    return {case: sorted(seeds) for case, seeds in cases.items()}
+
+
+CHECKED_CHANNELS = _checked_channels()
+
+
+def _plans(k, t_t, t_r, tiers):
+    cfg = NetworkConfig(k_t=k, k_r=k, n_files=k, m_t=t_t, m_r=t_r, file_bits=1000 if tiers else None)
+    demand = DemandVector.worst_case(cfg)
+    if tiers:
+        return cfg, [build_tier_plan(cfg, demand, t) for t in range(k)]
+    return cfg, [build_centralized_plan(cfg, None, demand)]
+
+
+class _Replay:
+    """Stands in for numpy's Generator: `standard_normal` returns the given arrays in turn."""
+
+    def __init__(self, parts):
+        self.parts = iter(parts)
+
+    def standard_normal(self, shape):
+        part = next(self.parts)
+        assert part.shape == shape
+        return part.copy()
+
+
+def spy_minor_sizes(monkeypatch) -> list[int]:
+    """Record the size of every batch of square minors `phy._minors` builds."""
+    sizes: list[int] = []
+    minors = phy._minors
+
+    def spy(h):
+        for size, batch in enumerate(minors(h), start=1):
+            sizes.append(size)
+            yield batch
+
+    monkeypatch.setattr(phy, "_minors", spy)
+    return sizes
+
+
+class TestPlanSizedGenericity:
+    @pytest.mark.parametrize("case", CHECKED_CHANNELS, ids=lambda c: f"{c[0]}x{c[0]}_t{c[1]}_{c[2]}" + "_tiers" * c[3])
+    def test_plan_bound_draws_the_exhaustive_channels(self, case):
+        # the truncated check accepts exactly the draws the exhaustive one accepts, on every seed in use
+        cfg, plans = _plans(*case)
+        size = _minor_size(tuple(b for p in plans for b in p.blocks))
+        assert 1 < size <= cfg.t_t < cfg.k_r
+        for seed in CHECKED_CHANNELS[case]:
+            exhaustive = sample_channel(cfg.k_r, cfg.k_t, seed)
+            truncated = sample_channel(cfg.k_r, cfg.k_t, seed, max_size=size)
+            assert np.array_equal(truncated.entries, exhaustive.entries)
+            assert truncated.redraws == exhaustive.redraws
+            assert (truncated.minor_size, exhaustive.minor_size) == (size, cfg.k_r)
+            assert truncated.min_minor >= exhaustive.min_minor
+
+    def test_8x8_plan_builds_no_minor_above_size_2(self, monkeypatch):
+        cfg, plans = _plans(8, 2, 1, False)
+        sizes = spy_minor_sizes(monkeypatch)
+        reports = verify_plan_phy(cfg, plans, channel_seeds=3)
+        assert all(r.ok for r in reports)
+        assert sizes == [1, 2] * 3
+
+    def test_larger_zf_set_raises_the_bound(self, monkeypatch):
+        # one hand-built run zero-forces at three receivers with four transmitters: sizes up to 4
+        cfg, (plan,) = _plans(8, 2, 1, False)
+        extra = Block(len(plan.blocks), (Run(0, 0, frozenset({1}), frozenset({2, 3, 4}), (frozenset(range(4)),)),))
+        crafted = DeliveryPlan(blocks=(*plan.blocks, extra), mode=plan.mode)
+        assert _minor_size(crafted.blocks) == 4
+        sizes = spy_minor_sizes(monkeypatch)
+        reports = verify_plan_phy(cfg, [crafted], channel_seeds=2)
+        assert all(r.ok for r in reports)
+        assert sizes == [1, 2, 3, 4] * 2
+
+    def test_default_checks_every_size(self, monkeypatch):
+        sizes = spy_minor_sizes(monkeypatch)
+        h = sample_channel(5, 4, seed=3)
+        assert sizes == [1, 2, 3, 4] and h.minor_size == 4
+        with pytest.raises(ValueError, match="largest minor size must be >= 1"):
+            sample_channel(5, 4, seed=3, max_size=0)
+
+    def test_degenerate_minor_above_the_bound_is_accepted_only_by_the_truncated_check(self, monkeypatch):
+        # two draws of real and imaginary parts; in the first, rows 1-3 of column 3 are a real
+        # combination of columns 1 and 2, so one 3 x 3 minor vanishes and no smaller one does
+        parts = [np.random.default_rng(3).standard_normal((4, 4)) for _ in range(4)]
+        for part in parts[:2]:
+            part[:3, 2] = 0.7 * part[:3, 0] - 1.3 * part[:3, 1]
+        planted = (parts[0] + 1j * parts[1]) / np.sqrt(2)
+        assert _smallest_minor(planted, 2) >= GENERICITY_THRESHOLD > _smallest_minor(planted)
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: _Replay(parts))
+        truncated = sample_channel(4, 4, seed=0, max_size=2)
+        assert truncated.redraws == 0 and np.array_equal(truncated.entries, planted)
+        exhaustive = sample_channel(4, 4, seed=0)
+        assert exhaustive.redraws == 1
+        assert np.array_equal(exhaustive.entries, (parts[2] + 1j * parts[3]) / np.sqrt(2))
 
 
 def precoder_plans(k_t, k_r, t_t, t_r, tiers):
