@@ -24,14 +24,11 @@ records for callers that want one record per transmission.
 
 from __future__ import annotations
 
-import functools
 import re
 from collections import Counter
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby
-from operator import itemgetter
 from typing import NamedTuple
 
 from .model import (
@@ -126,11 +123,6 @@ class Run(NamedTuple):
                 )
 
 
-def _encode(pairs: Iterable[tuple[tuple, frozenset[int]]]) -> tuple[Run, ...]:
-    """Runs of ((file, dest, rx_set, zf_targets), tx_set) pairs given in entry order."""
-    return tuple(Run(*label, tuple(tx for _, tx in run)) for label, run in groupby(pairs, key=itemgetter(0)))
-
-
 @dataclass(frozen=True)
 class Block:
     """A channel block's 0-based position and its runs, in entry order; len() counts its entries."""
@@ -199,16 +191,21 @@ class SubspaceLedger:
         ) <= 1
 
     @property
+    def dims(self) -> tuple[int, int]:
+        """(delivered subfiles, block span): the block length is set by the busiest receiver."""
+        return sum(r.desired for r in self.receivers), max((r.total_dims for r in self.receivers), default=0)
+
+    @property
     def sdof(self) -> Fraction:
         """Sum DoF of the block: delivered subfiles per block dimension.
 
-        The block length is set by the busiest receiver, so non-uniform
-        ledgers are normalized by the maximum dimension count.
+        Non-uniform ledgers are normalized by the maximum dimension count.
         """
-        span = max((r.total_dims for r in self.receivers), default=0)
-        if span == 0:
-            return Fraction(0)
-        return Fraction(sum(r.desired for r in self.receivers), span)
+        return _ratio(*self.dims)
+
+
+def _ratio(desired: int, span: int) -> Fraction:
+    return Fraction(desired, span) if span else Fraction(0)
 
 
 def _zf_offsets(k_r: int, cached_offsets: tuple[int, ...], n_zf: int) -> tuple[int, ...]:
@@ -227,17 +224,24 @@ def _cyclic_blocks(k_r: int, n_cached: int, n_zf: int):
     One block per size-n_cached set of nonzero cyclic offsets, in
     lexicographic offset order; every receiver is covered by exactly
     n_cached cache assignments and n_zf ZF assignments in every block.
+    Receiver j's sets are the offset sets rotated by j, built as bitmasks;
+    each distinct set is built once per call and shared by every run using it.
     """
+    full = (1 << k_r) - 1
+    sets: dict[int, frozenset[int]] = {}
+
+    def rotations(offsets: tuple[int, ...]) -> list[frozenset[int]]:
+        mask, out = sum(1 << o for o in offsets), []
+        for _ in range(k_r):
+            if mask not in sets:
+                sets[mask] = frozenset(i for i in range(k_r) if mask >> i & 1)
+            out.append(sets[mask])
+            mask = (mask << 1 | mask >> (k_r - 1)) & full
+        return out
+
     for offset_base in subsets(k_r - 1, n_cached):
         offsets = tuple(s + 1 for s in offset_base)
-        zf_offsets = _zf_offsets(k_r, offsets, n_zf)
-        yield [
-            (
-                frozenset((j + o) % k_r for o in offsets),
-                frozenset((j + z) % k_r for z in zf_offsets),
-            )
-            for j in range(k_r)
-        ]
+        yield list(zip(rotations(offsets), rotations(_zf_offsets(k_r, offsets, n_zf))))
 
 
 def _build_rotation_plan(
@@ -342,7 +346,7 @@ def account_plan(cfg: NetworkConfig, plan: DeliveryPlan) -> list[SubspaceLedger]
 
 def common_sdof(ledgers: list[SubspaceLedger]) -> Fraction:
     """The one sum DoF all block ledgers share (0 for no blocks)."""
-    values = {ledger.sdof for ledger in ledgers}
+    values = {_ratio(*dims) for dims in {ledger.dims for ledger in ledgers}}
     if len(values) > 1:
         raise ConfigurationError(f"blocks have differing sum DoF: {sorted(values)}")
     return values.pop() if values else Fraction(0)
@@ -427,59 +431,78 @@ def _subfile_key(item: tuple[int, SubfileId]):
 
 # -- plan text format ------------------------------------------------------
 
+# an entry line with any whitespace around it; every other line is stripped first
 _LINE_RE = re.compile(
-    r"^block=(\d+) file=(\d+) tx=(\{[0-9,]*\}) cachedRx=(\{[0-9,]*\}) zf=(\{[0-9,]*\}) dest=(\d+)$"
+    r"\s*block=(\d+) file=(\d+) tx=(\{[0-9,]*\}) cachedRx=(\{[0-9,]*\}) zf=(\{[0-9,]*\}) dest=(\d+)\s*"
 )
 
 
 def serialize_plan(plan: DeliveryPlan) -> str:
     """Line-oriented text form, one scheduled subfile per line, 1-based indices."""
-    lines = [f"# mode={plan.mode}"]
-    # a plan has only C(K_T,t_T) distinct transmitter sets; each is formatted once per call
-    tx_text = functools.cache(fmt_index_set)
+    parts = [f"# mode={plan.mode}\n"]
+    # the lines of a run differ only in their tx text; each distinct tx_sets tuple is formatted once per call
+    tx_texts: dict[tuple[frozenset[int], ...], list[str]] = {}
     for position, r in plan.runs():
+        if r.tx_sets not in tx_texts:
+            tx_texts[r.tx_sets] = [fmt_index_set(ts) for ts in r.tx_sets]
         head = f"block={position + 1} file={r.file + 1} tx="
-        tail = f" cachedRx={fmt_index_set(r.rx_set)} zf={fmt_index_set(r.zf_targets)} dest={r.dest + 1}"
-        lines += [head + tx_text(ts) + tail for ts in r.tx_sets]
-    return "\n".join(lines) + "\n"
+        tail = f" cachedRx={fmt_index_set(r.rx_set)} zf={fmt_index_set(r.zf_targets)} dest={r.dest + 1}\n"
+        parts.append(head + (tail + head).join(tx_texts[r.tx_sets]) + tail)
+    return "".join(parts)
 
 
 def parse_plans(text: str) -> list[DeliveryPlan]:
     """Inverse of serialize_plan and of concatenated serialize_plan outputs: one plan per `# mode=` header.
 
     A decentralized run writes one plan per tier into one file; this splits
-    them back apart, so tiers are never merged.  Tolerates comments and blank lines.
+    them back apart, so tiers are never merged.  Tolerates comments, blank
+    lines and whitespace around a line.
     """
     modes: list[str] = []
-    # per plan, each block position's (label, tx_set) pairs in entry order
-    sections: list[dict[int, list[tuple[tuple, frozenset[int]]]]] = [{}]
-    # a plan repeats a few index sets many times; the memo keeps no failed parse
-    index_set = functools.lru_cache(maxsize=None)(parse_index_set)
+    # per plan, each block position's runs as (label, tx sets) pairs in entry order
+    sections: list[dict[int, list[tuple[tuple, list[frozenset[int]]]]]] = [{}]
+    # a plan repeats a few tx sets and labels many times: each distinct text is parsed once
+    tx_sets: dict[str, frozenset[int]] = {}
+    labels: dict[tuple[str, ...], tuple] = {}
+    block_text = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            # a header is a comment whose text starts with mode=; any other comment is ignored
-            m = re.match(r"#\s*mode=(\S+)", line)
-            if m:
-                if modes:
-                    sections.append({})
-                modes.append(m.group(1))
-            continue
-        m = _LINE_RE.match(line)
+        m = _LINE_RE.fullmatch(raw)
         if m is None:
-            raise ValueError(f"line {lineno}: malformed plan entry {line!r}")
+            line = raw.strip()
+            if line.startswith("#"):
+                # a header is a comment whose text starts with mode=; any other comment is ignored
+                m = re.match(r"#\s*mode=(\S+)", line)
+                if m:
+                    if modes:
+                        sections.append({})
+                        block_text = None
+                    modes.append(m.group(1))
+            elif line:
+                raise ValueError(f"line {lineno}: malformed plan entry {line!r}")
+            continue
+        b, file, tx, rx, zf, dest = m.groups()
         try:
-            block = int(m.group(1)) - 1
-            if block < 0:
-                raise ValueError("block index 0 is below 1")
-            tx_set = index_set(m.group(3))
-            label = (int(m.group(2)) - 1, int(m.group(6)) - 1, index_set(m.group(4)), index_set(m.group(5)))
+            if b != block_text:
+                if int(b) < 1:
+                    raise ValueError("block index 0 is below 1")
+                runs = sections[-1].setdefault(int(b) - 1, [])
+                block_text = b
+            if tx not in tx_sets:
+                tx_sets[tx] = parse_index_set(tx)
+            key = (file, rx, zf, dest)
+            if key not in labels:
+                labels[key] = (int(file) - 1, int(dest) - 1, parse_index_set(rx), parse_index_set(zf))
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
-        sections[-1].setdefault(block, []).append((label, tx_set))
+        label = labels[key]
+        if runs and runs[-1][0] == label:
+            runs[-1][1].append(tx_sets[tx])
+        else:
+            runs.append((label, [tx_sets[tx]]))
     return [
-        DeliveryPlan(blocks=tuple(Block(b, _encode(by_block[b])) for b in sorted(by_block)), mode=mode)
+        DeliveryPlan(
+            blocks=tuple(Block(b, tuple(Run(*label, tuple(txs)) for label, txs in by_block[b])) for b in sorted(by_block)),
+            mode=mode,
+        )
         for by_block, mode in zip(sections, modes or ["unknown"])
     ]

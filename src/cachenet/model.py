@@ -184,18 +184,18 @@ def fmt_index_set(s: frozenset[int] | tuple[int, ...]) -> str:
     return "{" + ",".join(str(i + 1) for i in sorted(s)) + "}"
 
 
-_SET_RE = re.compile(r"^\{([0-9,]*)\}$")
+_SET_RE = re.compile(r"\{([0-9]+(?:,[0-9]+)*)?\}")
 
 
 def parse_index_set(text: str) -> frozenset[int]:
-    """Inverse of fmt_index_set: '{1,3}' -> {0, 2}; indices below 1 are rejected."""
-    m = _SET_RE.match(text.strip())
+    """Inverse of fmt_index_set: '{1,3}' -> {0, 2}; empty, repeated and below-1 indices are rejected."""
+    m = _SET_RE.fullmatch(text.strip())
     if m is None:
         raise ValueError(f"malformed index set {text!r}")
-    body = m.group(1)
-    if not body:
-        return frozenset()
-    indices = frozenset(int(tok) - 1 for tok in body.split(","))
-    if min(indices) < 0:
+    tokens = m.group(1).split(",") if m.group(1) else []
+    indices = frozenset(int(tok) - 1 for tok in tokens)
+    if indices and min(indices) < 0:
         raise ValueError(f"index set {text!r} has an index below 1")
+    if len(indices) != len(tokens):
+        raise ValueError(f"index set {text!r} repeats an index")
     return indices

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from itertools import groupby
+from operator import itemgetter
 
 import numpy as np
 
@@ -25,8 +27,8 @@ from cachenet.delivery import (
     ReceiverLedger,
     ScheduledSubfile,
     SubspaceLedger,
+    Run,
     _cyclic_blocks,
-    _encode,
     build_tier_plan,
 )
 from cachenet.model import ConfigurationError, DemandVector, NetworkConfig, SubfileId, binomial, subsets
@@ -36,6 +38,11 @@ from cachenet.placement import expected_fraction
 def entries(block: Block) -> tuple[ScheduledSubfile, ...]:
     """One block's transmissions as flat records, in entry order."""
     return DeliveryPlan(blocks=(block,), mode="block").entries()
+
+
+def _encode(pairs) -> tuple[Run, ...]:
+    """Runs of ((file, dest, rx_set, zf_targets), tx_set) pairs given in entry order."""
+    return tuple(Run(*label, tuple(tx for _, tx in run)) for label, run in groupby(pairs, key=itemgetter(0)))
 
 
 def block_of(records) -> Block:

@@ -331,6 +331,27 @@ def test_verify_out_of_range_index_exits_2(tmp_path, edited, message):
     assert "Traceback" not in r.stderr and r.stdout == ""
 
 
+@pytest.mark.parametrize(
+    "edited,message",
+    [
+        ("tx={1,2} cachedRx={2,,3} zf={3} dest=1", "line 2: malformed index set '{2,,3}'"),
+        ("tx={1,2,1} cachedRx={2} zf={3} dest=1", "line 2: index set '{1,2,1}' repeats an index"),
+    ],
+    ids=["empty-entry", "repeat"],
+)
+def test_verify_bad_index_set_exits_2_naming_the_line(tmp_path, monkeypatch, capsys, edited, message):
+    monkeypatch.chdir(tmp_path)
+    net = ["--kt", "4", "--kr", "4", "--n", "4", "--mt", "2", "--mr", "1"]
+    assert cli.main(["plan", *net, "--out", "plan.txt"]) == 0
+    text = (tmp_path / "plan.txt").read_text()
+    original = "tx={1,2} cachedRx={2} zf={3} dest=1"
+    assert text.splitlines()[1].endswith(original)
+    (tmp_path / "bad.txt").write_text(text.replace(original, edited, 1))
+    capsys.readouterr()
+    assert cli.main(["verify", *net, "--plan-file", "bad.txt"]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_verify_off_pattern_plan_warns_but_passes(tmp_path):
     run_cli(
         "plan", "--kt", "4", "--kr", "4", "--n", "4", "--mt", "2", "--mr", "1",

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -9,9 +10,14 @@ import pytest
 import per_entry
 from per_entry import block_of, entries
 from cachenet.delivery import (
+    Block,
     DeliveryPlan,
     ReceiverLedger,
+    Run,
     ScheduledSubfile,
+    SubspaceLedger,
+    _cyclic_blocks,
+    _zf_offsets,
     account_block,
     account_plan,
     build_centralized_plan,
@@ -23,7 +29,7 @@ from cachenet.delivery import (
     serialize_plan,
     verify_completeness,
 )
-from cachenet.model import ConfigurationError, DemandVector, NetworkConfig, SubfileId, binomial
+from cachenet.model import ConfigurationError, DemandVector, NetworkConfig, SubfileId, binomial, subsets
 from cachenet.placement import place_centralized
 
 
@@ -118,6 +124,39 @@ def test_differing_block_sdofs_rejected():
         common_sdof(account_plan(cfg, crafted))
     assert common_sdof(account_plan(cfg, plan)) == plan_sdof(cfg, plan) == Fraction(24, 7)
     assert common_sdof([]) == 0
+
+
+def test_common_sdof_equal_ratios_from_different_pairs():
+    # (desired, span) = (2, 4) and (1, 2) are one sum DoF; a differing ratio still names both values
+    two_of_four = SubspaceLedger((ReceiverLedger(1, 0, 0, 0, 3), ReceiverLedger(1, 0, 0, 0, 3)))
+    one_of_two = SubspaceLedger((ReceiverLedger(1, 0, 0, 0, 1),))
+    assert (two_of_four.dims, one_of_two.dims) == ((2, 4), (1, 2))
+    assert common_sdof([two_of_four, one_of_two, two_of_four]) == Fraction(1, 2)
+    assert two_of_four.sdof == one_of_two.sdof == Fraction(1, 2)
+    one_of_three = SubspaceLedger((ReceiverLedger(1, 0, 0, 0, 2),))
+    message = "blocks have differing sum DoF: [Fraction(1, 3), Fraction(1, 2)]"
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
+        common_sdof([two_of_four, one_of_three, one_of_two])
+    assert common_sdof([SubspaceLedger(())]) == 0
+
+
+@pytest.mark.parametrize("k_r", range(2, 11))
+def test_cyclic_blocks_match_the_direct_rotation_and_share_equal_sets(k_r):
+    # every tier and ZF count: the same sets in the same order as rotating the offsets receiver by receiver
+    for n_cached in range(k_r):
+        for n_zf in range(k_r - n_cached):
+            direct = []
+            for offset_base in subsets(k_r - 1, n_cached):
+                offsets = tuple(s + 1 for s in offset_base)
+                zf_offsets = _zf_offsets(k_r, offsets, n_zf)
+                direct.append([
+                    (frozenset((j + o) % k_r for o in offsets), frozenset((j + z) % k_r for z in zf_offsets))
+                    for j in range(k_r)
+                ])
+            blocks = list(_cyclic_blocks(k_r, n_cached, n_zf))
+            assert blocks == direct
+            first: dict[frozenset[int], frozenset[int]] = {}
+            assert all(first.setdefault(s, s) is s for block in blocks for pair in block for s in pair)
 
 
 def test_everything_cached_gives_empty_plan():
@@ -417,6 +456,79 @@ def test_parse_plans_headers_are_comments_starting_with_mode():
     assert parse_plans(noted) == [plan]
     assert parse_plans("#mode=centralized\n" + "".join(entries)) == [plan]
     assert [p.mode for p in parse_plans("# mode=a\n#  mode=b extra\n")] == ["a", "b"]
+
+
+def test_parse_plans_accepts_padding_crlf_comments_and_any_block_order():
+    cfg = cfg44()
+    _, plan = centralized_setup(cfg)
+    header, *lines = serialize_plan(plan).splitlines()
+    assert parse_plans("\r\n".join([f" {header}", *(f" \t{ln}  " for ln in lines)]) + "\r\n") == [plan]
+    # the first run has 6 tx sets, so the comment splits it in the middle
+    assert parse_plans("\n".join([header, *lines[:3], "  # a note", *lines[3:]])) == [plan]
+    by_block = [[ln for ln in lines if ln.startswith(f"block={b} ")] for b in (1, 2, 3)]
+    assert parse_plans("\n".join([header, *by_block[2], *by_block[0], *by_block[1]])) == [plan]
+    interleaved = [ln for row in itertools.zip_longest(*by_block) for ln in row if ln]
+    assert interleaved != lines and parse_plans("\n".join([header, *interleaved])) == [plan]
+
+
+def test_parse_plans_keeps_a_label_shared_across_blocks_apart():
+    # one label in blocks 1 and 2: a run per block, and block 1's run continues after block 2's line
+    text = (
+        "# mode=centralized\n"
+        "block=1 file=1 tx={1,2} cachedRx={2} zf={3} dest=1\n"
+        "block=2 file=1 tx={1,3} cachedRx={2} zf={3} dest=1\n"
+        "block=1 file=1 tx={1,4} cachedRx={2} zf={3} dest=1\n"
+        "block=2 file=1 tx={2,3} cachedRx={2} zf={4} dest=1\n"
+    )
+    rx, zf3, zf4 = frozenset({1}), frozenset({2}), frozenset({3})
+    assert parse_plans(text) == [DeliveryPlan(blocks=(
+        Block(0, (Run(0, 0, rx, zf3, (frozenset({0, 1}), frozenset({0, 3}))),)),
+        Block(1, (Run(0, 0, rx, zf3, (frozenset({0, 2}),)), Run(0, 0, rx, zf4, (frozenset({1, 2}),)))),
+    ), mode="centralized")]
+
+
+_GOOD = "block=1 file=1 tx={1,2} cachedRx={2} zf={3} dest=1"
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        (
+            f"# mode=centralized\n{_GOOD}\n  block=1 file=1  tx={{1,3}} cachedRx={{2}} zf={{3}} dest=1 \n",
+            "line 3: malformed plan entry 'block=1 file=1  tx={1,3} cachedRx={2} zf={3} dest=1'",
+        ),
+        (
+            f"\tblock=1 file=1 tx={{1,2}} cachedRx={{2}} zf={{3}} dest=1\tx\n",
+            "line 1: malformed plan entry 'block=1 file=1 tx={1,2} cachedRx={2} zf={3} dest=1\\tx'",
+        ),
+        (
+            f"# mode=centralized\r\n\r\n{_GOOD}\r\nblock=0 file=1 tx={{1,2}} cachedRx={{2}} zf={{3}} dest=1\r\n",
+            "line 4: block index 0 is below 1",
+        ),
+        # the block index is checked before the index sets, and the tx set before cachedRx and zf
+        (
+            f"# mode=centralized\n{_GOOD}\nblock=0 file=1 tx={{0,2}} cachedRx={{5}} zf={{3}} dest=1\n",
+            "line 3: block index 0 is below 1",
+        ),
+        (
+            f"# mode=centralized\n{_GOOD}\n# note\nblock=2 file=1 tx={{0,2}} cachedRx={{5}} zf={{3}} dest=1\n",
+            "line 4: index set '{0,2}' has an index below 1",
+        ),
+        (
+            f"{_GOOD}\nblock=1 file=1 tx={{1,2}} cachedRx={{0}} zf={{0}} dest=1\n",
+            "line 2: index set '{0}' has an index below 1",
+        ),
+        (
+            f"{_GOOD}\nblock=1 file=1 tx={{1,2}} cachedRx={{2}} zf={{0,1}} dest=1\n",
+            "line 2: index set '{0,1}' has an index below 1",
+        ),
+    ],
+    ids=["padded-malformed", "trailing-text", "crlf-block0", "block0-first", "tx-set", "cachedRx", "zf"],
+)
+def test_parse_plans_messages_and_line_numbers(text, message):
+    with pytest.raises(ValueError) as exc:
+        parse_plans(text)
+    assert str(exc.value) == message
 
 
 def test_block_entries_must_share_one_block_index():

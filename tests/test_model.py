@@ -155,3 +155,18 @@ def test_parse_index_set_rejects_zero(text):
     # 1-based text: index 0 would become -1, which numpy wraps to the last receiver
     with pytest.raises(ValueError, match="below 1"):
         parse_index_set(text)
+
+
+@pytest.mark.parametrize("text", ["{1,,2}", "{,}", "{1,}", "{,1}", "{ 1}"])
+def test_parse_index_set_rejects_empty_entries(text):
+    with pytest.raises(ValueError) as exc:
+        parse_index_set(text)
+    assert str(exc.value) == f"malformed index set {text!r}"
+
+
+@pytest.mark.parametrize("text", ["{1,1,2}", "{2,1,2}", "{3,03}"])
+def test_parse_index_set_rejects_repeated_indices(text):
+    # a repeat is never merged away silently
+    with pytest.raises(ValueError) as exc:
+        parse_index_set(text)
+    assert str(exc.value) == f"index set {text!r} repeats an index"
