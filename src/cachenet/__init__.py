@@ -11,7 +11,6 @@ does not import numpy, which only sampling and verifying need.
 from .delivery import (
     DeliveryPlan,
     Run,
-    ScheduledSubfile,
     SubspaceLedger,
     account_block,
     build_centralized_plan,
@@ -54,10 +53,7 @@ from .placement import (
 
 __version__ = "0.1.0"
 
-_PHY_NAMES = {
-    "ChannelMatrix", "GenericityError", "PrecodingVector", "equivalent_gains",
-    "minor", "sample_channel", "verify_plan_phy", "zf_weights",
-}
+_PHY_NAMES = {"ChannelMatrix", "GenericityError", "sample_channel", "verify_plan_phy"}
 
 
 def __getattr__(name: str):

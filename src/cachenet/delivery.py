@@ -17,9 +17,7 @@ equally valid; the cyclic one is the simplest deterministic choice.
 Blocks are stored as runs, the one plan form: consecutive entries that
 differ only in their transmitter set form one `Run`, so a rotation block is
 one run per receiver.  Ledgers, oracle, completeness, label and range
-checks, the plan text format and the phy verifier all read runs;
-`DeliveryPlan.entries()` expands a plan into flat `ScheduledSubfile`
-records for callers that want one record per transmission.
+checks, the plan text format and the phy verifier all read runs.
 """
 
 from __future__ import annotations
@@ -43,7 +41,6 @@ from .model import (
 from .placement import CentralizedPlacement, check_corner
 
 __all__ = [
-    "ScheduledSubfile",
     "Run",
     "Block",
     "DeliveryPlan",
@@ -61,15 +58,6 @@ __all__ = [
     "serialize_plan",
     "parse_plans",
 ]
-
-
-class ScheduledSubfile(NamedTuple):
-    """One subfile transmission as a flat record: the subfile, its destination, ZF targets and block index."""
-
-    subfile: SubfileId
-    dest: int
-    zf_targets: frozenset[int]
-    block: int
 
 
 class Run(NamedTuple):
@@ -144,14 +132,6 @@ class DeliveryPlan:
     def runs(self) -> Iterator[tuple[int, Run]]:
         """(block position, run) of every run, in entry order."""
         return ((block.position, r) for block in self.blocks for r in block.runs)
-
-    def entries(self) -> tuple[ScheduledSubfile, ...]:
-        """Every transmission as a flat record, in entry order."""
-        return tuple(
-            ScheduledSubfile(SubfileId(r.file, ts, r.rx_set), r.dest, r.zf_targets, position)
-            for position, r in self.runs()
-            for ts in r.tx_sets
-        )
 
 
 class ReceiverLedger(NamedTuple):
@@ -455,8 +435,9 @@ def parse_plans(text: str) -> list[DeliveryPlan]:
     """Inverse of serialize_plan and of concatenated serialize_plan outputs: one plan per `# mode=` header.
 
     A decentralized run writes one plan per tier into one file; this splits
-    them back apart, so tiers are never merged.  Tolerates comments, blank
-    lines and whitespace around a line.
+    them back apart, so tiers are never merged: in a file with headers, an
+    entry before the first one is an error.  Tolerates comments, blank lines
+    and whitespace around a line.
     """
     modes: list[str] = []
     # per plan, each block position's runs as (label, tx sets) pairs in entry order
@@ -475,7 +456,10 @@ def parse_plans(text: str) -> list[DeliveryPlan]:
                 if m:
                     if modes:
                         sections.append({})
-                        block_text = None
+                    elif block_text is not None:
+                        first = next(n for n, entry in enumerate(text.splitlines(), 1) if _LINE_RE.fullmatch(entry))
+                        raise ValueError(f"line {first}: plan entry before the first '# mode=' header")
+                    block_text = None
                     modes.append(m.group(1))
             elif line:
                 raise ValueError(f"line {lineno}: malformed plan entry {line!r}")

@@ -17,9 +17,10 @@ draw); `verify_plan_phy` checks only the sizes its plans' ZF claims rest
 on, up to max |ZF targets| + 1, which at t_T = 2 is sizes 1 and 2 (about
 0.1 ms for a 12 x 12 draw).  Precoders
 are computed once per distinct (transmitter set, ZF targets) pair, found by
-integer ids per run rather than per transmission, with one determinant call
-per target count; every equivalent gain of a channel comes from one matrix
-product.
+integer ids per run rather than per transmission; their weights are signed
+square minors, gathered from the tables the same recurrence builds up to the
+largest target count, and every equivalent gain of a channel comes from one
+matrix product.
 """
 
 from __future__ import annotations
@@ -37,12 +38,8 @@ from .model import NetworkConfig, SubfileId, _is_int
 __all__ = [
     "GenericityError",
     "ChannelMatrix",
-    "PrecodingVector",
     "PhyReport",
     "sample_channel",
-    "zf_weights",
-    "equivalent_gains",
-    "minor",
     "verify_plan_phy",
     "IA_ASSUMPTION_NOTE",
 ]
@@ -81,21 +78,6 @@ class ChannelMatrix:
         return self.entries.shape[1]
 
 
-@dataclass(frozen=True)
-class PrecodingVector:
-    """ZF weights across one transmitter subset.
-
-    `weights[i]` applies to the i-th transmitter of the sorted `tx_set` and
-    the largest weight has magnitude 1; `scale` is the positive divisor that
-    restores the raw cofactor weights (weights * scale), whose gains equal
-    signed channel minors exactly.
-    """
-
-    tx_set: tuple[int, ...]
-    weights: np.ndarray = field(repr=False)
-    scale: float
-
-
 @lru_cache(maxsize=None)
 def _combinations(n: int, size: int) -> np.ndarray:
     """All size-`size` subsets of range(n), lexicographically, as rows of a read-only index array."""
@@ -105,9 +87,15 @@ def _combinations(n: int, size: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
+def _rank(n: int, size: int) -> dict[tuple[int, ...], int]:
+    """{subset: its row in _combinations(n, size)} for the size-`size` subsets of range(n) as sorted tuples."""
+    return {c: k for k, c in enumerate(combinations(range(n), size))}
+
+
+@lru_cache(maxsize=None)
 def _drop_index(n: int, size: int) -> np.ndarray:
     """[a, i]: the rank in _combinations(n, size - 1) of row a of _combinations(n, size) without its i-th element."""
-    rank = {c: k for k, c in enumerate(combinations(range(n), size - 1))}
+    rank = _rank(n, size - 1)
     idx = np.array([[rank[c[:i] + c[i + 1 :]] for i in range(size)] for c in combinations(range(n), size)], np.intp)
     idx.setflags(write=False)
     return idx
@@ -186,49 +174,55 @@ def _zf_key(tx_set: Iterable[int], zf_targets: Iterable[int]) -> tuple[tuple[int
     return txs, targets
 
 
-def _members(sets: list[Iterable[int]]) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted members of each set as the rows of one table padded with 0, and the set sizes."""
-    rows = [sorted(s) for s in sets]
-    width = max(map(len, rows), default=0)
-    table = np.array([row + [0] * (width - len(row)) for row in rows], dtype=np.intp).reshape(len(rows), width)
-    return table, np.array(list(map(len, rows)), dtype=np.intp)
+def _ranks(sets: list[Iterable[int]], ids: np.ndarray, n: int, size: int) -> np.ndarray:
+    """Row in _combinations(n, size) of the first `size` sorted members of sets[i], for each i in ids (once per id)."""
+    distinct, inverse = np.unique(ids, return_inverse=True)
+    rank = _rank(n, size)
+    return np.array([rank[tuple(sorted(sets[i])[:size])] for i in distinct.tolist()], dtype=np.intp)[inverse]
 
 
 class _ZfPrecoders:
     """ZF precoders of distinct (tx set, ZF-target set) pairs, prepared once for any channel.
 
-    Pair k is (tx_sets[tx_ids[k]], targets[target_ids[k]]).  Pairs are
-    grouped by their target count m; each group keeps the index arrays of
-    its active transmitters and of its targets, sliced from the sorted
-    member tables, so that on a channel the cofactors of all its
-    m x (m+1) target submatrices come from one stacked det call.
+    Pair k is (tx_sets[tx_ids[k]], targets[target_ids[k]]).  With m targets,
+    the first m+1 sorted transmitters are active and their weights are the
+    m+1 signed cofactors of the m x (m+1) target submatrix (Cramer's rule):
+    minors of size m, read from the `_minors` table at the row of the target
+    set and the `_drop_index` columns of the active set.  Pairs are grouped
+    by m, and the ranks are looked up once per distinct set and channel shape.
     """
 
     def __init__(self, tx_sets: list[Iterable[int]], targets: list[Iterable[int]], tx_ids, target_ids):
         self.tx_sets, self.targets, self.tx_ids, self.target_ids = tx_sets, targets, tx_ids, target_ids
-        tx_table, tx_size = _members(tx_sets)
-        target_table, target_size = _members(targets)
-        m = target_size[target_ids]
-        offenders = np.flatnonzero(m >= tx_size[tx_ids])
+        m = np.array(list(map(len, targets)), dtype=np.intp)[target_ids]
+        offenders = np.flatnonzero(m >= np.array(list(map(len, tx_sets)), dtype=np.intp)[tx_ids])
         if offenders.size:
             _zf_key(tx_sets[tx_ids[offenders[0]]], targets[target_ids[offenders[0]]])  # raises, naming the pair
-        self.groups = []
-        for size in dict.fromkeys(m.tolist()):
-            ks = np.flatnonzero(m == size)
-            self.groups.append((ks, tx_table[tx_ids[ks], : size + 1], target_table[target_ids[ks], :size]))
+        self.groups = [(size, np.flatnonzero(m == size)) for size in dict.fromkeys(m.tolist())]
+        self._index: dict[tuple[int, int], list[tuple[np.ndarray, np.ndarray, np.ndarray]]] = {}
+
+    def _gather(self, k_r: int, k_t: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Per group: each pair's table row, active transmitters and cofactor columns in the size-m table."""
+        index = []
+        for m, ks in self.groups:
+            active = _ranks(self.tx_sets, self.tx_ids[ks], k_t, m + 1)
+            rows = _ranks(self.targets, self.target_ids[ks], k_r, m)
+            index.append((rows, _combinations(k_t, m + 1)[active], _drop_index(k_t, m + 1)[active]))
+        return index
 
     def weights(self, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Normalized weights (pairs x K_T, zero off the active transmitters) and their scales."""
+        if h.shape not in self._index:
+            self._index[h.shape] = self._gather(*h.shape)
         weights = np.zeros((len(self.tx_ids), h.shape[1]), dtype=complex)
         scales = np.ones(len(self.tx_ids))
-        for ks, active, targets in self.groups:
-            m = targets.shape[1]
+        tables = list(islice(_minors(h), max((m for m, _ in self.groups), default=0)))
+        for (m, ks), (rows, active, columns) in zip(self.groups, self._index[h.shape]):
             if m == 0:
                 weights[ks, active[:, 0]] = 1.0
                 continue
-            b = h[targets[:, :, None], active[:, None, :]]
-            # cofactor i drops column i; the lexicographic m-subsets of m+1 columns drop m, ..., 0
-            cofactors = np.linalg.det(b[:, :, _combinations(m + 1, m)[::-1]].transpose(0, 2, 1, 3))
+            # cofactor i drops active column i
+            cofactors = tables[m - 1][rows[:, None], columns]
             cofactors *= (-1.0) ** np.arange(m + 1)
             weights[ks[:, None], active] = cofactors
             scales[ks] = np.max(np.abs(cofactors), axis=1)
@@ -241,51 +235,6 @@ class _ZfPrecoders:
             )
         weights /= scales[:, None]
         return weights, scales
-
-
-def zf_weights(
-    h: ChannelMatrix, tx_set: tuple[int, ...] | frozenset[int], zf_targets: tuple[int, ...] | frozenset[int]
-) -> PrecodingVector:
-    """Precoder across `tx_set` whose equivalent gain vanishes at `zf_targets`.
-
-    With m targets, the first m+1 transmitters of the subset are active and
-    their weights are the alternating-sign maximal minors of the m x (m+1)
-    target submatrix (the null vector by Cramer's rule); remaining
-    transmitters stay silent.  For one target and two transmitters this is
-    the classic (h_t2, -h_t1) swap.
-    """
-    txs, _ = _zf_key(tx_set, zf_targets)
-    first = np.zeros(1, dtype=np.intp)
-    weights, scales = _ZfPrecoders([txs], [zf_targets], first, first).weights(h.entries)
-    return PrecodingVector(tx_set=txs, weights=weights[0, list(txs)], scale=float(scales[0]))
-
-
-def equivalent_gains(h: ChannelMatrix, p: PrecodingVector) -> np.ndarray:
-    """Per-receiver equivalent gain of one precoded transmission."""
-    return h.entries[:, list(p.tx_set)] @ p.weights
-
-
-def minor(h: ChannelMatrix | np.ndarray, rows_removed: Iterable[int], cols_removed: Iterable[int]) -> complex:
-    """Determinant of the submatrix left after deleting the given rows and columns.
-
-    No cofactor sign is applied; callers that need the (-1)^(i+j) factor
-    account for it themselves.
-    """
-    entries = h.entries if isinstance(h, ChannelMatrix) else np.asarray(h)
-    rows = sorted(rows_removed)
-    cols = sorted(cols_removed)
-    if any(not 0 <= r < entries.shape[0] for r in rows) or any(
-        not 0 <= c < entries.shape[1] for c in cols
-    ):
-        raise ValueError("row/column index out of range")
-    remaining = np.delete(np.delete(entries, rows, axis=0), cols, axis=1)
-    if remaining.shape[0] != remaining.shape[1]:
-        raise ValueError(
-            f"minor needs a square remainder, got {remaining.shape[0]}x{remaining.shape[1]}"
-        )
-    if remaining.shape[0] == 0:
-        return complex(1.0)
-    return complex(np.linalg.det(remaining))
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,16 @@
-"""Per-entry reference forms of plan building, checks, the exact accounting and placement, for equivalence tests.
+"""Per-entry reference forms of plan building, checks, the exact accounting, ZF precoding and placement.
 
 The library stores blocks as runs of entries that differ only in their
-transmitter set (`entries` and `block_of` convert between a block and its
-records here), and counts a plan's entries by caching weight and a
-block's transmissions by label before doing any arithmetic.  It checks
-completeness per (dest, file, rx_set) label and finds a plan's distinct
-precoders from integer ids.  It stores a decentralized placement as one
+transmitter set (`entries` and `block_of` convert between a plan or block
+and its `ScheduledSubfile` records here), and counts a plan's entries by
+caching weight and a block's transmissions by label before doing any
+arithmetic.  It checks completeness per (dest, file, rx_set) label, finds
+a plan's distinct precoders from integer ids and gathers their weights
+from batched minor tables.  It stores a decentralized placement as one
 receiver code per file bit.  The functions here do the same work the
-direct way, one scheduled entry or one cached bit at a time, so the tests
-can check that both give the same entries, reports and exact values.
+direct way, one scheduled entry, one determinant or one cached bit at a
+time, so the tests can check that both give the same entries, weights,
+reports and exact values.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import groupby
 from operator import itemgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,7 +28,6 @@ from cachenet.delivery import (
     CompletenessReport,
     DeliveryPlan,
     ReceiverLedger,
-    ScheduledSubfile,
     SubspaceLedger,
     Run,
     _cyclic_blocks,
@@ -35,9 +37,24 @@ from cachenet.model import ConfigurationError, DemandVector, NetworkConfig, Subf
 from cachenet.placement import expected_fraction
 
 
-def entries(block: Block) -> tuple[ScheduledSubfile, ...]:
-    """One block's transmissions as flat records, in entry order."""
-    return DeliveryPlan(blocks=(block,), mode="block").entries()
+class ScheduledSubfile(NamedTuple):
+    """One subfile transmission as a flat record: the subfile, its destination, ZF targets and block index."""
+
+    subfile: SubfileId
+    dest: int
+    zf_targets: frozenset[int]
+    block: int
+
+
+def entries(plan: DeliveryPlan | Block) -> tuple[ScheduledSubfile, ...]:
+    """Every transmission of a plan, or of one block, as a flat record, in entry order."""
+    blocks = (plan,) if isinstance(plan, Block) else plan.blocks
+    return tuple(
+        ScheduledSubfile(SubfileId(r.file, ts, r.rx_set), r.dest, r.zf_targets, block.position)
+        for block in blocks
+        for r in block.runs
+        for ts in r.tx_sets
+    )
 
 
 def _encode(pairs) -> tuple[Run, ...]:
@@ -81,7 +98,7 @@ def tier_fractions(cfg: NetworkConfig, plans: list[DeliveryPlan]) -> list[Fracti
     out = []
     for plan in plans:
         mass = Fraction(0)
-        for e in plan.entries():
+        for e in entries(plan):
             mass += by_weight[len(e.subfile.rx_set)]
         out.append(mass)
     return out
@@ -125,7 +142,7 @@ def verify_completeness(cfg: NetworkConfig, plans: list[DeliveryPlan], mode: str
     needed = {
         (j, (demand.d[j], ts, rs)) for j in range(cfg.k_r) for rs in rx_sets if j not in rs for ts in tx_sets
     }
-    seen = Counter((e.dest, tuple(e.subfile)) for p in plans for e in p.entries())
+    seen = Counter((e.dest, tuple(e.subfile)) for p in plans for e in entries(p))
 
     def listing(keys):
         items = ((dest, SubfileId(*sub)) for dest, sub in keys)
@@ -151,6 +168,33 @@ def precoders(blocks) -> tuple[list[tuple[frozenset[int], frozenset[int]]], list
         index.setdefault((e.subfile.tx_set, e.zf_targets), len(index)) for block in blocks for e in entries(block)
     ]
     return list(index), rows
+
+
+def minor(h: np.ndarray, rows_removed, cols_removed) -> complex:
+    """Determinant of h without the given rows and columns (1 when nothing remains); no cofactor sign."""
+    return complex(np.linalg.det(np.delete(np.delete(h, sorted(rows_removed), axis=0), sorted(cols_removed), axis=1)))
+
+
+def zf_weights(h: np.ndarray, tx_set, zf_targets) -> tuple[np.ndarray, float]:
+    """Cramer's-rule ZF precoder across the sorted `tx_set`, one determinant per weight: (weights, scale).
+
+    With m targets the first m+1 transmitters are active, and weight i is
+    (-1)^i times the minor of the target rows and the active columns without
+    column i; the rest stay silent.  The weights are divided by `scale`, the
+    largest |raw weight|, so the largest has magnitude 1.
+    """
+    txs, targets = sorted(tx_set), sorted(zf_targets)
+    active = txs[: len(targets) + 1]
+    raw = np.zeros(len(txs), dtype=complex)
+    for i in range(len(active)):
+        raw[i] = (-1) ** i * np.linalg.det(h[np.ix_(targets, active[:i] + active[i + 1 :])])
+    scale = float(np.max(np.abs(raw)))
+    return raw / scale, scale
+
+
+def equivalent_gains(h: np.ndarray, tx_set, weights: np.ndarray) -> np.ndarray:
+    """Per-receiver gain of weights applied across the sorted `tx_set`."""
+    return h[:, sorted(tx_set)] @ weights
 
 
 def decentralized_mask(cfg: NetworkConfig, seed: int) -> np.ndarray:
@@ -191,7 +235,7 @@ def mc_ndt_values(cfg: NetworkConfig, demand: DemandVector, seeds: list[int]) ->
         for plan in plans:
             if plan.blocks:
                 bits = sum(
-                    profiles[e.subfile.file].get((e.subfile.tx_set, e.subfile.rx_set), 0) for e in plan.entries()
+                    profiles[e.subfile.file].get((e.subfile.tx_set, e.subfile.rx_set), 0) for e in entries(plan)
                 )
                 total += Fraction(bits, cfg.file_bits) / plan_sdof(cfg, plan)
         values.append(total)

@@ -32,9 +32,10 @@ from cachenet.metrics import (
     sweep_figure,
 )
 from cachenet.model import DemandVector, NetworkConfig, binomial
-from cachenet.phy import equivalent_gains, minor, sample_channel, zf_weights
+from cachenet.phy import _minors, _precoders, sample_channel
 from cachenet.placement import place_centralized, subfile_class_count
 from conftest import cachenet_env
+from per_entry import entries, minor
 
 
 def _pass(criterion: int, detail: str) -> None:
@@ -88,29 +89,31 @@ def test_criterion_3_figure2_corner_values():
 
 
 def test_criterion_4_zf_verification_and_minor_match():
+    # the weights verify_plan_phy uses: the plan's distinct precoders, gathered per channel
     start = time.perf_counter()
     cfg = cfg_4x4()
     placement = place_centralized(cfg)
     plan = build_centralized_plan(cfg, placement, DemandVector.worst_case(cfg))
-    entries = plan.entries()
+    distinct, rows = _precoders(plan.blocks)
+    records = list(zip(entries(plan), rows))
     checked = 0
     for seed in range(100):
         h = sample_channel(4, 4, seed)
-        for e in entries:
-            p = zf_weights(h, e.subfile.tx_set, e.zf_targets)
-            gains = equivalent_gains(h, p)
+        weights, scales = distinct.weights(h.entries)
+        for e, k in records:
+            gains = h.entries @ weights[k]
             gmax = np.max(np.abs(gains))
             for z in e.zf_targets:
                 assert abs(gains[z]) < 1e-9 * gmax
             # two-transmitter gains are signed 2x2 minors of the channel
             target = next(iter(e.zf_targets))
-            raw = gains * p.scale
+            raw = gains * scales[k]
             for j in range(4):
                 if j == target:
                     continue
                 rows_removed = tuple(r for r in range(4) if r not in (j, target))
                 cols_removed = tuple(c for c in range(4) if c not in e.subfile.tx_set)
-                m = minor(h, rows_removed, cols_removed)
+                m = minor(h.entries, rows_removed, cols_removed)
                 assert min(abs(raw[j] - m), abs(raw[j] + m)) < 1e-12 * abs(m)
             checked += 1
     elapsed = time.perf_counter() - start
@@ -184,6 +187,7 @@ def _det_cofactor(a: np.ndarray) -> complex:
 
 
 def test_criterion_8_minor_against_cofactor_oracle():
+    # each minor is read from the `_minors` table of its size, at the ranks of the kept rows and columns
     rng = np.random.default_rng(2024)
     for _ in range(1000):
         n = int(rng.integers(1, 6))
@@ -191,8 +195,10 @@ def test_criterion_8_minor_against_cofactor_oracle():
         k = int(rng.integers(0, n))
         rows = tuple(sorted(rng.choice(n, size=k, replace=False).tolist()))
         cols = tuple(sorted(rng.choice(n, size=k, replace=False).tolist()))
-        got = minor(a, rows, cols)
-        want = _det_cofactor(np.delete(np.delete(a, rows, axis=0), cols, axis=1)) if k < n else 1.0
+        kept = [tuple(i for i in range(n) if i not in removed) for removed in (rows, cols)]
+        ranks = [list(itertools.combinations(range(n), n - k)).index(keep) for keep in kept]
+        got = list(_minors(a))[n - k - 1][tuple(ranks)]
+        want = _det_cofactor(np.delete(np.delete(a, rows, axis=0), cols, axis=1))
         assert abs(got - want) <= 1e-10 * max(abs(want), 1e-300)
     _pass(8, "1000 random minors up to 5x5 match cofactor expansion < 1e-10")
 

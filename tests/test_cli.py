@@ -175,6 +175,73 @@ def test_verify_rejects_a_mode_that_contradicts_the_plan_headers(tmp_path, monke
         assert cli.main(["verify", *net, "--plan-file", "headerless.txt", "--channel-seeds", "1", *flags]) == code
 
 
+NET33 = ["--kt", "3", "--kr", "3", "--n", "3", "--mt", "2", "--mr", "1", "--file-bits", "300"]
+
+
+def tier_plan_lines(tmp_path) -> list[str]:
+    """The lines of the 3x3 decentralized plan file: tier-0, tier-1 and tier-2 headers at lines 1, 11 and 30."""
+    assert cli.main(["plan", *NET33, "--mode", "decentralized", "--out", str(tmp_path / "tiers.txt")]) == 0
+    lines = (tmp_path / "tiers.txt").read_text().splitlines(True)
+    assert [i for i, ln in enumerate(lines, 1) if ln.startswith("#")] == [1, 11, 30]
+    return lines
+
+
+def verify_edited(tmp_path, capsys, lines, *flags) -> tuple[int, str, str]:
+    (tmp_path / "edited.txt").write_text("".join(lines))
+    capsys.readouterr()
+    code = cli.main(["verify", *NET33, "--plan-file", str(tmp_path / "edited.txt"), "--channel-seeds", "1", *flags])
+    return (code, *capsys.readouterr())
+
+
+def test_verify_rejects_entries_before_the_first_header(tmp_path, capsys):
+    # without the tier-0 header, tier 0's entries would join tier 1's plan and verify
+    lines = tier_plan_lines(tmp_path)
+    assert verify_edited(tmp_path, capsys, lines[1:]) == (
+        2, "", "error: line 1: plan entry before the first '# mode=' header\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "decentralized,header,flags",
+    [
+        (True, "decentralized-tier(7)", []),
+        (True, "decentralized-tier(3)", []),
+        (False, "cntralized", []),
+        (False, "cntralized", ["--mode", "centralized"]),
+    ],
+    ids=["tier-7", "tier-kr", "misspelt", "misspelt-with-mode"],
+)
+def test_verify_rejects_an_unknown_plan_header(tmp_path, capsys, decentralized, header, flags):
+    # a header is centralized or decentralized-tier(t) with 0 <= t < K_R; any other is named
+    if decentralized:
+        lines = tier_plan_lines(tmp_path)
+        lines[10] = f"# mode={header}\n"
+    else:
+        assert cli.main(["plan", *NET33, "--out", str(tmp_path / "central.txt")]) == 0
+        lines = (tmp_path / "central.txt").read_text().splitlines(True)
+        lines[0] = f"# mode={header}\n"
+    assert verify_edited(tmp_path, capsys, lines, *flags) == (
+        2,
+        "",
+        f"error: plan header '# mode={header}' is neither centralized nor decentralized-tier(t) with 0 <= t < 3\n",
+    )
+
+
+def test_verify_rejects_a_run_in_the_wrong_tier(tmp_path, capsys):
+    # swap a tier-1 entry with a tier-2 entry: completeness holds, but each plan holds a run of the other tier
+    lines = tier_plan_lines(tmp_path)
+    tier1 = lines.index("block=1 file=1 tx={1,2} cachedRx={2} zf={3} dest=1\n")
+    tier2 = lines.index("block=1 file=1 tx={1,2} cachedRx={2,3} zf={} dest=1\n")
+    lines[tier1], lines[tier2] = lines[tier2], lines[tier1]
+    assert verify_edited(tmp_path, capsys, lines) == (
+        1,
+        "malformed plan: block 1: W1[tx=12 rx=23] cached at 2 receiver(s) in the decentralized-tier(1) plan\n",
+        "",
+    )
+    # the untouched file still verifies
+    assert verify_edited(tmp_path, capsys, tier_plan_lines(tmp_path))[0] == 0
+
+
 def test_ndt_and_oracle_ndt_print_the_same_monte_carlo_line(capsys):
     net = ["--kt", "3", "--kr", "3", "--n", "3", "--mt", "2", "--mr", "1", "--seeds", "2", "--file-bits", "300"]
     lines = []

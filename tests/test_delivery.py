@@ -8,13 +8,12 @@ from fractions import Fraction
 import pytest
 
 import per_entry
-from per_entry import block_of, entries
+from per_entry import ScheduledSubfile, block_of, entries
 from cachenet.delivery import (
     Block,
     DeliveryPlan,
     ReceiverLedger,
     Run,
-    ScheduledSubfile,
     SubspaceLedger,
     _cyclic_blocks,
     _zf_offsets,
@@ -211,7 +210,7 @@ class TestLedgerGrid:
 def test_no_self_targeting():
     for cfg in (cfg44(), cfg44(m_r=2), corner_cfg(4, 3, 3, 1)):
         _, plan = centralized_setup(cfg)
-        for e in plan.entries():
+        for e in entries(plan):
             assert e.dest not in e.subfile.rx_set
             assert not e.zf_targets & ({e.dest} | e.subfile.rx_set)
 
@@ -222,7 +221,7 @@ def test_demand_permutation_leaves_ledgers_unchanged():
     permuted = build_centralized_plan(cfg, None, DemandVector((2, 0, 3, 1)))
     assert account_plan(cfg, base) == account_plan(cfg, permuted)
     # structure identical, only file labels moved
-    for eb, ep in zip(base.entries(), permuted.entries()):
+    for eb, ep in zip(entries(base), entries(permuted)):
         assert (eb.dest, eb.subfile.tx_set, eb.subfile.rx_set, eb.zf_targets) == (
             ep.dest,
             ep.subfile.tx_set,
@@ -237,7 +236,7 @@ def test_duplicate_demands_scheduled_independently():
     plan = build_centralized_plan(cfg, None, demand)
     report = verify_completeness(cfg, [plan], "centralized", demand)
     assert report.complete
-    assert {e.dest for e in plan.entries()} == {0, 1, 2}
+    assert {e.dest for e in entries(plan)} == {0, 1, 2}
 
 
 class TestDecentralizedTiers:
@@ -265,7 +264,7 @@ class TestDecentralizedTiers:
     def test_top_tier_is_broadcast(self):
         cfg = cfg33()
         plan = build_tier_plan(cfg, DemandVector.worst_case(cfg), 2)
-        assert all(e.zf_targets == frozenset() for e in plan.entries())
+        assert all(e.zf_targets == frozenset() for e in entries(plan))
         for ledger in account_plan(cfg, plan):
             assert all(r.aligned_dims == 0 for r in ledger.receivers)
 
@@ -522,8 +521,13 @@ _GOOD = "block=1 file=1 tx={1,2} cachedRx={2} zf={3} dest=1"
             f"{_GOOD}\nblock=1 file=1 tx={{1,2}} cachedRx={{2}} zf={{0,1}} dest=1\n",
             "line 2: index set '{0,1}' has an index below 1",
         ),
+        # in a file with headers, an entry before the first one would join the first header's plan
+        (
+            f"# note\n\n{_GOOD}\n# mode=centralized\n{_GOOD}\n",
+            "line 3: plan entry before the first '# mode=' header",
+        ),
     ],
-    ids=["padded-malformed", "trailing-text", "crlf-block0", "block0-first", "tx-set", "cachedRx", "zf"],
+    ids=["padded-malformed", "trailing-text", "crlf-block0", "block0-first", "tx-set", "cachedRx", "zf", "headless"],
 )
 def test_parse_plans_messages_and_line_numbers(text, message):
     with pytest.raises(ValueError) as exc:
@@ -536,6 +540,6 @@ def test_block_entries_must_share_one_block_index():
     cfg = cfg44()
     _, plan = centralized_setup(cfg)
     moved = DeliveryPlan(blocks=plan.blocks[1:2], mode=plan.mode)
-    assert {e.block for e in moved.entries()} == {1} and len(moved.entries()) == len(plan.blocks[1])
+    assert {e.block for e in entries(moved)} == {1} and len(entries(moved)) == len(plan.blocks[1])
     text = serialize_plan(moved)
     assert text.splitlines()[1].startswith("block=2 ") and parse_plans(text) == [moved]

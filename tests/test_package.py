@@ -15,7 +15,7 @@ from conftest import cachenet_env
 # every name the package namespace offers, by the submodule that defines it
 EXPORTS = {
     "delivery": (
-        "DeliveryPlan", "Run", "ScheduledSubfile", "SubspaceLedger", "account_block", "build_centralized_plan",
+        "DeliveryPlan", "Run", "SubspaceLedger", "account_block", "build_centralized_plan",
         "build_decentralized_plan", "build_tier_plan", "parse_plans", "plan_sdof", "serialize_plan",
         "verify_completeness",
     ),
@@ -24,10 +24,7 @@ EXPORTS = {
         "sdof_achievable", "sdof_baseline", "sdof_report", "sweep_figure",
     ),
     "model": ("ConfigurationError", "DemandVector", "NetworkConfig", "SubfileId", "binomial", "subsets"),
-    "phy": (
-        "ChannelMatrix", "GenericityError", "PrecodingVector", "equivalent_gains", "minor", "sample_channel",
-        "verify_plan_phy", "zf_weights",
-    ),
+    "phy": ("ChannelMatrix", "GenericityError", "sample_channel", "verify_plan_phy"),
     "placement": (
         "CentralizedPlacement", "DecentralizedPlacement", "expected_fraction", "place_centralized",
         "place_decentralized", "subfile_class_count", "subset_profile",

@@ -16,7 +16,6 @@ from cachenet.delivery import (
     Block,
     DeliveryPlan,
     Run,
-    ScheduledSubfile,
     build_centralized_plan,
     build_tier_plan,
     parse_plans,
@@ -29,19 +28,34 @@ from cachenet.phy import (
     MAX_SAMPLE_RETRIES,
     ChannelMatrix,
     GenericityError,
-    PrecodingVector,
     _minor_size,
     _minors,
     _precoders,
     _smallest_minor,
-    equivalent_gains,
-    minor,
     sample_channel,
     verify_plan_phy,
-    zf_weights,
 )
 from cachenet.placement import place_centralized
-from per_entry import block_of, entries
+from per_entry import ScheduledSubfile, block_of, entries, equivalent_gains, minor
+
+
+def library_precoder(h: ChannelMatrix, tx_set, zf_targets) -> tuple[np.ndarray, float]:
+    """The weights across the sorted tx set and the scale of one precoder, built as `verify_plan_phy` builds it.
+
+    That is `_precoders` of a one-entry block, then its `weights` on the channel.
+    """
+    block = Block(0, (Run(0, 0, frozenset(), frozenset(zf_targets), (frozenset(tx_set),)),))
+    distinct, _ = _precoders((block,))
+    weights, scales = distinct.weights(h.entries)
+    return weights[0, sorted(tx_set)], float(scales[0])
+
+
+def table_minor(h, rows_removed, cols_removed) -> complex:
+    """The minor of h without the given rows and columns, read from the `_minors` table of its size."""
+    h = h.entries if isinstance(h, ChannelMatrix) else h
+    kept = [tuple(i for i in range(n) if i not in removed) for n, removed in zip(h.shape, (rows_removed, cols_removed))]
+    ranks = [list(itertools.combinations(range(n), len(kept[0]))).index(keep) for n, keep in zip(h.shape, kept)]
+    return complex(list(_minors(h))[len(kept[0]) - 1][tuple(ranks)])
 
 
 def det_cofactor(a: np.ndarray) -> complex:
@@ -179,49 +193,49 @@ class TestZfWeights:
     def test_two_tx_swap_rule(self):
         # weights proportional to (h_t2, -h_t1) for two transmitters and one target
         h = sample_channel(4, 4, seed=7)
-        p = zf_weights(h, (0, 1), (2,))
-        raw = p.weights * p.scale
+        weights, scale = library_precoder(h, (0, 1), (2,))
+        raw = weights * scale
         assert raw[0] == pytest.approx(h.entries[2, 1])
         assert raw[1] == pytest.approx(-h.entries[2, 0])
-        assert np.max(np.abs(p.weights)) == pytest.approx(1.0)
+        assert np.max(np.abs(weights)) == pytest.approx(1.0)
 
     def test_single_tx(self):
         h = sample_channel(3, 3, seed=8)
-        p = zf_weights(h, (1,), ())
-        assert p.weights.tolist() == [1.0] and p.scale == 1.0
+        weights, scale = library_precoder(h, (1,), ())
+        assert weights.tolist() == [1.0] and scale == 1.0
 
     def test_three_tx_two_targets_null(self):
         h = sample_channel(4, 4, seed=9)
-        p = zf_weights(h, (0, 1, 2), (1, 3))
-        g = equivalent_gains(h, p)
+        weights, _ = library_precoder(h, (0, 1, 2), (1, 3))
+        g = equivalent_gains(h.entries, (0, 1, 2), weights)
         gmax = np.max(np.abs(g))
         assert abs(g[1]) < 1e-9 * gmax and abs(g[3]) < 1e-9 * gmax
 
     def test_fewer_targets_than_capacity(self):
         # three cooperating transmitters, one target: only two stay active
         h = sample_channel(3, 3, seed=10)
-        p = zf_weights(h, (0, 1, 2), (2,))
-        assert p.weights[2] == 0
-        g = equivalent_gains(h, p)
+        weights, _ = library_precoder(h, (0, 1, 2), (2,))
+        assert weights[2] == 0
+        g = equivalent_gains(h.entries, (0, 1, 2), weights)
         assert abs(g[2]) < 1e-9 * np.max(np.abs(g))
 
     def test_too_many_targets(self):
         h = sample_channel(4, 4, seed=11)
         with pytest.raises(GenericityError):
-            zf_weights(h, (0, 1), (2, 3))
+            library_precoder(h, (0, 1), (2, 3))
 
     def test_degenerate_subsystem(self):
         entries = np.ones((3, 3), dtype=complex)  # repeated rows: no usable null direction
         h = ChannelMatrix(entries=entries, seed=0)
         with pytest.raises(GenericityError):
-            zf_weights(h, (0, 1, 2), (0, 1))
+            library_precoder(h, (0, 1, 2), (0, 1))
 
 
 class TestGains:
     def test_zero_at_target_nonzero_elsewhere(self):
         h = sample_channel(4, 4, seed=12)
-        p = zf_weights(h, (0, 1), (2,))
-        g = equivalent_gains(h, p)
+        weights, _ = library_precoder(h, (0, 1), (2,))
+        g = equivalent_gains(h.entries, (0, 1), weights)
         gmax = np.max(np.abs(g))
         assert abs(g[2]) < 1e-12 * gmax
         for j in (0, 1, 3):
@@ -232,36 +246,38 @@ class TestGains:
         h = sample_channel(4, 4, seed=13)
         for tx_pair in ((0, 1), (1, 3), (2, 3)):
             for target in range(4):
-                p = zf_weights(h, tx_pair, (target,))
-                g = equivalent_gains(h, p) * p.scale
+                weights, scale = library_precoder(h, tx_pair, (target,))
+                g = equivalent_gains(h.entries, tx_pair, weights) * scale
                 for j in range(4):
                     if j == target:
                         continue
                     rows_removed = tuple(r for r in range(4) if r not in (j, target))
                     cols_removed = tuple(c for c in range(4) if c not in tx_pair)
-                    m = minor(h, rows_removed, cols_removed)
+                    m = minor(h.entries, rows_removed, cols_removed)
                     assert min(abs(g[j] - m), abs(g[j] + m)) < 1e-12 * abs(m)
 
     def test_scale_invariance(self):
         h = sample_channel(4, 4, seed=14)
-        p = zf_weights(h, (0, 1, 2), (1, 2))
-        zero_set = {j for j, v in enumerate(equivalent_gains(h, p)) if abs(v) < 1e-9}
-        scaled = PrecodingVector(tx_set=p.tx_set, weights=p.weights * (0.3 - 1.7j), scale=p.scale)
-        zero_set_scaled = {j for j, v in enumerate(equivalent_gains(h, scaled)) if abs(v) < 1e-9}
+        weights, _ = library_precoder(h, (0, 1, 2), (1, 2))
+        zero_set = {j for j, v in enumerate(equivalent_gains(h.entries, (0, 1, 2), weights)) if abs(v) < 1e-9}
+        scaled = weights * (0.3 - 1.7j)
+        zero_set_scaled = {j for j, v in enumerate(equivalent_gains(h.entries, (0, 1, 2), scaled)) if abs(v) < 1e-9}
         assert zero_set == zero_set_scaled
 
 
 class TestMinor:
+    """Minors read from the `_minors` tables, against the determinant and cofactor references."""
+
     def test_2x2(self):
         h = sample_channel(2, 2, seed=15)
-        assert minor(h, (1,), (1,)) == pytest.approx(h.entries[0, 0])
+        assert table_minor(h, (1,), (1,)) == pytest.approx(h.entries[0, 0])
 
     def test_hand_fixture(self):
         entries = np.array([[5, 1, 0], [1, 6, 1], [0, 1, 7]], dtype=complex)
         h = ChannelMatrix(entries=entries, seed=0)
-        assert minor(h, (0,), (0,)) == pytest.approx(6 * 7 - 1)
-        assert minor(h, (2,), (0,)) == pytest.approx(1 * 1 - 0 * 6)
-        assert minor(h, (), ()) == pytest.approx(det_cofactor(entries))
+        assert table_minor(h, (0,), (0,)) == pytest.approx(6 * 7 - 1)
+        assert table_minor(h, (2,), (0,)) == pytest.approx(1 * 1 - 0 * 6)
+        assert table_minor(h, (), ()) == pytest.approx(det_cofactor(entries))
 
     def test_against_cofactor_oracle(self):
         rng = np.random.default_rng(16)
@@ -271,16 +287,9 @@ class TestMinor:
             a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             rows = tuple(sorted(rng.choice(n, size=k, replace=False).tolist()))
             cols = tuple(sorted(rng.choice(n, size=k, replace=False).tolist()))
-            got = minor(a, rows, cols)
             want = det_cofactor(np.delete(np.delete(a, rows, axis=0), cols, axis=1))
-            assert abs(got - want) <= 1e-10 * max(abs(want), 1e-30)
-
-    def test_dimension_mismatch(self):
-        h = sample_channel(3, 4, seed=17)
-        with pytest.raises(ValueError):
-            minor(h, (0,), (0,))  # remainder 2x3
-        with pytest.raises(ValueError):
-            minor(h, (5,), (0,))
+            for got in (table_minor(a, rows, cols), minor(a, rows, cols)):
+                assert abs(got - want) <= 1e-10 * max(abs(want), 1e-30)
 
 
 class TestBlockVerification:
@@ -300,7 +309,7 @@ class TestBlockVerification:
     def test_leak_is_one_violation_per_transmission(self):
         # a tolerance below rounding turns every ZF target's residual gain into a reported leak
         cfg, plan = self._plan44()
-        records = plan.entries()
+        records = entries(plan)
         assert all(len(e.zf_targets) == 1 for e in records)
         for r in verify_plan_phy(cfg, [plan], channel_seeds=5, rel_tol=1e-300):
             assert len(r.violations) == r.checked == len(records) == 72
@@ -324,7 +333,7 @@ class TestBlockVerification:
 
 
 def reference_blocks(h, blocks, rel_tol=1e-9, floor=1e-12):
-    """Per-transmission reference for the batched checks.
+    """Per-transmission reference for the batched checks, on the determinant-per-weight precoders.
 
     Returns (checked, violations, ic_flagged, alignment_groups, worst_leak) over `blocks`.
     """
@@ -334,9 +343,9 @@ def reference_blocks(h, blocks, rel_tol=1e-9, floor=1e-12):
     for block in blocks:
         labels = set()
         for e in entries(block):
-            p = zf_weights(h, e.subfile.tx_set, e.zf_targets)
+            weights, _ = per_entry.zf_weights(h.entries, e.subfile.tx_set, e.zf_targets)
             checked += 1
-            gains = equivalent_gains(h, p)
+            gains = equivalent_gains(h.entries, e.subfile.tx_set, weights)
             gmax = float(np.max(np.abs(gains)))
             issues = []
             for z in sorted(e.zf_targets):
@@ -550,7 +559,8 @@ class TestPlanSizedGenericity:
         sizes = spy_minor_sizes(monkeypatch)
         reports = verify_plan_phy(cfg, plans, channel_seeds=3)
         assert all(r.ok for r in reports)
-        assert sizes == [1, 2] * 3
+        # per channel: the genericity check up to size 2, then the weights' table of size m = 1
+        assert sizes == [1, 2, 1] * 3
 
     def test_larger_zf_set_raises_the_bound(self, monkeypatch):
         # one hand-built run zero-forces at three receivers with four transmitters: sizes up to 4
@@ -561,7 +571,8 @@ class TestPlanSizedGenericity:
         sizes = spy_minor_sizes(monkeypatch)
         reports = verify_plan_phy(cfg, [crafted], channel_seeds=2)
         assert all(r.ok for r in reports)
-        assert sizes == [1, 2, 3, 4] * 2
+        # per channel: the genericity check up to size 4, then the weights' tables up to m = 3
+        assert sizes == [1, 2, 3, 4, 1, 2, 3] * 2
 
     def test_default_checks_every_size(self, monkeypatch):
         sizes = spy_minor_sizes(monkeypatch)
@@ -663,3 +674,40 @@ class TestPrecoderTables:
             distinct.weights(h)
         named = f"degenerate ZF subsystem for tx={tuple(sorted(ts))} targets={tuple(sorted(targets))};"
         assert str(err.value).startswith(named)
+
+
+class TestGatheredWeights:
+    @pytest.mark.parametrize("k,t_t,t_r", [(4, 2, 1), (6, 3, 2), (8, 3, 1), (10, 5, 1)])
+    def test_weights_match_the_determinant_reference(self, k, t_t, t_r):
+        # the minors gathered from the `_minors` tables against one np.linalg.det per weight
+        _, (plan,) = _plans(k, t_t, t_r, False)
+        distinct, _ = _precoders(plan.blocks)
+        h = sample_channel(k, k, seed=k, max_size=t_t)
+        weights, scales = distinct.weights(h.entries)
+        for row, scale, t, z in zip(weights, scales, distinct.tx_ids, distinct.target_ids):
+            txs = sorted(distinct.tx_sets[t])
+            reference, reference_scale = per_entry.zf_weights(h.entries, txs, distinct.targets[z])
+            assert np.flatnonzero(row).tolist() == txs[: len(distinct.targets[z]) + 1]
+            # both are divided by their largest |weight|, so this bound is relative
+            assert np.max(np.abs(row[txs] - reference)) <= 1e-12
+            assert abs(scale - reference_scale) <= 1e-12 * reference_scale
+
+    @pytest.mark.parametrize("tiers", [False, True], ids=["6x6_t3_2", "3x3_tiers"])
+    def test_verification_calls_no_determinant(self, tiers, monkeypatch):
+        cfg, plans = _plans(3, 2, 1, True) if tiers else _plans(6, 3, 2, False)
+        blocks = tuple(b for p in plans for b in p.blocks)
+        before = verify_plan_phy(cfg, plans, channel_seeds=3)
+        references = [
+            reference_blocks(sample_channel(cfg.k_r, cfg.k_t, r.seed, max_size=_minor_size(blocks)), blocks)
+            for r in before
+        ]
+
+        def no_det(*args, **kwargs):
+            raise AssertionError("numpy.linalg.det called")
+
+        monkeypatch.setattr(np.linalg, "det", no_det)
+        after = verify_plan_phy(cfg, plans, channel_seeds=3)
+        assert after == before
+        for report, reference in zip(after, references):
+            assert report.ok
+            assert_matches_reference(report, reference)

@@ -18,7 +18,6 @@ import per_entry
 from cachenet.delivery import (
     DeliveryPlan,
     Run,
-    ScheduledSubfile,
     account_plan,
     build_centralized_plan,
     build_decentralized_plan,
@@ -64,7 +63,7 @@ def test_plans_are_complete(cfg):
         assert report.complete, report.summary()
 
 
-def damage(cfg: NetworkConfig, entries: list[ScheduledSubfile], rnd: random.Random, kind: str) -> None:
+def damage(cfg: NetworkConfig, entries: list[per_entry.ScheduledSubfile], rnd: random.Random, kind: str) -> None:
     """Apply one kind of damage to a random entry, in place."""
     i = rnd.randrange(len(entries))
     e = entries[i]
@@ -90,13 +89,13 @@ def test_completeness_matches_per_entry_reference(cfg, decentral, rnd, damages):
     mode, demand, plans = decentralized(cfg) if decentral else centralized(cfg)
     plans = plans if decentral else [plans]
     assert verify_completeness(cfg, plans, mode, demand) == per_entry.verify_completeness(cfg, plans, mode, demand)
-    entries = [e for p in plans for e in p.entries()]
+    entries = [e for p in plans for e in per_entry.entries(p)]
     rnd.shuffle(entries)
     for kind in damages:
         if entries:
             damage(cfg, entries, rnd, kind)
     # shuffled entries keep their block positions; each position becomes one block
-    by_block: dict[int, list[ScheduledSubfile]] = {}
+    by_block: dict[int, list[per_entry.ScheduledSubfile]] = {}
     for e in entries:
         by_block.setdefault(e.block, []).append(e)
     damaged = [DeliveryPlan(blocks=tuple(map(per_entry.block_of, by_block.values())), mode="damaged")]
@@ -129,8 +128,8 @@ def test_serialize_parse_round_trip(cfg):
     parsed_tiers = parse_plans("".join(serialize_plan(tier) for tier in tiers))
     assert parsed_tiers == tiers
     for p in [parsed, *parsed_tiers]:
-        for e in p.entries():
-            assert type(e) is ScheduledSubfile and type(e.subfile) is SubfileId
+        for e in per_entry.entries(p):
+            assert type(e) is per_entry.ScheduledSubfile and type(e.subfile) is SubfileId
 
 
 @PROPERTY
@@ -143,7 +142,7 @@ def test_run_blocks_match_per_entry_reference(cfg):
         # runs expand to exactly the reference entries, and len() agrees without expanding
         assert [len(block) for block in plan.blocks] == [len(block) for block in reference]
         assert tuple(map(per_entry.entries, plan.blocks)) == reference
-        assert plan.entries() == tuple(e for block in reference for e in block)
+        assert per_entry.entries(plan) == tuple(e for block in reference for e in block)
         # encoding the reference entries gives back the same positions and runs
         assert DeliveryPlan(blocks=tuple(map(per_entry.block_of, reference)), mode=plan.mode) == plan
         assert all(type(r) is Run for block in plan.blocks for r in block.runs)
