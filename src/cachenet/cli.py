@@ -17,10 +17,12 @@ from pathlib import Path
 
 from .delivery import (
     DeliveryPlan,
+    MalformedPlanError,
     SubspaceLedger,
     account_plan,
     build_centralized_plan,
     build_decentralized_plan,
+    check_plan_file,
     common_sdof,
     parse_plans,
     serialize_plan,
@@ -36,7 +38,7 @@ from .metrics import (
     sdof_report,
     sweep_figure,
 )
-from .model import ConfigurationError, DemandVector, NetworkConfig, SubfileId, fmt_decimal, fmt_rational
+from .model import ConfigurationError, DemandVector, NetworkConfig, fmt_decimal, fmt_rational
 from .placement import MODES, place_centralized, place_decentralized
 
 __all__ = ["main"]
@@ -264,57 +266,14 @@ def _verify(
 def cmd_verify(args, parser) -> int:
     cfg = _network(args, parser)
     text = Path(args.plan_file).read_text() if args.plan_file else sys.stdin.read()
-    # a serialized decentralized run concatenates one plan per tier
-    plans = parse_plans(text)
-    tiers = {f"decentralized-tier({t})": t for t in range(cfg.k_r)}
-    headers = [p.mode for p in plans]
-    for mode in headers if headers != ["unknown"] else ():  # a headerless file parses as one plan of mode unknown
-        if mode != "centralized" and mode not in tiers:
-            raise ConfigurationError(
-                f"plan header '# mode={mode}' is neither centralized nor decentralized-tier(t) with 0 <= t < {cfg.k_r}"
-            )
-    # the `# mode=` headers set the mode; an explicit one, from the flag or a config file, must agree
-    header_mode = next((m for m in ("decentralized", "centralized") if any(p.mode.startswith(m) for p in plans)), None)
-    if header_mode and args.mode not in (None, header_mode):
-        raise ConfigurationError(f"mode {args.mode} contradicts the plan file's {header_mode} mode headers")
-    args.mode = header_mode or args.mode or "centralized"
-    for p in plans:
-        for position, r in p.runs():
-            r.check_indices(cfg, position)
-    demand = _infer_demand(cfg, plans, args)
+    demand = DemandVector(args.demand) if args.demand else None
     try:
-        # accounting checks each label once, so the first malformed run fails first
-        ledgers = [account_plan(cfg, p) for p in plans]
-        # phy sizes its genericity check by the ZF target counts, so infeasible ZF is caught first;
-        # a tier plan holds only the subfiles cached at exactly its tier's count of receivers
-        for p in plans:
-            tier = tiers.get(p.mode)
-            for position, r in p.runs():
-                r.check_zf(position)
-                if tier is not None and len(r.rx_set) != tier:
-                    raise ConfigurationError(
-                        f"block {position + 1}: {SubfileId(r.file, r.tx_sets[0], r.rx_set).label()} cached at "
-                        f"{len(r.rx_set)} receiver(s) in the {p.mode} plan"
-                    )
-    except ConfigurationError as exc:
+        plans, args.mode, demand, ledgers = check_plan_file(cfg, parse_plans(text), args.mode, demand)
+    except MalformedPlanError as exc:
         print(f"malformed plan: {exc}")
         return 1
     _check_file_bits(cfg, args)
     return _verify(cfg, plans, demand, args, ledgers)
-
-
-def _infer_demand(cfg: NetworkConfig, plans: list[DeliveryPlan], args) -> DemandVector:
-    if args.demand:
-        return _demand(args, cfg)
-    files: dict[int, int] = {}
-    for p in plans:
-        for _, r in p.runs():
-            if files.setdefault(r.dest, r.file) != r.file:
-                raise ConfigurationError(
-                    f"plan schedules several files for rx {r.dest + 1}; pass --demand explicitly"
-                )
-    d = tuple(files.get(j, j % cfg.n_files) for j in range(cfg.k_r))
-    return DemandVector(d)
 
 
 def cmd_sweep(args, parser) -> int:

@@ -25,7 +25,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -41,6 +41,7 @@ from .model import (
 from .placement import CentralizedPlacement, check_corner
 
 __all__ = [
+    "MalformedPlanError",
     "Run",
     "Block",
     "DeliveryPlan",
@@ -57,7 +58,12 @@ __all__ = [
     "verify_completeness",
     "serialize_plan",
     "parse_plans",
+    "check_plan_file",
 ]
+
+
+class MalformedPlanError(ConfigurationError):
+    """A plan that breaks a rule of the scheme (IC, ZF or tier): `verify` reports it as a failed check."""
 
 
 class Run(NamedTuple):
@@ -75,9 +81,9 @@ class Run(NamedTuple):
     def check(self) -> None:
         """Reject delivery to a caching receiver and ZF at the destination or at a caching receiver."""
         if self.dest in self.rx_set:
-            raise ConfigurationError(f"{self._label(self.tx_sets[0])} scheduled to a receiver that cached it")
+            raise MalformedPlanError(f"{self._label(self.tx_sets[0])} scheduled to a receiver that cached it")
         if self.dest in self.zf_targets or not self.zf_targets.isdisjoint(self.rx_set):
-            raise ConfigurationError(
+            raise MalformedPlanError(
                 f"{self._label(self.tx_sets[0])} zero-forced at its destination or at a caching receiver"
             )
 
@@ -86,7 +92,7 @@ class Run(NamedTuple):
         m = len(self.zf_targets)
         short = next((ts for ts in self.tx_sets if len(ts) <= m), None)
         if short is not None:
-            raise ConfigurationError(
+            raise MalformedPlanError(
                 f"block {position + 1}: {self._label(short)} zero-forced at {m} receiver(s) by {len(short)} transmitter(s)"
             )
 
@@ -127,7 +133,7 @@ class DeliveryPlan:
     """Ordered channel blocks of scheduled transmissions."""
 
     blocks: tuple[Block, ...]
-    mode: str
+    mode: str | None  # None for a plan parsed from a file without `# mode=` headers
 
     def runs(self) -> Iterator[tuple[int, Run]]:
         """(block position, run) of every run, in entry order."""
@@ -434,10 +440,10 @@ def serialize_plan(plan: DeliveryPlan) -> str:
 def parse_plans(text: str) -> list[DeliveryPlan]:
     """Inverse of serialize_plan and of concatenated serialize_plan outputs: one plan per `# mode=` header.
 
-    A decentralized run writes one plan per tier into one file; this splits
-    them back apart, so tiers are never merged: in a file with headers, an
-    entry before the first one is an error.  Tolerates comments, blank lines
-    and whitespace around a line.
+    A decentralized run writes one plan per tier into one file; this splits them back apart, so tiers
+    are never merged: in a file with headers, an entry before the first one is an error.  A file
+    without headers is one plan of mode None, which no header can spell; `check_plan_file` checks what
+    headers say.  Tolerates comments, blank lines and whitespace around a line.
     """
     modes: list[str] = []
     # per plan, each block position's runs as (label, tx sets) pairs in entry order
@@ -488,5 +494,58 @@ def parse_plans(text: str) -> list[DeliveryPlan]:
             blocks=tuple(Block(b, tuple(Run(*label, tuple(txs)) for label, txs in by_block[b])) for b in sorted(by_block)),
             mode=mode,
         )
-        for by_block, mode in zip(sections, modes or ["unknown"])
+        for by_block, mode in zip(sections, modes or [None])
     ]
+
+
+def check_plan_file(
+    cfg: NetworkConfig, plans: list[DeliveryPlan], mode: str | None, demand: DemandVector | None
+) -> tuple[list[DeliveryPlan], str, DemandVector, list[list[SubspaceLedger]]]:
+    """Check the plans parsed from one file; return them with their mode, their demand and their ledgers.
+
+    Bad input raises ConfigurationError, checked first: the first header, in file order, with a bad
+    name, a repeat or a mix of modes; a `mode` that contradicts the headers; indices outside `cfg`;
+    the demand (`demand`, else one file per destination).  A plan that breaks the scheme then raises
+    MalformedPlanError: `Run.check`, `Run.check_zf`, and each tier plan's cache sizes.  A headerless
+    plan is returned with the resolved mode: `mode`, or centralized.
+    """
+    tiers = {f"decentralized-tier({t})": t for t in range(cfg.k_r)}
+    headers = [p.mode for p in plans if p.mode is not None]
+    # every header before the first bad one is distinct and valid, so this loop is at most K_R + 2 long
+    for i, header in enumerate(headers):
+        if header != "centralized" and header not in tiers:
+            raise ConfigurationError(
+                f"plan header '# mode={header}' is neither centralized nor decentralized-tier(t) with 0 <= t < {cfg.k_r}"
+            )
+        if header in headers[:i]:
+            raise ConfigurationError(f"plan header '# mode={header}' repeats an earlier header")
+        if (header == "centralized") != (headers[0] == "centralized"):
+            raise ConfigurationError(f"plan header '# mode={header}' mixes centralized and decentralized plans in one file")
+    header_mode = ("centralized" if headers[0] == "centralized" else "decentralized") if headers else None
+    if header_mode and mode not in (None, header_mode):
+        raise ConfigurationError(f"mode {mode} contradicts the plan file's {header_mode} mode headers")
+    mode = header_mode or mode or "centralized"
+    plans = [p if p.mode else replace(p, mode=mode) for p in plans]
+    for p in plans:
+        for position, r in p.runs():
+            r.check_indices(cfg, position)
+    if demand is None:
+        files: dict[int, int] = {}
+        for p in plans:
+            for _, r in p.runs():
+                if files.setdefault(r.dest, r.file) != r.file:
+                    raise ConfigurationError(f"plan schedules several files for rx {r.dest + 1}; pass --demand explicitly")
+        demand = DemandVector(tuple(files.get(j, j % cfg.n_files) for j in range(cfg.k_r)))
+    demand.validate(cfg)
+    # accounting checks each label once, so the first malformed run fails first
+    ledgers = [account_plan(cfg, p) for p in plans]
+    for p in plans:
+        tier = tiers.get(p.mode)
+        for position, r in p.runs():
+            r.check_zf(position)
+            if tier is not None and len(r.rx_set) != tier:
+                raise MalformedPlanError(
+                    f"block {position + 1}: {r._label(r.tx_sets[0])} cached at "
+                    f"{len(r.rx_set)} receiver(s) in the {p.mode} plan"
+                )
+    return plans, mode, demand, ledgers

@@ -127,14 +127,8 @@ def _smallest_minor(h: np.ndarray, max_size: int | None = None) -> float:
     return min(float(np.abs(minors).min()) for minors in islice(_minors(h), max_size))
 
 
-def sample_channel(
-    k_r: int,
-    k_t: int,
-    seed: int,
-    genericity_threshold: float = GENERICITY_THRESHOLD,
-    max_size: int | None = None,
-) -> ChannelMatrix:
-    """Deterministic channel draw; re-samples while any square minor of size <= `max_size` is near zero.
+def sample_channel(k_r: int, k_t: int, seed: int, max_size: int | None = None) -> ChannelMatrix:
+    """Deterministic channel draw; re-samples while any square minor of size <= `max_size` is below GENERICITY_THRESHOLD.
 
     By default the check covers all C(K_R+K_T,K_R) - 1 square minors, built
     size by size in about 1 ms at K = 8 and 0.2 s at K = 12, so every ZF
@@ -153,25 +147,12 @@ def sample_channel(
     for redraws in range(MAX_SAMPLE_RETRIES):
         entries = (rng.standard_normal((k_r, k_t)) + 1j * rng.standard_normal((k_r, k_t))) / np.sqrt(2)
         smallest = _smallest_minor(entries, size)
-        if smallest >= genericity_threshold:
+        if smallest >= GENERICITY_THRESHOLD:
             entries.setflags(write=False)
             return ChannelMatrix(entries=entries, seed=seed, min_minor=smallest, redraws=redraws, minor_size=size)
     raise GenericityError(
         f"no generic {k_r}x{k_t} channel found in {MAX_SAMPLE_RETRIES} draws (seed={seed})"
     )
-
-
-def _zf_key(tx_set: Iterable[int], zf_targets: Iterable[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(sorted tx_set, sorted zf_targets), rejecting subsets that cannot zero-force."""
-    txs = tuple(sorted(tx_set))
-    targets = tuple(sorted(zf_targets))
-    if not txs:
-        raise ValueError("empty transmitter set")
-    if len(targets) >= len(txs):
-        raise GenericityError(
-            f"{len(txs)} transmitters cannot zero-force at {len(targets)} receivers"
-        )
-    return txs, targets
 
 
 def _ranks(sets: list[Iterable[int]], ids: np.ndarray, n: int, size: int) -> np.ndarray:
@@ -190,14 +171,12 @@ class _ZfPrecoders:
     minors of size m, read from the `_minors` table at the row of the target
     set and the `_drop_index` columns of the active set.  Pairs are grouped
     by m, and the ranks are looked up once per distinct set and channel shape.
+    Every pair has more transmitters than targets (`_precoders` checks it).
     """
 
     def __init__(self, tx_sets: list[Iterable[int]], targets: list[Iterable[int]], tx_ids, target_ids):
         self.tx_sets, self.targets, self.tx_ids, self.target_ids = tx_sets, targets, tx_ids, target_ids
         m = np.array(list(map(len, targets)), dtype=np.intp)[target_ids]
-        offenders = np.flatnonzero(m >= np.array(list(map(len, tx_sets)), dtype=np.intp)[tx_ids])
-        if offenders.size:
-            _zf_key(tx_sets[tx_ids[offenders[0]]], targets[target_ids[offenders[0]]])  # raises, naming the pair
         self.groups = [(size, np.flatnonzero(m == size)) for size in dict.fromkeys(m.tolist())]
         self._index: dict[tuple[int, int], list[tuple[np.ndarray, np.ndarray, np.ndarray]]] = {}
 
@@ -229,10 +208,9 @@ class _ZfPrecoders:
         degenerate = np.flatnonzero(scales < GENERICITY_THRESHOLD)
         if degenerate.size:
             k = degenerate[0]
-            txs, targets = _zf_key(self.tx_sets[self.tx_ids[k]], self.targets[self.target_ids[k]])
-            raise GenericityError(
-                f"degenerate ZF subsystem for tx={txs} targets={targets}; re-sample the channel"
-            )
+            txs = tuple(sorted(self.tx_sets[self.tx_ids[k]]))
+            targets = tuple(sorted(self.targets[self.target_ids[k]]))
+            raise GenericityError(f"degenerate ZF subsystem for tx={txs} targets={targets}; re-sample the channel")
         weights /= scales[:, None]
         return weights, scales
 
@@ -333,16 +311,18 @@ def _precoders(blocks: tuple[Block, ...]) -> tuple[_ZfPrecoders, np.ndarray]:
 
     Tx sets and ZF-target sets get integer ids, and a precoder is one (tx id, target id) pair.  Runs
     with equal tx sets and targets share their precoders, so ids and pairs are looked up once per
-    distinct run label (a built plan shares one `tx_sets` tuple), not once per transmission.
+    distinct run label (a built plan shares one `tx_sets` tuple), not once per transmission.  Each
+    label is checked by `Run.check_zf` at its first run, so the first infeasible run is named.
     """
     tx_index: dict[frozenset[int], int] = {}
     target_index: dict[frozenset[int], int] = {}
     pair_index: dict[tuple[int, int], int] = {}
     rows_of: dict[tuple, np.ndarray] = {}
     rows = [np.zeros(0, dtype=np.intp)]
-    for r in chain.from_iterable(b.runs for b in blocks):
+    for position, r in ((b.position, r) for b in blocks for r in b.runs):
         label = (r.tx_sets, r.zf_targets)
         if label not in rows_of:
+            r.check_zf(position)
             z = target_index.setdefault(r.zf_targets, len(target_index))
             pairs = ((tx_index.setdefault(ts, len(tx_index)), z) for ts in r.tx_sets)
             rows_of[label] = np.array([pair_index.setdefault(p, len(pair_index)) for p in pairs], dtype=np.intp)
@@ -415,6 +395,7 @@ def verify_plan_phy(
 
     One report per seed, covering every block of every plan.  `channel_seeds` is a
     non-negative int (seeds 0..n-1) or a list of seeds; `rel_tol` must lie in (0, 1).
+    A run too small to zero-force at its targets raises MalformedPlanError before any channel is drawn.
     Channels are checked for genericity only up to the minor size the plans use
     (`_minor_size`).  The draws come in the exhaustive check's order, so the two
     pick different channels only where a minor that no ZF claim uses is degenerate.

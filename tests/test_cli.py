@@ -208,8 +208,10 @@ def test_verify_rejects_entries_before_the_first_header(tmp_path, capsys):
         (True, "decentralized-tier(3)", []),
         (False, "cntralized", []),
         (False, "cntralized", ["--mode", "centralized"]),
+        # a headerless file parses as one plan of mode None, so no header text stands for it
+        (False, "unknown", []),
     ],
-    ids=["tier-7", "tier-kr", "misspelt", "misspelt-with-mode"],
+    ids=["tier-7", "tier-kr", "misspelt", "misspelt-with-mode", "unknown"],
 )
 def test_verify_rejects_an_unknown_plan_header(tmp_path, capsys, decentralized, header, flags):
     # a header is centralized or decentralized-tier(t) with 0 <= t < K_R; any other is named
@@ -224,6 +226,22 @@ def test_verify_rejects_an_unknown_plan_header(tmp_path, capsys, decentralized, 
         2,
         "",
         f"error: plan header '# mode={header}' is neither centralized nor decentralized-tier(t) with 0 <= t < 3\n",
+    )
+
+
+def test_verify_rejects_a_centralized_header_in_a_decentralized_file(tmp_path, capsys):
+    # a file holds one centralized plan or tier plans, never both
+    lines = tier_plan_lines(tmp_path)
+    assert verify_edited(tmp_path, capsys, [*lines, "# mode=centralized\n"]) == (
+        2, "", "error: plan header '# mode=centralized' mixes centralized and decentralized plans in one file\n"
+    )
+
+
+def test_verify_rejects_a_repeated_tier_header(tmp_path, capsys):
+    # two sections claiming tier 0 would be checked as two tier-0 plans
+    lines = tier_plan_lines(tmp_path)
+    assert verify_edited(tmp_path, capsys, ["# mode=decentralized-tier(0)\n", *lines]) == (
+        2, "", "error: plan header '# mode=decentralized-tier(0)' repeats an earlier header\n"
     )
 
 

@@ -444,7 +444,7 @@ def test_parse_plans_single_plan():
     cfg = cfg44()
     _, plan = centralized_setup(cfg)
     assert parse_plans(serialize_plan(plan)) == [plan]
-    assert parse_plans("") == [DeliveryPlan(blocks=(), mode="unknown")]
+    assert parse_plans("") == [DeliveryPlan(blocks=(), mode=None)]
 
 
 def test_parse_plans_headers_are_comments_starting_with_mode():

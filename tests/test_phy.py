@@ -15,13 +15,14 @@ from cachenet import phy
 from cachenet.delivery import (
     Block,
     DeliveryPlan,
+    MalformedPlanError,
     Run,
     build_centralized_plan,
     build_tier_plan,
     parse_plans,
     serialize_plan,
 )
-from cachenet.model import DemandVector, NetworkConfig, SubfileId
+from cachenet.model import ConfigurationError, DemandVector, NetworkConfig, SubfileId
 from cachenet.phy import (
     GENERICITY_THRESHOLD,
     IA_ASSUMPTION_NOTE,
@@ -164,8 +165,9 @@ class TestMinorRecurrence:
             assert verdicts[-1] == minors_generic_loop(h, threshold)
         assert any(verdicts) and not all(verdicts)
 
-    def test_forced_redraws_match_loop(self):
+    def test_forced_redraws_match_loop(self, monkeypatch):
         threshold = 0.2
+        monkeypatch.setattr(phy, "GENERICITY_THRESHOLD", threshold)
         total = 0
         for seed in range(20):
             rng = np.random.default_rng(seed)
@@ -173,7 +175,7 @@ class TestMinorRecurrence:
                 entries = complex_gaussian(rng, 3, 3)
                 if minors_generic_loop(entries, threshold):
                     break
-            h = sample_channel(3, 3, seed, genericity_threshold=threshold)
+            h = sample_channel(3, 3, seed)
             assert np.array_equal(h.entries, entries)
             assert h.redraws == redraws
             assert h.min_minor == pytest.approx(smallest_minor_loop(entries), rel=1e-12)
@@ -221,7 +223,7 @@ class TestZfWeights:
 
     def test_too_many_targets(self):
         h = sample_channel(4, 4, seed=11)
-        with pytest.raises(GenericityError):
+        with pytest.raises(ConfigurationError, match="zero-forced at 2 receiver.s. by 2 transmitter.s.$"):
             library_precoder(h, (0, 1), (2, 3))
 
     def test_degenerate_subsystem(self):
@@ -434,8 +436,9 @@ class TestBatchedEquivalence:
         assert len(e.subfile.tx_set) == 2
         bad = ScheduledSubfile(e.subfile, e.dest, frozenset(set(range(4)) - {e.dest}), e.block)
         crafted = DeliveryPlan(blocks=(block_of([bad, *rest]),), mode=plan.mode)
-        with pytest.raises(GenericityError):
+        with pytest.raises(ConfigurationError) as err:
             verify_plan_phy(cfg, [crafted], channel_seeds=1)
+        assert str(err.value) == f"block 1: {bad.subfile.label()} zero-forced at 3 receiver(s) by 2 transmitter(s)"
 
     @pytest.mark.parametrize("rel_tol", [float("nan"), float("inf"), 1.0, 0.0, -1e-9])
     def test_tolerance_outside_unit_interval_rejected(self, rel_tol):
@@ -647,21 +650,25 @@ class TestPrecoderTables:
         return list(entries(plan.blocks[0]))
 
     @pytest.mark.parametrize("first", ["targets", "empty"])
-    def test_first_offending_pair_names_the_error(self, first):
+    def test_first_offending_pair_names_the_error(self, first, monkeypatch):
         records = self._entries44()
         e = records[3]
         too_many = e._replace(zf_targets=frozenset(sorted({0, 1, 2, 3} - {e.dest})[:2]))
         assert len(too_many.subfile.tx_set) == 2
         empty = records[9]._replace(subfile=records[9].subfile._replace(tx_set=frozenset()))
-        # the offender used first is named, whichever kind it is
+        assert len(empty.zf_targets) == 1
+        # the first offender is named by the delivery rule, whichever kind it is, before any channel is drawn
         offenders = [too_many, empty] if first == "targets" else [empty, too_many]
         block = block_of((*records[:2], offenders[0], *records[2:6], offenders[1], *records[6:]))
-        if first == "targets":
-            with pytest.raises(GenericityError, match="^2 transmitters cannot zero-force at 2 receivers$"):
-                _precoders((block,))
-        else:
-            with pytest.raises(ValueError, match="^empty transmitter set$"):
-                _precoders((block,))
+        m, n = (2, 2) if first == "targets" else (1, 0)
+        message = f"block 1: {offenders[0].subfile.label()} zero-forced at {m} receiver(s) by {n} transmitter(s)"
+        monkeypatch.setattr(phy, "sample_channel", lambda *args, **kwargs: pytest.fail("channel drawn"))
+        cfg = NetworkConfig(k_t=4, k_r=4, n_files=4, m_t=2, m_r=1)
+        plan = DeliveryPlan(blocks=(block,), mode="centralized")
+        for check in (lambda: _precoders((block,)), lambda: verify_plan_phy(cfg, [plan], channel_seeds=1)):
+            with pytest.raises(MalformedPlanError) as err:
+                check()
+            assert isinstance(err.value, ConfigurationError) and str(err.value) == message
 
     def test_degenerate_channel_names_the_first_pair(self):
         blocks = (block_of(self._entries44()),)
