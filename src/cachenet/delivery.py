@@ -38,7 +38,7 @@ from .model import (
     parse_index_set,
     subsets,
 )
-from .placement import CentralizedPlacement, check_corner
+from .placement import CentralizedPlacement, check_corner, tx_partition
 
 __all__ = [
     "MalformedPlanError",
@@ -243,7 +243,7 @@ def _build_rotation_plan(
             "delivery needs t_T >= 1 (each subfile held by at least one transmitter)"
         )
     n_zf = min(t_t - 1, cfg.k_r - 1 - n_cached)
-    tx_sets = tuple(frozenset(ts) for ts in subsets(cfg.k_t, t_t))
+    tx_sets = tx_partition(cfg)
     blocks = tuple(
         Block(b, tuple(Run(demand.d[j], j, cached, zf, tx_sets) for j, (cached, zf) in enumerate(assignment)))
         for b, assignment in enumerate(_cyclic_blocks(cfg.k_r, n_cached, n_zf))
@@ -378,7 +378,7 @@ def verify_completeness(
     mode = "centralized" if isinstance(mode, CentralizedPlacement) else mode
     check_corner(cfg, mode)
     demand.validate(cfg)
-    all_tx = {frozenset(ts) for ts in subsets(cfg.k_t, int(cfg.t_t))}
+    all_tx = set(tx_partition(cfg))
     sizes = [int(cfg.t_r)] if mode == "centralized" else range(cfg.k_r + 1)
     rx_sets = [frozenset(rs) for size in sizes for rs in subsets(cfg.k_r, size)]
     needed = {(j, demand.d[j], rs) for j in range(cfg.k_r) for rs in rx_sets if j not in rs}

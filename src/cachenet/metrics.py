@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .delivery import DeliveryPlan, build_decentralized_plan, plan_sdof
 from .model import ConfigurationError, DemandVector, NetworkConfig, binomial, fmt_rational
-from .placement import DecentralizedPlacement, expected_fraction, place_decentralized, subset_profile
+from .placement import DecentralizedPlacement, check_corner, expected_fraction, place_decentralized, subset_profile
 
 __all__ = [
     "DofReport",
@@ -80,18 +80,6 @@ class NdtReport:
     flags: tuple[str, ...]
 
 
-def _require_integral(cfg: NetworkConfig, need_t_r: bool) -> tuple[int, int | None]:
-    if not cfg.t_t_integral:
-        raise ConfigurationError(
-            f"t_T = {cfg.t_t} is not an integer; evaluate integral corners and memory-share"
-        )
-    if need_t_r and not cfg.t_r_integral:
-        raise ConfigurationError(
-            f"t_R = {cfg.t_r} is not an integer; evaluate integral corners and memory-share"
-        )
-    return int(cfg.t_t), int(cfg.t_r) if cfg.t_r_integral else None
-
-
 def sdof_achievable(cfg: NetworkConfig) -> Fraction:
     """Achievable sum-DoF of the ZF+IA+IC scheme at an integral corner point.
 
@@ -99,7 +87,8 @@ def sdof_achievable(cfg: NetworkConfig) -> Fraction:
     receiver resolves its C(K_T,t_T) desired subfiles against the
     interference dimensions that ZF and cached content could not remove.
     """
-    t_t, t_r = _require_integral(cfg, need_t_r=True)
+    check_corner(cfg, "centralized")
+    t_t, t_r = int(cfg.t_t), int(cfg.t_r)
     if t_t < 1:
         raise ConfigurationError("the scheme needs t_T >= 1 (every subfile at some transmitter)")
     c = binomial(cfg.k_t, t_t)
@@ -113,8 +102,8 @@ def sdof_achievable(cfg: NetworkConfig) -> Fraction:
 
 def sdof_baseline(cfg: NetworkConfig) -> Fraction:
     """Sum-DoF of the ZF+IC-only reference scheme: min{t_T + t_R, K_R}."""
-    t_t, t_r = _require_integral(cfg, need_t_r=True)
-    return Fraction(min(t_t + t_r, cfg.k_r))
+    check_corner(cfg, "centralized")
+    return Fraction(min(cfg.t_t + cfg.t_r, cfg.k_r))
 
 
 def sdof_report(cfg: NetworkConfig) -> DofReport:
@@ -137,7 +126,8 @@ def ndt_closed_form(cfg: NetworkConfig) -> Fraction:
     with q = M_R/N.  Evaluated verbatim; see ndt_oracle for the
     scheme-derived value it is checked against.
     """
-    t_t, _ = _require_integral(cfg, need_t_r=False)
+    check_corner(cfg, "decentralized")
+    t_t = int(cfg.t_t)
     q = cfg.m_r / cfg.n_files
     total = Fraction(0)
     for t in range(cfg.k_r):

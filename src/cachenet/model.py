@@ -165,7 +165,7 @@ class DemandVector:
             raise ConfigurationError(f"demand vector has {len(self.d)} entries, expected {cfg.k_r}")
         for f in self.d:
             if not _is_int(f) or not 0 <= f < cfg.n_files:
-                raise ConfigurationError(f"demanded file index {f} outside [0, {cfg.n_files})")
+                raise ConfigurationError(f"demanded file {f + 1 if _is_int(f) else repr(f)} outside 1..{cfg.n_files}")
 
 
 # -- formatting boundary: 1-based display ---------------------------------

@@ -195,13 +195,11 @@ class _ZfPrecoders:
             self._index[h.shape] = self._gather(*h.shape)
         weights = np.zeros((len(self.tx_ids), h.shape[1]), dtype=complex)
         scales = np.ones(len(self.tx_ids))
-        tables = list(islice(_minors(h), max((m for m, _ in self.groups), default=0)))
+        # tables[m] holds the size-m minors; the one minor of size 0 makes every m = 0 weight 1
+        tables = [np.ones((1, 1)), *islice(_minors(h), max((m for m, _ in self.groups), default=0))]
         for (m, ks), (rows, active, columns) in zip(self.groups, self._index[h.shape]):
-            if m == 0:
-                weights[ks, active[:, 0]] = 1.0
-                continue
             # cofactor i drops active column i
-            cofactors = tables[m - 1][rows[:, None], columns]
+            cofactors = tables[m][rows[:, None], columns]
             cofactors *= (-1.0) ** np.arange(m + 1)
             weights[ks[:, None], active] = cofactors
             scales[ks] = np.max(np.abs(cofactors), axis=1)

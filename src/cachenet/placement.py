@@ -36,6 +36,7 @@ __all__ = [
     "expected_fraction",
     "subfile_class_count",
     "check_corner",
+    "tx_partition",
     "MODES",
     "RNG_ALGORITHM",
 ]
@@ -47,6 +48,9 @@ MODES = ("centralized", "decentralized")
 
 # `plan --show` lists at most this many cached bit ranges per receiver and file.
 MAX_RANGES = 8
+
+# The most transmitter sets `tx_partition` builds: C(22,11) = 705,432 fit, C(34,17) do not.
+MAX_TX_SETS = 10**6
 
 
 def check_corner(cfg: NetworkConfig, mode: str) -> None:
@@ -65,6 +69,17 @@ def check_corner(cfg: NetworkConfig, mode: str) -> None:
         )
     if not cfg.t_t_integral:
         raise ConfigurationError(f"decentralized placement needs integral t_T, got {cfg.t_t}")
+
+
+def tx_partition(cfg: NetworkConfig) -> tuple[frozenset[int], ...]:
+    """The C(K_T,t_T) transmitter sets every file is split by, in `subsets` order; refused unbuilt past MAX_TX_SETS."""
+    check_corner(cfg, "decentralized")
+    n_sets = binomial(cfg.k_t, int(cfg.t_t))
+    if n_sets > MAX_TX_SETS:
+        raise ConfigurationError(
+            f"C({cfg.k_t},{int(cfg.t_t)}) = {n_sets} transmitter sets exceed the bound of {MAX_TX_SETS}"
+        )
+    return tuple(map(frozenset, subsets(cfg.k_t, int(cfg.t_t))))
 
 
 @dataclass(frozen=True)
@@ -91,13 +106,13 @@ class CentralizedPlacement:
 
     def _listing(self, n_nodes: int, holders: str) -> dict[int, frozenset[SubfileId]]:
         cfg = self.cfg
-        tx_sets = subsets(cfg.k_t, int(cfg.t_t))
-        rx_sets = subsets(cfg.k_r, int(cfg.t_r))
+        tx_sets = tx_partition(cfg)
+        rx_sets = tuple(map(frozenset, subsets(cfg.k_r, int(cfg.t_r))))
         cache: dict[int, set[SubfileId]] = {node: set() for node in range(n_nodes)}
         for f in range(cfg.n_files):
             for ts in tx_sets:
                 for rs in rx_sets:
-                    sub = SubfileId(f, frozenset(ts), frozenset(rs))
+                    sub = SubfileId(f, ts, rs)
                     for node in getattr(sub, holders):
                         cache[node].add(sub)
         return {node: frozenset(v) for node, v in cache.items()}
@@ -140,12 +155,8 @@ class DecentralizedPlacement:
         return (self.rx_codes >> shifts & 1).astype(bool)
 
     @property
-    def tx_sets(self) -> tuple[tuple[int, ...], ...]:
-        return subsets(self.cfg.k_t, int(self.cfg.t_t))
-
-    @property
     def partition_size(self) -> int:
-        return self.padded_bits // len(self.tx_sets)
+        return self.padded_bits // binomial(self.cfg.k_t, int(self.cfg.t_t))
 
     def cached_bits(self, rx: int, file: int) -> np.ndarray:
         """Sorted bit indices cached by `rx` for `file`."""
@@ -159,9 +170,9 @@ class DecentralizedPlacement:
             f"# decentralized placement kt={self.cfg.k_t} kr={self.cfg.k_r} "
             f"n={self.cfg.n_files} file_bits={self.cfg.file_bits} seed={self.seed} rng={RNG_ALGORITHM}"
         ]
-        for p, ts in enumerate(self.tx_sets):
-            lo, hi = p * self.partition_size, (p + 1) * self.partition_size
-            lines.append(f"tx-partition {fmt_index_set(ts)}: bits {lo}-{hi - 1}")
+        psize = self.partition_size
+        for p, ts in enumerate(tx_partition(self.cfg)):
+            lines.append(f"tx-partition {fmt_index_set(ts)}: bits {p * psize}-{(p + 1) * psize - 1}")
         for j in range(self.cfg.k_r):
             for f in range(self.cfg.n_files):
                 ranges = _as_ranges(self.cached_bits(j, f))
@@ -234,14 +245,14 @@ def subset_profile(placement: DecentralizedPlacement, file: int) -> dict[tuple[f
     codes = placement.rx_codes[file]
     counts: dict[tuple[frozenset[int], frozenset[int]], int] = {}
     psize = placement.partition_size
-    for p, ts in enumerate(placement.tx_sets):
+    for p, ts in enumerate(tx_partition(cfg)):
         lo, hi = p * psize, min((p + 1) * psize, f_bits)
         if lo >= f_bits:
             break
         binc = np.bincount(codes[lo:hi])
         for code in np.flatnonzero(binc):
             rx = frozenset(j for j in range(cfg.k_r) if code >> j & 1)
-            counts[(frozenset(ts), rx)] = int(binc[code])
+            counts[(ts, rx)] = int(binc[code])
     return counts
 
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import io
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -691,3 +692,60 @@ def test_in_range_counts_and_tolerance_are_accepted(tmp_path, monkeypatch, capsy
     monkeypatch.chdir(tmp_path)
     assert cli.main(["plan", "--verify", "--channel-seeds", "0", "--seed", "0", "--tol", "0.5", *NET44]) == 0
     assert "0 transmissions checked over 0 channels" in capsys.readouterr().out
+
+
+def test_sdof_at_a_non_integral_corner_names_the_corner_rule():
+    # metrics applies placement's corner rule, so sdof prints its text
+    r = run_cli("sdof", "--kt", "4", "--kr", "4", "--n", "4", "--mt", "3/2", "--mr", "1")
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr == (
+        "error: centralized placement needs integral replication factors, got t_T=3/2, t_R=1; "
+        "use memory-sharing between integral corners\n"
+    )
+
+
+NET_34 = ["--kt", "34", "--kr", "4", "--n", "4", "--mt", "2", "--mr", "1"]
+
+
+@pytest.mark.parametrize("argv", [["plan", *NET_34, "--verify"], ["ndt", *NET_34]], ids=["plan-verify", "ndt"])
+def test_a_transmitter_partition_past_the_bound_exits_2_before_any_set_is_built(argv, monkeypatch, capsys):
+    # t_T = 17 of 34 transmitters asks for C(34,17) = 2,333,606,220 sets; the count is refused, not built
+    original = placement.subsets
+
+    def spy(ground, size):
+        assert ground < 34, "the transmitter family was built"
+        return original(ground, size)
+
+    for module in (placement, delivery):
+        monkeypatch.setattr(module, "subsets", spy)
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().err == "error: C(34,17) = 2333606220 transmitter sets exceed the bound of 1000000\n"
+    assert peak < 2**24
+
+
+@pytest.mark.parametrize(
+    "net,demand,message",
+    [
+        (NET44, "0,1,2,3", "demanded file 0 outside 1..4"),
+        (NET44, "1,2,3,9", "demanded file 9 outside 1..4"),
+        (["--kt", "3", "--kr", "3", "--n", "3", "--mt", "2", "--mr", "1"], "1,2,4", "demanded file 4 outside 1..3"),
+    ],
+)
+@pytest.mark.parametrize("command", ["ndt", "plan", "verify"])
+def test_a_demand_outside_the_library_names_the_typed_file_number(
+    command, net, demand, message, tmp_path, monkeypatch, capsys
+):
+    # the message names the 1-based number given by --demand or a config file's demand=, not the 0-based index
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["plan", *net, "--out", "plan.txt"]) == 0
+    capsys.readouterr()
+    extra = ["--plan-file", "plan.txt"] if command == "verify" else []
+    (tmp_path / "run.cfg").write_text(f"demand={demand}\n")
+    for source in (["--demand", demand], ["--config", "run.cfg"]):
+        assert cli.main([command, *net, *extra, *source]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")

@@ -78,7 +78,7 @@ class TestSdof:
         assert sdof_baseline(make_cfg(4, 4, 4, 2, 4)) == 4  # clamp at K_R
 
     def test_non_integral_rejected(self):
-        with pytest.raises(ConfigurationError, match="memory-share"):
+        with pytest.raises(ConfigurationError, match="use memory-sharing between integral corners"):
             sdof_achievable(make_cfg(3, 3, 4, 2, 1))
 
     def test_needs_transmitter_caching(self):

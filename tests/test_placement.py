@@ -8,6 +8,7 @@ import pytest
 
 import per_entry
 
+from cachenet import placement
 from cachenet.model import ConfigurationError, NetworkConfig, SubfileId, binomial, subsets
 from cachenet.placement import (
     expected_fraction,
@@ -15,6 +16,7 @@ from cachenet.placement import (
     place_decentralized,
     subfile_class_count,
     subset_profile,
+    tx_partition,
 )
 
 
@@ -144,6 +146,20 @@ class TestDecentralized:
         assert "tx-partition {1,2}: bits 0-9" in text
         assert "rx 1 file 1:" in text
 
+    def test_export_builds_the_partition_once(self, monkeypatch):
+        # one family of C(4,2) = 6 transmitter sets per export, not one per partition line
+        pl = place_decentralized(cfg44(file_bits=600), seed=2)
+        calls = []
+
+        def spy(ground, size):
+            calls.append((ground, size))
+            return subsets(ground, size)
+
+        monkeypatch.setattr(placement, "subsets", spy)
+        text = pl.export_text()
+        assert calls == [(4, 2)]
+        assert text.count("tx-partition") == 6
+
 
 class TestSubsetProfile:
     def test_conserves_bits(self):
@@ -171,11 +187,12 @@ class TestSubsetProfile:
         # 8 receivers fill a one-byte code; 9 need a wider one
         cfg = NetworkConfig(k_t=3, k_r=k_r, n_files=3, m_t=1, m_r=1, file_bits=500)
         pl = place_decentralized(cfg, seed=k_r)
+        tx_sets = tx_partition(cfg)
         for f in range(cfg.n_files):
             expected: dict = {}
             for b in range(cfg.file_bits):
                 rx = frozenset(j for j in range(k_r) if pl.rx_mask[j, f, b])
-                key = (frozenset(pl.tx_sets[b // pl.partition_size]), rx)
+                key = (tx_sets[b // pl.partition_size], rx)
                 expected[key] = expected.get(key, 0) + 1
             assert subset_profile(pl, f) == expected
 
@@ -198,7 +215,7 @@ class TestSubsetProfile:
         pl = place_decentralized(cfg, seed=11)
         q = math.floor(cfg.file_bits / 3) / cfg.file_bits  # realized per-bit caching probability
         profile = subset_profile(pl, 0)
-        part_real = {ts: 0 for ts in map(frozenset, pl.tx_sets)}
+        part_real = {ts: 0 for ts in tx_partition(cfg)}
         for (ts, _), n in profile.items():
             part_real[ts] += n
         for (ts, rx), n in profile.items():

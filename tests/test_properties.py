@@ -8,7 +8,9 @@ suite draws the same corners.
 
 from __future__ import annotations
 
+import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -27,8 +29,8 @@ from cachenet.delivery import (
     verify_completeness,
 )
 from cachenet.metrics import sdof_achievable
-from cachenet.model import DemandVector, NetworkConfig, SubfileId, subsets
-from cachenet.placement import place_centralized
+from cachenet.model import DemandVector, NetworkConfig, SubfileId, fmt_index_set, subsets
+from cachenet.placement import place_centralized, place_decentralized, subset_profile, tx_partition
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=150)
 DEC_FILE_BITS = 60
@@ -166,3 +168,42 @@ def test_lazy_cache_listings_match_eager_reference(cfg):
     placement = place_centralized(cfg)
     assert placement.tx_cache == {i: frozenset(v) for i, v in tx_cache.items()}
     assert placement.rx_cache == {j: frozenset(v) for j, v in rx_cache.items()}
+
+
+def integral_grid():
+    """Every corner the `corners` strategy can draw: K_T, K_R <= 6, 1 <= t_T <= K_T, 0 <= t_R <= K_R."""
+    for k_t, k_r in itertools.product(range(1, 7), repeat=2):
+        for t_t, t_r in itertools.product(range(1, k_t + 1), range(k_r + 1)):
+            yield NetworkConfig(
+                k_t=k_t, k_r=k_r, n_files=k_r, m_t=Fraction(t_t * k_r, k_t), m_r=t_r, file_bits=DEC_FILE_BITS
+            )
+
+
+def test_every_consumer_uses_the_one_transmitter_partition():
+    # plans, the completeness check and both placements split files by tx_partition, in its order
+    for cfg in integral_grid():
+        t_t = int(cfg.t_t)
+        partition = tx_partition(cfg)
+        assert partition == tuple(frozenset(c) for c in itertools.combinations(range(cfg.k_t), t_t))
+        demand = DemandVector.worst_case(cfg)
+        for mode, plans in (("centralized", [centralized(cfg)[2]]), ("decentralized", decentralized(cfg)[2])):
+            assert all(r.tx_sets == partition for plan in plans for _, r in plan.runs()), (cfg, mode)
+            # with nothing scheduled, each needed label misses exactly the partition's sets
+            missing: dict = {}
+            for dest, sub in verify_completeness(cfg, [], mode, demand).missing:
+                missing.setdefault((dest, sub.file, sub.rx_set), []).append(sub.tx_set)
+            assert all(sorted(map(sorted, v)) == [sorted(ts) for ts in partition] for v in missing.values())
+        listed = {sub.tx_set for subs in place_centralized(cfg).tx_cache.values() for sub in subs}
+        assert listed == set(partition)
+        placement = place_decentralized(cfg, seed=1)
+        psize = placement.partition_size
+        export = [ln for ln in placement.export_text().splitlines() if ln.startswith("tx-partition")]
+        assert export == [
+            f"tx-partition {fmt_index_set(ts)}: bits {p * psize}-{(p + 1) * psize - 1}" for p, ts in enumerate(partition)
+        ]
+        bits = Counter()
+        for (ts, _), n in subset_profile(placement, 0).items():
+            bits[ts] += n
+        assert bits == Counter(
+            {ts: min((p + 1) * psize, DEC_FILE_BITS) - p * psize for p, ts in enumerate(partition) if p * psize < DEC_FILE_BITS}
+        )
