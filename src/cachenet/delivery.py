@@ -34,6 +34,7 @@ from .model import (
     DemandVector,
     NetworkConfig,
     SubfileId,
+    binomial,
     fmt_index_set,
     parse_index_set,
     subsets,
@@ -59,7 +60,17 @@ __all__ = [
     "serialize_plan",
     "parse_plans",
     "check_plan_file",
+    "IA_ASSUMPTION_NOTE",
 ]
+
+# The most runs a plan, or all tier plans together, may hold: the 524,288 tier runs of 16
+# receivers fit (a 16 x 16 oracle takes seconds), the 1,114,112 of 17 do not.
+MAX_RUNS = 10**6
+
+# Ledgers count one dimension per interference group; no signal-level alignment is built.
+IA_ASSUMPTION_NOTE = (
+    "interference alignment accepted by dimension count only (not constructed numerically)"
+)
 
 
 class MalformedPlanError(ConfigurationError):
@@ -204,17 +215,17 @@ def _zf_offsets(k_r: int, cached_offsets: tuple[int, ...], n_zf: int) -> tuple[i
     return tuple(avail[:n_zf])
 
 
-def _cyclic_blocks(k_r: int, n_cached: int, n_zf: int):
+def _cyclic_blocks(k_r: int, n_cached: int, n_zf: int, sets: dict[int, frozenset[int]]):
     """Yield, per block, the per-receiver (cache-holder set, ZF-target set) assignment.
 
     One block per size-n_cached set of nonzero cyclic offsets, in
     lexicographic offset order; every receiver is covered by exactly
     n_cached cache assignments and n_zf ZF assignments in every block.
     Receiver j's sets are the offset sets rotated by j, built as bitmasks;
-    each distinct set is built once per call and shared by every run using it.
+    `sets` maps each mask to its set, so each distinct set is built once for
+    every plan sharing the dict and shared by every run using it.
     """
     full = (1 << k_r) - 1
-    sets: dict[int, frozenset[int]] = {}
 
     def rotations(offsets: tuple[int, ...]) -> list[frozenset[int]]:
         mask, out = sum(1 << o for o in offsets), []
@@ -230,9 +241,21 @@ def _cyclic_blocks(k_r: int, n_cached: int, n_zf: int):
         yield list(zip(rotations(offsets), rotations(_zf_offsets(k_r, offsets, n_zf))))
 
 
+def _check_runs(n_runs: int, count: str, kind: str) -> None:
+    """Refuse more runs than MAX_RUNS before any is built; `count` spells out how the `n_runs` runs of `kind` arise."""
+    if n_runs > MAX_RUNS:
+        raise ConfigurationError(f"{count} = {n_runs} {kind} exceed the bound of {MAX_RUNS}")
+
+
 def _build_rotation_plan(
-    cfg: NetworkConfig, demand: DemandVector, n_cached: int, mode: str
+    cfg: NetworkConfig,
+    demand: DemandVector,
+    n_cached: int,
+    mode: str,
+    tx_sets: tuple[frozenset[int], ...],
+    sets: dict[int, frozenset[int]],
 ) -> DeliveryPlan:
+    """The rotation plan of the subfiles cached at `n_cached` other receivers, over the partition `tx_sets`."""
     t_t = int(cfg.t_t)
     # With everything cached there is nothing to schedule and no ZF is needed;
     # otherwise at least one transmitter subset must hold each subfile.
@@ -243,12 +266,18 @@ def _build_rotation_plan(
             "delivery needs t_T >= 1 (each subfile held by at least one transmitter)"
         )
     n_zf = min(t_t - 1, cfg.k_r - 1 - n_cached)
-    tx_sets = tx_partition(cfg)
     blocks = tuple(
         Block(b, tuple(Run(demand.d[j], j, cached, zf, tx_sets) for j, (cached, zf) in enumerate(assignment)))
-        for b, assignment in enumerate(_cyclic_blocks(cfg.k_r, n_cached, n_zf))
+        for b, assignment in enumerate(_cyclic_blocks(cfg.k_r, n_cached, n_zf, sets))
     )
     return DeliveryPlan(blocks=blocks, mode=mode)
+
+
+def _rotation_plan(cfg: NetworkConfig, demand: DemandVector, n_cached: int, mode: str) -> DeliveryPlan:
+    """One rotation plan on its own: K_R runs in each of its C(K_R-1, n_cached) blocks, counted before any is built."""
+    if n_cached < cfg.k_r:
+        _check_runs(cfg.k_r * binomial(cfg.k_r - 1, n_cached), f"{cfg.k_r} x C({cfg.k_r - 1},{n_cached})", "runs")
+    return _build_rotation_plan(cfg, demand, n_cached, mode, tx_partition(cfg), {})
 
 
 def build_centralized_plan(
@@ -265,7 +294,7 @@ def build_centralized_plan(
     """
     check_corner(cfg, "centralized")
     demand.validate(cfg)
-    return _build_rotation_plan(cfg, demand, int(cfg.t_r), mode="centralized")
+    return _rotation_plan(cfg, demand, int(cfg.t_r), mode="centralized")
 
 
 def build_tier_plan(cfg: NetworkConfig, demand: DemandVector, tier: int) -> DeliveryPlan:
@@ -274,7 +303,7 @@ def build_tier_plan(cfg: NetworkConfig, demand: DemandVector, tier: int) -> Deli
     if not 0 <= tier <= cfg.k_r - 1:
         raise ValueError(f"tier {tier} outside [0, {cfg.k_r - 1}]")
     demand.validate(cfg)
-    return _build_rotation_plan(cfg, demand, tier, mode=f"decentralized-tier({tier})")
+    return _rotation_plan(cfg, demand, tier, mode=f"decentralized-tier({tier})")
 
 
 def build_decentralized_plan(cfg: NetworkConfig, demand: DemandVector) -> list[DeliveryPlan]:
@@ -285,9 +314,17 @@ def build_decentralized_plan(cfg: NetworkConfig, demand: DemandVector) -> list[D
     the top tier t = K_R-1 degenerates to plain broadcast (no ZF targets
     remain).  Classes cached at the destination itself are never scheduled.
     A random placement only sets how many bits each class holds, so the
-    plans follow from `cfg` alone.
+    plans follow from `cfg` alone.  The K_R x 2^(K_R-1) runs of all tiers are
+    counted before any is built; the tiers share one transmitter partition and
+    one set of rotated receiver sets.
     """
-    return [build_tier_plan(cfg, demand, t) for t in range(cfg.k_r)]
+    check_corner(cfg, "decentralized")
+    demand.validate(cfg)
+    _check_runs(cfg.k_r << (cfg.k_r - 1), f"{cfg.k_r} x 2^{cfg.k_r - 1}", "tier-plan runs")
+    tx_sets, sets = tx_partition(cfg), {}
+    return [
+        _build_rotation_plan(cfg, demand, t, f"decentralized-tier({t})", tx_sets, sets) for t in range(cfg.k_r)
+    ]
 
 
 def account_block(cfg: NetworkConfig, block: Block) -> SubspaceLedger:

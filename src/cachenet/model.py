@@ -11,6 +11,7 @@ import itertools
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -108,11 +109,12 @@ class NetworkConfig:
         if self.file_bits is not None and (not _is_int(self.file_bits) or self.file_bits < 1):
             raise ConfigurationError("file_bits must be a positive integer when given")
 
-    @property
+    # derived once per config (the fields are frozen); kept out of eq, hash and repr
+    @cached_property
     def t_t(self) -> Fraction:
         return Fraction(self.k_t) * self.m_t / self.n_files
 
-    @property
+    @cached_property
     def t_r(self) -> Fraction:
         return Fraction(self.k_r) * self.m_r / self.n_files
 

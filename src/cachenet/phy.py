@@ -15,12 +15,15 @@ check builds the square minors of each size from those one size smaller.
 `sample_channel` checks every size by default (about 0.2 s for a 12 x 12
 draw); `verify_plan_phy` checks only the sizes its plans' ZF claims rest
 on, up to max |ZF targets| + 1, which at t_T = 2 is sizes 1 and 2 (about
-0.1 ms for a 12 x 12 draw).  Precoders
-are computed once per distinct (transmitter set, ZF targets) pair, found by
-integer ids per run rather than per transmission; their weights are signed
-square minors, gathered from the tables the same recurrence builds up to the
-largest target count, and every equivalent gain of a channel comes from one
-matrix product.
+0.1 ms for a 12 x 12 draw).  Both share one draw loop, and the verifier
+keeps from the accepted draw the tables of the target counts its precoders
+use: each channel's minor tables are built once.  Precoders are computed
+once per distinct (transmitter set, ZF targets) pair, found by integer ids
+per run rather than per transmission; their weights are signed square
+minors gathered from those tables, and every equivalent gain of a channel
+comes from one matrix product.  The leak and genericity checks run per
+distinct precoder; a transmission is examined on its own only when its
+precoder fails one of them or its destination is one of its ZF targets.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .delivery import Block, DeliveryPlan
+from .delivery import IA_ASSUMPTION_NOTE, Block, DeliveryPlan, Run
 from .model import NetworkConfig, SubfileId, _is_int
 
 __all__ = [
@@ -43,10 +46,6 @@ __all__ = [
     "verify_plan_phy",
     "IA_ASSUMPTION_NOTE",
 ]
-
-IA_ASSUMPTION_NOTE = (
-    "interference alignment accepted by dimension count only (not constructed numerically)"
-)
 
 GENERICITY_THRESHOLD = 1e-9
 GENERICITY_FLOOR = 1e-12
@@ -122,9 +121,32 @@ def _minors(h: np.ndarray) -> Iterator[np.ndarray]:
         yield minors
 
 
-def _smallest_minor(h: np.ndarray, max_size: int | None = None) -> float:
-    """The smallest |square minor| of h over every size up to `max_size` (None: all); larger ones are never built."""
-    return min(float(np.abs(minors).min()) for minors in islice(_minors(h), max_size))
+def _minor_check(h: np.ndarray, max_size: int | None = None, keep=frozenset()) -> tuple[float, dict[int, np.ndarray]]:
+    """The smallest |square minor| of h over every size up to `max_size` (None: all), and the tables of sizes in `keep`.
+
+    Larger minors are never built, and only the kept tables outlive the recurrence.
+    """
+    smallest, tables = [], {}
+    for size, minors in enumerate(islice(_minors(h), max_size), start=1):
+        smallest.append(float(np.abs(minors).min()))
+        if size in keep:
+            tables[size] = minors
+    return min(smallest), tables
+
+
+def _draw(k_r: int, k_t: int, seed: int, size: int, keep=frozenset()) -> tuple[ChannelMatrix, dict[int, np.ndarray]]:
+    """The seed's first draw whose square minors of size <= `size` are all generic, and its tables of sizes in `keep`."""
+    rng = np.random.default_rng(seed)
+    for redraws in range(MAX_SAMPLE_RETRIES):
+        entries = (rng.standard_normal((k_r, k_t)) + 1j * rng.standard_normal((k_r, k_t))) / np.sqrt(2)
+        smallest, tables = _minor_check(entries, size, keep)
+        if smallest >= GENERICITY_THRESHOLD:
+            entries.setflags(write=False)
+            h = ChannelMatrix(entries=entries, seed=seed, min_minor=smallest, redraws=redraws, minor_size=size)
+            return h, tables
+    raise GenericityError(
+        f"no generic {k_r}x{k_t} channel found in {MAX_SAMPLE_RETRIES} draws (seed={seed})"
+    )
 
 
 def sample_channel(k_r: int, k_t: int, seed: int, max_size: int | None = None) -> ChannelMatrix:
@@ -142,17 +164,7 @@ def sample_channel(k_r: int, k_t: int, seed: int, max_size: int | None = None) -
         raise ValueError("channel dimensions must be >= 1")
     if max_size is not None and max_size < 1:
         raise ValueError(f"largest minor size must be >= 1, got {max_size}")
-    size = min(k_r, k_t) if max_size is None else min(k_r, k_t, max_size)
-    rng = np.random.default_rng(seed)
-    for redraws in range(MAX_SAMPLE_RETRIES):
-        entries = (rng.standard_normal((k_r, k_t)) + 1j * rng.standard_normal((k_r, k_t))) / np.sqrt(2)
-        smallest = _smallest_minor(entries, size)
-        if smallest >= GENERICITY_THRESHOLD:
-            entries.setflags(write=False)
-            return ChannelMatrix(entries=entries, seed=seed, min_minor=smallest, redraws=redraws, minor_size=size)
-    raise GenericityError(
-        f"no generic {k_r}x{k_t} channel found in {MAX_SAMPLE_RETRIES} draws (seed={seed})"
-    )
+    return _draw(k_r, k_t, seed, min(k_r, k_t) if max_size is None else min(k_r, k_t, max_size))[0]
 
 
 def _ranks(sets: list[Iterable[int]], ids: np.ndarray, n: int, size: int) -> np.ndarray:
@@ -168,9 +180,10 @@ class _ZfPrecoders:
     Pair k is (tx_sets[tx_ids[k]], targets[target_ids[k]]).  With m targets,
     the first m+1 sorted transmitters are active and their weights are the
     m+1 signed cofactors of the m x (m+1) target submatrix (Cramer's rule):
-    minors of size m, read from the `_minors` table at the row of the target
-    set and the `_drop_index` columns of the active set.  Pairs are grouped
-    by m, and the ranks are looked up once per distinct set and channel shape.
+    minors of size m, read from the channel's size-m table at the row of the
+    target set and the `_drop_index` columns of the active set.  Pairs are
+    grouped by m, and the ranks are looked up once per distinct set and
+    channel shape.  `sizes` are the table sizes the weights read (m >= 1).
     Every pair has more transmitters than targets (`_precoders` checks it).
     """
 
@@ -178,6 +191,7 @@ class _ZfPrecoders:
         self.tx_sets, self.targets, self.tx_ids, self.target_ids = tx_sets, targets, tx_ids, target_ids
         m = np.array(list(map(len, targets)), dtype=np.intp)[target_ids]
         self.groups = [(size, np.flatnonzero(m == size)) for size in dict.fromkeys(m.tolist())]
+        self.sizes = frozenset(size for size, _ in self.groups if size)
         self._index: dict[tuple[int, int], list[tuple[np.ndarray, np.ndarray, np.ndarray]]] = {}
 
     def _gather(self, k_r: int, k_t: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -189,17 +203,18 @@ class _ZfPrecoders:
             index.append((rows, _combinations(k_t, m + 1)[active], _drop_index(k_t, m + 1)[active]))
         return index
 
-    def weights(self, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Normalized weights (pairs x K_T, zero off the active transmitters) and their scales."""
+    def weights(self, h: np.ndarray, tables: dict[int, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        """Normalized weights (pairs x K_T, zero off the active transmitters) and their scales.
+
+        `tables[m]` holds the size-m square minors of h (as `_minors` yields them) for every m in `sizes`.
+        """
         if h.shape not in self._index:
             self._index[h.shape] = self._gather(*h.shape)
         weights = np.zeros((len(self.tx_ids), h.shape[1]), dtype=complex)
         scales = np.ones(len(self.tx_ids))
-        # tables[m] holds the size-m minors; the one minor of size 0 makes every m = 0 weight 1
-        tables = [np.ones((1, 1)), *islice(_minors(h), max((m for m, _ in self.groups), default=0))]
         for (m, ks), (rows, active, columns) in zip(self.groups, self._index[h.shape]):
-            # cofactor i drops active column i
-            cofactors = tables[m][rows[:, None], columns]
+            # cofactor i drops active column i; the one minor of size 0 makes every m = 0 weight 1
+            cofactors = (tables[m] if m else np.ones((1, 1)))[rows[:, None], columns]
             cofactors *= (-1.0) ** np.arange(m + 1)
             weights[ks[:, None], active] = cofactors
             scales[ks] = np.max(np.abs(cofactors), axis=1)
@@ -249,12 +264,22 @@ class PhyReport:
 
 @dataclass(frozen=True)
 class _Layout:
-    """Channel-independent view of a run of blocks: one row per transmission, one column per receiver."""
+    """Channel-independent view of the runs of some blocks and of their distinct precoders.
 
-    blocks: tuple[Block, ...]
+    Per run (one row each, one column per receiver): the destination, the
+    ZF-target and interfering-receiver masks.  Per transmission: its run and
+    its precoder.  Per precoder: its ZF-target mask.
+    """
+
+    runs: tuple[tuple[int, Run], ...]
+    starts: np.ndarray
     dest: np.ndarray
     zf: np.ndarray
     interfering: np.ndarray
+    run_of: np.ndarray
+    rows: np.ndarray
+    targets: np.ndarray
+    nulled: np.ndarray
     ic_flagged: int
     alignment_groups: int
 
@@ -269,19 +294,20 @@ def _mask(sets: list[frozenset[int]], k_r: int) -> np.ndarray:
     return mask
 
 
-def _layout(blocks: tuple[Block, ...], k_r: int) -> _Layout:
-    """Classify every (transmission, receiver) pair as in `account_block`.
+def _layout(blocks: tuple[Block, ...], k_r: int, distinct: _ZfPrecoders, rows: np.ndarray) -> _Layout:
+    """Classify every (run, receiver) pair as in `account_block`.
 
     A receiver that is neither the destination nor a ZF target is
     cache-cancelled when it holds the subfile and interfering otherwise;
     interference groups are the distinct (destination, cache holders, ZF
     targets) labels of a block, each spanning its interfering receivers.
-    All of this is classified once per run and repeated over its entries.
+    `rows` is each transmission's precoder in `distinct`; `nulled` lists the
+    transmissions whose destination is one of their ZF targets.
     """
-    runs = tuple(r for block in blocks for r in block.runs)
-    dest = np.fromiter((r.dest for r in runs), dtype=np.intp, count=len(runs))
-    zf = _mask([r.zf_targets for r in runs], k_r)
-    cached = _mask([r.rx_set for r in runs], k_r)
+    runs = tuple((b.position, r) for b in blocks for r in b.runs)
+    dest = np.fromiter((r.dest for _, r in runs), dtype=np.intp, count=len(runs))
+    zf = _mask([r.zf_targets for _, r in runs], k_r)
+    cached = _mask([r.rx_set for _, r in runs], k_r)
     other = ~zf
     other[np.arange(len(runs)), dest] = False
     interfering = other & ~cached
@@ -293,13 +319,19 @@ def _layout(blocks: tuple[Block, ...], k_r: int) -> _Layout:
             labels.setdefault((r.dest, r.rx_set, r.zf_targets), i)
         groups += int(np.count_nonzero(interfering[list(labels.values())]))
         start += len(block.runs)
-    lengths = [len(r.tx_sets) for r in runs]
+    lengths = np.array([len(r.tx_sets) for _, r in runs], dtype=np.intp)
+    run_of = np.repeat(np.arange(len(runs)), lengths)
     return _Layout(
-        blocks=blocks,
-        dest=np.repeat(dest, lengths),
-        zf=np.repeat(zf, lengths, axis=0),
-        interfering=np.repeat(interfering, lengths, axis=0),
-        ic_flagged=int((other & cached).sum(axis=1) @ np.array(lengths, dtype=np.intp)),
+        runs=runs,
+        starts=np.cumsum(lengths) - lengths,
+        dest=dest,
+        zf=zf,
+        interfering=interfering,
+        run_of=run_of,
+        rows=rows,
+        targets=_mask(distinct.targets, k_r)[distinct.target_ids],
+        nulled=np.flatnonzero(zf[np.arange(len(runs)), dest][run_of]),
+        ic_flagged=int((other & cached).sum(axis=1) @ lengths),
         alignment_groups=groups,
     )
 
@@ -308,67 +340,86 @@ def _precoders(blocks: tuple[Block, ...]) -> tuple[_ZfPrecoders, np.ndarray]:
     """Distinct precoders of the transmissions, in order of first use, and each transmission's precoder.
 
     Tx sets and ZF-target sets get integer ids, and a precoder is one (tx id, target id) pair.  Runs
-    with equal tx sets and targets share their precoders, so ids and pairs are looked up once per
-    distinct run label (a built plan shares one `tx_sets` tuple), not once per transmission.  Each
-    label is checked by `Run.check_zf` at its first run, so the first infeasible run is named.
+    with equal tx sets and targets share their precoders, so each distinct run label is handled once
+    (a built plan shares one `tx_sets` tuple), and the tx ids of each distinct `tx_sets` tuple are
+    looked up once; pair ids then come from numpy, in order of first use.  `Run.check_zf` depends only
+    on the tx sets and the target count, so it runs at the first run of each such pair, which names
+    the first infeasible run.
     """
     tx_index: dict[frozenset[int], int] = {}
     target_index: dict[frozenset[int], int] = {}
-    pair_index: dict[tuple[int, int], int] = {}
-    rows_of: dict[tuple, np.ndarray] = {}
-    rows = [np.zeros(0, dtype=np.intp)]
+    tx_ids_of: dict[tuple[frozenset[int], ...], np.ndarray] = {}
+    label_index: dict[tuple, int] = {}
+    labels: list[tuple[np.ndarray, int]] = []  # (tx ids, target id) of each distinct label
+    run_labels = []
+    feasible: set[tuple[tuple[frozenset[int], ...], int]] = set()
     for position, r in ((b.position, r) for b in blocks for r in b.runs):
         label = (r.tx_sets, r.zf_targets)
-        if label not in rows_of:
-            r.check_zf(position)
-            z = target_index.setdefault(r.zf_targets, len(target_index))
-            pairs = ((tx_index.setdefault(ts, len(tx_index)), z) for ts in r.tx_sets)
-            rows_of[label] = np.array([pair_index.setdefault(p, len(pair_index)) for p in pairs], dtype=np.intp)
-        rows.append(rows_of[label])
-    tx_ids, target_ids = np.array(list(pair_index), dtype=np.intp).reshape(-1, 2).T
-    return _ZfPrecoders(list(tx_index), list(target_index), tx_ids, target_ids), np.concatenate(rows)
+        if label not in label_index:
+            if (r.tx_sets, len(r.zf_targets)) not in feasible:
+                r.check_zf(position)
+                feasible.add((r.tx_sets, len(r.zf_targets)))
+            if r.tx_sets not in tx_ids_of:
+                tx_ids_of[r.tx_sets] = np.array([tx_index.setdefault(ts, len(tx_index)) for ts in r.tx_sets], np.intp)
+            label_index[label] = len(labels)
+            labels.append((tx_ids_of[r.tx_sets], target_index.setdefault(r.zf_targets, len(target_index))))
+        run_labels.append(label_index[label])
+    # pair (t, z) is coded t * n + z; np.unique gives each code's first use, which orders the pair ids
+    n = max(len(target_index), 1)
+    codes = np.concatenate([tx * n + z for tx, z in labels] or [np.zeros(0, np.intp)])
+    distinct, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    pair_id = np.empty_like(order)
+    pair_id[order] = np.arange(len(order))
+    label_rows = np.split(pair_id[inverse], np.cumsum([len(tx) for tx, _ in labels])[:-1])
+    rows = np.concatenate([label_rows[i] for i in run_labels] or [np.zeros(0, np.intp)])
+    tx_ids, target_ids = np.divmod(distinct[order], n)
+    return _ZfPrecoders(list(tx_index), list(target_index), tx_ids, target_ids), rows
 
 
-def _check(h: ChannelMatrix, layout: _Layout, mag: np.ndarray, rows: np.ndarray, rel_tol: float) -> PhyReport:
+def _check(h: ChannelMatrix, layout: _Layout, mag: np.ndarray, rel_tol: float) -> PhyReport:
     """Leak, destination and interference checks of every transmission.
 
-    `mag` holds the gain magnitudes of each precoder (precoders x K_R) and
-    `rows` the precoder of each transmission.  Gains must vanish
-    (relatively) at ZF targets and stay generic at the destination and at
-    interfering receivers; one violation per offending transmission, all
-    symptoms attached.
+    `mag` holds the gain magnitudes of each precoder (precoders x K_R).
+    Gains must vanish (relatively) at ZF targets and stay generic at the
+    destination and at interfering receivers; one violation per offending
+    transmission, all symptoms attached.  Transmissions sharing a precoder
+    share its ZF targets, so a transmission can offend only if its precoder
+    leaks at a target, is quiet off its targets (destinations and
+    interferers are off them) or its destination is a target; only those
+    transmissions are examined one by one.
     """
-    n = len(layout.dest)
     gmax = mag.max(axis=1)
-    leak = layout.zf & (mag > rel_tol * gmax[:, None])[rows]
-    quiet = (mag < GENERICITY_FLOOR * gmax[:, None])[rows]
-    weak_dest = quiet[np.arange(n), layout.dest]
-    weak = layout.interfering & quiet
+    loud = mag > rel_tol * gmax[:, None]
+    quiet = mag < GENERICITY_FLOOR * gmax[:, None]
+    suspect = np.where(layout.targets, loud, quiet).any(axis=1)
+    candidates = layout.nulled
+    if suspect.any():
+        candidates = np.union1d(np.flatnonzero(suspect[layout.rows]), candidates)
+    p, run = layout.rows[candidates], layout.run_of[candidates]
+    leak = layout.zf[run] & loud[p]
+    weak_dest = quiet[p, layout.dest[run]]
+    weak = layout.interfering[run] & quiet[p]
     violations = []
-    bad = np.flatnonzero(leak.any(axis=1) | weak_dest | weak.any(axis=1))
-    # (position, run, tx set) of every transmission, in row order
-    where = [(b.position, r, ts) for b in layout.blocks for r in b.runs for ts in r.tx_sets] if bad.size else []
-    for i in bad:
-        position, r, ts = where[i]
+    for c in np.flatnonzero(leak.any(axis=1) | weak_dest | weak.any(axis=1)):
+        position, r = layout.runs[run[c]]
+        ts = r.tx_sets[candidates[c] - layout.starts[run[c]]]
         issues = [
-            f"zf-leak at rx {z + 1} (|gain|={mag[rows[i], z]:.3e}, max {gmax[rows[i]]:.3e})"
-            for z in np.flatnonzero(leak[i])
+            f"zf-leak at rx {z + 1} (|gain|={mag[p[c], z]:.3e}, max {gmax[p[c]]:.3e})"
+            for z in np.flatnonzero(leak[c])
         ]
-        if weak_dest[i]:
+        if weak_dest[c]:
             issues.append(f"degenerate destination gain at rx {r.dest + 1}")
-        issues += [f"degenerate interference gain at rx {j + 1}" for j in np.flatnonzero(weak[i])]
+        issues += [f"degenerate interference gain at rx {j + 1}" for j in np.flatnonzero(weak[c])]
         violations.append(
             f"block={position + 1} subfile={SubfileId(r.file, ts, r.rx_set).label()} dest={r.dest + 1}: "
             + "; ".join(issues)
         )
-    # transmissions sharing a precoder share its ZF targets
-    zf = np.zeros(mag.shape, dtype=bool)
-    zf[rows] = layout.zf
     live = gmax > 0
-    worst_leak = np.max(mag[live] / gmax[live, None], where=zf[live], initial=0.0)
+    worst_leak = np.max(mag[live] / gmax[live, None], where=layout.targets[live], initial=0.0)
     return PhyReport(
         seed=h.seed,
-        checked=n,
+        checked=len(layout.rows),
         violations=tuple(violations),
         ic_flagged=layout.ic_flagged,
         alignment_groups=layout.alignment_groups,
@@ -405,12 +456,14 @@ def verify_plan_phy(
     seeds = list(range(channel_seeds)) if isinstance(channel_seeds, int) else list(channel_seeds)
     if not seeds:
         return []
-    layout = _layout(tuple(block for p in plans for block in p.blocks), cfg.k_r)
-    distinct, rows = _precoders(layout.blocks)
-    size = _minor_size(layout.blocks)
+    blocks = tuple(block for p in plans for block in p.blocks)
+    distinct, rows = _precoders(blocks)
+    layout = _layout(blocks, cfg.k_r, distinct, rows)
+    size = min(cfg.k_r, cfg.k_t, _minor_size(blocks))
     reports = []
     for seed in seeds:
-        h = sample_channel(cfg.k_r, cfg.k_t, seed, max_size=size)
-        weights, _ = distinct.weights(h.entries)
-        reports.append(_check(h, layout, np.abs(weights @ h.entries.T), rows, rel_tol))
+        h, tables = _draw(cfg.k_r, cfg.k_t, seed, size, keep=distinct.sizes)
+        weights, _ = distinct.weights(h.entries, tables)
+        del tables  # the weights are gathered; the tables would only raise the peak memory of the next draw
+        reports.append(_check(h, layout, np.abs(weights @ h.entries.T), rel_tol))
     return reports

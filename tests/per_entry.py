@@ -82,7 +82,7 @@ def rotation_blocks(
     t_t = int(cfg.t_t)
     n_zf = min(t_t - 1, cfg.k_r - 1 - n_cached)
     blocks = []
-    for b, assignment in enumerate(_cyclic_blocks(cfg.k_r, n_cached, n_zf)):
+    for b, assignment in enumerate(_cyclic_blocks(cfg.k_r, n_cached, n_zf, {})):
         block = []
         for j, (cached, zf_targets) in enumerate(assignment):
             for ts in subsets(cfg.k_t, t_t):

@@ -99,7 +99,7 @@ def test_criterion_4_zf_verification_and_minor_match():
     checked = 0
     for seed in range(100):
         h = sample_channel(4, 4, seed)
-        weights, scales = distinct.weights(h.entries)
+        weights, scales = distinct.weights(h.entries, dict(enumerate(_minors(h.entries), start=1)))
         for e, k in records:
             gains = h.entries @ weights[k]
             gmax = np.max(np.abs(gains))

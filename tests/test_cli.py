@@ -728,6 +728,39 @@ def test_a_transmitter_partition_past_the_bound_exits_2_before_any_set_is_built(
     assert peak < 2**24
 
 
+NET_30 = ["--kt", "2", "--kr", "30", "--n", "30", "--mt", "15"]
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["oracle-ndt", *NET_30, "--mr", "1"], "30 x 2^29 = 16106127360 tier-plan runs"),
+        (["plan", *NET_30, "--mr", "15"], "30 x C(29,15) = 2326762800 runs"),
+    ],
+    ids=["tiers", "centralized"],
+)
+def test_a_plan_past_the_run_bound_exits_2_before_any_block_is_built(argv, message, monkeypatch, capsys):
+    # 30 receivers: the runs of all tiers, or of the t_R = 15 centralized plan, are counted, not built
+    original = delivery.subsets
+
+    def spy(ground, size):
+        assert ground < 29, "a rotation block was built"
+        return original(ground, size)
+
+    monkeypatch.setattr(delivery, "subsets", spy)
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message} exceed the bound of 1000000\n"
+
+
+@pytest.mark.parametrize("bound,code", [(12, 0), (11, 2)])
+def test_the_run_bound_admits_a_plan_that_meets_it(bound, code, monkeypatch, capsys):
+    # the 3x3 tier plans hold 3 x 2^2 = 12 runs
+    monkeypatch.setattr(delivery, "MAX_RUNS", bound)
+    assert cli.main(["oracle-ndt", "--kt", "3", "--kr", "3", "--n", "3", "--mt", "1", "--mr", "1"]) == code
+    refused = "error: 3 x 2^2 = 12 tier-plan runs exceed the bound of 11\n"
+    assert capsys.readouterr().err == ("" if code == 0 else refused)
+
+
 @pytest.mark.parametrize(
     "net,demand,message",
     [

@@ -141,7 +141,10 @@ def test_common_sdof_equal_ratios_from_different_pairs():
 
 @pytest.mark.parametrize("k_r", range(2, 11))
 def test_cyclic_blocks_match_the_direct_rotation_and_share_equal_sets(k_r):
-    # every tier and ZF count: the same sets in the same order as rotating the offsets receiver by receiver
+    # every tier and ZF count: the same sets in the same order as rotating the offsets receiver by receiver;
+    # with one dict of sets for all of them, equal sets are one object across tiers too
+    sets: dict[int, frozenset[int]] = {}
+    first: dict[frozenset[int], frozenset[int]] = {}
     for n_cached in range(k_r):
         for n_zf in range(k_r - n_cached):
             direct = []
@@ -152,9 +155,8 @@ def test_cyclic_blocks_match_the_direct_rotation_and_share_equal_sets(k_r):
                     (frozenset((j + o) % k_r for o in offsets), frozenset((j + z) % k_r for z in zf_offsets))
                     for j in range(k_r)
                 ])
-            blocks = list(_cyclic_blocks(k_r, n_cached, n_zf))
+            blocks = list(_cyclic_blocks(k_r, n_cached, n_zf, sets))
             assert blocks == direct
-            first: dict[frozenset[int], frozenset[int]] = {}
             assert all(first.setdefault(s, s) is s for block in blocks for pair in block for s in pair)
 
 

@@ -79,6 +79,8 @@ def test_exact_commands_never_load_numpy(tmp_path):
         ["oracle-ndt", *NET],
         ["plan", *NET, "--out", "p.txt"],
         ["plan", *NET, "--show"],
+        ["plan", *NET, "--verify", "--channel-seeds", "0"],
+        ["verify", *NET, "--plan-file", "p.txt", "--channel-seeds", "0"],
         ["plan", *NET, *DECENTRALIZED, "--out", "tiers.txt"],
         ["sweep", "--figure", "fig2", "--out", "fig2.csv"],
         ["sweep", "--figure", "fig4", "--out", "fig4.csv"],

@@ -29,10 +29,10 @@ from cachenet.phy import (
     MAX_SAMPLE_RETRIES,
     ChannelMatrix,
     GenericityError,
+    _minor_check,
     _minor_size,
     _minors,
     _precoders,
-    _smallest_minor,
     sample_channel,
     verify_plan_phy,
 )
@@ -47,8 +47,13 @@ def library_precoder(h: ChannelMatrix, tx_set, zf_targets) -> tuple[np.ndarray, 
     """
     block = Block(0, (Run(0, 0, frozenset(), frozenset(zf_targets), (frozenset(tx_set),)),))
     distinct, _ = _precoders((block,))
-    weights, scales = distinct.weights(h.entries)
+    weights, scales = distinct.weights(h.entries, tables(h))
     return weights[0, sorted(tx_set)], float(scales[0])
+
+
+def tables(h) -> dict[int, np.ndarray]:
+    """Every square-minor table of h by size, as `verify_plan_phy` hands the kept ones to `weights`."""
+    return dict(enumerate(_minors(h.entries if isinstance(h, ChannelMatrix) else h), start=1))
 
 
 def table_minor(h, rows_removed, cols_removed) -> complex:
@@ -92,7 +97,7 @@ class TestSampling:
                 for cols in itertools.combinations(range(4), size):
                     sub = h.entries[np.ix_(rows, cols)]
                     assert abs(det_cofactor(sub)) > 1e-9
-        assert _smallest_minor(h.entries) == h.min_minor >= GENERICITY_THRESHOLD
+        assert _minor_check(h.entries)[0] == h.min_minor >= GENERICITY_THRESHOLD
 
 
 def minors_generic_loop(h: np.ndarray, threshold: float) -> bool:
@@ -113,7 +118,7 @@ class TestGenericity:
         for size in range(1, min(k_r, k_t) + 1):
             for _ in range(5):
                 h = rng.standard_normal((k_r, k_t)) + 1j * rng.standard_normal((k_r, k_t))
-                assert _smallest_minor(h) >= 1e-9 and minors_generic_loop(h, 1e-9)
+                assert _minor_check(h)[0] >= 1e-9 and minors_generic_loop(h, 1e-9)
                 rows = np.sort(rng.choice(k_r, size=size, replace=False))
                 cols = np.sort(rng.choice(k_t, size=size, replace=False))
                 # make the last planted column a combination of the others: a singular minor
@@ -121,7 +126,7 @@ class TestGenericity:
                 sub[:, -1] = sub[:, :-1] @ rng.standard_normal(size - 1) if size > 1 else 0.0
                 h[np.ix_(rows, cols)] = sub
                 assert not minors_generic_loop(h, 1e-9)
-                assert not _smallest_minor(h) >= 1e-9
+                assert not _minor_check(h)[0] >= 1e-9
 
 
 def complex_gaussian(rng: np.random.Generator, k_r: int, k_t: int) -> np.ndarray:
@@ -161,7 +166,7 @@ class TestMinorRecurrence:
         for i in range(200):
             h = complex_gaussian(rng, k_r, k_t)
             threshold = (0.01, 0.1, 0.5)[i % 3]
-            verdicts.append(_smallest_minor(h) >= threshold)
+            verdicts.append(_minor_check(h)[0] >= threshold)
             assert verdicts[-1] == minors_generic_loop(h, threshold)
         assert any(verdicts) and not all(verdicts)
 
@@ -562,8 +567,8 @@ class TestPlanSizedGenericity:
         sizes = spy_minor_sizes(monkeypatch)
         reports = verify_plan_phy(cfg, plans, channel_seeds=3)
         assert all(r.ok for r in reports)
-        # per channel: the genericity check up to size 2, then the weights' table of size m = 1
-        assert sizes == [1, 2, 1] * 3
+        # per channel: one table per size, up to 2; the weights read the size-1 table the check built
+        assert sizes == [1, 2] * 3
 
     def test_larger_zf_set_raises_the_bound(self, monkeypatch):
         # one hand-built run zero-forces at three receivers with four transmitters: sizes up to 4
@@ -574,8 +579,8 @@ class TestPlanSizedGenericity:
         sizes = spy_minor_sizes(monkeypatch)
         reports = verify_plan_phy(cfg, [crafted], channel_seeds=2)
         assert all(r.ok for r in reports)
-        # per channel: the genericity check up to size 4, then the weights' tables up to m = 3
-        assert sizes == [1, 2, 3, 4, 1, 2, 3] * 2
+        # per channel: one table per size, up to 4; the weights read the tables of m = 1 and 3
+        assert sizes == [1, 2, 3, 4] * 2
 
     def test_default_checks_every_size(self, monkeypatch):
         sizes = spy_minor_sizes(monkeypatch)
@@ -591,7 +596,7 @@ class TestPlanSizedGenericity:
         for part in parts[:2]:
             part[:3, 2] = 0.7 * part[:3, 0] - 1.3 * part[:3, 1]
         planted = (parts[0] + 1j * parts[1]) / np.sqrt(2)
-        assert _smallest_minor(planted, 2) >= GENERICITY_THRESHOLD > _smallest_minor(planted)
+        assert _minor_check(planted, 2)[0] >= GENERICITY_THRESHOLD > _minor_check(planted)[0]
         monkeypatch.setattr(np.random, "default_rng", lambda seed: _Replay(parts))
         truncated = sample_channel(4, 4, seed=0, max_size=2)
         assert truncated.redraws == 0 and np.array_equal(truncated.entries, planted)
@@ -636,7 +641,7 @@ class TestPrecoderTables:
             ] == pairs
             # each row of the batched weights is the pair's own precoder: the first m+1 of its
             # sorted transmitters are active, the largest weight is 1 and the m targets are nulled
-            weights, _ = distinct.weights(h.entries)
+            weights, _ = distinct.weights(h.entries, tables(h))
             for k, (ts, targets) in enumerate(pairs):
                 active = sorted(ts)[: len(targets) + 1]
                 assert np.flatnonzero(weights[k]).tolist() == active
@@ -662,7 +667,7 @@ class TestPrecoderTables:
         block = block_of((*records[:2], offenders[0], *records[2:6], offenders[1], *records[6:]))
         m, n = (2, 2) if first == "targets" else (1, 0)
         message = f"block 1: {offenders[0].subfile.label()} zero-forced at {m} receiver(s) by {n} transmitter(s)"
-        monkeypatch.setattr(phy, "sample_channel", lambda *args, **kwargs: pytest.fail("channel drawn"))
+        monkeypatch.setattr(phy, "_draw", lambda *args, **kwargs: pytest.fail("channel drawn"))
         cfg = NetworkConfig(k_t=4, k_r=4, n_files=4, m_t=2, m_r=1)
         plan = DeliveryPlan(blocks=(block,), mode="centralized")
         for check in (lambda: _precoders((block,)), lambda: verify_plan_phy(cfg, [plan], channel_seeds=1)):
@@ -678,9 +683,39 @@ class TestPrecoderTables:
         h[list(targets)] = 0  # every pair with these targets is degenerate; the first one used is named
         assert len([pair for pair in per_entry.precoders(blocks)[0] if pair[1] == targets]) > 1
         with pytest.raises(GenericityError) as err:
-            distinct.weights(h)
+            distinct.weights(h, tables(h))
         named = f"degenerate ZF subsystem for tx={tuple(sorted(ts))} targets={tuple(sorted(targets))};"
         assert str(err.value).startswith(named)
+
+
+class TestPerPrecoderChecks:
+    def test_vanished_interference_gain_names_exactly_the_precoder_transmissions(self):
+        # a precoder silent at one interferer: that gain is a size-(m+1) minor, so no channel the
+        # genericity check accepts shows it, and the gain magnitudes are edited by hand
+        cfg, (plan,) = _plans(4, 2, 1, False)
+        distinct, rows = _precoders(plan.blocks)
+        layout = phy._layout(plan.blocks, cfg.k_r, distinct, rows)
+        h = sample_channel(4, 4, seed=3, max_size=2)
+        weights, _ = distinct.weights(h.entries, tables(h))
+        mag = np.abs(weights @ h.entries.T)
+        assert phy._check(h, layout, mag, rel_tol=1e-9).ok
+        records = entries(plan)
+
+        def interferes(e, j):
+            return j != e.dest and j not in e.zf_targets and j not in e.subfile.rx_set
+
+        # the first (precoder, receiver) pair where the receiver interferes with a transmission
+        k, rx = next((rows[i], j) for i, e in enumerate(records) for j in range(cfg.k_r) if interferes(e, j))
+        mag[k, rx] = 0.0
+        report = phy._check(h, layout, mag, rel_tol=1e-9)
+        # every transmission of the precoder is named: two see the receiver as an interferer, one as its destination
+        users = [e for e, row in zip(records, rows) if row == k]
+        assert [interferes(e, rx) for e in users] == [True, False, True] and users[1].dest == rx
+        assert list(report.violations) == [
+            f"block={e.block + 1} subfile={e.subfile.label()} dest={e.dest + 1}: "
+            f"degenerate {'destination' if e.dest == rx else 'interference'} gain at rx {rx + 1}"
+            for e in users
+        ]
 
 
 class TestGatheredWeights:
@@ -690,7 +725,7 @@ class TestGatheredWeights:
         _, (plan,) = _plans(k, t_t, t_r, False)
         distinct, _ = _precoders(plan.blocks)
         h = sample_channel(k, k, seed=k, max_size=t_t)
-        weights, scales = distinct.weights(h.entries)
+        weights, scales = distinct.weights(h.entries, tables(h))
         for row, scale, t, z in zip(weights, scales, distinct.tx_ids, distinct.target_ids):
             txs = sorted(distinct.tx_sets[t])
             reference, reference_scale = per_entry.zf_weights(h.entries, txs, distinct.targets[z])
