@@ -15,7 +15,6 @@ from .delivery import (
     account_block,
     build_centralized_plan,
     build_decentralized_plan,
-    build_tier_plan,
     parse_plans,
     plan_sdof,
     serialize_plan,
@@ -47,13 +46,12 @@ from .placement import (
     expected_fraction,
     place_centralized,
     place_decentralized,
-    subfile_class_count,
     subset_profile,
 )
 
 __version__ = "0.1.0"
 
-_PHY_NAMES = {"ChannelMatrix", "GenericityError", "sample_channel", "verify_plan_phy"}
+_PHY_NAMES = {"GenericityError", "verify_plan_phy"}
 
 
 def __getattr__(name: str):

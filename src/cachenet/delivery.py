@@ -50,7 +50,6 @@ __all__ = [
     "SubspaceLedger",
     "CompletenessReport",
     "build_centralized_plan",
-    "build_tier_plan",
     "build_decentralized_plan",
     "account_block",
     "account_plan",
@@ -192,18 +191,6 @@ class SubspaceLedger:
         """(delivered subfiles, block span): the block length is set by the busiest receiver."""
         return sum(r.desired for r in self.receivers), max((r.total_dims for r in self.receivers), default=0)
 
-    @property
-    def sdof(self) -> Fraction:
-        """Sum DoF of the block: delivered subfiles per block dimension.
-
-        Non-uniform ledgers are normalized by the maximum dimension count.
-        """
-        return _ratio(*self.dims)
-
-
-def _ratio(desired: int, span: int) -> Fraction:
-    return Fraction(desired, span) if span else Fraction(0)
-
 
 def _zf_offsets(k_r: int, cached_offsets: tuple[int, ...], n_zf: int) -> tuple[int, ...]:
     """Zero-forcing offsets: the first n_zf free offsets cyclically after the cache offsets."""
@@ -247,7 +234,7 @@ def _check_runs(n_runs: int, count: str, kind: str) -> None:
         raise ConfigurationError(f"{count} = {n_runs} {kind} exceed the bound of {MAX_RUNS}")
 
 
-def _build_rotation_plan(
+def _rotation_plan(
     cfg: NetworkConfig,
     demand: DemandVector,
     n_cached: int,
@@ -273,13 +260,6 @@ def _build_rotation_plan(
     return DeliveryPlan(blocks=blocks, mode=mode)
 
 
-def _rotation_plan(cfg: NetworkConfig, demand: DemandVector, n_cached: int, mode: str) -> DeliveryPlan:
-    """One rotation plan on its own: K_R runs in each of its C(K_R-1, n_cached) blocks, counted before any is built."""
-    if n_cached < cfg.k_r:
-        _check_runs(cfg.k_r * binomial(cfg.k_r - 1, n_cached), f"{cfg.k_r} x C({cfg.k_r - 1},{n_cached})", "runs")
-    return _build_rotation_plan(cfg, demand, n_cached, mode, tx_partition(cfg), {})
-
-
 def build_centralized_plan(
     cfg: NetworkConfig, placement: CentralizedPlacement | None, demand: DemandVector
 ) -> DeliveryPlan:
@@ -294,16 +274,10 @@ def build_centralized_plan(
     """
     check_corner(cfg, "centralized")
     demand.validate(cfg)
-    return _rotation_plan(cfg, demand, int(cfg.t_r), mode="centralized")
-
-
-def build_tier_plan(cfg: NetworkConfig, demand: DemandVector, tier: int) -> DeliveryPlan:
-    """Decentralized delivery of the subfile classes cached at exactly `tier` other receivers."""
-    check_corner(cfg, "decentralized")
-    if not 0 <= tier <= cfg.k_r - 1:
-        raise ValueError(f"tier {tier} outside [0, {cfg.k_r - 1}]")
-    demand.validate(cfg)
-    return _rotation_plan(cfg, demand, tier, mode=f"decentralized-tier({tier})")
+    k_r, t_r = cfg.k_r, int(cfg.t_r)
+    if t_r < k_r:
+        _check_runs(k_r * binomial(k_r - 1, t_r), f"{k_r} x C({k_r - 1},{t_r})", "runs")
+    return _rotation_plan(cfg, demand, t_r, "centralized", tx_partition(cfg), {})
 
 
 def build_decentralized_plan(cfg: NetworkConfig, demand: DemandVector) -> list[DeliveryPlan]:
@@ -323,7 +297,7 @@ def build_decentralized_plan(cfg: NetworkConfig, demand: DemandVector) -> list[D
     _check_runs(cfg.k_r << (cfg.k_r - 1), f"{cfg.k_r} x 2^{cfg.k_r - 1}", "tier-plan runs")
     tx_sets, sets = tx_partition(cfg), {}
     return [
-        _build_rotation_plan(cfg, demand, t, f"decentralized-tier({t})", tx_sets, sets) for t in range(cfg.k_r)
+        _rotation_plan(cfg, demand, t, f"decentralized-tier({t})", tx_sets, sets) for t in range(cfg.k_r)
     ]
 
 
@@ -368,8 +342,8 @@ def account_plan(cfg: NetworkConfig, plan: DeliveryPlan) -> list[SubspaceLedger]
 
 
 def common_sdof(ledgers: list[SubspaceLedger]) -> Fraction:
-    """The one sum DoF all block ledgers share (0 for no blocks)."""
-    values = {_ratio(*dims) for dims in {ledger.dims for ledger in ledgers}}
+    """The one sum DoF all block ledgers share: delivered subfiles per busiest-receiver dimension (0 for no blocks)."""
+    values = {Fraction(d, span) if span else Fraction(0) for d, span in {ledger.dims for ledger in ledgers}}
     if len(values) > 1:
         raise ConfigurationError(f"blocks have differing sum DoF: {sorted(values)}")
     return values.pop() if values else Fraction(0)

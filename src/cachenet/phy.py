@@ -10,25 +10,24 @@ delivery ledger, and every report says so.
 `verify_plan_phy` is the one verifier: it reads the runs of a plan (or of
 tier plans) and checks every transmission of every block.  All checks are
 batched, so their cost grows with the number of numpy calls per channel
-rather than with the number of minors or transmissions.  The genericity
-check builds the square minors of each size from those one size smaller.
-`sample_channel` checks every size by default (about 0.2 s for a 12 x 12
-draw); `verify_plan_phy` checks only the sizes its plans' ZF claims rest
-on, up to max |ZF targets| + 1, which at t_T = 2 is sizes 1 and 2 (about
-0.1 ms for a 12 x 12 draw).  Both share one draw loop, and the verifier
-keeps from the accepted draw the tables of the target counts its precoders
-use: each channel's minor tables are built once.  Precoders are computed
-once per distinct (transmitter set, ZF targets) pair, found by integer ids
-per run rather than per transmission; their weights are signed square
-minors gathered from those tables, and every equivalent gain of a channel
-comes from one matrix product.  The leak and genericity checks run per
-distinct precoder; a transmission is examined on its own only when its
-precoder fails one of them or its destination is one of its ZF targets.
+rather than with the number of minors or transmissions.  Each channel is
+drawn once (`_draw`) and checked for genericity only in the square minors
+its plans' ZF claims rest on, of sizes up to max |ZF targets| + 1 (sizes 1
+and 2 at t_T = 2, about 0.1 ms for a 12 x 12 draw); the minors of each size
+are built from those one size smaller, and the tables of the target counts
+the precoders use are kept, so each channel's minor tables are built once.
+Precoders are computed once per distinct (transmitter set, ZF targets)
+pair, found by integer ids per run rather than per transmission; their
+weights are signed square minors gathered from those tables, and every
+equivalent gain of a channel comes from one matrix product.  The leak and
+genericity checks run per distinct precoder; a transmission is examined on
+its own only when its precoder fails one of them or its destination is one
+of its ZF targets.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations, islice
 from typing import Iterable, Iterator
@@ -40,9 +39,7 @@ from .model import NetworkConfig, SubfileId, _is_int
 
 __all__ = [
     "GenericityError",
-    "ChannelMatrix",
     "PhyReport",
-    "sample_channel",
     "verify_plan_phy",
     "IA_ASSUMPTION_NOTE",
 ]
@@ -54,27 +51,6 @@ MAX_SAMPLE_RETRIES = 100
 
 class GenericityError(RuntimeError):
     """A sampled channel (or submatrix) is too close to degenerate."""
-
-
-@dataclass(frozen=True)
-class ChannelMatrix:
-    """K_R x K_T complex channel gains, drawn i.i.d. circularly-symmetric Gaussian."""
-
-    entries: np.ndarray = field(repr=False)
-    seed: int
-    # smallest |square minor| of size <= minor_size in the accepted draw (nan and 0 unless drawn by
-    # sample_channel) and the draws rejected before it
-    min_minor: float = float("nan")
-    redraws: int = 0
-    minor_size: int = 0
-
-    @property
-    def k_r(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def k_t(self) -> int:
-        return self.entries.shape[1]
 
 
 @lru_cache(maxsize=None)
@@ -121,8 +97,8 @@ def _minors(h: np.ndarray) -> Iterator[np.ndarray]:
         yield minors
 
 
-def _minor_check(h: np.ndarray, max_size: int | None = None, keep=frozenset()) -> tuple[float, dict[int, np.ndarray]]:
-    """The smallest |square minor| of h over every size up to `max_size` (None: all), and the tables of sizes in `keep`.
+def _minor_check(h: np.ndarray, max_size: int, keep=frozenset()) -> tuple[float, dict[int, np.ndarray]]:
+    """The smallest |square minor| of h over every size up to `max_size`, and the tables of sizes in `keep`.
 
     Larger minors are never built, and only the kept tables outlive the recurrence.
     """
@@ -134,37 +110,22 @@ def _minor_check(h: np.ndarray, max_size: int | None = None, keep=frozenset()) -
     return min(smallest), tables
 
 
-def _draw(k_r: int, k_t: int, seed: int, size: int, keep=frozenset()) -> tuple[ChannelMatrix, dict[int, np.ndarray]]:
-    """The seed's first draw whose square minors of size <= `size` are all generic, and its tables of sizes in `keep`."""
+def _draw(k_r: int, k_t: int, seed: int, size: int, keep=frozenset()) -> tuple[np.ndarray, float, int, dict]:
+    """The seed's first K_R x K_T draw whose square minors of size <= `size` are all generic.
+
+    Entries are i.i.d. circularly-symmetric complex Gaussian.  Returns the read-only entries, their
+    smallest checked |minor|, the draws rejected before them and their minor tables of sizes in `keep`.
+    """
     rng = np.random.default_rng(seed)
     for redraws in range(MAX_SAMPLE_RETRIES):
         entries = (rng.standard_normal((k_r, k_t)) + 1j * rng.standard_normal((k_r, k_t))) / np.sqrt(2)
         smallest, tables = _minor_check(entries, size, keep)
         if smallest >= GENERICITY_THRESHOLD:
             entries.setflags(write=False)
-            h = ChannelMatrix(entries=entries, seed=seed, min_minor=smallest, redraws=redraws, minor_size=size)
-            return h, tables
+            return entries, smallest, redraws, tables
     raise GenericityError(
         f"no generic {k_r}x{k_t} channel found in {MAX_SAMPLE_RETRIES} draws (seed={seed})"
     )
-
-
-def sample_channel(k_r: int, k_t: int, seed: int, max_size: int | None = None) -> ChannelMatrix:
-    """Deterministic channel draw; re-samples while any square minor of size <= `max_size` is below GENERICITY_THRESHOLD.
-
-    By default the check covers all C(K_R+K_T,K_R) - 1 square minors, built
-    size by size in about 1 ms at K = 8 and 0.2 s at K = 12, so every ZF
-    subsystem and equivalent gain of any scheme is generic.  A ZF claim with
-    m targets rests only on minors of sizes m and m+1, so `max_size=m+1`
-    suffices for a plan whose largest target count is m; the draws come in
-    the same order.  The result keeps the accepted draw's smallest checked
-    |minor|, the largest size checked and the re-draws.
-    """
-    if k_r < 1 or k_t < 1:
-        raise ValueError("channel dimensions must be >= 1")
-    if max_size is not None and max_size < 1:
-        raise ValueError(f"largest minor size must be >= 1, got {max_size}")
-    return _draw(k_r, k_t, seed, min(k_r, k_t) if max_size is None else min(k_r, k_t, max_size))[0]
 
 
 def _ranks(sets: list[Iterable[int]], ids: np.ndarray, n: int, size: int) -> np.ndarray:
@@ -236,8 +197,7 @@ class PhyReport:
     |largest gain| over all checked transmissions (0 when none has a ZF
     target); a transmission leaks when it exceeds the relative tolerance.
     `genericity_margin` is the channel's smallest |square minor| / GENERICITY_THRESHOLD over
-    the sizes `sample_channel` checked (its `minor_size`; nan unless drawn by `sample_channel`),
-    `redraws` the draws rejected before it.
+    the sizes its genericity check covered, `redraws` the draws rejected before it.
     """
 
     seed: int
@@ -245,9 +205,9 @@ class PhyReport:
     violations: tuple[str, ...]
     ic_flagged: int
     alignment_groups: int
-    worst_leak: float = 0.0
-    genericity_margin: float = float("nan")
-    redraws: int = 0
+    worst_leak: float
+    genericity_margin: float
+    redraws: int
 
     @property
     def ok(self) -> bool:
@@ -377,10 +337,12 @@ def _precoders(blocks: tuple[Block, ...]) -> tuple[_ZfPrecoders, np.ndarray]:
     return _ZfPrecoders(list(tx_index), list(target_index), tx_ids, target_ids), rows
 
 
-def _check(h: ChannelMatrix, layout: _Layout, mag: np.ndarray, rel_tol: float) -> PhyReport:
-    """Leak, destination and interference checks of every transmission.
+def _check(seed: int, smallest: float, redraws: int, layout: _Layout, mag: np.ndarray, rel_tol: float) -> PhyReport:
+    """Leak, destination and interference checks of every transmission over the channel `_draw` gave for `seed`.
 
-    `mag` holds the gain magnitudes of each precoder (precoders x K_R).
+    `smallest` and `redraws` are the draw's smallest checked |minor| and
+    re-draw count; `mag` holds the gain magnitudes of each precoder
+    (precoders x K_R).
     Gains must vanish (relatively) at ZF targets and stay generic at the
     destination and at interfering receivers; one violation per offending
     transmission, all symptoms attached.  Transmissions sharing a precoder
@@ -418,14 +380,14 @@ def _check(h: ChannelMatrix, layout: _Layout, mag: np.ndarray, rel_tol: float) -
     live = gmax > 0
     worst_leak = np.max(mag[live] / gmax[live, None], where=layout.targets[live], initial=0.0)
     return PhyReport(
-        seed=h.seed,
+        seed=seed,
         checked=len(layout.rows),
         violations=tuple(violations),
         ic_flagged=layout.ic_flagged,
         alignment_groups=layout.alignment_groups,
         worst_leak=float(worst_leak),
-        genericity_margin=h.min_minor / GENERICITY_THRESHOLD,
-        redraws=h.redraws,
+        genericity_margin=smallest / GENERICITY_THRESHOLD,
+        redraws=redraws,
     )
 
 
@@ -446,8 +408,8 @@ def verify_plan_phy(
     non-negative int (seeds 0..n-1) or a list of seeds; `rel_tol` must lie in (0, 1).
     A run too small to zero-force at its targets raises MalformedPlanError before any channel is drawn.
     Channels are checked for genericity only up to the minor size the plans use
-    (`_minor_size`).  The draws come in the exhaustive check's order, so the two
-    pick different channels only where a minor that no ZF claim uses is degenerate.
+    (`_minor_size`).  The draws come in the order an exhaustive check would take them,
+    so the two pick different channels only where a minor that no ZF claim uses is degenerate.
     """
     if not 0 < rel_tol < 1:
         raise ValueError(f"relative ZF tolerance must lie in (0, 1), got {rel_tol}")
@@ -462,8 +424,8 @@ def verify_plan_phy(
     size = min(cfg.k_r, cfg.k_t, _minor_size(blocks))
     reports = []
     for seed in seeds:
-        h, tables = _draw(cfg.k_r, cfg.k_t, seed, size, keep=distinct.sizes)
-        weights, _ = distinct.weights(h.entries, tables)
+        h, smallest, redraws, tables = _draw(cfg.k_r, cfg.k_t, seed, size, keep=distinct.sizes)
+        weights, _ = distinct.weights(h, tables)
         del tables  # the weights are gathered; the tables would only raise the peak memory of the next draw
-        reports.append(_check(h, layout, np.abs(weights @ h.entries.T), rel_tol))
+        reports.append(_check(seed, smallest, redraws, layout, np.abs(weights @ h.T), rel_tol))
     return reports

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from typing import TYPE_CHECKING
 
 from .model import (
@@ -34,7 +33,6 @@ __all__ = [
     "place_decentralized",
     "subset_profile",
     "expected_fraction",
-    "subfile_class_count",
     "check_corner",
     "tx_partition",
     "MODES",
@@ -87,45 +85,29 @@ class CentralizedPlacement:
     """Deterministic subfile placement for integral replication factors.
 
     Only `cfg` is stored; `place_centralized` checks that it is integral.
-    The per-node listings `tx_cache` and `rx_cache` are built on first
-    access and kept; nothing but `export_text` needs them, since delivery
-    plans follow from `cfg` alone.
+    Delivery plans follow from `cfg` alone, so the per-node listings are
+    built only when `export_text` prints them.
     """
 
     cfg: NetworkConfig
 
-    @cached_property
-    def tx_cache(self) -> dict[int, frozenset[SubfileId]]:
-        """Subfiles held by each transmitter."""
-        return self._listing(self.cfg.k_t, "tx_set")
-
-    @cached_property
-    def rx_cache(self) -> dict[int, frozenset[SubfileId]]:
-        """Subfiles cached by each receiver."""
-        return self._listing(self.cfg.k_r, "rx_set")
-
-    def _listing(self, n_nodes: int, holders: str) -> dict[int, frozenset[SubfileId]]:
+    def export_text(self) -> str:
+        """Per-node listing of cached subfiles (stable order): each transmitter, then each receiver."""
         cfg = self.cfg
-        tx_sets = tx_partition(cfg)
-        rx_sets = tuple(map(frozenset, subsets(cfg.k_r, int(cfg.t_r))))
-        cache: dict[int, set[SubfileId]] = {node: set() for node in range(n_nodes)}
+        at_tx: list[list[str]] = [[] for _ in range(cfg.k_t)]
+        at_rx: list[list[str]] = [[] for _ in range(cfg.k_r)]
+        tx_sets, rx_sets = tx_partition(cfg), tuple(map(frozenset, subsets(cfg.k_r, int(cfg.t_r))))
         for f in range(cfg.n_files):
             for ts in tx_sets:
                 for rs in rx_sets:
-                    sub = SubfileId(f, ts, rs)
-                    for node in getattr(sub, holders):
-                        cache[node].add(sub)
-        return {node: frozenset(v) for node, v in cache.items()}
-
-    def export_text(self) -> str:
-        """Per-node listing of cached subfiles (stable order)."""
-        lines = [f"# centralized placement kt={self.cfg.k_t} kr={self.cfg.k_r} n={self.cfg.n_files}"]
-        for i in sorted(self.tx_cache):
-            names = sorted(s.label() for s in self.tx_cache[i])
-            lines.append(f"tx {i + 1}: " + " ".join(names))
-        for j in sorted(self.rx_cache):
-            names = sorted(s.label() for s in self.rx_cache[j])
-            lines.append(f"rx {j + 1}: " + " ".join(names))
+                    label = SubfileId(f, ts, rs).label()
+                    for i in ts:
+                        at_tx[i].append(label)
+                    for j in rs:
+                        at_rx[j].append(label)
+        lines = [f"# centralized placement kt={cfg.k_t} kr={cfg.k_r} n={cfg.n_files}"]
+        lines += [f"tx {i + 1}: " + " ".join(sorted(names)) for i, names in enumerate(at_tx)]
+        lines += [f"rx {j + 1}: " + " ".join(sorted(names)) for j, names in enumerate(at_rx)]
         return "\n".join(lines) + "\n"
 
 
@@ -267,9 +249,3 @@ def expected_fraction(cfg: NetworkConfig, t: int) -> Fraction:
         raise ValueError(f"caching weight {t} outside [0, {cfg.k_r}]")
     q = cfg.m_r / cfg.n_files
     return q**t * (1 - q) ** (cfg.k_r - t)
-
-
-def subfile_class_count(cfg: NetworkConfig) -> int:
-    """Number of subfile classes a file splits into under decentralized placement."""
-    check_corner(cfg, "decentralized")
-    return binomial(cfg.k_t, int(cfg.t_t)) * sum(binomial(cfg.k_r, j) for j in range(cfg.k_r + 1))

@@ -15,6 +15,7 @@ reports and exact values.
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from fractions import Fraction
 from itertools import groupby
@@ -31,10 +32,11 @@ from cachenet.delivery import (
     SubspaceLedger,
     Run,
     _cyclic_blocks,
-    build_tier_plan,
+    build_decentralized_plan,
+    common_sdof,
 )
 from cachenet.model import ConfigurationError, DemandVector, NetworkConfig, SubfileId, binomial, subsets
-from cachenet.placement import expected_fraction
+from cachenet.placement import CentralizedPlacement, expected_fraction
 
 
 class ScheduledSubfile(NamedTuple):
@@ -130,7 +132,7 @@ def account_block(cfg: NetworkConfig, block: tuple[ScheduledSubfile, ...]) -> Su
 
 
 def plan_sdof(cfg: NetworkConfig, plan: DeliveryPlan) -> Fraction:
-    (value,) = {account_block(cfg, entries(block)).sdof for block in plan.blocks}
+    (value,) = {common_sdof([account_block(cfg, entries(block))]) for block in plan.blocks}
     return value
 
 
@@ -159,6 +161,26 @@ def verify_completeness(cfg: NetworkConfig, plans: list[DeliveryPlan], mode: str
 def subfile_fraction(cfg: NetworkConfig) -> Fraction:
     """Share of a file in one centralized subfile: 1 / (C(K_T,t_T) C(K_R,t_R))."""
     return Fraction(1, binomial(cfg.k_t, int(cfg.t_t)) * binomial(cfg.k_r, int(cfg.t_r)))
+
+
+_LABEL_RE = re.compile(r"W(\d+)\[tx=(\d*) rx=(\d+|-)\]")
+
+
+def exported_caches(placement: CentralizedPlacement) -> tuple[dict[int, frozenset[SubfileId]], ...]:
+    """The subfiles `export_text` lists per transmitter and per receiver, by 0-based node (one-digit indices).
+
+    Each line must list its subfiles once each, sorted by label.
+    """
+    caches: dict[str, dict[int, frozenset[SubfileId]]] = {"tx": {}, "rx": {}}
+    for line in placement.export_text().splitlines()[1:]:
+        kind, node, names = re.fullmatch(r"(tx|rx) (\d+):(.*)", line).groups()
+        subs = frozenset(
+            SubfileId(int(f) - 1, frozenset(int(i) - 1 for i in tx), frozenset(int(j) - 1 for j in rx.strip("-")))
+            for f, tx, rx in _LABEL_RE.findall(names)
+        )
+        assert " ".join(sorted(s.label() for s in subs)) == names.strip(), line
+        caches[kind][int(node) - 1] = subs
+    return caches["tx"], caches["rx"]
 
 
 def precoders(blocks) -> tuple[list[tuple[frozenset[int], frozenset[int]]], list[int]]:
@@ -226,7 +248,7 @@ def mask_profile(cfg: NetworkConfig, mask: np.ndarray, file: int) -> dict:
 
 def mc_ndt_values(cfg: NetworkConfig, demand: DemandVector, seeds: list[int]) -> list[Fraction]:
     """Per-seed finite-size delivery times from the reference mask, one scheduled entry at a time."""
-    plans = [build_tier_plan(cfg, demand, t) for t in range(cfg.k_r)]
+    plans = build_decentralized_plan(cfg, demand)
     values = []
     for seed in seeds:
         mask = decentralized_mask(cfg, seed)

@@ -18,7 +18,7 @@ import pytest
 from cachenet.delivery import (
     account_plan,
     build_centralized_plan,
-    build_tier_plan,
+    build_decentralized_plan,
     plan_sdof,
     verify_completeness,
 )
@@ -32,8 +32,8 @@ from cachenet.metrics import (
     sweep_figure,
 )
 from cachenet.model import DemandVector, NetworkConfig, binomial
-from cachenet.phy import _minors, _precoders, sample_channel
-from cachenet.placement import place_centralized, subfile_class_count
+from cachenet.phy import _draw, _minors, _precoders
+from cachenet.placement import place_centralized, place_decentralized, subset_profile
 from conftest import cachenet_env
 from per_entry import entries, minor
 
@@ -98,10 +98,10 @@ def test_criterion_4_zf_verification_and_minor_match():
     records = list(zip(entries(plan), rows))
     checked = 0
     for seed in range(100):
-        h = sample_channel(4, 4, seed)
-        weights, scales = distinct.weights(h.entries, dict(enumerate(_minors(h.entries), start=1)))
+        h = _draw(4, 4, seed, 4)[0]  # every minor size checked
+        weights, scales = distinct.weights(h, dict(enumerate(_minors(h), start=1)))
         for e, k in records:
-            gains = h.entries @ weights[k]
+            gains = h @ weights[k]
             gmax = np.max(np.abs(gains))
             for z in e.zf_targets:
                 assert abs(gains[z]) < 1e-9 * gmax
@@ -113,7 +113,7 @@ def test_criterion_4_zf_verification_and_minor_match():
                     continue
                 rows_removed = tuple(r for r in range(4) if r not in (j, target))
                 cols_removed = tuple(c for c in range(4) if c not in e.subfile.tx_set)
-                m = minor(h.entries, rows_removed, cols_removed)
+                m = minor(h, rows_removed, cols_removed)
                 assert min(abs(raw[j] - m), abs(raw[j] + m)) < 1e-12 * abs(m)
             checked += 1
     elapsed = time.perf_counter() - start
@@ -123,9 +123,10 @@ def test_criterion_4_zf_verification_and_minor_match():
 
 def test_criterion_5_decentralized_3x3_example():
     cfg = cfg_3x3()
-    assert subfile_class_count(cfg) == 24
+    # C(3,2) tx partitions x 2^3 caching receiver sets, every one populated at F = 10^5
+    assert len(subset_profile(place_decentralized(cfg_3x3(file_bits=10**5), seed=0), 0)) == 24
     demand = DemandVector.worst_case(cfg)
-    tier_sdof = {t: plan_sdof(cfg, build_tier_plan(cfg, demand, t)) for t in range(3)}
+    tier_sdof = {t: plan_sdof(cfg, plan) for t, plan in enumerate(build_decentralized_plan(cfg, demand))}
     assert tier_sdof == {0: Fraction(9, 4), 1: Fraction(3), 2: Fraction(3)}
     oracle, _ = ndt_oracle(cfg, demand=demand)
     assert oracle == Fraction(62, 81)

@@ -91,20 +91,19 @@ def test_plan_show_lists_placement(tmp_path):
 
 @pytest.mark.parametrize("show", [False, True])
 def test_plan_builds_placement_listings_only_when_shown(show, monkeypatch):
-    # plans follow from the configuration and the mode; only `plan --show` prints a placement, so only it builds one
-    built = []
-    original = cli.place_centralized
+    # plans follow from the configuration and the mode; only `plan --show` prints a placement, so only it lists one
+    listed = []
+    original = placement.CentralizedPlacement.export_text
 
-    def place(cfg):
-        built.append(original(cfg))
-        return built[-1]
+    def export_text(self):
+        listed.append(self.cfg)
+        return original(self)
 
-    monkeypatch.setattr(cli, "place_centralized", place)
+    monkeypatch.setattr(placement.CentralizedPlacement, "export_text", export_text)
     monkeypatch.setattr(cli, "place_decentralized", lambda cfg, seed: pytest.fail("decentralized placement drawn"))
     argv = ["plan", "--kt", "4", "--kr", "4", "--n", "4", "--mt", "2", "--mr", "1", "--verify", "--channel-seeds", "1"]
     assert cli.main(argv + ["--show"] * show) == 0
-    listings = [{"tx_cache", "rx_cache"} & set(vars(pl)) for pl in built]
-    assert listings == ([{"tx_cache", "rx_cache"}] if show else [])
+    assert listed == [NetworkConfig(k_t=4, k_r=4, n_files=4, m_t=2, m_r=1)] * show
 
 
 def test_decentralized_plan_and_verify_draw_no_placement(tmp_path, monkeypatch, capsys):

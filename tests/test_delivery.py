@@ -21,7 +21,6 @@ from cachenet.delivery import (
     account_plan,
     build_centralized_plan,
     build_decentralized_plan,
-    build_tier_plan,
     common_sdof,
     parse_plans,
     plan_sdof,
@@ -85,7 +84,7 @@ class TestCentralized4x4:
             for r in ledger.receivers:
                 assert (r.desired, r.aligned_dims) == (6, 1)
                 assert r.dof == Fraction(6, 7)
-            assert ledger.sdof == Fraction(24, 7)
+            assert common_sdof([ledger]) == Fraction(24, 7)
         assert plan_sdof(cfg, plan) == Fraction(24, 7)
 
     def test_completeness(self):
@@ -131,7 +130,7 @@ def test_common_sdof_equal_ratios_from_different_pairs():
     one_of_two = SubspaceLedger((ReceiverLedger(1, 0, 0, 0, 1),))
     assert (two_of_four.dims, one_of_two.dims) == ((2, 4), (1, 2))
     assert common_sdof([two_of_four, one_of_two, two_of_four]) == Fraction(1, 2)
-    assert two_of_four.sdof == one_of_two.sdof == Fraction(1, 2)
+    assert common_sdof([two_of_four]) == common_sdof([one_of_two]) == Fraction(1, 2)
     one_of_three = SubspaceLedger((ReceiverLedger(1, 0, 0, 0, 2),))
     message = "blocks have differing sum DoF: [Fraction(1, 3), Fraction(1, 2)]"
     with pytest.raises(ConfigurationError, match=re.escape(message)):
@@ -246,18 +245,19 @@ class TestDecentralizedTiers:
         cfg = cfg33(file_bits=999)
         demand = DemandVector.worst_case(cfg)
         expected = {0: Fraction(9, 4), 1: Fraction(3), 2: Fraction(3)}
+        plans = build_decentralized_plan(cfg, demand)
         for t, sdof in expected.items():
-            assert plan_sdof(cfg, build_tier_plan(cfg, demand, t)) == sdof
+            assert plan_sdof(cfg, plans[t]) == sdof
 
     def test_tier0_per_user(self):
         cfg = cfg33()
-        plan = build_tier_plan(cfg, DemandVector.worst_case(cfg), 0)
+        plan = build_decentralized_plan(cfg, DemandVector.worst_case(cfg))[0]
         ledger = account_block(cfg, plan.blocks[0])
         assert all(r.dof == Fraction(3, 4) for r in ledger.receivers)
 
     def test_tier1_no_alignment_and_ic_active(self):
         cfg = cfg33()
-        plan = build_tier_plan(cfg, DemandVector.worst_case(cfg), 1)
+        plan = build_decentralized_plan(cfg, DemandVector.worst_case(cfg))[1]
         for ledger in account_plan(cfg, plan):
             for r in ledger.receivers:
                 assert r.aligned_dims == 0
@@ -265,7 +265,7 @@ class TestDecentralizedTiers:
 
     def test_top_tier_is_broadcast(self):
         cfg = cfg33()
-        plan = build_tier_plan(cfg, DemandVector.worst_case(cfg), 2)
+        plan = build_decentralized_plan(cfg, DemandVector.worst_case(cfg))[2]
         assert all(e.zf_targets == frozenset() for e in entries(plan))
         for ledger in account_plan(cfg, plan):
             assert all(r.aligned_dims == 0 for r in ledger.receivers)
@@ -273,7 +273,7 @@ class TestDecentralizedTiers:
     def test_tier1_first_block_matches_worked_grouping(self):
         # dest 1 cached {2} zf {3}; dest 2 cached {3} zf {1}; dest 3 cached {1} zf {2}
         cfg = cfg33()
-        plan = build_tier_plan(cfg, DemandVector.worst_case(cfg), 1)
+        plan = build_decentralized_plan(cfg, DemandVector.worst_case(cfg))[1]
         got = {(r.dest, r.rx_set, r.zf_targets) for r in plan.blocks[0].runs}
         assert got == {
             (0, frozenset({1}), frozenset({2})),
@@ -344,7 +344,7 @@ class TestPerLabelEquivalence:
                 demand = DemandVector.worst_case(cfg)
                 plans = [centralized_setup(cfg)[1]]
                 if t_r == 0:  # the tier plans do not depend on t_R
-                    plans += [build_tier_plan(cfg, demand, t) for t in range(k_r)]
+                    plans += build_decentralized_plan(cfg, demand)
                 for plan in plans:
                     expected = [per_entry.account_block(cfg, entries(block)) for block in plan.blocks]
                     assert account_plan(cfg, plan) == expected

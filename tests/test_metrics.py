@@ -11,7 +11,7 @@ import per_entry
 from cachenet.delivery import (
     DeliveryPlan,
     build_centralized_plan,
-    build_tier_plan,
+    build_decentralized_plan,
     plan_sdof,
     verify_completeness,
 )
@@ -187,7 +187,7 @@ class TestPerEntryEquivalence:
         for t_t in range(1, k_t + 1):
             # the worst-case tier plans and their ledgers depend on K_T, K_R and t_T only
             cfg = corner_cfg(k_t, k_r, t_t, 0)
-            plans = [build_tier_plan(cfg, DemandVector.worst_case(cfg), t) for t in range(k_r)]
+            plans = build_decentralized_plan(cfg, DemandVector.worst_case(cfg))
             sdofs = [per_entry.plan_sdof(cfg, plan) if plan.blocks else None for plan in plans]
             for t_r in range(k_r + 1):
                 cfg = corner_cfg(k_t, k_r, t_t, t_r)
@@ -340,7 +340,7 @@ def test_oracle_and_plan_sdof_leave_blocks_unexpanded():
     cfg = make_cfg(4, 4, 4, 2, 1)
     assert not hasattr(DeliveryPlan, "entries")
     demand = DemandVector.worst_case(cfg)
-    tiers = [build_tier_plan(cfg, demand, t) for t in range(cfg.k_r)]
+    tiers = build_decentralized_plan(cfg, demand)
     ndt_oracle(cfg, demand=demand)
     central = build_centralized_plan(cfg, None, demand)
     plan_sdof(cfg, central)

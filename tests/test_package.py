@@ -16,7 +16,7 @@ from conftest import cachenet_env
 EXPORTS = {
     "delivery": (
         "DeliveryPlan", "Run", "SubspaceLedger", "account_block", "build_centralized_plan",
-        "build_decentralized_plan", "build_tier_plan", "parse_plans", "plan_sdof", "serialize_plan",
+        "build_decentralized_plan", "parse_plans", "plan_sdof", "serialize_plan",
         "verify_completeness",
     ),
     "metrics": (
@@ -24,10 +24,10 @@ EXPORTS = {
         "sdof_achievable", "sdof_baseline", "sdof_report", "sweep_figure",
     ),
     "model": ("ConfigurationError", "DemandVector", "NetworkConfig", "SubfileId", "binomial", "subsets"),
-    "phy": ("ChannelMatrix", "GenericityError", "sample_channel", "verify_plan_phy"),
+    "phy": ("GenericityError", "verify_plan_phy"),
     "placement": (
         "CentralizedPlacement", "DecentralizedPlacement", "expected_fraction", "place_centralized",
-        "place_decentralized", "subfile_class_count", "subset_profile",
+        "place_decentralized", "subset_profile",
     ),
 }
 
@@ -44,6 +44,10 @@ def test_unknown_package_name_raises_attribute_error():
         cachenet.sample_channels
     with pytest.raises(ImportError):
         from cachenet import sample_channels  # noqa: F401
+    # names the library no longer offers: one channel-draw path, one tier-plan builder, listings only in export_text
+    for name in ("sample_channel", "ChannelMatrix", "build_tier_plan", "subfile_class_count"):
+        with pytest.raises(AttributeError, match=f"no attribute '{name}'"):
+            getattr(cachenet, name)
 
 
 # Runs `cli.main` on each argv in turn, in one interpreter, and prints after

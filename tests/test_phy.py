@@ -18,7 +18,7 @@ from cachenet.delivery import (
     MalformedPlanError,
     Run,
     build_centralized_plan,
-    build_tier_plan,
+    build_decentralized_plan,
     parse_plans,
     serialize_plan,
 )
@@ -27,38 +27,45 @@ from cachenet.phy import (
     GENERICITY_THRESHOLD,
     IA_ASSUMPTION_NOTE,
     MAX_SAMPLE_RETRIES,
-    ChannelMatrix,
     GenericityError,
     _minor_check,
     _minor_size,
     _minors,
     _precoders,
-    sample_channel,
     verify_plan_phy,
 )
 from cachenet.placement import place_centralized
 from per_entry import ScheduledSubfile, block_of, entries, equivalent_gains, minor
 
 
-def library_precoder(h: ChannelMatrix, tx_set, zf_targets) -> tuple[np.ndarray, float]:
+def channel(k_r: int, k_t: int, seed: int, size: int | None = None) -> np.ndarray:
+    """The entries `phy._draw` gives for `seed`, checked for genericity up to minor size `size` (every size by default)."""
+    return phy._draw(k_r, k_t, seed, size or min(k_r, k_t))[0]
+
+
+def smallest_minor(h: np.ndarray) -> float:
+    """The smallest |square minor| of h over every size, from the batched check."""
+    return _minor_check(h, min(h.shape))[0]
+
+
+def library_precoder(h: np.ndarray, tx_set, zf_targets) -> tuple[np.ndarray, float]:
     """The weights across the sorted tx set and the scale of one precoder, built as `verify_plan_phy` builds it.
 
     That is `_precoders` of a one-entry block, then its `weights` on the channel.
     """
     block = Block(0, (Run(0, 0, frozenset(), frozenset(zf_targets), (frozenset(tx_set),)),))
     distinct, _ = _precoders((block,))
-    weights, scales = distinct.weights(h.entries, tables(h))
+    weights, scales = distinct.weights(h, tables(h))
     return weights[0, sorted(tx_set)], float(scales[0])
 
 
 def tables(h) -> dict[int, np.ndarray]:
     """Every square-minor table of h by size, as `verify_plan_phy` hands the kept ones to `weights`."""
-    return dict(enumerate(_minors(h.entries if isinstance(h, ChannelMatrix) else h), start=1))
+    return dict(enumerate(_minors(h), start=1))
 
 
 def table_minor(h, rows_removed, cols_removed) -> complex:
     """The minor of h without the given rows and columns, read from the `_minors` table of its size."""
-    h = h.entries if isinstance(h, ChannelMatrix) else h
     kept = [tuple(i for i in range(n) if i not in removed) for n, removed in zip(h.shape, (rows_removed, cols_removed))]
     ranks = [list(itertools.combinations(range(n), len(kept[0]))).index(keep) for n, keep in zip(h.shape, kept)]
     return complex(list(_minors(h))[len(kept[0]) - 1][tuple(ranks)])
@@ -80,24 +87,24 @@ def det_cofactor(a: np.ndarray) -> complex:
 
 class TestSampling:
     def test_deterministic(self):
-        a = sample_channel(4, 4, seed=1)
-        b = sample_channel(4, 4, seed=1)
-        assert np.array_equal(a.entries, b.entries)
-        c = sample_channel(4, 4, seed=2)
-        assert not np.array_equal(a.entries, c.entries)
+        a = channel(4, 4, seed=1)
+        b = channel(4, 4, seed=1)
+        assert np.array_equal(a, b)
+        c = channel(4, 4, seed=2)
+        assert not np.array_equal(a, c)
 
     def test_scalar_channel(self):
-        h = sample_channel(1, 1, seed=3)
-        assert abs(h.entries[0, 0]) > 1e-9
+        h = channel(1, 1, seed=3)
+        assert abs(h[0, 0]) > 1e-9
 
     def test_all_minors_generic(self):
-        h = sample_channel(4, 4, seed=5)
+        h, smallest, _, _ = phy._draw(4, 4, seed=5, size=4)
         for size in (1, 2, 3, 4):
             for rows in itertools.combinations(range(4), size):
                 for cols in itertools.combinations(range(4), size):
-                    sub = h.entries[np.ix_(rows, cols)]
+                    sub = h[np.ix_(rows, cols)]
                     assert abs(det_cofactor(sub)) > 1e-9
-        assert _minor_check(h.entries)[0] == h.min_minor >= GENERICITY_THRESHOLD
+        assert smallest_minor(h) == smallest >= GENERICITY_THRESHOLD
 
 
 def minors_generic_loop(h: np.ndarray, threshold: float) -> bool:
@@ -118,7 +125,7 @@ class TestGenericity:
         for size in range(1, min(k_r, k_t) + 1):
             for _ in range(5):
                 h = rng.standard_normal((k_r, k_t)) + 1j * rng.standard_normal((k_r, k_t))
-                assert _minor_check(h)[0] >= 1e-9 and minors_generic_loop(h, 1e-9)
+                assert smallest_minor(h) >= 1e-9 and minors_generic_loop(h, 1e-9)
                 rows = np.sort(rng.choice(k_r, size=size, replace=False))
                 cols = np.sort(rng.choice(k_t, size=size, replace=False))
                 # make the last planted column a combination of the others: a singular minor
@@ -126,7 +133,7 @@ class TestGenericity:
                 sub[:, -1] = sub[:, :-1] @ rng.standard_normal(size - 1) if size > 1 else 0.0
                 h[np.ix_(rows, cols)] = sub
                 assert not minors_generic_loop(h, 1e-9)
-                assert not _minor_check(h)[0] >= 1e-9
+                assert not smallest_minor(h) >= 1e-9
 
 
 def complex_gaussian(rng: np.random.Generator, k_r: int, k_t: int) -> np.ndarray:
@@ -166,7 +173,7 @@ class TestMinorRecurrence:
         for i in range(200):
             h = complex_gaussian(rng, k_r, k_t)
             threshold = (0.01, 0.1, 0.5)[i % 3]
-            verdicts.append(_minor_check(h)[0] >= threshold)
+            verdicts.append(smallest_minor(h) >= threshold)
             assert verdicts[-1] == minors_generic_loop(h, threshold)
         assert any(verdicts) and not all(verdicts)
 
@@ -180,69 +187,66 @@ class TestMinorRecurrence:
                 entries = complex_gaussian(rng, 3, 3)
                 if minors_generic_loop(entries, threshold):
                     break
-            h = sample_channel(3, 3, seed)
-            assert np.array_equal(h.entries, entries)
-            assert h.redraws == redraws
-            assert h.min_minor == pytest.approx(smallest_minor_loop(entries), rel=1e-12)
-            assert h.min_minor >= threshold
+            h, smallest, drawn_redraws, _ = phy._draw(3, 3, seed, 3)
+            assert np.array_equal(h, entries)
+            assert drawn_redraws == redraws
+            assert smallest == pytest.approx(smallest_minor_loop(entries), rel=1e-12)
+            assert smallest >= threshold
             total += redraws
         assert total > 0
 
     def test_default_channel_headroom(self):
-        h = sample_channel(5, 4, seed=3)
-        assert h.redraws == 0
-        assert h.min_minor == pytest.approx(smallest_minor_loop(h.entries), rel=1e-12)
-        unchecked = ChannelMatrix(entries=h.entries, seed=3)
-        assert np.isnan(unchecked.min_minor) and unchecked.redraws == 0
+        h, smallest, redraws, _ = phy._draw(5, 4, seed=3, size=4)
+        assert redraws == 0
+        assert smallest == pytest.approx(smallest_minor_loop(h), rel=1e-12)
 
 
 class TestZfWeights:
     def test_two_tx_swap_rule(self):
         # weights proportional to (h_t2, -h_t1) for two transmitters and one target
-        h = sample_channel(4, 4, seed=7)
+        h = channel(4, 4, seed=7)
         weights, scale = library_precoder(h, (0, 1), (2,))
         raw = weights * scale
-        assert raw[0] == pytest.approx(h.entries[2, 1])
-        assert raw[1] == pytest.approx(-h.entries[2, 0])
+        assert raw[0] == pytest.approx(h[2, 1])
+        assert raw[1] == pytest.approx(-h[2, 0])
         assert np.max(np.abs(weights)) == pytest.approx(1.0)
 
     def test_single_tx(self):
-        h = sample_channel(3, 3, seed=8)
+        h = channel(3, 3, seed=8)
         weights, scale = library_precoder(h, (1,), ())
         assert weights.tolist() == [1.0] and scale == 1.0
 
     def test_three_tx_two_targets_null(self):
-        h = sample_channel(4, 4, seed=9)
+        h = channel(4, 4, seed=9)
         weights, _ = library_precoder(h, (0, 1, 2), (1, 3))
-        g = equivalent_gains(h.entries, (0, 1, 2), weights)
+        g = equivalent_gains(h, (0, 1, 2), weights)
         gmax = np.max(np.abs(g))
         assert abs(g[1]) < 1e-9 * gmax and abs(g[3]) < 1e-9 * gmax
 
     def test_fewer_targets_than_capacity(self):
         # three cooperating transmitters, one target: only two stay active
-        h = sample_channel(3, 3, seed=10)
+        h = channel(3, 3, seed=10)
         weights, _ = library_precoder(h, (0, 1, 2), (2,))
         assert weights[2] == 0
-        g = equivalent_gains(h.entries, (0, 1, 2), weights)
+        g = equivalent_gains(h, (0, 1, 2), weights)
         assert abs(g[2]) < 1e-9 * np.max(np.abs(g))
 
     def test_too_many_targets(self):
-        h = sample_channel(4, 4, seed=11)
+        h = channel(4, 4, seed=11)
         with pytest.raises(ConfigurationError, match="zero-forced at 2 receiver.s. by 2 transmitter.s.$"):
             library_precoder(h, (0, 1), (2, 3))
 
     def test_degenerate_subsystem(self):
-        entries = np.ones((3, 3), dtype=complex)  # repeated rows: no usable null direction
-        h = ChannelMatrix(entries=entries, seed=0)
+        h = np.ones((3, 3), dtype=complex)  # repeated rows: no usable null direction
         with pytest.raises(GenericityError):
             library_precoder(h, (0, 1, 2), (0, 1))
 
 
 class TestGains:
     def test_zero_at_target_nonzero_elsewhere(self):
-        h = sample_channel(4, 4, seed=12)
+        h = channel(4, 4, seed=12)
         weights, _ = library_precoder(h, (0, 1), (2,))
-        g = equivalent_gains(h.entries, (0, 1), weights)
+        g = equivalent_gains(h, (0, 1), weights)
         gmax = np.max(np.abs(g))
         assert abs(g[2]) < 1e-12 * gmax
         for j in (0, 1, 3):
@@ -250,25 +254,25 @@ class TestGains:
 
     def test_gain_equals_minor_up_to_sign(self):
         # two-transmitter gain at rx j is the minor keeping rows {j, target} and the tx columns
-        h = sample_channel(4, 4, seed=13)
+        h = channel(4, 4, seed=13)
         for tx_pair in ((0, 1), (1, 3), (2, 3)):
             for target in range(4):
                 weights, scale = library_precoder(h, tx_pair, (target,))
-                g = equivalent_gains(h.entries, tx_pair, weights) * scale
+                g = equivalent_gains(h, tx_pair, weights) * scale
                 for j in range(4):
                     if j == target:
                         continue
                     rows_removed = tuple(r for r in range(4) if r not in (j, target))
                     cols_removed = tuple(c for c in range(4) if c not in tx_pair)
-                    m = minor(h.entries, rows_removed, cols_removed)
+                    m = minor(h, rows_removed, cols_removed)
                     assert min(abs(g[j] - m), abs(g[j] + m)) < 1e-12 * abs(m)
 
     def test_scale_invariance(self):
-        h = sample_channel(4, 4, seed=14)
+        h = channel(4, 4, seed=14)
         weights, _ = library_precoder(h, (0, 1, 2), (1, 2))
-        zero_set = {j for j, v in enumerate(equivalent_gains(h.entries, (0, 1, 2), weights)) if abs(v) < 1e-9}
+        zero_set = {j for j, v in enumerate(equivalent_gains(h, (0, 1, 2), weights)) if abs(v) < 1e-9}
         scaled = weights * (0.3 - 1.7j)
-        zero_set_scaled = {j for j, v in enumerate(equivalent_gains(h.entries, (0, 1, 2), scaled)) if abs(v) < 1e-9}
+        zero_set_scaled = {j for j, v in enumerate(equivalent_gains(h, (0, 1, 2), scaled)) if abs(v) < 1e-9}
         assert zero_set == zero_set_scaled
 
 
@@ -276,15 +280,14 @@ class TestMinor:
     """Minors read from the `_minors` tables, against the determinant and cofactor references."""
 
     def test_2x2(self):
-        h = sample_channel(2, 2, seed=15)
-        assert table_minor(h, (1,), (1,)) == pytest.approx(h.entries[0, 0])
+        h = channel(2, 2, seed=15)
+        assert table_minor(h, (1,), (1,)) == pytest.approx(h[0, 0])
 
     def test_hand_fixture(self):
-        entries = np.array([[5, 1, 0], [1, 6, 1], [0, 1, 7]], dtype=complex)
-        h = ChannelMatrix(entries=entries, seed=0)
+        h = np.array([[5, 1, 0], [1, 6, 1], [0, 1, 7]], dtype=complex)
         assert table_minor(h, (0,), (0,)) == pytest.approx(6 * 7 - 1)
         assert table_minor(h, (2,), (0,)) == pytest.approx(1 * 1 - 0 * 6)
-        assert table_minor(h, (), ()) == pytest.approx(det_cofactor(entries))
+        assert table_minor(h, (), ()) == pytest.approx(det_cofactor(h))
 
     def test_against_cofactor_oracle(self):
         rng = np.random.default_rng(16)
@@ -334,7 +337,7 @@ class TestBlockVerification:
 
     def test_decentralized_tier0_nulls_hold(self):
         cfg = NetworkConfig(k_t=3, k_r=3, n_files=3, m_t=2, m_r=1, file_bits=300)
-        plan = build_tier_plan(cfg, DemandVector.worst_case(cfg), 0)
+        plan = build_decentralized_plan(cfg, DemandVector.worst_case(cfg))[0]
         reports = verify_plan_phy(cfg, [plan], channel_seeds=20)
         assert all(r.ok for r in reports)
 
@@ -350,9 +353,9 @@ def reference_blocks(h, blocks, rel_tol=1e-9, floor=1e-12):
     for block in blocks:
         labels = set()
         for e in entries(block):
-            weights, _ = per_entry.zf_weights(h.entries, e.subfile.tx_set, e.zf_targets)
+            weights, _ = per_entry.zf_weights(h, e.subfile.tx_set, e.zf_targets)
             checked += 1
-            gains = equivalent_gains(h.entries, e.subfile.tx_set, weights)
+            gains = equivalent_gains(h, e.subfile.tx_set, weights)
             gmax = float(np.max(np.abs(gains)))
             issues = []
             for z in sorted(e.zf_targets):
@@ -361,7 +364,7 @@ def reference_blocks(h, blocks, rel_tol=1e-9, floor=1e-12):
                     issues.append(f"zf-leak at rx {z + 1} (|gain|={abs(gains[z]):.3e}, max {gmax:.3e})")
             if abs(gains[e.dest]) < floor * gmax:
                 issues.append(f"degenerate destination gain at rx {e.dest + 1}")
-            for r in range(h.k_r):
+            for r in range(h.shape[0]):
                 if r == e.dest or r in e.zf_targets:
                     continue
                 if r in e.subfile.rx_set:
@@ -404,14 +407,14 @@ class TestBatchedEquivalence:
             demand = DemandVector.worst_case(cfg)
             plans = [[build_centralized_plan(cfg, place_centralized(cfg), demand)]]
             if cfg.t_r == 0:
-                plans.append([build_tier_plan(cfg, demand, t) for t in range(k_r)])
+                plans.append(build_decentralized_plan(cfg, demand))
             # the per-transmission reference is slow: two channels per call on small networks, one on large
             seeds = [k_t * k_r + corner + 7 * s for s in range(2 if max(k_t, k_r) <= 4 else 1)]
             for plan in plans:
                 reports = verify_plan_phy(cfg, plan, channel_seeds=seeds)
                 assert [r.seed for r in reports] == seeds
                 for r in reports:
-                    h = sample_channel(k_r, k_t, r.seed)
+                    h = channel(k_r, k_t, r.seed)
                     assert_matches_reference(r, reference_blocks(h, [b for p in plan for b in p.blocks]))
 
     def _plan44(self):
@@ -433,7 +436,7 @@ class TestBatchedEquivalence:
                 f"block=2 subfile={e.subfile.label()} dest={e.dest + 1}: "
                 f"degenerate destination gain at rx {e.dest + 1}",
             )
-            assert_matches_reference(r, reference_blocks(sample_channel(4, 4, r.seed), crafted.blocks))
+            assert_matches_reference(r, reference_blocks(channel(4, 4, r.seed), crafted.blocks))
 
     def test_too_many_targets_raises(self):
         cfg, plan = self._plan44()
@@ -474,11 +477,11 @@ class TestBatchedEquivalence:
         cfg, plan = self._plan44()
         reports = verify_plan_phy(cfg, [plan], channel_seeds=3)
         for r in reports:
-            h = sample_channel(4, 4, r.seed, max_size=2)
-            assert h.minor_size == 2
-            assert r.genericity_margin == h.min_minor / GENERICITY_THRESHOLD > 1.0
-            assert h.min_minor >= sample_channel(4, 4, r.seed).min_minor
-            assert r.redraws == h.redraws == 0
+            h, smallest, redraws, _ = phy._draw(4, 4, r.seed, 2)
+            assert smallest == _minor_check(h, 2)[0]
+            assert r.genericity_margin == smallest / GENERICITY_THRESHOLD > 1.0
+            assert smallest >= smallest_minor(h)
+            assert r.redraws == redraws == 0
             assert "margin" not in r.summary() and "redraw" not in r.summary()
 
 
@@ -517,7 +520,7 @@ def _plans(k, t_t, t_r, tiers):
     cfg = NetworkConfig(k_t=k, k_r=k, n_files=k, m_t=t_t, m_r=t_r, file_bits=1000 if tiers else None)
     demand = DemandVector.worst_case(cfg)
     if tiers:
-        return cfg, [build_tier_plan(cfg, demand, t) for t in range(k)]
+        return cfg, build_decentralized_plan(cfg, demand)
     return cfg, [build_centralized_plan(cfg, None, demand)]
 
 
@@ -555,12 +558,11 @@ class TestPlanSizedGenericity:
         size = _minor_size(tuple(b for p in plans for b in p.blocks))
         assert 1 < size <= cfg.t_t < cfg.k_r
         for seed in CHECKED_CHANNELS[case]:
-            exhaustive = sample_channel(cfg.k_r, cfg.k_t, seed)
-            truncated = sample_channel(cfg.k_r, cfg.k_t, seed, max_size=size)
-            assert np.array_equal(truncated.entries, exhaustive.entries)
-            assert truncated.redraws == exhaustive.redraws
-            assert (truncated.minor_size, exhaustive.minor_size) == (size, cfg.k_r)
-            assert truncated.min_minor >= exhaustive.min_minor
+            exhaustive, least, redraws, _ = phy._draw(cfg.k_r, cfg.k_t, seed, min(cfg.k_r, cfg.k_t))
+            truncated, smallest, truncated_redraws, _ = phy._draw(cfg.k_r, cfg.k_t, seed, size)
+            assert np.array_equal(truncated, exhaustive)
+            assert truncated_redraws == redraws
+            assert smallest >= least
 
     def test_8x8_plan_builds_no_minor_above_size_2(self, monkeypatch):
         cfg, plans = _plans(8, 2, 1, False)
@@ -582,12 +584,11 @@ class TestPlanSizedGenericity:
         # per channel: one table per size, up to 4; the weights read the tables of m = 1 and 3
         assert sizes == [1, 2, 3, 4] * 2
 
-    def test_default_checks_every_size(self, monkeypatch):
+    def test_exhaustive_check_builds_every_size_once(self, monkeypatch):
+        # the exhaustive check the plan-sized one is compared with: `_draw` at size min(K_R, K_T)
         sizes = spy_minor_sizes(monkeypatch)
-        h = sample_channel(5, 4, seed=3)
-        assert sizes == [1, 2, 3, 4] and h.minor_size == 4
-        with pytest.raises(ValueError, match="largest minor size must be >= 1"):
-            sample_channel(5, 4, seed=3, max_size=0)
+        phy._draw(5, 4, seed=3, size=4)
+        assert sizes == [1, 2, 3, 4]
 
     def test_degenerate_minor_above_the_bound_is_accepted_only_by_the_truncated_check(self, monkeypatch):
         # two draws of real and imaginary parts; in the first, rows 1-3 of column 3 are a real
@@ -596,13 +597,13 @@ class TestPlanSizedGenericity:
         for part in parts[:2]:
             part[:3, 2] = 0.7 * part[:3, 0] - 1.3 * part[:3, 1]
         planted = (parts[0] + 1j * parts[1]) / np.sqrt(2)
-        assert _minor_check(planted, 2)[0] >= GENERICITY_THRESHOLD > _minor_check(planted)[0]
+        assert _minor_check(planted, 2)[0] >= GENERICITY_THRESHOLD > smallest_minor(planted)
         monkeypatch.setattr(np.random, "default_rng", lambda seed: _Replay(parts))
-        truncated = sample_channel(4, 4, seed=0, max_size=2)
-        assert truncated.redraws == 0 and np.array_equal(truncated.entries, planted)
-        exhaustive = sample_channel(4, 4, seed=0)
-        assert exhaustive.redraws == 1
-        assert np.array_equal(exhaustive.entries, (parts[2] + 1j * parts[3]) / np.sqrt(2))
+        truncated, _, redraws, _ = phy._draw(4, 4, 0, 2)
+        assert redraws == 0 and np.array_equal(truncated, planted)
+        exhaustive, _, redraws, _ = phy._draw(4, 4, 0, 4)
+        assert redraws == 1
+        assert np.array_equal(exhaustive, (parts[2] + 1j * parts[3]) / np.sqrt(2))
 
 
 def precoder_plans(k_t, k_r, t_t, t_r, tiers):
@@ -610,7 +611,7 @@ def precoder_plans(k_t, k_r, t_t, t_r, tiers):
     cfg = NetworkConfig(k_t=k_t, k_r=k_r, n_files=k_r, m_t=Fraction(t_t * k_r, k_t), m_r=t_r)
     demand = DemandVector.worst_case(cfg)
     if tiers:
-        return [build_tier_plan(cfg, demand, t) for t in range(k_r)]
+        return build_decentralized_plan(cfg, demand)
     return [build_centralized_plan(cfg, place_centralized(cfg), demand)]
 
 
@@ -630,7 +631,7 @@ class TestPrecoderTables:
         parsed = parse_plans("".join(serialize_plan(p) for p in plans))
         parsed_runs = [r for p in parsed for b in p.blocks for r in b.runs]
         assert len({id(r.tx_sets) for r in parsed_runs}) == len(parsed_runs) > 1
-        h = sample_channel(corner[1], corner[0], seed=5)
+        h = channel(corner[1], corner[0], seed=5)
         for variant in (plans, parsed, shuffled(plans, seed=sum(corner))):
             blocks = tuple(b for p in variant for b in p.blocks)
             distinct, rows = _precoders(blocks)
@@ -641,12 +642,12 @@ class TestPrecoderTables:
             ] == pairs
             # each row of the batched weights is the pair's own precoder: the first m+1 of its
             # sorted transmitters are active, the largest weight is 1 and the m targets are nulled
-            weights, _ = distinct.weights(h.entries, tables(h))
+            weights, _ = distinct.weights(h, tables(h))
             for k, (ts, targets) in enumerate(pairs):
                 active = sorted(ts)[: len(targets) + 1]
                 assert np.flatnonzero(weights[k]).tolist() == active
                 assert np.max(np.abs(weights[k])) == pytest.approx(1.0, rel=1e-12)
-                gains = np.abs(h.entries @ weights[k])
+                gains = np.abs(h @ weights[k])
                 assert np.all(gains[list(targets)] <= 1e-9 * gains.max())
 
     def _entries44(self):
@@ -695,10 +696,10 @@ class TestPerPrecoderChecks:
         cfg, (plan,) = _plans(4, 2, 1, False)
         distinct, rows = _precoders(plan.blocks)
         layout = phy._layout(plan.blocks, cfg.k_r, distinct, rows)
-        h = sample_channel(4, 4, seed=3, max_size=2)
-        weights, _ = distinct.weights(h.entries, tables(h))
-        mag = np.abs(weights @ h.entries.T)
-        assert phy._check(h, layout, mag, rel_tol=1e-9).ok
+        h, smallest, redraws, _ = phy._draw(4, 4, 3, 2)
+        weights, _ = distinct.weights(h, tables(h))
+        mag = np.abs(weights @ h.T)
+        assert phy._check(3, smallest, redraws, layout, mag, rel_tol=1e-9).ok
         records = entries(plan)
 
         def interferes(e, j):
@@ -707,7 +708,7 @@ class TestPerPrecoderChecks:
         # the first (precoder, receiver) pair where the receiver interferes with a transmission
         k, rx = next((rows[i], j) for i, e in enumerate(records) for j in range(cfg.k_r) if interferes(e, j))
         mag[k, rx] = 0.0
-        report = phy._check(h, layout, mag, rel_tol=1e-9)
+        report = phy._check(3, smallest, redraws, layout, mag, rel_tol=1e-9)
         # every transmission of the precoder is named: two see the receiver as an interferer, one as its destination
         users = [e for e, row in zip(records, rows) if row == k]
         assert [interferes(e, rx) for e in users] == [True, False, True] and users[1].dest == rx
@@ -724,11 +725,11 @@ class TestGatheredWeights:
         # the minors gathered from the `_minors` tables against one np.linalg.det per weight
         _, (plan,) = _plans(k, t_t, t_r, False)
         distinct, _ = _precoders(plan.blocks)
-        h = sample_channel(k, k, seed=k, max_size=t_t)
-        weights, scales = distinct.weights(h.entries, tables(h))
+        h = channel(k, k, seed=k, size=t_t)
+        weights, scales = distinct.weights(h, tables(h))
         for row, scale, t, z in zip(weights, scales, distinct.tx_ids, distinct.target_ids):
             txs = sorted(distinct.tx_sets[t])
-            reference, reference_scale = per_entry.zf_weights(h.entries, txs, distinct.targets[z])
+            reference, reference_scale = per_entry.zf_weights(h, txs, distinct.targets[z])
             assert np.flatnonzero(row).tolist() == txs[: len(distinct.targets[z]) + 1]
             # both are divided by their largest |weight|, so this bound is relative
             assert np.max(np.abs(row[txs] - reference)) <= 1e-12
@@ -740,7 +741,7 @@ class TestGatheredWeights:
         blocks = tuple(b for p in plans for b in p.blocks)
         before = verify_plan_phy(cfg, plans, channel_seeds=3)
         references = [
-            reference_blocks(sample_channel(cfg.k_r, cfg.k_t, r.seed, max_size=_minor_size(blocks)), blocks)
+            reference_blocks(channel(cfg.k_r, cfg.k_t, r.seed, _minor_size(blocks)), blocks)
             for r in before
         ]
 

@@ -14,7 +14,6 @@ from cachenet.placement import (
     expected_fraction,
     place_centralized,
     place_decentralized,
-    subfile_class_count,
     subset_profile,
     tx_partition,
 )
@@ -32,35 +31,34 @@ def cfg33(**kw):
 
 class TestCentralized:
     def test_subfile_counts_4x4(self):
-        pl = place_centralized(cfg44())
-        assert len({s for subs in pl.tx_cache.values() for s in subs if s.file == 0}) == 24
+        tx_cache, _ = per_entry.exported_caches(place_centralized(cfg44()))
+        assert len({s for subs in tx_cache.values() for s in subs if s.file == 0}) == 24
         assert per_entry.subfile_fraction(cfg44()) == Fraction(1, 24)
 
     def test_cache_shares_4x4(self):
         # each transmitter holds half, each receiver a quarter, of every file
-        pl = place_centralized(cfg44())
+        tx_cache, rx_cache = per_entry.exported_caches(place_centralized(cfg44()))
         for i in range(4):
             for f in range(4):
-                held = [s for s in pl.tx_cache[i] if s.file == f]
+                held = [s for s in tx_cache[i] if s.file == f]
                 assert len(held) == 12
         for j in range(4):
             for f in range(4):
-                held = [s for s in pl.rx_cache[j] if s.file == f]
+                held = [s for s in rx_cache[j] if s.file == f]
                 assert len(held) == 6
 
     def test_cache_budgets_exact(self):
         # fully utilized caches: total stored fraction equals M in file units
         for cfg in (cfg44(), cfg33(), cfg44(m_r=2)):
-            pl = place_centralized(cfg)
+            tx_cache, rx_cache = per_entry.exported_caches(place_centralized(cfg))
             fraction = per_entry.subfile_fraction(cfg)
-            for i, subs in pl.tx_cache.items():
+            for i, subs in tx_cache.items():
                 assert len(subs) * fraction == cfg.m_t
-            for j, subs in pl.rx_cache.items():
+            for j, subs in rx_cache.items():
                 assert len(subs) * fraction == cfg.m_r
 
     def test_partition_property(self):
-        cfg = cfg44()
-        pl = place_centralized(cfg)
+        tx_cache, _ = per_entry.exported_caches(place_centralized(cfg44()))
         expected = {
             SubfileId(f, frozenset(ts), frozenset(rs))
             for f in range(4)
@@ -68,22 +66,22 @@ class TestCentralized:
             for rs in subsets(4, 1)
         }
         seen = set()
-        for subs in pl.tx_cache.values():
+        for subs in tx_cache.values():
             seen |= subs
         assert seen == expected  # disjoint by construction, union covers everything
 
     def test_membership_rule(self):
-        pl = place_centralized(cfg33())
-        for i, subs in pl.tx_cache.items():
+        tx_cache, rx_cache = per_entry.exported_caches(place_centralized(cfg33()))
+        for i, subs in tx_cache.items():
             assert all(i in s.tx_set for s in subs)
-        for j, subs in pl.rx_cache.items():
+        for j, subs in rx_cache.items():
             assert all(j in s.rx_set for s in subs)
 
     def test_zero_receiver_cache(self):
         cfg = NetworkConfig(k_t=3, k_r=3, n_files=3, m_t=2, m_r=0)
-        pl = place_centralized(cfg)
-        assert all(not s.rx_set for subs in pl.tx_cache.values() for s in subs)
-        assert all(len(v) == 0 for v in pl.rx_cache.values())
+        tx_cache, rx_cache = per_entry.exported_caches(place_centralized(cfg))
+        assert all(not s.rx_set for subs in tx_cache.values() for s in subs)
+        assert sorted(rx_cache) == [0, 1, 2] and all(len(v) == 0 for v in rx_cache.values())
 
     def test_rejects_non_integral(self):
         cfg = NetworkConfig(k_t=3, k_r=3, n_files=4, m_t=2, m_r=1)
@@ -175,12 +173,11 @@ class TestSubsetProfile:
         assert all(rx == frozenset() for _, rx in profile)
 
     def test_class_count_3x3(self):
-        assert subfile_class_count(cfg33()) == 24
         cfg = cfg33(file_bits=10**5)
         pl = place_decentralized(cfg, seed=6)
         profile = subset_profile(pl, 0)
-        # at this size every one of the 24 classes is populated
-        assert len(profile) == 24
+        # at this size every class, C(3,2) tx partitions x 2^3 caching receiver sets, is populated
+        assert len(profile) == binomial(3, 2) * 2**3 == 24
 
     @pytest.mark.parametrize("k_r", [3, 8, 9])
     def test_matches_per_bit_classification(self, k_r):

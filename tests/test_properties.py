@@ -152,7 +152,7 @@ def test_run_blocks_match_per_entry_reference(cfg):
 
 @PROPERTY
 @given(corners())
-def test_lazy_cache_listings_match_eager_reference(cfg):
+def test_exported_cache_listings_match_eager_reference(cfg):
     tx_cache = {i: set() for i in range(cfg.k_t)}
     rx_cache = {j: set() for j in range(cfg.k_r)}
     tx_sets = subsets(cfg.k_t, int(cfg.t_t))
@@ -165,9 +165,8 @@ def test_lazy_cache_listings_match_eager_reference(cfg):
                     tx_cache[i].add(sub)
                 for j in rs:
                     rx_cache[j].add(sub)
-    placement = place_centralized(cfg)
-    assert placement.tx_cache == {i: frozenset(v) for i, v in tx_cache.items()}
-    assert placement.rx_cache == {j: frozenset(v) for j, v in rx_cache.items()}
+    exported = per_entry.exported_caches(place_centralized(cfg))
+    assert exported == ({i: frozenset(v) for i, v in tx_cache.items()}, {j: frozenset(v) for j, v in rx_cache.items()})
 
 
 def integral_grid():
@@ -193,7 +192,7 @@ def test_every_consumer_uses_the_one_transmitter_partition():
             for dest, sub in verify_completeness(cfg, [], mode, demand).missing:
                 missing.setdefault((dest, sub.file, sub.rx_set), []).append(sub.tx_set)
             assert all(sorted(map(sorted, v)) == [sorted(ts) for ts in partition] for v in missing.values())
-        listed = {sub.tx_set for subs in place_centralized(cfg).tx_cache.values() for sub in subs}
+        listed = {sub.tx_set for subs in per_entry.exported_caches(place_centralized(cfg))[0].values() for sub in subs}
         assert listed == set(partition)
         placement = place_decentralized(cfg, seed=1)
         psize = placement.partition_size
