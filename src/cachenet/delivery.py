@@ -500,9 +500,15 @@ def parse_plans(text: str) -> list[DeliveryPlan]:
             runs[-1][1].append(tx_sets[tx])
         else:
             runs.append((label, [tx_sets[tx]]))
+    # runs with equal tx-set sequences share one tuple, as in a built plan, so `phy._precoders` matches them by identity
+    shared: dict[tuple[frozenset[int], ...], tuple[frozenset[int], ...]] = {}
+
+    def share(txs: list[frozenset[int]]) -> tuple[frozenset[int], ...]:
+        return shared.setdefault(t := tuple(txs), t)
+
     return [
         DeliveryPlan(
-            blocks=tuple(Block(b, tuple(Run(*label, tuple(txs)) for label, txs in by_block[b])) for b in sorted(by_block)),
+            blocks=tuple(Block(b, tuple(Run(*label, share(txs)) for label, txs in by_block[b])) for b in sorted(by_block)),
             mode=mode,
         )
         for by_block, mode in zip(sections, modes or [None])

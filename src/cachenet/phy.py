@@ -301,8 +301,8 @@ def _precoders(blocks: tuple[Block, ...]) -> tuple[_ZfPrecoders, np.ndarray]:
 
     Tx sets and ZF-target sets get integer ids, and a precoder is one (tx id, target id) pair.  Runs
     with equal tx sets and targets share their precoders, so each distinct run label is handled once
-    (a built plan shares one `tx_sets` tuple), and the tx ids of each distinct `tx_sets` tuple are
-    looked up once; pair ids then come from numpy, in order of first use.  `Run.check_zf` depends only
+    (a built or parsed plan shares one `tx_sets` tuple), and the tx ids of each distinct `tx_sets`
+    tuple are looked up once; pair ids then come from numpy, in order of first use.  `Run.check_zf` depends only
     on the tx sets and the target count, so it runs at the first run of each such pair, which names
     the first infeasible run.
     """

@@ -4,8 +4,10 @@ Centralized placement splits every file into C(K_T,t_T)*C(K_R,t_R) equal
 subfiles indexed by (transmitter subset, receiver subset).  Decentralized
 placement keeps the deterministic transmitter partitioning but lets every
 receiver cache a uniformly random fixed-size subset of each file's bits.
-Only the decentralized functions use numpy, and each imports it where it
-runs, so the exact commands never load it.
+Its draws stay in the caller's thread in stream order, so they fix the
+caches per seed; marking each draw into the codes runs one draw behind, in
+one helper thread that the call joins.  Only the decentralized functions use
+numpy, and each imports it where it runs, so the exact commands never load it.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ from .model import (
 )
 
 if TYPE_CHECKING:
+    from collections.abc import Iterable
+
     import numpy as np
 
 __all__ = [
@@ -207,12 +211,53 @@ def place_decentralized(cfg: NetworkConfig, seed: int) -> DecentralizedPlacement
     per_file = int(cfg.m_r * cfg.file_bits / cfg.n_files)  # floor
     rng = np.random.default_rng(seed)
     codes = np.zeros((cfg.n_files, cfg.file_bits), dtype=np.min_scalar_type(2**cfg.k_r - 1))
-    for j in range(cfg.k_r):
-        for row in codes:
-            # a draw without replacement has no repeats, so the fancy-index OR sets each bit once
-            row[rng.choice(cfg.file_bits, size=per_file, replace=False)] |= 1 << j
+    _mark_one_behind(
+        (row, 1 << j, rng.choice(cfg.file_bits, size=per_file, replace=False)) for j in range(cfg.k_r) for row in codes
+    )
     codes.setflags(write=False)
     return DecentralizedPlacement(cfg=cfg, seed=seed, padded_bits=padded, rx_codes=codes)
+
+
+def _mark_one_behind(draws: Iterable[tuple[np.ndarray, int, np.ndarray]]) -> None:
+    """OR each drawn `(row, bit, picked)` into `row[picked]` in one helper thread while the next is drawn.
+
+    `draws` is consumed in the calling thread, so the draws keep their order.
+    The handoff holds one slot: at most one draw waits while another is
+    marked.  Neither side keeps a draw once it has passed it on, so each is
+    freed as soon as it is marked.  The helper is joined before this returns,
+    and an error raised by either side is raised here.  A draw without
+    replacement has no repeats, so the fancy-index OR sets each bit once.
+    """
+    import queue
+    import threading
+
+    slot: queue.Queue = queue.Queue(maxsize=1)
+    failure: list[BaseException] = []
+
+    def mark() -> None:
+        while (item := slot.get()) is not None:
+            if not failure:  # after an error, drain the slot so the caller never blocks
+                try:
+                    row, bit, picked = item
+                    row[picked] |= bit
+                    del row, picked
+                except BaseException as exc:
+                    failure.append(exc)
+            del item
+
+    helper = threading.Thread(target=mark, name="cachenet-mark")
+    helper.start()
+    try:
+        for draw in draws:
+            if failure:
+                break
+            slot.put(draw)
+            del draw
+    finally:
+        slot.put(None)
+        helper.join()
+    if failure:
+        raise failure[0]
 
 
 def subset_profile(placement: DecentralizedPlacement, file: int) -> dict[tuple[frozenset[int], frozenset[int]], int]:

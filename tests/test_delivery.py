@@ -442,6 +442,17 @@ def test_parse_plans_splits_concatenated_tiers(k):
     assert parse_plans(text) == tiers
 
 
+def test_parse_plans_shares_equal_tx_set_tuples():
+    # a parsed plan, like a built one, holds one tuple per distinct tx-set sequence
+    cfg = NetworkConfig(k_t=4, k_r=4, n_files=4, m_t=2, m_r=1, file_bits=300)
+    (tier,) = parse_plans(serialize_plan(build_decentralized_plan(cfg, DemandVector.worst_case(cfg))[1]))
+    runs = [r for block in tier.blocks for r in block.runs]
+    first = {}
+    for r in runs:
+        assert first.setdefault(r.tx_sets, r.tx_sets) is r.tx_sets
+    assert len(first) < len(runs)
+
+
 def test_parse_plans_single_plan():
     cfg = cfg44()
     _, plan = centralized_setup(cfg)

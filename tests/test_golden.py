@@ -57,6 +57,8 @@ RUN_CASES = {
     "8x8_t4_1.oracle-ndt": ("8x8_t4_1", "oracle-ndt", []),
     "3x3_reference.ndt-mc": ("3x3_reference", "ndt", MC),
     "4x4_t2_1.ndt-mc": ("4x4_t2_1", "ndt", MC),
+    # above 10,000 bits numpy's `choice` switches from Floyd's draw to a partial shuffle
+    "4x4_t2_1.ndt-mc-1e6": ("4x4_t2_1", "ndt", ["--file-bits", "1000000", "--seeds", "2"]),
     "4x4_t2_1.plan-out-decentralized": (
         "4x4_t2_1",
         "plan",

@@ -627,12 +627,22 @@ class TestPrecoderTables:
     @pytest.mark.parametrize("corner", [(4, 4, 2, 1), (5, 4, 3, 1), (6, 6, 3, 2), (4, 6, 4, 0)])
     def test_pairs_and_rows_match_per_transmission_reference(self, corner, tiers):
         plans = precoder_plans(*corner, tiers)
-        # built plans share one tx_sets tuple per plan; parsed ones hold equal but distinct tuples
+        # built and parsed plans share one tx_sets tuple per distinct sequence; `unshared` gives
+        # every run its own equal copy, so runs are matched by value
         parsed = parse_plans("".join(serialize_plan(p) for p in plans))
         parsed_runs = [r for p in parsed for b in p.blocks for r in b.runs]
-        assert len({id(r.tx_sets) for r in parsed_runs}) == len(parsed_runs) > 1
+        assert len({id(r.tx_sets) for r in parsed_runs}) < len(parsed_runs)
+        unshared = [
+            DeliveryPlan(
+                blocks=tuple(Block(b.position, tuple(r._replace(tx_sets=tuple(list(r.tx_sets))) for r in b.runs)) for b in p.blocks),
+                mode=p.mode,
+            )
+            for p in plans
+        ]
+        unshared_runs = [r for p in unshared for b in p.blocks for r in b.runs]
+        assert len({id(r.tx_sets) for r in unshared_runs}) == len(unshared_runs) > 1
         h = channel(corner[1], corner[0], seed=5)
-        for variant in (plans, parsed, shuffled(plans, seed=sum(corner))):
+        for variant in (plans, parsed, unshared, shuffled(plans, seed=sum(corner))):
             blocks = tuple(b for p in variant for b in p.blocks)
             distinct, rows = _precoders(blocks)
             pairs, reference_rows = per_entry.precoders(blocks)

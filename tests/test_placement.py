@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -159,6 +161,89 @@ class TestDecentralized:
         assert text.count("tx-partition") == 6
 
 
+def mark_bounded(draws) -> Exception | None:
+    """Run `_mark_one_behind` in a daemon thread and return what it raised; fail, not hang, if it never returns."""
+    raised = []
+
+    def call():
+        try:
+            placement._mark_one_behind(draws)
+        except Exception as exc:
+            raised.append(exc)
+
+    runner = threading.Thread(target=call, daemon=True)
+    runner.start()
+    runner.join(timeout=60)
+    assert not runner.is_alive()
+    return raised[0] if raised else None
+
+
+class TestMarkOneBehind:
+    """`_mark_one_behind` draws in the calling thread, marks in one helper, and always joins it."""
+
+    def test_draws_stay_in_the_calling_thread_in_order(self):
+        rows = np.zeros((3, 8), dtype=np.uint8)
+        drawn = []
+
+        def draws():
+            for k, row in enumerate(rows):
+                drawn.append((k, threading.get_ident()))
+                yield row, 1 << k, np.array([k, k + 4])
+
+        placement._mark_one_behind(draws())
+        assert drawn == [(k, threading.get_ident()) for k in range(3)]
+        assert rows.tolist() == [[1, 0, 0, 0, 1, 0, 0, 0], [0, 2, 0, 0, 0, 2, 0, 0], [0, 0, 4, 0, 0, 0, 4, 0]]
+
+    def test_marking_error_reaches_the_caller(self):
+        rows = np.zeros((4, 8), dtype=np.uint8)
+        rows.setflags(write=False)
+        before = threading.active_count()
+        err = mark_bounded((row, 1, np.arange(3)) for row in rows)
+        assert isinstance(err, ValueError) and "read-only" in str(err)
+        assert threading.active_count() == before
+
+    def test_draw_error_reaches_the_caller(self):
+        rows = np.zeros((2, 8), dtype=np.uint8)
+
+        def draws():
+            yield rows[0], 1, np.arange(2)
+            raise RuntimeError("draw failed")
+
+        before = threading.active_count()
+        err = mark_bounded(draws())
+        assert isinstance(err, RuntimeError) and str(err) == "draw failed"
+        assert threading.active_count() == before
+        assert rows[0].tolist() == [1, 1, 0, 0, 0, 0, 0, 0]  # a draw handed over before the error is marked
+
+    @pytest.mark.parametrize("read_only", [None, 0, 7, 399])
+    def test_many_draws_with_a_short_switch_interval(self, read_only):
+        # a thread switch forced every microsecond: every bit is set once, and an error at any draw
+        # reaches the caller without leaving it blocked on the slot
+        rng = np.random.default_rng(read_only)
+        rows = np.zeros((400, 64), dtype=np.uint16)
+        draws = [(row, 1 << k % 16, rng.choice(64, size=20, replace=False)) for k, row in enumerate(rows)]
+        expected = rows.copy()
+        for k, (_, bit, picked) in enumerate(draws):
+            expected[k, picked] |= bit
+        if read_only is not None:
+            draws[read_only][0].setflags(write=False)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            err = mark_bounded(iter(draws))
+        finally:
+            sys.setswitchinterval(interval)
+        if read_only is None:
+            assert err is None and np.array_equal(rows, expected)
+        else:
+            assert isinstance(err, ValueError)
+
+    def test_no_thread_outlives_placement(self):
+        before = threading.active_count()
+        place_decentralized(cfg44(file_bits=20_000), seed=1)
+        assert threading.active_count() == before
+
+
 class TestSubsetProfile:
     def test_conserves_bits(self):
         cfg = cfg33(file_bits=999)
@@ -193,11 +278,12 @@ class TestSubsetProfile:
                 expected[key] = expected.get(key, 0) + 1
             assert subset_profile(pl, f) == expected
 
-    @pytest.mark.parametrize("file_bits", [999, 1000])
+    @pytest.mark.parametrize("file_bits", [999, 1000, 30_000])
     @pytest.mark.parametrize("m_r", [Fraction(0), Fraction(5, 4), Fraction(3)])
     @pytest.mark.parametrize("k_r", range(1, 10))
     def test_codes_match_mask_reference(self, k_r, m_r, file_bits):
-        # 3 partitions: 999 bits split evenly, 1000 need padding; 9 receivers need a 16-bit code
+        # 3 partitions: 999 bits split evenly, 1000 need padding; 9 receivers need a 16-bit code;
+        # past 10,000 bits numpy draws by a partial shuffle instead of Floyd's algorithm
         cfg = NetworkConfig(k_t=3, k_r=k_r, n_files=3, m_t=2, m_r=m_r, file_bits=file_bits)
         pl = place_decentralized(cfg, seed=k_r)
         mask = per_entry.decentralized_mask(cfg, seed=k_r)
