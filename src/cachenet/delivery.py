@@ -27,6 +27,7 @@ from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import chain
 from typing import NamedTuple
 
 from .model import (
@@ -106,19 +107,21 @@ class Run(NamedTuple):
                 f"block {position + 1}: {self._label(short)} zero-forced at {m} receiver(s) by {len(short)} transmitter(s)"
             )
 
-    def check_indices(self, cfg: NetworkConfig, position: int) -> None:
+    def check_indices(self, cfg: NetworkConfig, position: int, check_tx: bool = True) -> None:
         """Reject file, transmitter and receiver indices outside `cfg` (e.g. from a plan file), naming the entry.
 
         Past the first entry only the tx set differs, so only tx sets outside range(K_T) are checked there.
+        `check_tx=False` skips the tx sets, for a `tx_sets` tuple already checked at an earlier run.
         """
-        first, tx_range = self.tx_sets[0], frozenset(range(cfg.k_t))
+        first, txs = self.tx_sets[0], (self.tx_sets if check_tx else ())
+        tx_range = frozenset(range(cfg.k_t)) if check_tx else None
         for name, indices, bound, tx_set in (
             ("file", (self.file,), cfg.n_files, first),
-            ("tx", first, cfg.k_t, first),
+            *(("tx", ts, cfg.k_t, ts) for ts in txs[:1]),
             ("cachedRx", self.rx_set, cfg.k_r, first),
             ("zf", self.zf_targets, cfg.k_r, first),
             ("dest", (self.dest,), cfg.k_r, first),
-            *(("tx", ts, cfg.k_t, ts) for ts in self.tx_sets[1:] if not ts <= tx_range),
+            *(("tx", ts, cfg.k_t, ts) for ts in txs[1:] if not ts <= tx_range),
         ):
             bad = sorted(i + 1 for i in indices if not 0 <= i < bound)
             if bad:
@@ -393,26 +396,34 @@ def verify_completeness(
     sizes = [int(cfg.t_r)] if mode == "centralized" else range(cfg.k_r + 1)
     rx_sets = [frozenset(rs) for size in sizes for rs in subsets(cfg.k_r, size)]
     needed = {(j, demand.d[j], rs) for j in range(cfg.k_r) for rs in rx_sets if j not in rs}
-    scheduled: dict[tuple[int, int, frozenset[int]], list[frozenset[int]]] = {}
+    scheduled: dict[tuple[int, int, frozenset[int]], list[tuple[frozenset[int], ...]]] = {}
     for p in plans:
         for _, r in p.runs():
-            scheduled.setdefault((r.dest, r.file, r.rx_set), []).extend(r.tx_sets)
+            scheduled.setdefault((r.dest, r.file, r.rx_set), []).append(r.tx_sets)
     missing = [(label, ts) for label in needed - scheduled.keys() for ts in all_tx]
     duplicated, extraneous = [], []
-    for label, tx_sets in scheduled.items():
-        seen = set(tx_sets)
+    # a label scheduled by one run (as in a built plan) has that run's tx_sets tuple, and each distinct
+    # tuple is compared with the partition once: the sets it lacks, those outside it and its repeats
+    compared: dict[tuple[frozenset[int], ...], tuple[set, set, list]] = {}
+    for label, runs in scheduled.items():
+        tx_sets = runs[0] if len(runs) == 1 else tuple(chain.from_iterable(runs))
+        if tx_sets not in compared:
+            seen = set(tx_sets)
+            repeats = [ts for ts, n in Counter(tx_sets).items() if n > 1] if len(seen) != len(tx_sets) else []
+            compared[tx_sets] = all_tx - seen, seen - all_tx, repeats
+        lacking, outside, repeats = compared[tx_sets]
         if label not in needed:
-            extraneous += ((label, ts) for ts in seen)
-        elif seen != all_tx:
-            missing += ((label, ts) for ts in all_tx - seen)
-            extraneous += ((label, ts) for ts in seen - all_tx)
-        if len(seen) != len(tx_sets):
-            duplicated += ((label, ts) for ts, n in Counter(tx_sets).items() if n > 1)
+            extraneous += ((label, ts) for ts in set(tx_sets))
+        elif lacking or outside:
+            missing += ((label, ts) for ts in lacking)
+            extraneous += ((label, ts) for ts in outside)
+        if repeats:
+            duplicated += ((label, ts) for ts in repeats)
     return CompletenessReport(
         missing=_listing(missing),
         duplicated=_listing(duplicated),
         extraneous=_listing(extraneous),
-        scheduled=sum(map(len, scheduled.values())),
+        scheduled=sum(len(tx_sets) for runs in scheduled.values() for tx_sets in runs),
     )
 
 
@@ -543,9 +554,12 @@ def check_plan_file(
         raise ConfigurationError(f"mode {mode} contradicts the plan file's {header_mode} mode headers")
     mode = header_mode or mode or "centralized"
     plans = [p if p.mode else replace(p, mode=mode) for p in plans]
+    # tx sets are checked once per distinct tx_sets tuple, ZF feasibility once per tuple and target count
+    in_range: set[tuple[frozenset[int], ...]] = set()
     for p in plans:
         for position, r in p.runs():
-            r.check_indices(cfg, position)
+            r.check_indices(cfg, position, check_tx=r.tx_sets not in in_range)
+            in_range.add(r.tx_sets)
     if demand is None:
         files: dict[int, int] = {}
         for p in plans:
@@ -556,10 +570,13 @@ def check_plan_file(
     demand.validate(cfg)
     # accounting checks each label once, so the first malformed run fails first
     ledgers = [account_plan(cfg, p) for p in plans]
+    feasible: set[tuple[tuple[frozenset[int], ...], int]] = set()
     for p in plans:
         tier = tiers.get(p.mode)
         for position, r in p.runs():
-            r.check_zf(position)
+            if (r.tx_sets, len(r.zf_targets)) not in feasible:
+                r.check_zf(position)
+                feasible.add((r.tx_sets, len(r.zf_targets)))
             if tier is not None and len(r.rx_set) != tier:
                 raise MalformedPlanError(
                     f"block {position + 1}: {r._label(r.tx_sets[0])} cached at "

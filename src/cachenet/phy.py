@@ -8,21 +8,20 @@ numerically; its feasibility enters only as the dimension counts of the
 delivery ledger, and every report says so.
 
 `verify_plan_phy` is the one verifier: it reads the runs of a plan (or of
-tier plans) and checks every transmission of every block.  All checks are
-batched, so their cost grows with the number of numpy calls per channel
-rather than with the number of minors or transmissions.  Each channel is
-drawn once (`_draw`) and checked for genericity only in the square minors
-its plans' ZF claims rest on, of sizes up to max |ZF targets| + 1 (sizes 1
-and 2 at t_T = 2, about 0.1 ms for a 12 x 12 draw); the minors of each size
-are built from those one size smaller, and the tables of the target counts
-the precoders use are kept, so each channel's minor tables are built once.
-Precoders are computed once per distinct (transmitter set, ZF targets)
-pair, found by integer ids per run rather than per transmission; their
-weights are signed square minors gathered from those tables, and every
-equivalent gain of a channel comes from one matrix product.  The leak and
-genericity checks run per distinct precoder; a transmission is examined on
-its own only when its precoder fails one of them or its destination is one
-of its ZF targets.
+tier plans) and checks every transmission of every block, at a cost that
+grows with the numpy calls per channel rather than with the number of
+minors or transmissions.  Each channel is drawn once (`_draw`) and checked
+for genericity only in the square minors its plans' ZF claims rest on, of
+sizes up to max |ZF targets| + 1; each size is built from the one below,
+once per channel, and the tables the precoders read are kept.  Precoders
+are computed once per distinct (transmitter set, ZF targets) pair, found
+from integer ids per run label; their weights are signed minors gathered
+from those tables.  The checks are laid out receiver-major: a channel's
+gains are one K_R x precoders array, so each precoder's largest gain,
+largest gain at a ZF target and smallest gain off its targets are
+reductions over contiguous receiver rows.  A transmission is examined on
+its own only when its precoder fails a check or its destination is one of
+its ZF targets.
 """
 
 from __future__ import annotations
@@ -161,31 +160,35 @@ class _ZfPrecoders:
         for m, ks in self.groups:
             active = _ranks(self.tx_sets, self.tx_ids[ks], k_t, m + 1)
             rows = _ranks(self.targets, self.target_ids[ks], k_r, m)
-            index.append((rows, _combinations(k_t, m + 1)[active], _drop_index(k_t, m + 1)[active]))
+            index.append((rows, _combinations(k_t, m + 1)[active].T, _drop_index(k_t, m + 1)[active].T))
         return index
 
     def weights(self, h: np.ndarray, tables: dict[int, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-        """Normalized weights (pairs x K_T, zero off the active transmitters) and their scales.
+        """Normalized weights (K_T x pairs, zero off the active transmitters) and their scales.
 
         `tables[m]` holds the size-m square minors of h (as `_minors` yields them) for every m in `sizes`.
+        Cofactors are gathered as (m+1) x pairs, so each pair's scale is a reduction over contiguous rows.
         """
         if h.shape not in self._index:
             self._index[h.shape] = self._gather(*h.shape)
-        weights = np.zeros((len(self.tx_ids), h.shape[1]), dtype=complex)
         scales = np.ones(len(self.tx_ids))
+        gathered = []
         for (m, ks), (rows, active, columns) in zip(self.groups, self._index[h.shape]):
             # cofactor i drops active column i; the one minor of size 0 makes every m = 0 weight 1
-            cofactors = (tables[m] if m else np.ones((1, 1)))[rows[:, None], columns]
-            cofactors *= (-1.0) ** np.arange(m + 1)
-            weights[ks[:, None], active] = cofactors
-            scales[ks] = np.max(np.abs(cofactors), axis=1)
+            cofactors = (tables[m] if m else np.ones((1, 1)))[rows, columns]
+            cofactors *= ((-1.0) ** np.arange(m + 1))[:, None]
+            scales[ks] = np.abs(cofactors).max(axis=0)
+            gathered.append((ks, active, cofactors))
         degenerate = np.flatnonzero(scales < GENERICITY_THRESHOLD)
         if degenerate.size:
             k = degenerate[0]
             txs = tuple(sorted(self.tx_sets[self.tx_ids[k]]))
             targets = tuple(sorted(self.targets[self.target_ids[k]]))
             raise GenericityError(f"degenerate ZF subsystem for tx={txs} targets={targets}; re-sample the channel")
-        weights /= scales[:, None]
+        weights = np.zeros((h.shape[1], len(self.tx_ids)), dtype=complex)
+        for ks, active, cofactors in gathered:
+            cofactors /= scales[ks]
+            weights[active, ks] = cofactors
         return weights, scales
 
 
@@ -228,7 +231,8 @@ class _Layout:
 
     Per run (one row each, one column per receiver): the destination, the
     ZF-target and interfering-receiver masks.  Per transmission: its run and
-    its precoder.  Per precoder: its ZF-target mask.
+    its precoder.  Per precoder (one column each, one row per receiver, as in
+    the gains `_check` reduces): its ZF-target mask.
     """
 
     runs: tuple[tuple[int, Run], ...]
@@ -271,14 +275,9 @@ def _layout(blocks: tuple[Block, ...], k_r: int, distinct: _ZfPrecoders, rows: n
     other = ~zf
     other[np.arange(len(runs)), dest] = False
     interfering = other & ~cached
-    groups = 0
-    start = 0
-    for block in blocks:
-        labels: dict[tuple, int] = {}
-        for i, r in enumerate(block.runs, start):
-            labels.setdefault((r.dest, r.rx_set, r.zf_targets), i)
-        groups += int(np.count_nonzero(interfering[list(labels.values())]))
-        start += len(block.runs)
+    labels: dict[tuple, int] = {}  # the first run of each label of each block
+    for i, label in enumerate((b, r.dest, r.rx_set, r.zf_targets) for b, block in enumerate(blocks) for r in block.runs):
+        labels.setdefault(label, i)
     lengths = np.array([len(r.tx_sets) for _, r in runs], dtype=np.intp)
     run_of = np.repeat(np.arange(len(runs)), lengths)
     return _Layout(
@@ -289,10 +288,10 @@ def _layout(blocks: tuple[Block, ...], k_r: int, distinct: _ZfPrecoders, rows: n
         interfering=interfering,
         run_of=run_of,
         rows=rows,
-        targets=_mask(distinct.targets, k_r)[distinct.target_ids],
+        targets=_mask(distinct.targets, k_r)[distinct.target_ids].T.copy(),
         nulled=np.flatnonzero(zf[np.arange(len(runs)), dest][run_of]),
         ic_flagged=int((other & cached).sum(axis=1) @ lengths),
-        alignment_groups=groups,
+        alignment_groups=int(np.count_nonzero(interfering[list(labels.values())])),
     )
 
 
@@ -302,9 +301,9 @@ def _precoders(blocks: tuple[Block, ...]) -> tuple[_ZfPrecoders, np.ndarray]:
     Tx sets and ZF-target sets get integer ids, and a precoder is one (tx id, target id) pair.  Runs
     with equal tx sets and targets share their precoders, so each distinct run label is handled once
     (a built or parsed plan shares one `tx_sets` tuple), and the tx ids of each distinct `tx_sets`
-    tuple are looked up once; pair ids then come from numpy, in order of first use.  `Run.check_zf` depends only
-    on the tx sets and the target count, so it runs at the first run of each such pair, which names
-    the first infeasible run.
+    tuple are looked up once; pair ids then come from numpy, in order of first use.  `Run.check_zf`
+    depends only on the tx sets and the target count, so it runs at the first run of each such pair,
+    which names the first infeasible run.
     """
     tx_index: dict[frozenset[int], int] = {}
     target_index: dict[frozenset[int], int] = {}
@@ -326,13 +325,17 @@ def _precoders(blocks: tuple[Block, ...]) -> tuple[_ZfPrecoders, np.ndarray]:
         run_labels.append(label_index[label])
     # pair (t, z) is coded t * n + z; np.unique gives each code's first use, which orders the pair ids
     n = max(len(target_index), 1)
-    codes = np.concatenate([tx * n + z for tx, z in labels] or [np.zeros(0, np.intp)])
+    lengths = np.array([len(tx) for tx, _ in labels], dtype=np.intp)
+    codes = np.concatenate([tx for tx, _ in labels] or [np.zeros(0, np.intp)]) * n
+    codes += np.repeat(np.array([z for _, z in labels], dtype=np.intp), lengths)
     distinct, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
     order = np.argsort(first)
     pair_id = np.empty_like(order)
     pair_id[order] = np.arange(len(order))
-    label_rows = np.split(pair_id[inverse], np.cumsum([len(tx) for tx, _ in labels])[:-1])
-    rows = np.concatenate([label_rows[i] for i in run_labels] or [np.zeros(0, np.intp)])
+    # transmission q, the k-th of a run, reads code k of the run's label: q plus the label's start less the run's
+    run_lengths = lengths[run_labels]
+    shift = np.cumsum(lengths)[run_labels] - np.cumsum(run_lengths)
+    rows = pair_id[inverse[np.arange(run_lengths.sum()) + np.repeat(shift, run_lengths)]]
     tx_ids, target_ids = np.divmod(distinct[order], n)
     return _ZfPrecoders(list(tx_index), list(target_index), tx_ids, target_ids), rows
 
@@ -341,33 +344,51 @@ def _check(seed: int, smallest: float, redraws: int, layout: _Layout, mag: np.nd
     """Leak, destination and interference checks of every transmission over the channel `_draw` gave for `seed`.
 
     `smallest` and `redraws` are the draw's smallest checked |minor| and
-    re-draw count; `mag` holds the gain magnitudes of each precoder
-    (precoders x K_R).
+    re-draw count; `mag` holds the gain magnitudes (K_R x precoders).
     Gains must vanish (relatively) at ZF targets and stay generic at the
     destination and at interfering receivers; one violation per offending
     transmission, all symptoms attached.  Transmissions sharing a precoder
     share its ZF targets, so a transmission can offend only if its precoder
     leaks at a target, is quiet off its targets (destinations and
     interferers are off them) or its destination is a target; only those
-    transmissions are examined one by one.
+    transmissions are examined one by one, and none on a clean channel.
     """
-    gmax = mag.max(axis=1)
-    loud = mag > rel_tol * gmax[:, None]
-    quiet = mag < GENERICITY_FLOOR * gmax[:, None]
-    suspect = np.where(layout.targets, loud, quiet).any(axis=1)
+    gmax = mag.max(axis=0)
+    at_targets = (mag * layout.targets).max(axis=0)  # 0 for a precoder without targets
+    off_targets = np.where(layout.targets, np.inf, mag).min(axis=0)
+    suspect = (at_targets > rel_tol * gmax) | (off_targets < GENERICITY_FLOOR * gmax)
     candidates = layout.nulled
     if suspect.any():
         candidates = np.union1d(np.flatnonzero(suspect[layout.rows]), candidates)
+    live = gmax > 0
+    return PhyReport(
+        seed=seed,
+        checked=len(layout.rows),
+        violations=_violations(layout, mag, gmax, candidates, rel_tol) if candidates.size else (),
+        ic_flagged=layout.ic_flagged,
+        alignment_groups=layout.alignment_groups,
+        # division by a positive gmax is monotone, so this is the largest |gain at a target| / gmax
+        worst_leak=float(np.max(at_targets[live] / gmax[live], initial=0.0)),
+        genericity_margin=smallest / GENERICITY_THRESHOLD,
+        redraws=redraws,
+    )
+
+
+def _violations(layout: _Layout, mag: np.ndarray, gmax: np.ndarray, candidates: np.ndarray, rel_tol: float) -> tuple[str, ...]:
+    """One violation per offending transmission among the `candidates` of `_check`, in transmission order."""
     p, run = layout.rows[candidates], layout.run_of[candidates]
-    leak = layout.zf[run] & loud[p]
-    weak_dest = quiet[p, layout.dest[run]]
-    weak = layout.interfering[run] & quiet[p]
+    gains = mag[:, p].T  # candidates x K_R
+    loud = gains > rel_tol * gmax[p, None]
+    quiet = gains < GENERICITY_FLOOR * gmax[p, None]
+    leak = layout.zf[run] & loud
+    weak_dest = quiet[np.arange(len(p)), layout.dest[run]]
+    weak = layout.interfering[run] & quiet
     violations = []
     for c in np.flatnonzero(leak.any(axis=1) | weak_dest | weak.any(axis=1)):
         position, r = layout.runs[run[c]]
         ts = r.tx_sets[candidates[c] - layout.starts[run[c]]]
         issues = [
-            f"zf-leak at rx {z + 1} (|gain|={mag[p[c], z]:.3e}, max {gmax[p[c]]:.3e})"
+            f"zf-leak at rx {z + 1} (|gain|={gains[c, z]:.3e}, max {gmax[p[c]]:.3e})"
             for z in np.flatnonzero(leak[c])
         ]
         if weak_dest[c]:
@@ -377,18 +398,7 @@ def _check(seed: int, smallest: float, redraws: int, layout: _Layout, mag: np.nd
             f"block={position + 1} subfile={SubfileId(r.file, ts, r.rx_set).label()} dest={r.dest + 1}: "
             + "; ".join(issues)
         )
-    live = gmax > 0
-    worst_leak = np.max(mag[live] / gmax[live, None], where=layout.targets[live], initial=0.0)
-    return PhyReport(
-        seed=seed,
-        checked=len(layout.rows),
-        violations=tuple(violations),
-        ic_flagged=layout.ic_flagged,
-        alignment_groups=layout.alignment_groups,
-        worst_leak=float(worst_leak),
-        genericity_margin=smallest / GENERICITY_THRESHOLD,
-        redraws=redraws,
-    )
+    return tuple(violations)
 
 
 def _minor_size(blocks: tuple[Block, ...]) -> int:
@@ -405,7 +415,8 @@ def verify_plan_phy(
     """Monte-Carlo ZF verification of a list of plans (one plan, or tier plans in order) over seeded channels.
 
     One report per seed, covering every block of every plan.  `channel_seeds` is a
-    non-negative int (seeds 0..n-1) or a list of seeds; `rel_tol` must lie in (0, 1).
+    non-negative int (seeds 0..n-1) or a list of non-negative int seeds (a bool is not one);
+    `rel_tol` must lie in (0, 1).
     A run too small to zero-force at its targets raises MalformedPlanError before any channel is drawn.
     Channels are checked for genericity only up to the minor size the plans use
     (`_minor_size`).  The draws come in the order an exhaustive check would take them,
@@ -416,6 +427,9 @@ def verify_plan_phy(
     if isinstance(channel_seeds, int) and (not _is_int(channel_seeds) or channel_seeds < 0):
         raise ValueError(f"channel seed count must be a non-negative int, got {channel_seeds!r}")
     seeds = list(range(channel_seeds)) if isinstance(channel_seeds, int) else list(channel_seeds)
+    bad = [s for s in seeds if not (_is_int(s) and s >= 0)]
+    if bad:
+        raise ValueError(f"channel seeds must be non-negative ints, got {bad[0]!r}")
     if not seeds:
         return []
     blocks = tuple(block for p in plans for block in p.blocks)
@@ -427,5 +441,7 @@ def verify_plan_phy(
         h, smallest, redraws, tables = _draw(cfg.k_r, cfg.k_t, seed, size, keep=distinct.sizes)
         weights, _ = distinct.weights(h, tables)
         del tables  # the weights are gathered; the tables would only raise the peak memory of the next draw
-        reports.append(_check(seed, smallest, redraws, layout, np.abs(weights @ h.T), rel_tol))
+        # taken precoder-major, as h @ weights would sum each gain in another order, then laid out receiver-major
+        mag = np.abs(weights.T @ h.T).T.copy()
+        reports.append(_check(seed, smallest, redraws, layout, mag, rel_tol))
     return reports

@@ -101,7 +101,7 @@ def test_criterion_4_zf_verification_and_minor_match():
         h = _draw(4, 4, seed, 4)[0]  # every minor size checked
         weights, scales = distinct.weights(h, dict(enumerate(_minors(h), start=1)))
         for e, k in records:
-            gains = h @ weights[k]
+            gains = h @ weights[:, k]
             gmax = np.max(np.abs(gains))
             for z in e.zf_targets:
                 assert abs(gains[z]) < 1e-9 * gmax

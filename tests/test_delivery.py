@@ -12,6 +12,7 @@ from per_entry import ScheduledSubfile, block_of, entries
 from cachenet.delivery import (
     Block,
     DeliveryPlan,
+    MalformedPlanError,
     ReceiverLedger,
     Run,
     SubspaceLedger,
@@ -21,6 +22,7 @@ from cachenet.delivery import (
     account_plan,
     build_centralized_plan,
     build_decentralized_plan,
+    check_plan_file,
     common_sdof,
     parse_plans,
     plan_sdof,
@@ -109,6 +111,47 @@ class TestCentralized4x4:
         doubled = DeliveryPlan(blocks=plan.blocks + plan.blocks[:1], mode=plan.mode)
         report = verify_completeness(cfg, [doubled], "centralized", demand)
         assert len(report.duplicated) == 24 and not report.missing
+
+    def test_shared_tx_sets_tuple_is_compared_per_label(self):
+        # built runs share one tx_sets tuple, compared with the partition once: a stray label that
+        # shares it is extraneous in full, and a label split over two runs is joined before comparing
+        cfg = cfg44()
+        demand, plan = centralized_setup(cfg)
+        first, *rest = plan.blocks[0].runs
+        stray = first._replace(file=(first.file + 1) % cfg.n_files)
+        assert stray.tx_sets is rest[0].tx_sets
+        report = verify_completeness(cfg, [replace_runs(plan, 0, (first, stray, *rest))], "centralized", demand)
+        assert not report.missing and not report.duplicated and report.scheduled == 78
+        assert report.extraneous == tuple((first.dest, SubfileId(stray.file, ts, stray.rx_set)) for ts in stray.tx_sets)
+        halves = (first._replace(tx_sets=first.tx_sets[:2]), first._replace(tx_sets=first.tx_sets[2:]))
+        report = verify_completeness(cfg, [replace_runs(plan, 0, (*halves, *rest))], "centralized", demand)
+        assert report.complete and report.scheduled == 72
+
+
+def replace_runs(plan: DeliveryPlan, b: int, runs) -> DeliveryPlan:
+    """`plan` with the runs of block `b` replaced."""
+    blocks = list(plan.blocks)
+    blocks[b] = Block(blocks[b].position, tuple(runs))
+    return DeliveryPlan(blocks=tuple(blocks), mode=plan.mode)
+
+
+def test_plan_file_rules_check_a_shared_tx_sets_tuple_once_and_every_run_still():
+    # a run whose tx_sets tuple an earlier run passed skips the tx-range and ZF-count checks for that
+    # tuple, but its own indices are still checked, and ZF feasibility again for another target count
+    cfg = cfg44()
+    _, plan = centralized_setup(cfg)
+    first, second, *rest = plan.blocks[0].runs
+    assert first.tx_sets is second.tx_sets and len(first.zf_targets) == 1
+    bad_zf = second._replace(zf_targets=frozenset({7}))
+    with pytest.raises(ConfigurationError) as err:
+        check_plan_file(cfg, [replace_runs(plan, 0, (first, bad_zf, *rest))], None, None)
+    assert str(err.value) == f"block 1: zf index 8 outside 1..4 in {second._label(second.tx_sets[0])}"
+    # two targets need three transmitters; the tuple holds pairs
+    (target,) = second.zf_targets
+    two = second._replace(zf_targets=frozenset({target, next(j for j in range(4) if j not in {target, second.dest} | second.rx_set)}))
+    with pytest.raises(MalformedPlanError) as err:
+        check_plan_file(cfg, [replace_runs(plan, 0, (first, two, *rest))], None, None)
+    assert str(err.value) == f"block 1: {second._label(second.tx_sets[0])} zero-forced at 2 receiver(s) by 2 transmitter(s)"
 
 
 def test_differing_block_sdofs_rejected():

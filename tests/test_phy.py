@@ -56,7 +56,7 @@ def library_precoder(h: np.ndarray, tx_set, zf_targets) -> tuple[np.ndarray, flo
     block = Block(0, (Run(0, 0, frozenset(), frozenset(zf_targets), (frozenset(tx_set),)),))
     distinct, _ = _precoders((block,))
     weights, scales = distinct.weights(h, tables(h))
-    return weights[0, sorted(tx_set)], float(scales[0])
+    return weights[sorted(tx_set), 0], float(scales[0])
 
 
 def tables(h) -> dict[int, np.ndarray]:
@@ -466,6 +466,15 @@ class TestBatchedEquivalence:
         with pytest.raises(ValueError, match="channel seed count must be a non-negative int"):
             verify_plan_phy(cfg, [plan], channel_seeds=count)
 
+    @pytest.mark.parametrize("seeds", [[True], [1.5], ["3"], [-1], [0, 2, -1]], ids=repr)
+    def test_seed_list_member_that_is_no_non_negative_int_rejected_before_any_draw(self, seeds, monkeypatch):
+        # True would check seed 1 and print seed=True; a float or a str would reach numpy's seeding
+        cfg, plan = self._plan44()
+        monkeypatch.setattr(phy, "_draw", lambda *args, **kwargs: pytest.fail("channel drawn"))
+        with pytest.raises(ValueError) as err:
+            verify_plan_phy(cfg, [plan], channel_seeds=seeds)
+        assert str(err.value) == f"channel seeds must be non-negative ints, got {seeds[-1]!r}"
+
     def test_worst_leak_is_headroom(self):
         cfg, plan = self._plan44()
         reports = verify_plan_phy(cfg, [plan], channel_seeds=5, rel_tol=1e-9)
@@ -650,14 +659,14 @@ class TestPrecoderTables:
             assert [
                 (distinct.tx_sets[t], distinct.targets[z]) for t, z in zip(distinct.tx_ids, distinct.target_ids)
             ] == pairs
-            # each row of the batched weights is the pair's own precoder: the first m+1 of its
+            # each column of the batched weights is the pair's own precoder: the first m+1 of its
             # sorted transmitters are active, the largest weight is 1 and the m targets are nulled
             weights, _ = distinct.weights(h, tables(h))
             for k, (ts, targets) in enumerate(pairs):
                 active = sorted(ts)[: len(targets) + 1]
-                assert np.flatnonzero(weights[k]).tolist() == active
-                assert np.max(np.abs(weights[k])) == pytest.approx(1.0, rel=1e-12)
-                gains = np.abs(h @ weights[k])
+                assert np.flatnonzero(weights[:, k]).tolist() == active
+                assert np.max(np.abs(weights[:, k])) == pytest.approx(1.0, rel=1e-12)
+                gains = np.abs(h @ weights[:, k])
                 assert np.all(gains[list(targets)] <= 1e-9 * gains.max())
 
     def _entries44(self):
@@ -708,7 +717,7 @@ class TestPerPrecoderChecks:
         layout = phy._layout(plan.blocks, cfg.k_r, distinct, rows)
         h, smallest, redraws, _ = phy._draw(4, 4, 3, 2)
         weights, _ = distinct.weights(h, tables(h))
-        mag = np.abs(weights @ h.T)
+        mag = np.abs(h @ weights)
         assert phy._check(3, smallest, redraws, layout, mag, rel_tol=1e-9).ok
         records = entries(plan)
 
@@ -717,7 +726,7 @@ class TestPerPrecoderChecks:
 
         # the first (precoder, receiver) pair where the receiver interferes with a transmission
         k, rx = next((rows[i], j) for i, e in enumerate(records) for j in range(cfg.k_r) if interferes(e, j))
-        mag[k, rx] = 0.0
+        mag[rx, k] = 0.0
         report = phy._check(3, smallest, redraws, layout, mag, rel_tol=1e-9)
         # every transmission of the precoder is named: two see the receiver as an interferer, one as its destination
         users = [e for e, row in zip(records, rows) if row == k]
@@ -737,7 +746,7 @@ class TestGatheredWeights:
         distinct, _ = _precoders(plan.blocks)
         h = channel(k, k, seed=k, size=t_t)
         weights, scales = distinct.weights(h, tables(h))
-        for row, scale, t, z in zip(weights, scales, distinct.tx_ids, distinct.target_ids):
+        for row, scale, t, z in zip(weights.T, scales, distinct.tx_ids, distinct.target_ids):
             txs = sorted(distinct.tx_sets[t])
             reference, reference_scale = per_entry.zf_weights(h, txs, distinct.targets[z])
             assert np.flatnonzero(row).tolist() == txs[: len(distinct.targets[z]) + 1]
@@ -764,3 +773,89 @@ class TestGatheredWeights:
         for report, reference in zip(after, references):
             assert report.ok
             assert_matches_reference(report, reference)
+
+
+def reference_reductions(mag, targets, rel_tol):
+    """Per-precoder Python loop over gain magnitudes (K_R x precoders) and each precoder's ZF targets.
+
+    Returns the worst leak (largest |gain at a target| / largest |gain| over precoders with a nonzero
+    gain) and the suspect precoders: loud at a target or quiet off the targets.
+    """
+    worst, suspect = 0.0, []
+    for p, zf in enumerate(targets):
+        gains = [float(g) for g in mag[:, p]]
+        gmax = max(gains)
+        at = [g for r, g in enumerate(gains) if r in zf]
+        off = [g for r, g in enumerate(gains) if r not in zf]
+        if gmax > 0:
+            worst = max([worst] + [g / gmax for g in at])
+        if any(g > rel_tol * gmax for g in at) or any(g < phy.GENERICITY_FLOOR * gmax for g in off):
+            suspect.append(p)
+    return worst, suspect
+
+
+class TestExactReductions:
+    """The receiver-axis reductions of `_check` against a per-precoder loop, with exact float equality."""
+
+    def _gains(self, cfg, plans, seed):
+        blocks = tuple(b for p in plans for b in p.blocks)
+        distinct, rows = _precoders(blocks)
+        layout = phy._layout(blocks, cfg.k_r, distinct, rows)
+        h, smallest, redraws, kept = phy._draw(cfg.k_r, cfg.k_t, seed, _minor_size(blocks), keep=distinct.sizes)
+        weights, _ = distinct.weights(h, kept)
+        targets = [distinct.targets[z] for z in distinct.target_ids]
+        return layout, np.abs(weights.T @ h.T).T.copy(), targets, (smallest, redraws)
+
+    @pytest.mark.parametrize(
+        "case", [(4, 2, 1, False), (6, 3, 2, False), (6, 2, 1, False), (3, 2, 1, True), (5, 3, 1, True), (6, 2, 1, True)],
+        ids=lambda c: f"{c[0]}x{c[0]}_t{c[1]}_{c[2]}" + "_tiers" * c[3],
+    )
+    def test_worst_leak_and_suspects_equal_the_loop(self, case, monkeypatch):
+        cfg, plans = _plans(*case)
+        examined = []
+        violations = phy._violations
+
+        def spy(layout, mag, gmax, candidates, rel_tol):
+            examined.append(candidates.tolist())
+            return violations(layout, mag, gmax, candidates, rel_tol)
+
+        monkeypatch.setattr(phy, "_violations", spy)
+        for seed in (2, 9):
+            layout, mag, targets, (smallest, redraws) = self._gains(cfg, plans, seed)
+            # one silent off-target gain and one loud target gain, so both kinds of suspect occur
+            planted = mag.copy()
+            p = next(p for p, zf in enumerate(targets) if zf)
+            planted[min(targets[p]), p] = planted[:, p].max() / 3
+            planted[next(r for r in range(cfg.k_r) if r not in targets[p]), p + 1] = 0.0
+            worst, _ = reference_reductions(mag, targets, 1e-9)
+            (report,) = verify_plan_phy(cfg, plans, channel_seeds=[seed])
+            assert report.worst_leak == worst > 0.0
+            ratios = sorted({mag[sorted(zf), p].max() / mag[:, p].max() for p, zf in enumerate(targets) if zf})
+            # the median ratio splits the precoders: those above it are suspect, those at or below are not
+            for gains in (mag, planted):
+                for rel_tol in (1e-300, ratios[len(ratios) // 2], 1e-9):
+                    worst, suspect = reference_reductions(gains, targets, rel_tol)
+                    examined.clear()
+                    report = phy._check(seed, smallest, redraws, layout, gains, rel_tol)
+                    assert report.worst_leak == worst
+                    expected = [t for t, row in enumerate(layout.rows) if row in set(suspect)]
+                    assert examined == ([expected] if expected else [])
+                    assert 0 < len(suspect) < len(targets) or rel_tol != ratios[len(ratios) // 2]
+
+    def test_planted_leak_on_one_channel_of_several_equals_the_single_calls(self, monkeypatch):
+        # the weights come from the minor tables of the unperturbed draw, so seed 8's nulls leak
+        cfg, plans = _plans(4, 2, 1, False)
+        draw = phy._draw
+
+        def planted(k_r, k_t, seed, size, keep=frozenset()):
+            h, smallest, redraws, kept = draw(k_r, k_t, seed, size, keep)
+            if seed == 8:
+                h = h.copy()
+                h[0, 0] *= 1.001
+            return h, smallest, redraws, kept
+
+        monkeypatch.setattr(phy, "_draw", planted)
+        reports = verify_plan_phy(cfg, plans, channel_seeds=[3, 8, 5])
+        assert [r.ok for r in reports] == [True, False, True]
+        assert reports[1].worst_leak > 1e-6 > reports[0].worst_leak
+        assert reports == [verify_plan_phy(cfg, plans, channel_seeds=[seed])[0] for seed in (3, 8, 5)]
