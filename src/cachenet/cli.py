@@ -368,8 +368,9 @@ def main(argv: list[str] | None = None) -> int:
         # not a configuration error: point stdout at devnull so the exit-time flush is quiet; 128 + SIGPIPE
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except (ConfigurationError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ConfigurationError, ValueError, OSError, MemoryError) as exc:
+        # numpy names the refused allocation; a bare MemoryError has no message of its own
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

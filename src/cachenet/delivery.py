@@ -511,7 +511,7 @@ def parse_plans(text: str) -> list[DeliveryPlan]:
             runs[-1][1].append(tx_sets[tx])
         else:
             runs.append((label, [tx_sets[tx]]))
-    # runs with equal tx-set sequences share one tuple, as in a built plan, so `phy._precoders` matches them by identity
+    # runs with equal tx-set sequences share one tuple, as in a built plan, so `phy._layout` matches them by identity
     shared: dict[tuple[frozenset[int], ...], tuple[frozenset[int], ...]] = {}
 
     def share(txs: list[frozenset[int]]) -> tuple[frozenset[int], ...]:

@@ -10,25 +10,27 @@ delivery ledger, and every report says so.
 `verify_plan_phy` is the one verifier: it reads the runs of a plan (or of
 tier plans) and checks every transmission of every block, at a cost that
 grows with the numpy calls per channel rather than with the number of
-minors or transmissions.  Each channel is drawn once (`_draw`) and checked
-for genericity only in the square minors its plans' ZF claims rest on, of
-sizes up to max |ZF targets| + 1; each size is built from the one below,
-once per channel, and the tables the precoders read are kept.  Precoders
-are computed once per distinct (transmitter set, ZF targets) pair, found
-from integer ids per run label; their weights are signed minors gathered
-from those tables.  The checks are laid out receiver-major: a channel's
-gains are one K_R x precoders array, so each precoder's largest gain,
-largest gain at a ZF target and smallest gain off its targets are
-reductions over contiguous receiver rows.  A transmission is examined on
-its own only when its precoder fails a check or its destination is one of
-its ZF targets.
+minors or transmissions.  Before any channel is drawn, one walk over the
+runs (`_layout`) finds the distinct precoders, one per (transmitter set,
+ZF targets) pair from integer ids per run label, places each transmission
+at its run and precoder, and counts the cache-cancelled gains and
+alignment groups by the rule `account_block` uses.  Each channel is drawn
+once (`_draw`) and checked for genericity only in the square minors the
+precoders rest on, of sizes up to max |ZF targets| + 1; each size is built
+from the one below, and the tables the weights read, as signed minors, are
+kept.  The checks are laid out receiver-major: a channel's gains are one
+K_R x precoders array, so each precoder's largest gain, largest gain at a
+ZF target and smallest gain off its targets are reductions over contiguous
+receiver rows.  A transmission is examined on its own only when its
+precoder fails a check or its destination is one of its ZF targets; its
+receivers are then classified from its own run's sets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, combinations, islice
+from itertools import combinations, islice
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -96,7 +98,7 @@ def _minors(h: np.ndarray) -> Iterator[np.ndarray]:
         yield minors
 
 
-def _minor_check(h: np.ndarray, max_size: int, keep=frozenset()) -> tuple[float, dict[int, np.ndarray]]:
+def _minor_check(h: np.ndarray, max_size: int, keep: frozenset[int]) -> tuple[float, dict[int, np.ndarray]]:
     """The smallest |square minor| of h over every size up to `max_size`, and the tables of sizes in `keep`.
 
     Larger minors are never built, and only the kept tables outlive the recurrence.
@@ -109,7 +111,7 @@ def _minor_check(h: np.ndarray, max_size: int, keep=frozenset()) -> tuple[float,
     return min(smallest), tables
 
 
-def _draw(k_r: int, k_t: int, seed: int, size: int, keep=frozenset()) -> tuple[np.ndarray, float, int, dict]:
+def _draw(k_r: int, k_t: int, seed: int, size: int, keep: frozenset[int]) -> tuple[np.ndarray, float, int, dict]:
     """The seed's first K_R x K_T draw whose square minors of size <= `size` are all generic.
 
     Entries are i.i.d. circularly-symmetric complex Gaussian.  Returns the read-only entries, their
@@ -135,33 +137,31 @@ def _ranks(sets: list[Iterable[int]], ids: np.ndarray, n: int, size: int) -> np.
 
 
 class _ZfPrecoders:
-    """ZF precoders of distinct (tx set, ZF-target set) pairs, prepared once for any channel.
+    """ZF precoders of distinct (tx set, ZF-target set) pairs, with their cofactor index for one channel shape.
 
     Pair k is (tx_sets[tx_ids[k]], targets[target_ids[k]]).  With m targets,
     the first m+1 sorted transmitters are active and their weights are the
     m+1 signed cofactors of the m x (m+1) target submatrix (Cramer's rule):
     minors of size m, read from the channel's size-m table at the row of the
     target set and the `_drop_index` columns of the active set.  Pairs are
-    grouped by m, and the ranks are looked up once per distinct set and
-    channel shape.  `sizes` are the table sizes the weights read (m >= 1).
-    Every pair has more transmitters than targets (`_precoders` checks it).
+    grouped by m, and each group's table rows, active transmitters and
+    cofactor columns are looked up once, per distinct set.  `sizes` are the
+    table sizes the weights read (m >= 1); `minor_size` is the largest square
+    minor the pairs' ZF claims rest on: m+1 for the largest m (gains).  Every
+    pair has more transmitters than targets (`_layout` checks it).
     """
 
-    def __init__(self, tx_sets: list[Iterable[int]], targets: list[Iterable[int]], tx_ids, target_ids):
+    def __init__(self, tx_sets: list[frozenset[int]], targets: list[frozenset[int]], tx_ids, target_ids, k_r, k_t):
         self.tx_sets, self.targets, self.tx_ids, self.target_ids = tx_sets, targets, tx_ids, target_ids
-        m = np.array(list(map(len, targets)), dtype=np.intp)[target_ids]
-        self.groups = [(size, np.flatnonzero(m == size)) for size in dict.fromkeys(m.tolist())]
-        self.sizes = frozenset(size for size, _ in self.groups if size)
-        self._index: dict[tuple[int, int], list[tuple[np.ndarray, np.ndarray, np.ndarray]]] = {}
-
-    def _gather(self, k_r: int, k_t: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Per group: each pair's table row, active transmitters and cofactor columns in the size-m table."""
-        index = []
-        for m, ks in self.groups:
-            active = _ranks(self.tx_sets, self.tx_ids[ks], k_t, m + 1)
-            rows = _ranks(self.targets, self.target_ids[ks], k_r, m)
-            index.append((rows, _combinations(k_t, m + 1)[active].T, _drop_index(k_t, m + 1)[active].T))
-        return index
+        counts = np.array(list(map(len, targets)), dtype=np.intp)[target_ids]
+        self.groups = []
+        for m in np.unique(counts).tolist():
+            ks = np.flatnonzero(counts == m)
+            active = _ranks(tx_sets, tx_ids[ks], k_t, m + 1)
+            rows = _ranks(targets, target_ids[ks], k_r, m)
+            self.groups.append((m, ks, rows, _combinations(k_t, m + 1)[active].T, _drop_index(k_t, m + 1)[active].T))
+        self.sizes = frozenset(m for m, *_ in self.groups if m)
+        self.minor_size = min(k_r, k_t, 1 + max((m for m, *_ in self.groups), default=0))
 
     def weights(self, h: np.ndarray, tables: dict[int, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
         """Normalized weights (K_T x pairs, zero off the active transmitters) and their scales.
@@ -169,11 +169,9 @@ class _ZfPrecoders:
         `tables[m]` holds the size-m square minors of h (as `_minors` yields them) for every m in `sizes`.
         Cofactors are gathered as (m+1) x pairs, so each pair's scale is a reduction over contiguous rows.
         """
-        if h.shape not in self._index:
-            self._index[h.shape] = self._gather(*h.shape)
         scales = np.ones(len(self.tx_ids))
         gathered = []
-        for (m, ks), (rows, active, columns) in zip(self.groups, self._index[h.shape]):
+        for m, ks, rows, active, columns in self.groups:
             # cofactor i drops active column i; the one minor of size 0 makes every m = 0 weight 1
             cofactors = (tables[m] if m else np.ones((1, 1)))[rows, columns]
             cofactors *= ((-1.0) ** np.arange(m + 1))[:, None]
@@ -227,20 +225,19 @@ class PhyReport:
 
 @dataclass(frozen=True)
 class _Layout:
-    """Channel-independent view of the runs of some blocks and of their distinct precoders.
+    """Channel-independent view of the runs of some blocks, their transmissions and their distinct precoders.
 
-    Per run (one row each, one column per receiver): the destination, the
-    ZF-target and interfering-receiver masks.  Per transmission: its run and
-    its precoder.  Per precoder (one column each, one row per receiver, as in
-    the gains `_check` reduces): its ZF-target mask.
+    Per run: its block position and the run, and the index of its first
+    transmission.  Per transmission: its run and its precoder in `precoders`.
+    Per precoder (one column each, one row per receiver, as in the gains
+    `_check` reduces): its ZF-target mask.  `nulled` lists the transmissions
+    whose destination is one of their ZF targets.
     """
 
     runs: tuple[tuple[int, Run], ...]
     starts: np.ndarray
-    dest: np.ndarray
-    zf: np.ndarray
-    interfering: np.ndarray
     run_of: np.ndarray
+    precoders: _ZfPrecoders
     rows: np.ndarray
     targets: np.ndarray
     nulled: np.ndarray
@@ -248,55 +245,8 @@ class _Layout:
     alignment_groups: int
 
 
-def _mask(sets: list[frozenset[int]], k_r: int) -> np.ndarray:
-    """(len(sets) x K_R) bool mask with row i marking the receivers in sets[i]."""
-    mask = np.zeros((len(sets), k_r), dtype=bool)
-    mask[
-        np.repeat(np.arange(len(sets)), [len(s) for s in sets]),
-        np.fromiter(chain.from_iterable(sets), dtype=np.intp),
-    ] = True
-    return mask
-
-
-def _layout(blocks: tuple[Block, ...], k_r: int, distinct: _ZfPrecoders, rows: np.ndarray) -> _Layout:
-    """Classify every (run, receiver) pair as in `account_block`.
-
-    A receiver that is neither the destination nor a ZF target is
-    cache-cancelled when it holds the subfile and interfering otherwise;
-    interference groups are the distinct (destination, cache holders, ZF
-    targets) labels of a block, each spanning its interfering receivers.
-    `rows` is each transmission's precoder in `distinct`; `nulled` lists the
-    transmissions whose destination is one of their ZF targets.
-    """
-    runs = tuple((b.position, r) for b in blocks for r in b.runs)
-    dest = np.fromiter((r.dest for _, r in runs), dtype=np.intp, count=len(runs))
-    zf = _mask([r.zf_targets for _, r in runs], k_r)
-    cached = _mask([r.rx_set for _, r in runs], k_r)
-    other = ~zf
-    other[np.arange(len(runs)), dest] = False
-    interfering = other & ~cached
-    labels: dict[tuple, int] = {}  # the first run of each label of each block
-    for i, label in enumerate((b, r.dest, r.rx_set, r.zf_targets) for b, block in enumerate(blocks) for r in block.runs):
-        labels.setdefault(label, i)
-    lengths = np.array([len(r.tx_sets) for _, r in runs], dtype=np.intp)
-    run_of = np.repeat(np.arange(len(runs)), lengths)
-    return _Layout(
-        runs=runs,
-        starts=np.cumsum(lengths) - lengths,
-        dest=dest,
-        zf=zf,
-        interfering=interfering,
-        run_of=run_of,
-        rows=rows,
-        targets=_mask(distinct.targets, k_r)[distinct.target_ids].T.copy(),
-        nulled=np.flatnonzero(zf[np.arange(len(runs)), dest][run_of]),
-        ic_flagged=int((other & cached).sum(axis=1) @ lengths),
-        alignment_groups=int(np.count_nonzero(interfering[list(labels.values())])),
-    )
-
-
-def _precoders(blocks: tuple[Block, ...]) -> tuple[_ZfPrecoders, np.ndarray]:
-    """Distinct precoders of the transmissions, in order of first use, and each transmission's precoder.
+def _layout(blocks: tuple[Block, ...], k_r: int, k_t: int) -> _Layout:
+    """One walk over the runs of `blocks`: their distinct precoders, the place of each transmission, and the counts.
 
     Tx sets and ZF-target sets get integer ids, and a precoder is one (tx id, target id) pair.  Runs
     with equal tx sets and targets share their precoders, so each distinct run label is handled once
@@ -304,25 +254,42 @@ def _precoders(blocks: tuple[Block, ...]) -> tuple[_ZfPrecoders, np.ndarray]:
     tuple are looked up once; pair ids then come from numpy, in order of first use.  `Run.check_zf`
     depends only on the tx sets and the target count, so it runs at the first run of each such pair,
     which names the first infeasible run.
+
+    Receivers are classified per run as in `account_block`: one that is neither the destination nor
+    a ZF target is cache-cancelled when it holds the subfile and interfering otherwise.  Each
+    transmission flags its cache-cancelled gains, and each distinct (destination, cache holders, ZF
+    targets) label of a block is one alignment group per interfering receiver.
     """
     tx_index: dict[frozenset[int], int] = {}
     target_index: dict[frozenset[int], int] = {}
     tx_ids_of: dict[tuple[frozenset[int], ...], np.ndarray] = {}
     label_index: dict[tuple, int] = {}
     labels: list[tuple[np.ndarray, int]] = []  # (tx ids, target id) of each distinct label
-    run_labels = []
     feasible: set[tuple[tuple[frozenset[int], ...], int]] = set()
-    for position, r in ((b.position, r) for b in blocks for r in b.runs):
-        label = (r.tx_sets, r.zf_targets)
-        if label not in label_index:
-            if (r.tx_sets, len(r.zf_targets)) not in feasible:
-                r.check_zf(position)
-                feasible.add((r.tx_sets, len(r.zf_targets)))
-            if r.tx_sets not in tx_ids_of:
-                tx_ids_of[r.tx_sets] = np.array([tx_index.setdefault(ts, len(tx_index)) for ts in r.tx_sets], np.intp)
-            label_index[label] = len(labels)
-            labels.append((tx_ids_of[r.tx_sets], target_index.setdefault(r.zf_targets, len(target_index))))
-        run_labels.append(label_index[label])
+    runs, run_labels, nulled = [], [], []
+    ic_flagged = alignment_groups = 0
+    for block in blocks:
+        groups = set()
+        for r in block.runs:
+            label = (r.tx_sets, r.zf_targets)
+            k = label_index.get(label)  # one hash of the label per run: it holds every tx set
+            if k is None:
+                if (r.tx_sets, len(r.zf_targets)) not in feasible:
+                    r.check_zf(block.position)
+                    feasible.add((r.tx_sets, len(r.zf_targets)))
+                if r.tx_sets not in tx_ids_of:
+                    tx_ids_of[r.tx_sets] = np.array([tx_index.setdefault(ts, len(tx_index)) for ts in r.tx_sets], np.intp)
+                k = label_index[label] = len(labels)
+                labels.append((tx_ids_of[r.tx_sets], target_index.setdefault(r.zf_targets, len(target_index))))
+            runs.append((block.position, r))
+            run_labels.append(k)
+            nulled.append(r.dest in r.zf_targets)
+            dest_or_zf = r.zf_targets | {r.dest}
+            ic_flagged += len(r.rx_set - dest_or_zf) * len(r.tx_sets)
+            group = (r.dest, r.rx_set, r.zf_targets)
+            if group not in groups:
+                groups.add(group)
+                alignment_groups += k_r - len(dest_or_zf | r.rx_set)
     # pair (t, z) is coded t * n + z; np.unique gives each code's first use, which orders the pair ids
     n = max(len(target_index), 1)
     lengths = np.array([len(tx) for tx, _ in labels], dtype=np.intp)
@@ -335,9 +302,21 @@ def _precoders(blocks: tuple[Block, ...]) -> tuple[_ZfPrecoders, np.ndarray]:
     # transmission q, the k-th of a run, reads code k of the run's label: q plus the label's start less the run's
     run_lengths = lengths[run_labels]
     shift = np.cumsum(lengths)[run_labels] - np.cumsum(run_lengths)
-    rows = pair_id[inverse[np.arange(run_lengths.sum()) + np.repeat(shift, run_lengths)]]
     tx_ids, target_ids = np.divmod(distinct[order], n)
-    return _ZfPrecoders(list(tx_index), list(target_index), tx_ids, target_ids), rows
+    zf = np.zeros((len(target_index), k_r), dtype=bool)
+    for z, targets in enumerate(target_index):
+        zf[z, list(targets)] = True
+    return _Layout(
+        runs=tuple(runs),
+        starts=np.cumsum(run_lengths) - run_lengths,
+        run_of=np.repeat(np.arange(len(runs)), run_lengths),
+        precoders=_ZfPrecoders(list(tx_index), list(target_index), tx_ids, target_ids, k_r, k_t),
+        rows=pair_id[inverse[np.arange(run_lengths.sum()) + np.repeat(shift, run_lengths)]],
+        targets=zf[target_ids].T.copy(),
+        nulled=np.flatnonzero(np.repeat(np.array(nulled, dtype=bool), run_lengths)),
+        ic_flagged=ic_flagged,
+        alignment_groups=alignment_groups,
+    )
 
 
 def _check(seed: int, smallest: float, redraws: int, layout: _Layout, mag: np.ndarray, rel_tol: float) -> PhyReport:
@@ -375,35 +354,35 @@ def _check(seed: int, smallest: float, redraws: int, layout: _Layout, mag: np.nd
 
 
 def _violations(layout: _Layout, mag: np.ndarray, gmax: np.ndarray, candidates: np.ndarray, rel_tol: float) -> tuple[str, ...]:
-    """One violation per offending transmission among the `candidates` of `_check`, in transmission order."""
-    p, run = layout.rows[candidates], layout.run_of[candidates]
+    """One violation per offending transmission among the `candidates` of `_check`, in transmission order.
+
+    A candidate leaks at its precoder's loud ZF targets.  Its quiet gains are classified from its own
+    run's sets: at the destination, or at an interfering receiver (no ZF target, no cache holder).
+    """
+    p = layout.rows[candidates]
     gains = mag[:, p].T  # candidates x K_R
-    loud = gains > rel_tol * gmax[p, None]
+    leak = layout.targets[:, p].T & (gains > rel_tol * gmax[p, None])
     quiet = gains < GENERICITY_FLOOR * gmax[p, None]
-    leak = layout.zf[run] & loud
-    weak_dest = quiet[np.arange(len(p)), layout.dest[run]]
-    weak = layout.interfering[run] & quiet
     violations = []
-    for c in np.flatnonzero(leak.any(axis=1) | weak_dest | weak.any(axis=1)):
-        position, r = layout.runs[run[c]]
-        ts = r.tx_sets[candidates[c] - layout.starts[run[c]]]
+    for c in np.flatnonzero(leak.any(axis=1) | quiet.any(axis=1)):
+        run = layout.run_of[candidates[c]]
+        position, r = layout.runs[run]
+        weak = np.flatnonzero(quiet[c]).tolist()
         issues = [
             f"zf-leak at rx {z + 1} (|gain|={gains[c, z]:.3e}, max {gmax[p[c]]:.3e})"
             for z in np.flatnonzero(leak[c])
         ]
-        if weak_dest[c]:
+        if r.dest in weak:
             issues.append(f"degenerate destination gain at rx {r.dest + 1}")
-        issues += [f"degenerate interference gain at rx {j + 1}" for j in np.flatnonzero(weak[c])]
-        violations.append(
-            f"block={position + 1} subfile={SubfileId(r.file, ts, r.rx_set).label()} dest={r.dest + 1}: "
-            + "; ".join(issues)
-        )
+        interfering = [j for j in weak if j != r.dest and j not in r.zf_targets and j not in r.rx_set]
+        issues += [f"degenerate interference gain at rx {j + 1}" for j in interfering]
+        if issues:
+            ts = r.tx_sets[candidates[c] - layout.starts[run]]
+            violations.append(
+                f"block={position + 1} subfile={SubfileId(r.file, ts, r.rx_set).label()} dest={r.dest + 1}: "
+                + "; ".join(issues)
+            )
     return tuple(violations)
-
-
-def _minor_size(blocks: tuple[Block, ...]) -> int:
-    """Largest square-minor size the blocks' ZF claims rest on: m+1 for m targets (gains; weights need size m)."""
-    return 1 + max((len(r.zf_targets) for block in blocks for r in block.runs), default=0)
 
 
 def verify_plan_phy(
@@ -418,8 +397,8 @@ def verify_plan_phy(
     non-negative int (seeds 0..n-1) or a list of non-negative int seeds (a bool is not one);
     `rel_tol` must lie in (0, 1).
     A run too small to zero-force at its targets raises MalformedPlanError before any channel is drawn.
-    Channels are checked for genericity only up to the minor size the plans use
-    (`_minor_size`).  The draws come in the order an exhaustive check would take them,
+    Channels are checked for genericity only up to the minor size the plans' precoders use
+    (`_ZfPrecoders.minor_size`).  The draws come in the order an exhaustive check would take them,
     so the two pick different channels only where a minor that no ZF claim uses is degenerate.
     """
     if not 0 < rel_tol < 1:
@@ -432,13 +411,11 @@ def verify_plan_phy(
         raise ValueError(f"channel seeds must be non-negative ints, got {bad[0]!r}")
     if not seeds:
         return []
-    blocks = tuple(block for p in plans for block in p.blocks)
-    distinct, rows = _precoders(blocks)
-    layout = _layout(blocks, cfg.k_r, distinct, rows)
-    size = min(cfg.k_r, cfg.k_t, _minor_size(blocks))
+    layout = _layout(tuple(block for p in plans for block in p.blocks), cfg.k_r, cfg.k_t)
+    distinct = layout.precoders
     reports = []
     for seed in seeds:
-        h, smallest, redraws, tables = _draw(cfg.k_r, cfg.k_t, seed, size, keep=distinct.sizes)
+        h, smallest, redraws, tables = _draw(cfg.k_r, cfg.k_t, seed, distinct.minor_size, distinct.sizes)
         weights, _ = distinct.weights(h, tables)
         del tables  # the weights are gathered; the tables would only raise the peak memory of the next draw
         # taken precoder-major, as h @ weights would sum each gain in another order, then laid out receiver-major

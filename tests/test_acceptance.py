@@ -32,7 +32,7 @@ from cachenet.metrics import (
     sweep_figure,
 )
 from cachenet.model import DemandVector, NetworkConfig, binomial
-from cachenet.phy import _draw, _minors, _precoders
+from cachenet.phy import _draw, _layout, _minors
 from cachenet.placement import place_centralized, place_decentralized, subset_profile
 from conftest import cachenet_env
 from per_entry import entries, minor
@@ -94,11 +94,12 @@ def test_criterion_4_zf_verification_and_minor_match():
     cfg = cfg_4x4()
     placement = place_centralized(cfg)
     plan = build_centralized_plan(cfg, placement, DemandVector.worst_case(cfg))
-    distinct, rows = _precoders(plan.blocks)
+    layout = _layout(plan.blocks, cfg.k_r, cfg.k_t)
+    distinct, rows = layout.precoders, layout.rows
     records = list(zip(entries(plan), rows))
     checked = 0
     for seed in range(100):
-        h = _draw(4, 4, seed, 4)[0]  # every minor size checked
+        h = _draw(4, 4, seed, 4, frozenset())[0]  # every minor size checked
         weights, scales = distinct.weights(h, dict(enumerate(_minors(h), start=1)))
         for e, k in records:
             gains = h @ weights[:, k]

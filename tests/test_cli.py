@@ -781,3 +781,20 @@ def test_a_demand_outside_the_library_names_the_typed_file_number(
     for source in (["--demand", demand], ["--config", "run.cfg"]):
         assert cli.main([command, *net, *extra, *source]) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ndt", "--seeds", "1"],
+        ["plan", "--mode", "decentralized", "--show"],
+    ],
+    ids=["ndt", "plan-show"],
+)
+def test_impossible_file_length_exits_2_with_one_error_line(argv):
+    # 3 x 10^15 one-byte receiver codes: numpy refuses the allocation before touching any memory
+    net = ["--kt", "3", "--kr", "3", "--n", "3", "--mt", "2", "--mr", "1", "--file-bits", str(10**15)]
+    r = run_cli(*argv, *net)
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
+    assert "Traceback" not in r.stderr

@@ -29,9 +29,7 @@ from cachenet.phy import (
     MAX_SAMPLE_RETRIES,
     GenericityError,
     _minor_check,
-    _minor_size,
     _minors,
-    _precoders,
     verify_plan_phy,
 )
 from cachenet.placement import place_centralized
@@ -40,21 +38,21 @@ from per_entry import ScheduledSubfile, block_of, entries, equivalent_gains, min
 
 def channel(k_r: int, k_t: int, seed: int, size: int | None = None) -> np.ndarray:
     """The entries `phy._draw` gives for `seed`, checked for genericity up to minor size `size` (every size by default)."""
-    return phy._draw(k_r, k_t, seed, size or min(k_r, k_t))[0]
+    return phy._draw(k_r, k_t, seed, size or min(k_r, k_t), frozenset())[0]
 
 
 def smallest_minor(h: np.ndarray) -> float:
     """The smallest |square minor| of h over every size, from the batched check."""
-    return _minor_check(h, min(h.shape))[0]
+    return _minor_check(h, min(h.shape), frozenset())[0]
 
 
 def library_precoder(h: np.ndarray, tx_set, zf_targets) -> tuple[np.ndarray, float]:
     """The weights across the sorted tx set and the scale of one precoder, built as `verify_plan_phy` builds it.
 
-    That is `_precoders` of a one-entry block, then its `weights` on the channel.
+    That is the precoders of a one-entry block's `_layout`, then their `weights` on the channel.
     """
     block = Block(0, (Run(0, 0, frozenset(), frozenset(zf_targets), (frozenset(tx_set),)),))
-    distinct, _ = _precoders((block,))
+    distinct = phy._layout((block,), *h.shape).precoders
     weights, scales = distinct.weights(h, tables(h))
     return weights[sorted(tx_set), 0], float(scales[0])
 
@@ -98,7 +96,7 @@ class TestSampling:
         assert abs(h[0, 0]) > 1e-9
 
     def test_all_minors_generic(self):
-        h, smallest, _, _ = phy._draw(4, 4, seed=5, size=4)
+        h, smallest, _, _ = phy._draw(4, 4, seed=5, size=4, keep=frozenset())
         for size in (1, 2, 3, 4):
             for rows in itertools.combinations(range(4), size):
                 for cols in itertools.combinations(range(4), size):
@@ -187,7 +185,7 @@ class TestMinorRecurrence:
                 entries = complex_gaussian(rng, 3, 3)
                 if minors_generic_loop(entries, threshold):
                     break
-            h, smallest, drawn_redraws, _ = phy._draw(3, 3, seed, 3)
+            h, smallest, drawn_redraws, _ = phy._draw(3, 3, seed, 3, frozenset())
             assert np.array_equal(h, entries)
             assert drawn_redraws == redraws
             assert smallest == pytest.approx(smallest_minor_loop(entries), rel=1e-12)
@@ -196,7 +194,7 @@ class TestMinorRecurrence:
         assert total > 0
 
     def test_default_channel_headroom(self):
-        h, smallest, redraws, _ = phy._draw(5, 4, seed=3, size=4)
+        h, smallest, redraws, _ = phy._draw(5, 4, seed=3, size=4, keep=frozenset())
         assert redraws == 0
         assert smallest == pytest.approx(smallest_minor_loop(h), rel=1e-12)
 
@@ -486,8 +484,8 @@ class TestBatchedEquivalence:
         cfg, plan = self._plan44()
         reports = verify_plan_phy(cfg, [plan], channel_seeds=3)
         for r in reports:
-            h, smallest, redraws, _ = phy._draw(4, 4, r.seed, 2)
-            assert smallest == _minor_check(h, 2)[0]
+            h, smallest, redraws, _ = phy._draw(4, 4, r.seed, 2, frozenset())
+            assert smallest == _minor_check(h, 2, frozenset())[0]
             assert r.genericity_margin == smallest / GENERICITY_THRESHOLD > 1.0
             assert smallest >= smallest_minor(h)
             assert r.redraws == redraws == 0
@@ -564,11 +562,11 @@ class TestPlanSizedGenericity:
     def test_plan_bound_draws_the_exhaustive_channels(self, case):
         # the truncated check accepts exactly the draws the exhaustive one accepts, on every seed in use
         cfg, plans = _plans(*case)
-        size = _minor_size(tuple(b for p in plans for b in p.blocks))
+        size = phy._layout(tuple(b for p in plans for b in p.blocks), cfg.k_r, cfg.k_t).precoders.minor_size
         assert 1 < size <= cfg.t_t < cfg.k_r
         for seed in CHECKED_CHANNELS[case]:
-            exhaustive, least, redraws, _ = phy._draw(cfg.k_r, cfg.k_t, seed, min(cfg.k_r, cfg.k_t))
-            truncated, smallest, truncated_redraws, _ = phy._draw(cfg.k_r, cfg.k_t, seed, size)
+            exhaustive, least, redraws, _ = phy._draw(cfg.k_r, cfg.k_t, seed, min(cfg.k_r, cfg.k_t), frozenset())
+            truncated, smallest, truncated_redraws, _ = phy._draw(cfg.k_r, cfg.k_t, seed, size, frozenset())
             assert np.array_equal(truncated, exhaustive)
             assert truncated_redraws == redraws
             assert smallest >= least
@@ -586,7 +584,7 @@ class TestPlanSizedGenericity:
         cfg, (plan,) = _plans(8, 2, 1, False)
         extra = Block(len(plan.blocks), (Run(0, 0, frozenset({1}), frozenset({2, 3, 4}), (frozenset(range(4)),)),))
         crafted = DeliveryPlan(blocks=(*plan.blocks, extra), mode=plan.mode)
-        assert _minor_size(crafted.blocks) == 4
+        assert phy._layout(crafted.blocks, cfg.k_r, cfg.k_t).precoders.minor_size == 4
         sizes = spy_minor_sizes(monkeypatch)
         reports = verify_plan_phy(cfg, [crafted], channel_seeds=2)
         assert all(r.ok for r in reports)
@@ -596,7 +594,7 @@ class TestPlanSizedGenericity:
     def test_exhaustive_check_builds_every_size_once(self, monkeypatch):
         # the exhaustive check the plan-sized one is compared with: `_draw` at size min(K_R, K_T)
         sizes = spy_minor_sizes(monkeypatch)
-        phy._draw(5, 4, seed=3, size=4)
+        phy._draw(5, 4, seed=3, size=4, keep=frozenset())
         assert sizes == [1, 2, 3, 4]
 
     def test_degenerate_minor_above_the_bound_is_accepted_only_by_the_truncated_check(self, monkeypatch):
@@ -606,11 +604,11 @@ class TestPlanSizedGenericity:
         for part in parts[:2]:
             part[:3, 2] = 0.7 * part[:3, 0] - 1.3 * part[:3, 1]
         planted = (parts[0] + 1j * parts[1]) / np.sqrt(2)
-        assert _minor_check(planted, 2)[0] >= GENERICITY_THRESHOLD > smallest_minor(planted)
+        assert _minor_check(planted, 2, frozenset())[0] >= GENERICITY_THRESHOLD > smallest_minor(planted)
         monkeypatch.setattr(np.random, "default_rng", lambda seed: _Replay(parts))
-        truncated, _, redraws, _ = phy._draw(4, 4, 0, 2)
+        truncated, _, redraws, _ = phy._draw(4, 4, 0, 2, frozenset())
         assert redraws == 0 and np.array_equal(truncated, planted)
-        exhaustive, _, redraws, _ = phy._draw(4, 4, 0, 4)
+        exhaustive, _, redraws, _ = phy._draw(4, 4, 0, 4, frozenset())
         assert redraws == 1
         assert np.array_equal(exhaustive, (parts[2] + 1j * parts[3]) / np.sqrt(2))
 
@@ -653,7 +651,8 @@ class TestPrecoderTables:
         h = channel(corner[1], corner[0], seed=5)
         for variant in (plans, parsed, unshared, shuffled(plans, seed=sum(corner))):
             blocks = tuple(b for p in variant for b in p.blocks)
-            distinct, rows = _precoders(blocks)
+            layout = phy._layout(blocks, corner[1], corner[0])
+            distinct, rows = layout.precoders, layout.rows
             pairs, reference_rows = per_entry.precoders(blocks)
             assert rows.tolist() == reference_rows
             assert [
@@ -690,14 +689,14 @@ class TestPrecoderTables:
         monkeypatch.setattr(phy, "_draw", lambda *args, **kwargs: pytest.fail("channel drawn"))
         cfg = NetworkConfig(k_t=4, k_r=4, n_files=4, m_t=2, m_r=1)
         plan = DeliveryPlan(blocks=(block,), mode="centralized")
-        for check in (lambda: _precoders((block,)), lambda: verify_plan_phy(cfg, [plan], channel_seeds=1)):
+        for check in (lambda: phy._layout((block,), 4, 4), lambda: verify_plan_phy(cfg, [plan], channel_seeds=1)):
             with pytest.raises(MalformedPlanError) as err:
                 check()
             assert isinstance(err.value, ConfigurationError) and str(err.value) == message
 
     def test_degenerate_channel_names_the_first_pair(self):
         blocks = (block_of(self._entries44()),)
-        distinct, _ = _precoders(blocks)
+        distinct = phy._layout(blocks, 4, 4).precoders
         (ts, targets), *_ = per_entry.precoders(blocks)[0]
         h = np.ones((4, 4), dtype=complex)
         h[list(targets)] = 0  # every pair with these targets is degenerate; the first one used is named
@@ -713,9 +712,9 @@ class TestPerPrecoderChecks:
         # a precoder silent at one interferer: that gain is a size-(m+1) minor, so no channel the
         # genericity check accepts shows it, and the gain magnitudes are edited by hand
         cfg, (plan,) = _plans(4, 2, 1, False)
-        distinct, rows = _precoders(plan.blocks)
-        layout = phy._layout(plan.blocks, cfg.k_r, distinct, rows)
-        h, smallest, redraws, _ = phy._draw(4, 4, 3, 2)
+        layout = phy._layout(plan.blocks, cfg.k_r, cfg.k_t)
+        distinct, rows = layout.precoders, layout.rows
+        h, smallest, redraws, _ = phy._draw(4, 4, 3, 2, frozenset())
         weights, _ = distinct.weights(h, tables(h))
         mag = np.abs(h @ weights)
         assert phy._check(3, smallest, redraws, layout, mag, rel_tol=1e-9).ok
@@ -743,7 +742,7 @@ class TestGatheredWeights:
     def test_weights_match_the_determinant_reference(self, k, t_t, t_r):
         # the minors gathered from the `_minors` tables against one np.linalg.det per weight
         _, (plan,) = _plans(k, t_t, t_r, False)
-        distinct, _ = _precoders(plan.blocks)
+        distinct = phy._layout(plan.blocks, k, k).precoders
         h = channel(k, k, seed=k, size=t_t)
         weights, scales = distinct.weights(h, tables(h))
         for row, scale, t, z in zip(weights.T, scales, distinct.tx_ids, distinct.target_ids):
@@ -759,10 +758,8 @@ class TestGatheredWeights:
         cfg, plans = _plans(3, 2, 1, True) if tiers else _plans(6, 3, 2, False)
         blocks = tuple(b for p in plans for b in p.blocks)
         before = verify_plan_phy(cfg, plans, channel_seeds=3)
-        references = [
-            reference_blocks(channel(cfg.k_r, cfg.k_t, r.seed, _minor_size(blocks)), blocks)
-            for r in before
-        ]
+        size = phy._layout(blocks, cfg.k_r, cfg.k_t).precoders.minor_size
+        references = [reference_blocks(channel(cfg.k_r, cfg.k_t, r.seed, size), blocks) for r in before]
 
         def no_det(*args, **kwargs):
             raise AssertionError("numpy.linalg.det called")
@@ -799,9 +796,9 @@ class TestExactReductions:
 
     def _gains(self, cfg, plans, seed):
         blocks = tuple(b for p in plans for b in p.blocks)
-        distinct, rows = _precoders(blocks)
-        layout = phy._layout(blocks, cfg.k_r, distinct, rows)
-        h, smallest, redraws, kept = phy._draw(cfg.k_r, cfg.k_t, seed, _minor_size(blocks), keep=distinct.sizes)
+        layout = phy._layout(blocks, cfg.k_r, cfg.k_t)
+        distinct = layout.precoders
+        h, smallest, redraws, kept = phy._draw(cfg.k_r, cfg.k_t, seed, distinct.minor_size, keep=distinct.sizes)
         weights, _ = distinct.weights(h, kept)
         targets = [distinct.targets[z] for z in distinct.target_ids]
         return layout, np.abs(weights.T @ h.T).T.copy(), targets, (smallest, redraws)
@@ -847,7 +844,7 @@ class TestExactReductions:
         cfg, plans = _plans(4, 2, 1, False)
         draw = phy._draw
 
-        def planted(k_r, k_t, seed, size, keep=frozenset()):
+        def planted(k_r, k_t, seed, size, keep):
             h, smallest, redraws, kept = draw(k_r, k_t, seed, size, keep)
             if seed == 8:
                 h = h.copy()

@@ -30,6 +30,7 @@ from cachenet.delivery import (
 )
 from cachenet.metrics import sdof_achievable
 from cachenet.model import DemandVector, NetworkConfig, SubfileId, fmt_index_set, subsets
+from cachenet.phy import verify_plan_phy
 from cachenet.placement import place_centralized, place_decentralized, subset_profile, tx_partition
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=150)
@@ -206,3 +207,31 @@ def test_every_consumer_uses_the_one_transmitter_partition():
         assert bits == Counter(
             {ts: min((p + 1) * psize, DEC_FILE_BITS) - p * psize for p, ts in enumerate(partition) if p * psize < DEC_FILE_BITS}
         )
+
+
+def split_runs(plans: list[DeliveryPlan], rnd: random.Random) -> list[DeliveryPlan]:
+    """The plans with each block's entries in a random order, so a label spreads over several runs of a block."""
+    return [
+        DeliveryPlan(
+            blocks=tuple(per_entry.block_of(rnd.sample(per_entry.entries(b), len(b))) for b in p.blocks if len(b)),
+            mode=p.mode,
+        )
+        for p in plans
+    ]
+
+
+def test_phy_counts_equal_the_ledger_sums():
+    # phy classifies receivers with its own copy of account_block's rule; the two must count alike,
+    # also where one label of a block spans several runs
+    plan_sets, rnd = 0, random.Random(5)
+    for cfg in integral_grid():
+        if min(cfg.k_t, cfg.k_r) < 2:
+            continue
+        sets = [[centralized(cfg)[2]]] + ([decentralized(cfg)[2]] if cfg.t_r == 0 else [])
+        for plans in (*sets, *(split_runs(s, rnd) for s in sets)):
+            receivers = [rx for plan in plans for ledger in account_plan(cfg, plan) for rx in ledger.receivers]
+            for report in verify_plan_phy(cfg, plans, channel_seeds=[0, 1]):
+                assert report.ic_flagged == sum(rx.ic_cancelled for rx in receivers), (cfg, len(plans))
+                assert report.alignment_groups == sum(rx.aligned_dims for rx in receivers), (cfg, len(plans))
+            plan_sets += 1
+    assert plan_sets == 2 * 600
