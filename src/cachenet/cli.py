@@ -209,16 +209,19 @@ def cmd_plan(args, parser) -> int:
         plans = [build_centralized_plan(cfg, None, demand)]
     else:
         plans = build_decentralized_plan(cfg, demand)
+    # only the listings need a placement; the plans follow from cfg and the mode.  It is drawn
+    # before any output, so one that cannot be built leaves no plan text and no --out file.
+    listing = ""
+    if args.show:
+        placement = place_centralized(cfg) if args.mode == "centralized" else place_decentralized(cfg, args.seed)
+        listing = placement.export_text()
     text = "".join(serialize_plan(p) for p in plans)
     if args.out:
         Path(args.out).write_text(text)
         print(f"wrote {args.out} ({sum(len(b) for p in plans for b in p.blocks)} scheduled subfiles)")
     else:
         sys.stdout.write(text)
-    # only the listings need a placement; the plans follow from cfg and the mode
-    if args.show:
-        placement = place_centralized(cfg) if args.mode == "centralized" else place_decentralized(cfg, args.seed)
-        sys.stdout.write(placement.export_text())
+    sys.stdout.write(listing)
     ledgers = [_print_ledgers(cfg, plan) for plan in plans]
     if args.verify:
         return _verify(cfg, plans, demand, args, ledgers)

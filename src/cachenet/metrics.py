@@ -170,6 +170,12 @@ def _tier_fractions(cfg: NetworkConfig, plans: list[DeliveryPlan]) -> list[Fract
     return out
 
 
+def _per_tier(cfg: NetworkConfig, plans: list[DeliveryPlan], masses: list[Fraction]) -> tuple[list[Fraction], Fraction]:
+    """Each tier's mass over its ledger sum-DoF, 0 for a tier with no blocks, and their sum."""
+    terms = [mass / plan_sdof(cfg, plan) if plan.blocks else Fraction(0) for plan, mass in zip(plans, masses)]
+    return terms, sum(terms, Fraction(0))
+
+
 def ndt_oracle(
     cfg: NetworkConfig, demand: DemandVector | None = None
 ) -> tuple[Fraction, tuple[tuple[int, Fraction], ...]]:
@@ -182,17 +188,8 @@ def ndt_oracle(
     if demand is None:
         demand = DemandVector.worst_case(cfg)
     plans = build_decentralized_plan(cfg, demand)
-    fractions = _tier_fractions(cfg, plans)
-    breakdown = []
-    total = Fraction(0)
-    for t, (plan, mass) in enumerate(zip(plans, fractions)):
-        if not plan.blocks:
-            breakdown.append((t, Fraction(0)))
-            continue
-        contribution = mass / plan_sdof(cfg, plan)
-        breakdown.append((t, contribution))
-        total += contribution
-    return total, tuple(breakdown)
+    terms, total = _per_tier(cfg, plans, _tier_fractions(cfg, plans))
+    return total, tuple(enumerate(terms))
 
 
 def ndt_finite(
@@ -204,13 +201,11 @@ def ndt_finite(
     """Delivery time of one finite-size placement: actual scheduled bits over tier sum-DoF."""
     assert cfg.file_bits is not None
     profiles = {f: subset_profile(placement, f) for f in sorted(set(demand.d))}
-    total = Fraction(0)
-    for plan in plans:
-        if not plan.blocks:
-            continue
-        bits = sum(profiles[r.file].get((ts, r.rx_set), 0) for _, r in plan.runs() for ts in r.tx_sets)
-        total += Fraction(bits, cfg.file_bits) / plan_sdof(cfg, plan)
-    return total
+    masses = [
+        Fraction(sum(profiles[r.file].get((ts, r.rx_set), 0) for _, r in plan.runs() for ts in r.tx_sets), cfg.file_bits)
+        for plan in plans
+    ]
+    return _per_tier(cfg, plans, masses)[1]
 
 
 def mc_ndt(cfg: NetworkConfig, demand: DemandVector, seeds: list[int]) -> McNdt:

@@ -5,9 +5,9 @@ subfiles indexed by (transmitter subset, receiver subset).  Decentralized
 placement keeps the deterministic transmitter partitioning but lets every
 receiver cache a uniformly random fixed-size subset of each file's bits.
 Its draws stay in the caller's thread in stream order, so they fix the
-caches per seed; marking each draw into the codes runs one draw behind, in
-one helper thread that the call joins.  Only the decentralized functions use
-numpy, and each imports it where it runs, so the exact commands never load it.
+caches per seed; marking each draw into the codes runs one draw behind in a
+one-worker executor.  Only the decentralized functions use numpy, and each
+imports it where it runs, so the exact commands never load it.
 """
 
 from __future__ import annotations
@@ -219,45 +219,27 @@ def place_decentralized(cfg: NetworkConfig, seed: int) -> DecentralizedPlacement
 
 
 def _mark_one_behind(draws: Iterable[tuple[np.ndarray, int, np.ndarray]]) -> None:
-    """OR each drawn `(row, bit, picked)` into `row[picked]` in one helper thread while the next is drawn.
+    """OR each drawn `(row, bit, picked)` into `row[picked]` in a one-worker executor while the next is drawn.
 
     `draws` is consumed in the calling thread, so the draws keep their order.
-    The handoff holds one slot: at most one draw waits while another is
-    marked.  Neither side keeps a draw once it has passed it on, so each is
-    freed as soon as it is marked.  The helper is joined before this returns,
-    and an error raised by either side is raised here.  A draw without
-    replacement has no repeats, so the fancy-index OR sets each bit once.
+    Each is submitted once the previous one is marked, and the caller keeps
+    none it has submitted.  The `with` block joins the worker; `result()` raises
+    here what the marking raised.  Draws are without replacement, so the OR sets each bit once.
     """
-    import queue
-    import threading
+    from concurrent.futures import ThreadPoolExecutor
 
-    slot: queue.Queue = queue.Queue(maxsize=1)
-    failure: list[BaseException] = []
+    def mark(row: np.ndarray, bit: int, picked: np.ndarray) -> None:
+        row[picked] |= bit
 
-    def mark() -> None:
-        while (item := slot.get()) is not None:
-            if not failure:  # after an error, drain the slot so the caller never blocks
-                try:
-                    row, bit, picked = item
-                    row[picked] |= bit
-                    del row, picked
-                except BaseException as exc:
-                    failure.append(exc)
-            del item
-
-    helper = threading.Thread(target=mark, name="cachenet-mark")
-    helper.start()
-    try:
+    marked = None
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="cachenet-mark") as marker:
         for draw in draws:
-            if failure:
-                break
-            slot.put(draw)
+            if marked is not None:
+                marked.result()
+            marked = marker.submit(mark, *draw)
             del draw
-    finally:
-        slot.put(None)
-        helper.join()
-    if failure:
-        raise failure[0]
+        if marked is not None:
+            marked.result()
 
 
 def subset_profile(placement: DecentralizedPlacement, file: int) -> dict[tuple[frozenset[int], frozenset[int]], int]:

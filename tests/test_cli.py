@@ -788,13 +788,18 @@ def test_a_demand_outside_the_library_names_the_typed_file_number(
     [
         ["ndt", "--seeds", "1"],
         ["plan", "--mode", "decentralized", "--show"],
+        ["plan", "--mode", "decentralized", "--show", "--out", "p.txt"],
     ],
-    ids=["ndt", "plan-show"],
+    ids=["ndt", "plan-show", "plan-show-out"],
 )
-def test_impossible_file_length_exits_2_with_one_error_line(argv):
+def test_impossible_file_length_exits_2_with_one_error_line(argv, tmp_path):
     # 3 x 10^15 one-byte receiver codes: numpy refuses the allocation before touching any memory
     net = ["--kt", "3", "--kr", "3", "--n", "3", "--mt", "2", "--mr", "1", "--file-bits", str(10**15)]
-    r = run_cli(*argv, *net)
+    r = run_cli(*argv, *net, cwd=tmp_path)
     assert r.returncode == 2, r.stderr
     assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
     assert "Traceback" not in r.stderr
+    if argv[0] == "plan":
+        # the placement is drawn before the plan is written, so a refused one leaves no output
+        assert r.stdout == ""
+        assert not (tmp_path / "p.txt").exists()

@@ -161,14 +161,14 @@ class TestDecentralized:
         assert text.count("tx-partition") == 6
 
 
-def mark_bounded(draws) -> Exception | None:
+def mark_bounded(draws) -> BaseException | None:
     """Run `_mark_one_behind` in a daemon thread and return what it raised; fail, not hang, if it never returns."""
     raised = []
 
     def call():
         try:
             placement._mark_one_behind(draws)
-        except Exception as exc:
+        except BaseException as exc:
             raised.append(exc)
 
     runner = threading.Thread(target=call, daemon=True)
@@ -179,7 +179,7 @@ def mark_bounded(draws) -> Exception | None:
 
 
 class TestMarkOneBehind:
-    """`_mark_one_behind` draws in the calling thread, marks in one helper, and always joins it."""
+    """`_mark_one_behind` draws in the calling thread, marks in a one-worker executor, and always joins it."""
 
     def test_draws_stay_in_the_calling_thread_in_order(self):
         rows = np.zeros((3, 8), dtype=np.uint8)
@@ -215,10 +215,36 @@ class TestMarkOneBehind:
         assert threading.active_count() == before
         assert rows[0].tolist() == [1, 1, 0, 0, 0, 0, 0, 0]  # a draw handed over before the error is marked
 
+    def test_interrupt_while_drawing_reaches_the_caller(self):
+        rows = np.zeros((2, 8), dtype=np.uint8)
+
+        def draws():
+            yield rows[0], 2, np.arange(3)
+            raise KeyboardInterrupt
+
+        before = threading.active_count()
+        err = mark_bounded(draws())
+        assert isinstance(err, KeyboardInterrupt)
+        assert threading.active_count() == before
+        assert rows[0].tolist() == [2, 2, 2, 0, 0, 0, 0, 0]  # the draw handed over before the interrupt is marked
+
+    def test_interrupt_while_marking_reaches_the_caller(self):
+        class InterruptingRow:
+            def __getitem__(self, picked):
+                return np.zeros(len(picked), dtype=np.uint8)
+
+            def __setitem__(self, picked, value):
+                raise KeyboardInterrupt
+
+        before = threading.active_count()
+        err = mark_bounded(iter([(InterruptingRow(), 1, np.arange(2))]))
+        assert isinstance(err, KeyboardInterrupt)
+        assert threading.active_count() == before
+
     @pytest.mark.parametrize("read_only", [None, 0, 7, 399])
     def test_many_draws_with_a_short_switch_interval(self, read_only):
         # a thread switch forced every microsecond: every bit is set once, and an error at any draw
-        # reaches the caller without leaving it blocked on the slot
+        # reaches the caller without leaving it blocked
         rng = np.random.default_rng(read_only)
         rows = np.zeros((400, 64), dtype=np.uint16)
         draws = [(row, 1 << k % 16, rng.choice(64, size=20, replace=False)) for k, row in enumerate(rows)]
