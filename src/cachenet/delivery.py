@@ -107,21 +107,19 @@ class Run(NamedTuple):
                 f"block {position + 1}: {self._label(short)} zero-forced at {m} receiver(s) by {len(short)} transmitter(s)"
             )
 
-    def check_indices(self, cfg: NetworkConfig, position: int, check_tx: bool = True) -> None:
+    def check_indices(self, cfg: NetworkConfig, position: int) -> None:
         """Reject file, transmitter and receiver indices outside `cfg` (e.g. from a plan file), naming the entry.
 
-        Past the first entry only the tx set differs, so only tx sets outside range(K_T) are checked there.
-        `check_tx=False` skips the tx sets, for a `tx_sets` tuple already checked at an earlier run.
+        Past the first entry only the tx set differs, so only the tx sets are checked there.
         """
-        first, txs = self.tx_sets[0], (self.tx_sets if check_tx else ())
-        tx_range = frozenset(range(cfg.k_t)) if check_tx else None
+        first = self.tx_sets[0]
         for name, indices, bound, tx_set in (
             ("file", (self.file,), cfg.n_files, first),
-            *(("tx", ts, cfg.k_t, ts) for ts in txs[:1]),
+            ("tx", first, cfg.k_t, first),
             ("cachedRx", self.rx_set, cfg.k_r, first),
             ("zf", self.zf_targets, cfg.k_r, first),
             ("dest", (self.dest,), cfg.k_r, first),
-            *(("tx", ts, cfg.k_t, ts) for ts in txs[1:] if not ts <= tx_range),
+            *(("tx", ts, cfg.k_t, ts) for ts in self.tx_sets[1:]),
         ):
             bad = sorted(i + 1 for i in indices if not 0 <= i < bound)
             if bad:
@@ -526,6 +524,24 @@ def parse_plans(text: str) -> list[DeliveryPlan]:
     ]
 
 
+def _check_indices(cfg: NetworkConfig, plans: list[DeliveryPlan]) -> None:
+    """Rule 4 of a plan file: `Run.check_indices`' error for the first run with an index outside `cfg`.
+
+    Each distinct `tx_sets` tuple, and each run's file, destination and receiver sets, pass plain range
+    and subset tests; only a run that fails one goes through `Run.check_indices`, which names the index.
+    """
+    tx_range, rx_range = frozenset(range(cfg.k_t)), frozenset(range(cfg.k_r))
+    in_range: set[tuple[frozenset[int], ...]] = set()
+    for p in plans:
+        for position, r in p.runs():
+            if r.tx_sets not in in_range:
+                if not all(ts <= tx_range for ts in r.tx_sets):
+                    r.check_indices(cfg, position)
+                in_range.add(r.tx_sets)
+            if not (0 <= r.file < cfg.n_files and 0 <= r.dest < cfg.k_r and r.rx_set <= rx_range and r.zf_targets <= rx_range):
+                r.check_indices(cfg, position)
+
+
 def check_plan_file(
     cfg: NetworkConfig, plans: list[DeliveryPlan], mode: str | None, demand: DemandVector | None
 ) -> tuple[list[DeliveryPlan], str, DemandVector, list[list[SubspaceLedger]]]:
@@ -534,8 +550,9 @@ def check_plan_file(
     Bad input raises ConfigurationError, checked first: the first header, in file order, with a bad
     name, a repeat or a mix of modes; a `mode` that contradicts the headers; indices outside `cfg`;
     the demand (`demand`, else one file per destination).  A plan that breaks the scheme then raises
-    MalformedPlanError: `Run.check`, `Run.check_zf`, and each tier plan's cache sizes.  A headerless
-    plan is returned with the resolved mode: `mode`, or centralized.
+    MalformedPlanError: `Run.check`, `Run.check_zf`, and each tier plan's cache sizes, each rule on every
+    run of every plan before the next.  A headerless plan is returned with the resolved mode: `mode`, or
+    centralized.
     """
     tiers = {f"decentralized-tier({t})": t for t in range(cfg.k_r)}
     headers = [p.mode for p in plans if p.mode is not None]
@@ -554,12 +571,7 @@ def check_plan_file(
         raise ConfigurationError(f"mode {mode} contradicts the plan file's {header_mode} mode headers")
     mode = header_mode or mode or "centralized"
     plans = [p if p.mode else replace(p, mode=mode) for p in plans]
-    # tx sets are checked once per distinct tx_sets tuple, ZF feasibility once per tuple and target count
-    in_range: set[tuple[frozenset[int], ...]] = set()
-    for p in plans:
-        for position, r in p.runs():
-            r.check_indices(cfg, position, check_tx=r.tx_sets not in in_range)
-            in_range.add(r.tx_sets)
+    _check_indices(cfg, plans)
     if demand is None:
         files: dict[int, int] = {}
         for p in plans:
@@ -570,13 +582,16 @@ def check_plan_file(
     demand.validate(cfg)
     # accounting checks each label once, so the first malformed run fails first
     ledgers = [account_plan(cfg, p) for p in plans]
+    # ZF feasibility once per tx_sets tuple and target count, over every plan before any tier is checked
     feasible: set[tuple[tuple[frozenset[int], ...], int]] = set()
     for p in plans:
-        tier = tiers.get(p.mode)
         for position, r in p.runs():
             if (r.tx_sets, len(r.zf_targets)) not in feasible:
                 r.check_zf(position)
                 feasible.add((r.tx_sets, len(r.zf_targets)))
+    for p in plans:
+        tier = tiers.get(p.mode)
+        for position, r in p.runs():
             if tier is not None and len(r.rx_set) != tier:
                 raise MalformedPlanError(
                     f"block {position + 1}: {r._label(r.tx_sets[0])} cached at "

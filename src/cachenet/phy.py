@@ -10,11 +10,12 @@ delivery ledger, and every report says so.
 `verify_plan_phy` is the one verifier: it reads the runs of a plan (or of
 tier plans) and checks every transmission of every block, at a cost that
 grows with the numpy calls per channel rather than with the number of
-minors or transmissions.  Before any channel is drawn, one walk over the
-runs (`_layout`) finds the distinct precoders, one per (transmitter set,
-ZF targets) pair from integer ids per run label, places each transmission
-at its run and precoder, and counts the cache-cancelled gains and
-alignment groups by the rule `account_block` uses.  Each channel is drawn
+minors or transmissions.  Before any channel is drawn, the plans' indices
+are checked against the configuration, and one walk over the runs
+(`_layout`) applies `Run.check` and `Run.check_zf`, finds the distinct
+precoders, one per (transmitter set, ZF targets) pair from integer ids per
+run label, places each transmission at its run and precoder, and counts
+the cache-cancelled gains and alignment groups.  Each channel is drawn
 once (`_draw`) and checked for genericity only in the square minors the
 precoders rest on, of sizes up to max |ZF targets| + 1; each size is built
 from the one below, and the tables the weights read, as signed minors, are
@@ -22,8 +23,8 @@ kept.  The checks are laid out receiver-major: a channel's gains are one
 K_R x precoders array, so each precoder's largest gain, largest gain at a
 ZF target and smallest gain off its targets are reductions over contiguous
 receiver rows.  A transmission is examined on its own only when its
-precoder fails a check or its destination is one of its ZF targets; its
-receivers are then classified from its own run's sets.
+precoder fails a check; its receivers are then classified from its own
+run's sets.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .delivery import IA_ASSUMPTION_NOTE, Block, DeliveryPlan, Run
+from .delivery import IA_ASSUMPTION_NOTE, Block, DeliveryPlan, Run, _check_indices
 from .model import NetworkConfig, SubfileId, _is_int
 
 __all__ = [
@@ -230,8 +231,7 @@ class _Layout:
     Per run: its block position and the run, and the index of its first
     transmission.  Per transmission: its run and its precoder in `precoders`.
     Per precoder (one column each, one row per receiver, as in the gains
-    `_check` reduces): its ZF-target mask.  `nulled` lists the transmissions
-    whose destination is one of their ZF targets.
+    `_check` reduces): its ZF-target mask.
     """
 
     runs: tuple[tuple[int, Run], ...]
@@ -240,7 +240,6 @@ class _Layout:
     precoders: _ZfPrecoders
     rows: np.ndarray
     targets: np.ndarray
-    nulled: np.ndarray
     ic_flagged: int
     alignment_groups: int
 
@@ -251,14 +250,14 @@ def _layout(blocks: tuple[Block, ...], k_r: int, k_t: int) -> _Layout:
     Tx sets and ZF-target sets get integer ids, and a precoder is one (tx id, target id) pair.  Runs
     with equal tx sets and targets share their precoders, so each distinct run label is handled once
     (a built or parsed plan shares one `tx_sets` tuple), and the tx ids of each distinct `tx_sets`
-    tuple are looked up once; pair ids then come from numpy, in order of first use.  `Run.check_zf`
-    depends only on the tx sets and the target count, so it runs at the first run of each such pair,
-    which names the first infeasible run.
+    tuple are looked up once; pair ids then come from numpy, in order of first use.  `Run.check`
+    runs at the first run of each (destination, cache holders, ZF targets) group of a block, as
+    `account_block` checks each label once, and then `Run.check_zf`, which depends only on the tx sets
+    and the target count, at the first run of each such pair; so the first malformed run is named.
 
-    Receivers are classified per run as in `account_block`: one that is neither the destination nor
-    a ZF target is cache-cancelled when it holds the subfile and interfering otherwise.  Each
-    transmission flags its cache-cancelled gains, and each distinct (destination, cache holders, ZF
-    targets) label of a block is one alignment group per interfering receiver.
+    `Run.check` keeps the destination, the cache holders and the ZF targets disjoint, so, as in
+    `account_block`, each transmission flags one cache-cancelled gain per cache holder, and each group
+    of a block is one alignment group per receiver in none of the three.
     """
     tx_index: dict[frozenset[int], int] = {}
     target_index: dict[frozenset[int], int] = {}
@@ -266,11 +265,16 @@ def _layout(blocks: tuple[Block, ...], k_r: int, k_t: int) -> _Layout:
     label_index: dict[tuple, int] = {}
     labels: list[tuple[np.ndarray, int]] = []  # (tx ids, target id) of each distinct label
     feasible: set[tuple[tuple[frozenset[int], ...], int]] = set()
-    runs, run_labels, nulled = [], [], []
+    runs, run_labels = [], []
     ic_flagged = alignment_groups = 0
     for block in blocks:
         groups = set()
         for r in block.runs:
+            group = (r.dest, r.rx_set, r.zf_targets)
+            if group not in groups:
+                r.check()
+                groups.add(group)
+                alignment_groups += k_r - 1 - len(r.rx_set) - len(r.zf_targets)
             label = (r.tx_sets, r.zf_targets)
             k = label_index.get(label)  # one hash of the label per run: it holds every tx set
             if k is None:
@@ -283,13 +287,7 @@ def _layout(blocks: tuple[Block, ...], k_r: int, k_t: int) -> _Layout:
                 labels.append((tx_ids_of[r.tx_sets], target_index.setdefault(r.zf_targets, len(target_index))))
             runs.append((block.position, r))
             run_labels.append(k)
-            nulled.append(r.dest in r.zf_targets)
-            dest_or_zf = r.zf_targets | {r.dest}
-            ic_flagged += len(r.rx_set - dest_or_zf) * len(r.tx_sets)
-            group = (r.dest, r.rx_set, r.zf_targets)
-            if group not in groups:
-                groups.add(group)
-                alignment_groups += k_r - len(dest_or_zf | r.rx_set)
+            ic_flagged += len(r.rx_set) * len(r.tx_sets)
     # pair (t, z) is coded t * n + z; np.unique gives each code's first use, which orders the pair ids
     n = max(len(target_index), 1)
     lengths = np.array([len(tx) for tx, _ in labels], dtype=np.intp)
@@ -313,7 +311,6 @@ def _layout(blocks: tuple[Block, ...], k_r: int, k_t: int) -> _Layout:
         precoders=_ZfPrecoders(list(tx_index), list(target_index), tx_ids, target_ids, k_r, k_t),
         rows=pair_id[inverse[np.arange(run_lengths.sum()) + np.repeat(shift, run_lengths)]],
         targets=zf[target_ids].T.copy(),
-        nulled=np.flatnonzero(np.repeat(np.array(nulled, dtype=bool), run_lengths)),
         ic_flagged=ic_flagged,
         alignment_groups=alignment_groups,
     )
@@ -328,22 +325,19 @@ def _check(seed: int, smallest: float, redraws: int, layout: _Layout, mag: np.nd
     destination and at interfering receivers; one violation per offending
     transmission, all symptoms attached.  Transmissions sharing a precoder
     share its ZF targets, so a transmission can offend only if its precoder
-    leaks at a target, is quiet off its targets (destinations and
-    interferers are off them) or its destination is a target; only those
-    transmissions are examined one by one, and none on a clean channel.
+    leaks at a target or is quiet off its targets (destinations and
+    interferers are off them); only those transmissions are examined one by
+    one, and none on a clean channel.
     """
     gmax = mag.max(axis=0)
     at_targets = (mag * layout.targets).max(axis=0)  # 0 for a precoder without targets
     off_targets = np.where(layout.targets, np.inf, mag).min(axis=0)
     suspect = (at_targets > rel_tol * gmax) | (off_targets < GENERICITY_FLOOR * gmax)
-    candidates = layout.nulled
-    if suspect.any():
-        candidates = np.union1d(np.flatnonzero(suspect[layout.rows]), candidates)
     live = gmax > 0
     return PhyReport(
         seed=seed,
         checked=len(layout.rows),
-        violations=_violations(layout, mag, gmax, candidates, rel_tol) if candidates.size else (),
+        violations=_violations(layout, mag, gmax, np.flatnonzero(suspect[layout.rows]), rel_tol) if suspect.any() else (),
         ic_flagged=layout.ic_flagged,
         alignment_groups=layout.alignment_groups,
         # division by a positive gmax is monotone, so this is the largest |gain at a target| / gmax
@@ -396,7 +390,8 @@ def verify_plan_phy(
     One report per seed, covering every block of every plan.  `channel_seeds` is a
     non-negative int (seeds 0..n-1) or a list of non-negative int seeds (a bool is not one);
     `rel_tol` must lie in (0, 1).
-    A run too small to zero-force at its targets raises MalformedPlanError before any channel is drawn.
+    Before any channel is drawn, rules 4, 6 and 7 of `check_plan_file` raise its errors: an index outside
+    `cfg` (ConfigurationError), then, run by run, `Run.check` and `Run.check_zf` (MalformedPlanError).
     Channels are checked for genericity only up to the minor size the plans' precoders use
     (`_ZfPrecoders.minor_size`).  The draws come in the order an exhaustive check would take them,
     so the two pick different channels only where a minor that no ZF claim uses is degenerate.
@@ -411,6 +406,7 @@ def verify_plan_phy(
         raise ValueError(f"channel seeds must be non-negative ints, got {bad[0]!r}")
     if not seeds:
         return []
+    _check_indices(cfg, plans)
     layout = _layout(tuple(block for p in plans for block in p.blocks), cfg.k_r, cfg.k_t)
     distinct = layout.precoders
     reports = []

@@ -260,6 +260,17 @@ def test_verify_rejects_a_run_in_the_wrong_tier(tmp_path, capsys):
     assert verify_edited(tmp_path, capsys, tier_plan_lines(tmp_path))[0] == 0
 
 
+def test_verify_checks_rule_7_on_every_plan_before_rule_8(tmp_path, capsys):
+    # line 2 (tier 0) holds a tier-1 run, which breaks rule 8; line 8, later in the same plan, a run
+    # zero-forced at two receivers by two transmitters, which breaks rule 7 and is named first
+    lines = tier_plan_lines(tmp_path)
+    lines[1] = "block=1 file=1 tx={1,2} cachedRx={3} zf={2} dest=1\n"
+    lines[7] = "block=1 file=3 tx={1,2} cachedRx={} zf={1,2} dest=3\n"
+    assert verify_edited(tmp_path, capsys, lines) == (
+        1, "malformed plan: block 1: W3[tx=12 rx=-] zero-forced at 2 receiver(s) by 2 transmitter(s)\n", ""
+    )
+
+
 def test_ndt_and_oracle_ndt_print_the_same_monte_carlo_line(capsys):
     net = ["--kt", "3", "--kr", "3", "--n", "3", "--mt", "2", "--mr", "1", "--seeds", "2", "--file-bits", "300"]
     lines = []

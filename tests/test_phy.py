@@ -19,6 +19,7 @@ from cachenet.delivery import (
     Run,
     build_centralized_plan,
     build_decentralized_plan,
+    check_plan_file,
     parse_plans,
     serialize_plan,
 )
@@ -49,9 +50,11 @@ def smallest_minor(h: np.ndarray) -> float:
 def library_precoder(h: np.ndarray, tx_set, zf_targets) -> tuple[np.ndarray, float]:
     """The weights across the sorted tx set and the scale of one precoder, built as `verify_plan_phy` builds it.
 
-    That is the precoders of a one-entry block's `_layout`, then their `weights` on the channel.
+    That is the precoders of a one-entry block's `_layout`, then their `weights` on the channel.  The
+    weights do not depend on the destination, which is the first receiver off the ZF targets.
     """
-    block = Block(0, (Run(0, 0, frozenset(), frozenset(zf_targets), (frozenset(tx_set),)),))
+    dest = min(set(range(h.shape[0])) - set(zf_targets))
+    block = Block(0, (Run(0, dest, frozenset(), frozenset(zf_targets), (frozenset(tx_set),)),))
     distinct = phy._layout((block,), *h.shape).precoders
     weights, scales = distinct.weights(h, tables(h))
     return weights[sorted(tx_set), 0], float(scales[0])
@@ -419,32 +422,79 @@ class TestBatchedEquivalence:
         cfg = NetworkConfig(k_t=4, k_r=4, n_files=4, m_t=2, m_r=1)
         return cfg, build_centralized_plan(cfg, place_centralized(cfg), DemandVector.worst_case(cfg))
 
-    def test_destination_among_zf_targets(self):
+    def _assert_refused_before_any_draw(self, edit, message, monkeypatch):
+        """Edit one transmission of a 4x4 (3,2) plan: `verify_plan_phy` refuses the plan with `check_plan_file`'s message."""
         # t_T = 3, t_R = 2: three transmitters per subfile zero-force at one receiver, so one more target fits
         cfg = NetworkConfig(k_t=4, k_r=4, n_files=4, m_t=3, m_r=2)
-        plan = build_centralized_plan(cfg, place_centralized(cfg), DemandVector.worst_case(cfg))
+        demand = DemandVector.worst_case(cfg)
+        plan = build_centralized_plan(cfg, place_centralized(cfg), demand)
         blocks = [list(entries(b)) for b in plan.blocks]
         e = blocks[1][5]
-        assert len(e.subfile.tx_set) == 3 and len(e.zf_targets) == 1
-        blocks[1][5] = ScheduledSubfile(e.subfile, e.dest, e.zf_targets | {e.dest}, e.block)
+        assert len(e.subfile.tx_set) == 3 and len(e.zf_targets) == 1 and len(e.subfile.rx_set) == 2
+        blocks[1][5] = edit(e)
         crafted = DeliveryPlan(blocks=tuple(map(block_of, blocks)), mode=plan.mode)
-        reports = verify_plan_phy(cfg, [crafted], channel_seeds=3)
-        for r in reports:
-            assert r.violations == (
-                f"block=2 subfile={e.subfile.label()} dest={e.dest + 1}: "
-                f"degenerate destination gain at rx {e.dest + 1}",
-            )
-            assert_matches_reference(r, reference_blocks(channel(4, 4, r.seed), crafted.blocks))
+        with pytest.raises(MalformedPlanError) as rule:
+            check_plan_file(cfg, [crafted], None, demand)
+        assert str(rule.value) == f"{e.subfile.label()} {message}"
+        monkeypatch.setattr(phy, "_draw", lambda *args, **kwargs: pytest.fail("channel drawn"))
+        with pytest.raises(MalformedPlanError) as err:
+            verify_plan_phy(cfg, [crafted], channel_seeds=3)
+        assert str(err.value) == str(rule.value)
+
+    def test_destination_among_zf_targets(self, monkeypatch):
+        self._assert_refused_before_any_draw(
+            lambda e: e._replace(zf_targets=e.zf_targets | {e.dest}),
+            "zero-forced at its destination or at a caching receiver",
+            monkeypatch,
+        )
+
+    def test_destination_among_cache_holders(self, monkeypatch):
+        self._assert_refused_before_any_draw(
+            lambda e: e._replace(dest=min(e.subfile.rx_set)), "scheduled to a receiver that cached it", monkeypatch
+        )
+
+    def test_zf_target_among_cache_holders(self, monkeypatch):
+        self._assert_refused_before_any_draw(
+            lambda e: e._replace(zf_targets=e.zf_targets | {min(e.subfile.rx_set)}),
+            "zero-forced at its destination or at a caching receiver",
+            monkeypatch,
+        )
+
+    @pytest.mark.parametrize(
+        "built,checked,message",
+        [
+            ((4, 4, 2, 1), (3, 3, 2, 1), "block 1: tx index 4 outside 1..3 in W1[tx=14 rx=2]"),
+            ((4, 3, Fraction(3, 4), 0), (3, 3, 1, 0), "block 1: tx index 4 outside 1..3 in W1[tx=4 rx=-]"),
+            ((3, 4, 4, 1), (3, 3, 3, 1), "block 1: zf index 4 outside 1..3 in W1[tx=123 rx=2]"),
+        ],
+        ids=["4x4-as-3x3", "4x3-as-3x3", "3x4-as-3x3"],
+    )
+    def test_index_outside_the_configuration_refused_before_any_draw(self, built, checked, message, monkeypatch):
+        # a plan built for a larger network, checked against a 3x3 one: rule 4 of a plan file, not an IndexError
+        k_t, k_r, m_t, m_r = built
+        cfg = NetworkConfig(k_t=k_t, k_r=k_r, n_files=k_r, m_t=m_t, m_r=m_r)
+        plan = build_centralized_plan(cfg, None, DemandVector.worst_case(cfg))
+        k_t, k_r, m_t, m_r = checked
+        small = NetworkConfig(k_t=k_t, k_r=k_r, n_files=k_r, m_t=m_t, m_r=m_r)
+        with pytest.raises(ConfigurationError) as rule:
+            check_plan_file(small, [plan], None, None)
+        monkeypatch.setattr(phy, "_draw", lambda *args, **kwargs: pytest.fail("channel drawn"))
+        with pytest.raises(ConfigurationError) as err:
+            verify_plan_phy(small, [plan], channel_seeds=1)
+        assert str(err.value) == str(rule.value) == message
+        assert not isinstance(err.value, MalformedPlanError)
 
     def test_too_many_targets_raises(self):
         cfg, plan = self._plan44()
         e, *rest = entries(plan.blocks[0])
         assert len(e.subfile.tx_set) == 2
-        bad = ScheduledSubfile(e.subfile, e.dest, frozenset(set(range(4)) - {e.dest}), e.block)
+        # every receiver that is neither the destination nor a cache holder is a target
+        bad = ScheduledSubfile(e.subfile, e.dest, frozenset(set(range(4)) - {e.dest} - e.subfile.rx_set), e.block)
         crafted = DeliveryPlan(blocks=(block_of([bad, *rest]),), mode=plan.mode)
-        with pytest.raises(ConfigurationError) as err:
-            verify_plan_phy(cfg, [crafted], channel_seeds=1)
-        assert str(err.value) == f"block 1: {bad.subfile.label()} zero-forced at 3 receiver(s) by 2 transmitter(s)"
+        for check in (lambda: check_plan_file(cfg, [crafted], None, None), lambda: verify_plan_phy(cfg, [crafted], 1)):
+            with pytest.raises(MalformedPlanError) as err:
+                check()
+            assert str(err.value) == f"block 1: {bad.subfile.label()} zero-forced at 2 receiver(s) by 2 transmitter(s)"
 
     @pytest.mark.parametrize("rel_tol", [float("nan"), float("inf"), 1.0, 0.0, -1e-9])
     def test_tolerance_outside_unit_interval_rejected(self, rel_tol):
@@ -677,7 +727,7 @@ class TestPrecoderTables:
     def test_first_offending_pair_names_the_error(self, first, monkeypatch):
         records = self._entries44()
         e = records[3]
-        too_many = e._replace(zf_targets=frozenset(sorted({0, 1, 2, 3} - {e.dest})[:2]))
+        too_many = e._replace(zf_targets=frozenset({0, 1, 2, 3} - {e.dest} - e.subfile.rx_set))
         assert len(too_many.subfile.tx_set) == 2
         empty = records[9]._replace(subfile=records[9].subfile._replace(tx_set=frozenset()))
         assert len(empty.zf_targets) == 1
