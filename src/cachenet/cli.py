@@ -185,7 +185,8 @@ def cmd_oracle_ndt(args, parser) -> int:
 def _print_ledgers(cfg: NetworkConfig, plan: DeliveryPlan) -> list[SubspaceLedger]:
     ledgers = account_plan(cfg, plan)
     for block, ledger in zip(plan.blocks, ledgers):
-        dofs = sorted({r.dof for r in ledger.receivers})
+        # a rotation block's receivers share one ledger, so its DoF is made once
+        dofs = sorted({r.dof for r in set(ledger.receivers)})
         shape = "uniform" if ledger.uniform else "NON-UNIFORM"
         first = ledger.receivers[0]
         print(

@@ -27,7 +27,7 @@ from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, repeat
 from typing import NamedTuple
 
 from .model import (
@@ -203,30 +203,34 @@ def _zf_offsets(k_r: int, cached_offsets: tuple[int, ...], n_zf: int) -> tuple[i
     return tuple(avail[:n_zf])
 
 
-def _cyclic_blocks(k_r: int, n_cached: int, n_zf: int, sets: dict[int, frozenset[int]]):
-    """Yield, per block, the per-receiver (cache-holder set, ZF-target set) assignment.
+def _cyclic_blocks(k_r: int, n_cached: int, n_zf: int, sets: dict[int, tuple[frozenset[int], ...]]):
+    """Yield, per block, the cache-holder sets and the ZF-target sets of receivers 0..K_R-1.
 
     One block per size-n_cached set of nonzero cyclic offsets, in
     lexicographic offset order; every receiver is covered by exactly
     n_cached cache assignments and n_zf ZF assignments in every block.
     Receiver j's sets are the offset sets rotated by j, built as bitmasks;
-    `sets` maps each mask to its set, so each distinct set is built once for
-    every plan sharing the dict and shared by every run using it.
+    `sets` maps each mask to its K_R rotations, filled for a whole rotation
+    orbit at once, so each distinct set is built once for every plan sharing
+    the dict and shared by every run using it.
     """
     full = (1 << k_r) - 1
 
-    def rotations(offsets: tuple[int, ...]) -> list[frozenset[int]]:
-        mask, out = sum(1 << o for o in offsets), []
-        for _ in range(k_r):
-            if mask not in sets:
-                sets[mask] = frozenset(i for i in range(k_r) if mask >> i & 1)
-            out.append(sets[mask])
-            mask = (mask << 1 | mask >> (k_r - 1)) & full
-        return out
+    def rotations(offsets: tuple[int, ...]) -> tuple[frozenset[int], ...]:
+        mask = sum(1 << o for o in offsets)
+        if mask not in sets:
+            masks = [mask]
+            for _ in range(k_r - 1):
+                masks.append((masks[-1] << 1 | masks[-1] >> (k_r - 1)) & full)
+            built = {m: frozenset(i for i in range(k_r) if m >> i & 1) for m in masks}
+            orbit = [built[m] for m in masks] * 2
+            for j, m in enumerate(masks):
+                sets[m] = tuple(orbit[j : j + k_r])
+        return sets[mask]
 
     for offset_base in subsets(k_r - 1, n_cached):
         offsets = tuple(s + 1 for s in offset_base)
-        yield list(zip(rotations(offsets), rotations(_zf_offsets(k_r, offsets, n_zf))))
+        yield rotations(offsets), rotations(_zf_offsets(k_r, offsets, n_zf))
 
 
 def _check_runs(n_runs: int, count: str, kind: str) -> None:
@@ -241,7 +245,7 @@ def _rotation_plan(
     n_cached: int,
     mode: str,
     tx_sets: tuple[frozenset[int], ...],
-    sets: dict[int, frozenset[int]],
+    sets: dict[int, tuple[frozenset[int], ...]],
 ) -> DeliveryPlan:
     """The rotation plan of the subfiles cached at `n_cached` other receivers, over the partition `tx_sets`."""
     t_t = int(cfg.t_t)
@@ -255,8 +259,8 @@ def _rotation_plan(
         )
     n_zf = min(t_t - 1, cfg.k_r - 1 - n_cached)
     blocks = tuple(
-        Block(b, tuple(Run(demand.d[j], j, cached, zf, tx_sets) for j, (cached, zf) in enumerate(assignment)))
-        for b, assignment in enumerate(_cyclic_blocks(cfg.k_r, n_cached, n_zf, sets))
+        Block(b, tuple(map(Run, demand.d, range(cfg.k_r), cached, zf, repeat(tx_sets))))
+        for b, (cached, zf) in enumerate(_cyclic_blocks(cfg.k_r, n_cached, n_zf, sets))
     )
     return DeliveryPlan(blocks=blocks, mode=mode)
 
@@ -446,14 +450,20 @@ _LINE_RE = re.compile(
 def serialize_plan(plan: DeliveryPlan) -> str:
     """Line-oriented text form, one scheduled subfile per line, 1-based indices."""
     parts = [f"# mode={plan.mode}\n"]
-    # the lines of a run differ only in their tx text; each distinct tx_sets tuple is formatted once per call
+    # the lines of a run differ only in their tx text; each distinct tx_sets tuple, cache-holder set
+    # and ZF-target set is formatted once per call
     tx_texts: dict[tuple[frozenset[int], ...], list[str]] = {}
-    for position, r in plan.runs():
-        if r.tx_sets not in tx_texts:
-            tx_texts[r.tx_sets] = [fmt_index_set(ts) for ts in r.tx_sets]
-        head = f"block={position + 1} file={r.file + 1} tx="
-        tail = f" cachedRx={fmt_index_set(r.rx_set)} zf={fmt_index_set(r.zf_targets)} dest={r.dest + 1}\n"
-        parts.append(head + (tail + head).join(tx_texts[r.tx_sets]) + tail)
+    set_texts: dict[frozenset[int], str] = {}
+    for block in plan.blocks:
+        for r in block.runs:
+            if r.tx_sets not in tx_texts:
+                tx_texts[r.tx_sets] = [fmt_index_set(ts) for ts in r.tx_sets]
+            for s in (r.rx_set, r.zf_targets):
+                if s not in set_texts:
+                    set_texts[s] = fmt_index_set(s)
+            head = f"block={block.position + 1} file={r.file + 1} tx="
+            tail = f" cachedRx={set_texts[r.rx_set]} zf={set_texts[r.zf_targets]} dest={r.dest + 1}\n"
+            parts.append(head + (tail + head).join(tx_texts[r.tx_sets]) + tail)
     return "".join(parts)
 
 
@@ -464,15 +474,34 @@ def parse_plans(text: str) -> list[DeliveryPlan]:
     are never merged: in a file with headers, an entry before the first one is an error.  A file
     without headers is one plan of mode None, which no header can spell; `check_plan_file` checks what
     headers say.  Tolerates comments, blank lines and whitespace around a line.
+
+    The lines of a run differ only in their tx text.  So a line that is the last matched entry's text
+    around an already-parsed index-set text continues that entry's run with no match; every other
+    line is matched and parsed, and so gets every error with its line number.
     """
     modes: list[str] = []
     # per plan, each block position's runs as (label, tx sets) pairs in entry order
     sections: list[dict[int, list[tuple[tuple, list[frozenset[int]]]]]] = [{}]
-    # a plan repeats a few tx sets and labels many times: each distinct text is parsed once
-    tx_sets: dict[str, frozenset[int]] = {}
+    # a plan repeats a few index sets and labels many times: each distinct text is parsed once
+    sets: dict[str, frozenset[int]] = {}
     labels: dict[tuple[str, ...], tuple] = {}
+
+    def index_set(set_text: str) -> frozenset[int]:
+        if set_text not in sets:
+            sets[set_text] = parse_index_set(set_text)
+        return sets[set_text]
+
     block_text = None
+    # the last matched entry's text before and after its tx text, and its run's tx sets; no line holds
+    # a newline, so none continues a run before the first entry or after a header
+    head = tail = "\n"
+    cut, txs = -1, []
     for lineno, raw in enumerate(text.splitlines(), start=1):
+        if raw.startswith(head) and raw.endswith(tail):
+            ts = sets.get(raw[len(head):cut])
+            if ts is not None:
+                txs.append(ts)
+                continue
         m = _LINE_RE.fullmatch(raw)
         if m is None:
             line = raw.strip()
@@ -486,6 +515,7 @@ def parse_plans(text: str) -> list[DeliveryPlan]:
                         first = next(n for n, entry in enumerate(text.splitlines(), 1) if _LINE_RE.fullmatch(entry))
                         raise ValueError(f"line {first}: plan entry before the first '# mode=' header")
                     block_text = None
+                    head = tail = "\n"
                     modes.append(m.group(1))
             elif line:
                 raise ValueError(f"line {lineno}: malformed plan entry {line!r}")
@@ -497,18 +527,18 @@ def parse_plans(text: str) -> list[DeliveryPlan]:
                     raise ValueError("block index 0 is below 1")
                 runs = sections[-1].setdefault(int(b) - 1, [])
                 block_text = b
-            if tx not in tx_sets:
-                tx_sets[tx] = parse_index_set(tx)
+            tx_set = index_set(tx)
             key = (file, rx, zf, dest)
             if key not in labels:
-                labels[key] = (int(file) - 1, int(dest) - 1, parse_index_set(rx), parse_index_set(zf))
+                labels[key] = (int(file) - 1, int(dest) - 1, index_set(rx), index_set(zf))
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
         label = labels[key]
-        if runs and runs[-1][0] == label:
-            runs[-1][1].append(tx_sets[tx])
-        else:
-            runs.append((label, [tx_sets[tx]]))
+        if not (runs and runs[-1][0] == label):
+            runs.append((label, []))
+        txs = runs[-1][1]
+        txs.append(tx_set)
+        head, tail, cut = raw[: m.start(3)], raw[m.end(3) :], m.end(3) - len(raw)
     # runs with equal tx-set sequences share one tuple, as in a built plan, so `phy._layout` matches them by identity
     shared: dict[tuple[frozenset[int], ...], tuple[frozenset[int], ...]] = {}
 

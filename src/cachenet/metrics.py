@@ -163,8 +163,9 @@ def _tier_fractions(cfg: NetworkConfig, plans: list[DeliveryPlan]) -> list[Fract
     out = []
     for plan in plans:
         weights: Counter[int] = Counter()
-        for _, r in plan.runs():
-            weights[len(r.rx_set)] += len(r.tx_sets)
+        for block in plan.blocks:
+            for r in block.runs:
+                weights[len(r.rx_set)] += len(r.tx_sets)
         mass = sum((n * expected_fraction(cfg, w) for w, n in weights.items()), Fraction(0))
         out.append(per_partition * mass)
     return out

@@ -252,8 +252,9 @@ def _layout(blocks: tuple[Block, ...], k_r: int, k_t: int) -> _Layout:
     (a built or parsed plan shares one `tx_sets` tuple), and the tx ids of each distinct `tx_sets`
     tuple are looked up once; pair ids then come from numpy, in order of first use.  `Run.check`
     runs at the first run of each (destination, cache holders, ZF targets) group of a block, as
-    `account_block` checks each label once, and then `Run.check_zf`, which depends only on the tx sets
-    and the target count, at the first run of each such pair; so the first malformed run is named.
+    `account_block` checks each label once.  After the walk, as in `check_plan_file`, `Run.check_zf`,
+    which depends only on the tx sets and the target count, runs at the first run of each such pair;
+    so both name the same malformed run.
 
     `Run.check` keeps the destination, the cache holders and the ZF targets disjoint, so, as in
     `account_block`, each transmission flags one cache-cancelled gain per cache holder, and each group
@@ -264,7 +265,8 @@ def _layout(blocks: tuple[Block, ...], k_r: int, k_t: int) -> _Layout:
     tx_ids_of: dict[tuple[frozenset[int], ...], np.ndarray] = {}
     label_index: dict[tuple, int] = {}
     labels: list[tuple[np.ndarray, int]] = []  # (tx ids, target id) of each distinct label
-    feasible: set[tuple[tuple[frozenset[int], ...], int]] = set()
+    # the first run of each (tx sets, target count) pair, with its block position
+    zf_firsts: dict[tuple[tuple[frozenset[int], ...], int], tuple[int, Run]] = {}
     runs, run_labels = [], []
     ic_flagged = alignment_groups = 0
     for block in blocks:
@@ -278,9 +280,7 @@ def _layout(blocks: tuple[Block, ...], k_r: int, k_t: int) -> _Layout:
             label = (r.tx_sets, r.zf_targets)
             k = label_index.get(label)  # one hash of the label per run: it holds every tx set
             if k is None:
-                if (r.tx_sets, len(r.zf_targets)) not in feasible:
-                    r.check_zf(block.position)
-                    feasible.add((r.tx_sets, len(r.zf_targets)))
+                zf_firsts.setdefault((r.tx_sets, len(r.zf_targets)), (block.position, r))
                 if r.tx_sets not in tx_ids_of:
                     tx_ids_of[r.tx_sets] = np.array([tx_index.setdefault(ts, len(tx_index)) for ts in r.tx_sets], np.intp)
                 k = label_index[label] = len(labels)
@@ -288,6 +288,8 @@ def _layout(blocks: tuple[Block, ...], k_r: int, k_t: int) -> _Layout:
             runs.append((block.position, r))
             run_labels.append(k)
             ic_flagged += len(r.rx_set) * len(r.tx_sets)
+    for position, r in zf_firsts.values():
+        r.check_zf(position)
     # pair (t, z) is coded t * n + z; np.unique gives each code's first use, which orders the pair ids
     n = max(len(target_index), 1)
     lengths = np.array([len(tx) for tx, _ in labels], dtype=np.intp)
@@ -391,7 +393,7 @@ def verify_plan_phy(
     non-negative int (seeds 0..n-1) or a list of non-negative int seeds (a bool is not one);
     `rel_tol` must lie in (0, 1).
     Before any channel is drawn, rules 4, 6 and 7 of `check_plan_file` raise its errors: an index outside
-    `cfg` (ConfigurationError), then, run by run, `Run.check` and `Run.check_zf` (MalformedPlanError).
+    `cfg` (ConfigurationError), then `Run.check` on every run, then `Run.check_zf` (MalformedPlanError).
     Channels are checked for genericity only up to the minor size the plans' precoders use
     (`_ZfPrecoders.minor_size`).  The draws come in the order an exhaustive check would take them,
     so the two pick different channels only where a minor that no ZF claim uses is degenerate.

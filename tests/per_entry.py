@@ -10,7 +10,8 @@ from batched minor tables.  It stores a decentralized placement as one
 receiver code per file bit.  The functions here do the same work the
 direct way, one scheduled entry, one determinant or one cached bit at a
 time, so the tests can check that both give the same entries, weights,
-reports and exact values.
+reports and exact values.  `parse_plans` reads plan text one line at a time,
+with a full match and fresh field parses for every entry line.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from cachenet.delivery import (
+    _LINE_RE,
     Block,
     CompletenessReport,
     DeliveryPlan,
@@ -35,7 +37,15 @@ from cachenet.delivery import (
     build_decentralized_plan,
     common_sdof,
 )
-from cachenet.model import ConfigurationError, DemandVector, NetworkConfig, SubfileId, binomial, subsets
+from cachenet.model import (
+    ConfigurationError,
+    DemandVector,
+    NetworkConfig,
+    SubfileId,
+    binomial,
+    parse_index_set,
+    subsets,
+)
 from cachenet.placement import CentralizedPlacement, expected_fraction
 
 
@@ -64,6 +74,52 @@ def _encode(pairs) -> tuple[Run, ...]:
     return tuple(Run(*label, tuple(tx for _, tx in run)) for label, run in groupby(pairs, key=itemgetter(0)))
 
 
+def parse_plans(text: str) -> list[DeliveryPlan]:
+    """Plan text to plans one line at a time: every entry line is matched and each of its fields parsed.
+
+    An entry continues the last run of its block when it has that run's label, as in the library
+    parser, and a `# mode=` header starts the next plan.  Errors carry the same messages and line numbers.
+    """
+    lines = text.splitlines()
+    modes: list[str] = []
+    sections: list[dict[int, list[tuple[tuple, list[frozenset[int]]]]]] = [{}]
+    for lineno, raw in enumerate(lines, start=1):
+        m = _LINE_RE.fullmatch(raw)
+        if m is None:
+            line = raw.strip()
+            header = re.match(r"#\s*mode=(\S+)", line)
+            if header:
+                if not modes and any(sections[0].values()):
+                    first = next(n for n, entry in enumerate(lines, 1) if _LINE_RE.fullmatch(entry))
+                    raise ValueError(f"line {first}: plan entry before the first '# mode=' header")
+                if modes:
+                    sections.append({})
+                modes.append(header.group(1))
+            elif line and not line.startswith("#"):
+                raise ValueError(f"line {lineno}: malformed plan entry {line!r}")
+            continue
+        b, file, tx, rx, zf, dest = m.groups()
+        try:
+            if int(b) < 1:
+                raise ValueError("block index 0 is below 1")
+            tx_set = parse_index_set(tx)
+            label = (int(file) - 1, int(dest) - 1, parse_index_set(rx), parse_index_set(zf))
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
+        runs = sections[-1].setdefault(int(b) - 1, [])
+        if runs and runs[-1][0] == label:
+            runs[-1][1].append(tx_set)
+        else:
+            runs.append((label, [tx_set]))
+    return [
+        DeliveryPlan(
+            blocks=tuple(Block(b, tuple(Run(*label, tuple(txs)) for label, txs in by_block[b])) for b in sorted(by_block)),
+            mode=mode,
+        )
+        for by_block, mode in zip(sections, modes or [None])
+    ]
+
+
 def block_of(records) -> Block:
     """The block of records given in entry order, at the first record's block index (crafted and damaged blocks)."""
     records = tuple(records)
@@ -84,9 +140,9 @@ def rotation_blocks(
     t_t = int(cfg.t_t)
     n_zf = min(t_t - 1, cfg.k_r - 1 - n_cached)
     blocks = []
-    for b, assignment in enumerate(_cyclic_blocks(cfg.k_r, n_cached, n_zf, {})):
+    for b, (cached_sets, zf_sets) in enumerate(_cyclic_blocks(cfg.k_r, n_cached, n_zf, {})):
         block = []
-        for j, (cached, zf_targets) in enumerate(assignment):
+        for j, (cached, zf_targets) in enumerate(zip(cached_sets, zf_sets)):
             for ts in subsets(cfg.k_t, t_t):
                 block.append(ScheduledSubfile(SubfileId(demand.d[j], frozenset(ts), cached), j, zf_targets, b))
         blocks.append(tuple(block))

@@ -185,7 +185,7 @@ def test_common_sdof_equal_ratios_from_different_pairs():
 def test_cyclic_blocks_match_the_direct_rotation_and_share_equal_sets(k_r):
     # every tier and ZF count: the same sets in the same order as rotating the offsets receiver by receiver;
     # with one dict of sets for all of them, equal sets are one object across tiers too
-    sets: dict[int, frozenset[int]] = {}
+    sets: dict[int, tuple[frozenset[int], ...]] = {}
     first: dict[frozenset[int], frozenset[int]] = {}
     for n_cached in range(k_r):
         for n_zf in range(k_r - n_cached):
@@ -198,8 +198,8 @@ def test_cyclic_blocks_match_the_direct_rotation_and_share_equal_sets(k_r):
                     for j in range(k_r)
                 ])
             blocks = list(_cyclic_blocks(k_r, n_cached, n_zf, sets))
-            assert blocks == direct
-            assert all(first.setdefault(s, s) is s for block in blocks for pair in block for s in pair)
+            assert [list(zip(cached, zf)) for cached, zf in blocks] == direct
+            assert all(first.setdefault(s, s) is s for block in blocks for column in block for s in column)
 
 
 def test_everything_cached_gives_empty_plan():

@@ -8,8 +8,9 @@ printer and the Monte-Carlo `mc=` line, and `verify` cases first write the
 plan with `plan --out` and keep the stdout of `verify --plan-file`.  The corners
 follow the benchmark grid's convention N = K_R, M_T = t_T K_R / K_T,
 M_R = t_R.  Scripted cases lock a `--config` file overridden by a flag, the
-`sweep` CSVs with their `.exact` sidecars, and the INCOMPLETE report of a
-damaged plan file.
+`sweep` CSVs with their `.exact` sidecars, the INCOMPLETE report of a
+damaged plan file, and what `verify` prints, on stdout and stderr, for a tier
+plan file that breaks each rule on headers and tiers.
 
 Regenerate only on purpose, when a change of output is intended:
 
@@ -135,11 +136,46 @@ def render_damaged_verify() -> str:
     return _run(["verify", *net, "--demand", "1,2,3,4", "--plan-file", PLAN_FILE, "--channel-seeds", "2"])
 
 
+def render_edited_tiers(edit) -> str:
+    """`verify` of the 3x3 decentralized plan file after `edit(lines)`, with stdout and then stderr.
+
+    The file's tier-0, tier-1 and tier-2 headers are its lines 1, 11 and 30.  A refused file exits 2
+    with its one `error:` line on stderr; a plan that breaks the scheme exits 1 on stdout.
+    """
+    net = [*_net(CORNERS["3x3_reference"]), *DECENTRALIZED]
+    _run(["plan", *net, "--out", PLAN_FILE])
+    Path(PLAN_FILE).write_text("".join(edit(Path(PLAN_FILE).read_text().splitlines(keepends=True))))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        text = _run(["verify", *net, "--plan-file", PLAN_FILE, "--channel-seeds", "2"])
+    return f"{text}--- stderr\n{err.getvalue()}"
+
+
+def _swap_tier_runs(lines: list[str]) -> list[str]:
+    """A tier-1 entry and a tier-2 entry swapped: completeness holds, but each plan holds a run of the other tier."""
+    one = lines.index("block=1 file=1 tx={1,2} cachedRx={2} zf={3} dest=1\n")
+    two = lines.index("block=1 file=1 tx={1,2} cachedRx={2,3} zf={} dest=1\n")
+    lines[one], lines[two] = lines[two], lines[one]
+    return lines
+
+
 SCRIPTED_CASES = {
     "4x4_t2_1.config-override": render_config_override,
     "fig2.sweep": lambda: render_sweep("fig2"),
     "fig4.sweep": lambda: render_sweep("fig4"),
     "4x4_t2_1.verify-damaged": render_damaged_verify,
+    # one case per plan-file rule on headers and tiers
+    "3x3_reference.verify-entry-before-header": lambda: render_edited_tiers(
+        lambda lines: ["# a note\n", "\n", *lines[1:3], lines[0], *lines[3:]]
+    ),
+    "3x3_reference.verify-unknown-header": lambda: render_edited_tiers(
+        lambda lines: [*lines[:10], "# mode=decentralized-tier(3)\n", *lines[11:]]
+    ),
+    "3x3_reference.verify-repeated-header": lambda: render_edited_tiers(
+        lambda lines: ["# mode=decentralized-tier(0)\n", *lines]
+    ),
+    "3x3_reference.verify-mixed-headers": lambda: render_edited_tiers(lambda lines: [*lines, "# mode=centralized\n"]),
+    "3x3_reference.verify-wrong-tier": lambda: render_edited_tiers(_swap_tier_runs),
 }
 
 CASES = [(name, command) for name in CORNERS for command in COMMANDS]

@@ -4,6 +4,7 @@ import importlib.util
 import itertools
 import random
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -495,6 +496,26 @@ class TestBatchedEquivalence:
             with pytest.raises(MalformedPlanError) as err:
                 check()
             assert str(err.value) == f"block 1: {bad.subfile.label()} zero-forced at 2 receiver(s) by 2 transmitter(s)"
+
+    def test_run_sent_to_its_cache_holder_named_before_an_earlier_run_with_too_many_targets(self, monkeypatch):
+        # rule 6 (`Run.check`) holds for every run before rule 7 (`Run.check_zf`) is reported, in both checks
+        cfg, plan = self._plan44()
+        first, second, third, *rest = plan.blocks[0].runs
+        too_many = first._replace(zf_targets=frozenset(range(4)) - {first.dest} - first.rx_set)
+        to_holder = third._replace(dest=min(third.rx_set))
+        crafted = replace(plan, blocks=(Block(0, (too_many, second, to_holder, *rest)), *plan.blocks[1:]))
+        monkeypatch.setattr(phy, "_draw", lambda *args, **kwargs: pytest.fail("channel drawn"))
+        demand = DemandVector.worst_case(cfg)
+        for check in (lambda: check_plan_file(cfg, [crafted], None, demand), lambda: verify_plan_phy(cfg, [crafted], 1)):
+            with pytest.raises(MalformedPlanError) as err:
+                check()
+            assert str(err.value) == "W3[tx=12 rx=4] scheduled to a receiver that cached it"
+        # with the run sent back to its destination, both name the run with too many targets
+        crafted = replace(plan, blocks=(Block(0, (too_many, *plan.blocks[0].runs[1:])), *plan.blocks[1:]))
+        for check in (lambda: check_plan_file(cfg, [crafted], None, None), lambda: verify_plan_phy(cfg, [crafted], 1)):
+            with pytest.raises(MalformedPlanError) as err:
+                check()
+            assert str(err.value) == "block 1: W1[tx=12 rx=2] zero-forced at 2 receiver(s) by 2 transmitter(s)"
 
     @pytest.mark.parametrize("rel_tol", [float("nan"), float("inf"), 1.0, 0.0, -1e-9])
     def test_tolerance_outside_unit_interval_rejected(self, rel_tol):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -133,6 +134,59 @@ def test_serialize_parse_round_trip(cfg):
     for p in [parsed, *parsed_tiers]:
         for e in per_entry.entries(p):
             assert type(e) is per_entry.ScheduledSubfile and type(e.subfile) is SubfileId
+
+
+def plan_text_mutants(text: str, k_t: int, rnd: random.Random) -> dict[str, str]:
+    """Edits of plan text, one per kind, each at places drawn from `rnd`.
+
+    Padding and CRLF touch every line; a note or a blank line goes inside a run, a header before
+    any entry but the first, and a respelt, an unknown and a malformed tx text onto a line that would continue a run.
+    """
+    lines = text.splitlines()
+    pad = lambda: rnd.choice(("", " ", "\t", " \t", "\t "))
+    mutants = {"padded": "\n".join(pad() + ln + pad() for ln in lines), "crlf": "\r\n".join(lines) + "\r\n"}
+    entries = [i for i, ln in enumerate(lines) if ln.startswith("block=")]
+    if not entries:
+        return mutants
+    # a line continues a run when it differs from the line before only in its tx text
+    untx = [re.sub(r" tx=\S+ ", " ", ln) for ln in lines]
+    starts = [i for i in entries if untx[i - 1] != untx[i]]
+    inside = [i for i in entries if untx[i - 1] == untx[i]] or entries
+
+    def edited(i: int, *replacement: str) -> str:
+        return "\n".join(lines[:i] + list(replacement) + lines[i + 1 :]) + "\n"
+
+    i = rnd.choice(inside)
+    mutants["notes"] = edited(i, rnd.choice(("", " \t", "# a note", "  # mode is set above")), lines[i])
+    if len(entries) > 1:
+        h = rnd.choice(entries[1:])
+        mutants["header"] = edited(h, "# mode=split", lines[h])
+    mutants["unseen-tx"] = edited(i, lines[i].replace(" tx={", " tx={0"))
+    mutants["unknown-tx"] = edited(i, re.sub(r" tx=\S+ ", f" tx={{{k_t + 1}}} ", lines[i]))
+    j = rnd.choice([s + 2 for s in starts if s + 2 in inside and untx[s + 2] == untx[s]] or entries)
+    mutants["malformed-tx"] = edited(j, re.sub(r" tx=\S+ ", " tx={1,,2} ", lines[j]))
+    return mutants
+
+
+def parsed(parse, text: str):
+    """The plans `parse` reads from `text`, or its error message."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return str(exc)
+
+
+@PROPERTY
+@given(corners(), st.randoms(use_true_random=False))
+def test_parse_plans_matches_the_per_line_reference(cfg, rnd):
+    # built plans and edits of their text: the same plans, or the same error at the same line
+    plan, tiers = centralized(cfg)[2], decentralized(cfg)[2]
+    for text, plans in ((serialize_plan(plan), [plan]), ("".join(map(serialize_plan, tiers)), tiers)):
+        assert parse_plans(text) == per_entry.parse_plans(text) == plans
+        for kind, mutant in plan_text_mutants(text, cfg.k_t, rnd).items():
+            got = parsed(parse_plans, mutant)
+            assert got == parsed(per_entry.parse_plans, mutant), kind
+            assert (kind == "malformed-tx") == isinstance(got, str), (kind, got)
 
 
 @PROPERTY
