@@ -33,9 +33,7 @@ from cachenet.delivery import (
     ReceiverLedger,
     SubspaceLedger,
     Run,
-    _cyclic_blocks,
     build_decentralized_plan,
-    common_sdof,
 )
 from cachenet.model import (
     ConfigurationError,
@@ -127,22 +125,38 @@ def block_of(records) -> Block:
     return Block(records[0].block, _encode(pairs))
 
 
+def _zf_offsets(k_r: int, cached_offsets: tuple[int, ...], n_zf: int) -> tuple[int, ...]:
+    """Zero-forcing offsets: the first n_zf free offsets cyclically after the cache offsets, by a sort."""
+    start = max(cached_offsets) if cached_offsets else 0
+    avail = sorted(
+        (o for o in range(1, k_r) if o not in cached_offsets),
+        key=lambda o: (o - start) % k_r,
+    )
+    return tuple(avail[:n_zf])
+
+
 def rotation_blocks(
     cfg: NetworkConfig, demand: DemandVector, n_cached: int
 ) -> tuple[tuple[ScheduledSubfile, ...], ...]:
     """Entry tuples of the rotation plan for subfiles cached at `n_cached` other receivers.
 
-    Built one entry at a time: in each block, receiver by receiver, one
-    entry per transmitter subset in lexicographic order.
+    Built one entry at a time: one block per size-n_cached set of nonzero
+    offsets in lexicographic order; in each block, receiver j caches at and
+    zero-forces at the block's offsets shifted by j, with one entry per
+    transmitter subset in lexicographic order.
     """
     if n_cached >= cfg.k_r:
         return ()
     t_t = int(cfg.t_t)
     n_zf = min(t_t - 1, cfg.k_r - 1 - n_cached)
     blocks = []
-    for b, (cached_sets, zf_sets) in enumerate(_cyclic_blocks(cfg.k_r, n_cached, n_zf, {})):
+    for b, offset_base in enumerate(subsets(cfg.k_r - 1, n_cached)):
+        offsets = tuple(s + 1 for s in offset_base)
+        zf_offsets = _zf_offsets(cfg.k_r, offsets, n_zf)
         block = []
-        for j, (cached, zf_targets) in enumerate(zip(cached_sets, zf_sets)):
+        for j in range(cfg.k_r):
+            cached = frozenset((j + o) % cfg.k_r for o in offsets)
+            zf_targets = frozenset((j + z) % cfg.k_r for z in zf_offsets)
             for ts in subsets(cfg.k_t, t_t):
                 block.append(ScheduledSubfile(SubfileId(demand.d[j], frozenset(ts), cached), j, zf_targets, b))
         blocks.append(tuple(block))
@@ -188,7 +202,12 @@ def account_block(cfg: NetworkConfig, block: tuple[ScheduledSubfile, ...]) -> Su
 
 
 def plan_sdof(cfg: NetworkConfig, plan: DeliveryPlan) -> Fraction:
-    (value,) = {common_sdof([account_block(cfg, entries(block))]) for block in plan.blocks}
+    """The one sum DoF of a plan's blocks: per block, delivered entries over the busiest receiver's dimensions."""
+    values = set()
+    for block in plan.blocks:
+        ledgers = account_block(cfg, entries(block)).receivers
+        values.add(Fraction(sum(r.desired for r in ledgers), max(r.desired + r.aligned_dims for r in ledgers)))
+    (value,) = values
     return value
 
 

@@ -17,7 +17,6 @@ from cachenet.delivery import (
     Run,
     SubspaceLedger,
     _cyclic_blocks,
-    _zf_offsets,
     account_block,
     account_plan,
     build_centralized_plan,
@@ -172,6 +171,9 @@ def test_common_sdof_equal_ratios_from_different_pairs():
     two_of_four = SubspaceLedger((ReceiverLedger(1, 0, 0, 0, 3), ReceiverLedger(1, 0, 0, 0, 3)))
     one_of_two = SubspaceLedger((ReceiverLedger(1, 0, 0, 0, 1),))
     assert (two_of_four.dims, one_of_two.dims) == ((2, 4), (1, 2))
+    # the busiest receiver is neither the first nor the one with the most desired subfiles
+    uneven = SubspaceLedger((ReceiverLedger(3, 0, 0, 0, 0), ReceiverLedger(1, 0, 0, 0, 4), ReceiverLedger(2, 0, 0, 0, 1)))
+    assert (uneven.dims, SubspaceLedger(()).dims) == ((6, 5), (0, 0))
     assert common_sdof([two_of_four, one_of_two, two_of_four]) == Fraction(1, 2)
     assert common_sdof([two_of_four]) == common_sdof([one_of_two]) == Fraction(1, 2)
     one_of_three = SubspaceLedger((ReceiverLedger(1, 0, 0, 0, 2),))
@@ -181,7 +183,7 @@ def test_common_sdof_equal_ratios_from_different_pairs():
     assert common_sdof([SubspaceLedger(())]) == 0
 
 
-@pytest.mark.parametrize("k_r", range(2, 11))
+@pytest.mark.parametrize("k_r", range(2, 13))
 def test_cyclic_blocks_match_the_direct_rotation_and_share_equal_sets(k_r):
     # every tier and ZF count: the same sets in the same order as rotating the offsets receiver by receiver;
     # with one dict of sets for all of them, equal sets are one object across tiers too
@@ -192,7 +194,7 @@ def test_cyclic_blocks_match_the_direct_rotation_and_share_equal_sets(k_r):
             direct = []
             for offset_base in subsets(k_r - 1, n_cached):
                 offsets = tuple(s + 1 for s in offset_base)
-                zf_offsets = _zf_offsets(k_r, offsets, n_zf)
+                zf_offsets = per_entry._zf_offsets(k_r, offsets, n_zf)
                 direct.append([
                     (frozenset((j + o) % k_r for o in offsets), frozenset((j + z) % k_r for z in zf_offsets))
                     for j in range(k_r)

@@ -182,7 +182,8 @@ class TestNdtOracle:
 class TestPerEntryEquivalence:
     """Counting entries by caching weight gives exactly the per-entry sums."""
 
-    @pytest.mark.parametrize("k_t,k_r", list(itertools.product(range(1, 7), repeat=2)))
+    # (8, 8) is left out: its per-entry reference takes seconds
+    @pytest.mark.parametrize("k_t,k_r", [*itertools.product(range(1, 7), repeat=2), (2, 7), (2, 8), (4, 8)])
     def test_tier_fractions_and_oracle(self, k_t, k_r):
         for t_t in range(1, k_t + 1):
             # the worst-case tier plans and their ledgers depend on K_T, K_R and t_T only
