@@ -27,7 +27,7 @@ from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain, combinations, repeat
 from typing import NamedTuple
 
 from .model import (
@@ -190,17 +190,12 @@ class SubspaceLedger:
     @property
     def dims(self) -> tuple[int, int]:
         """(delivered subfiles, block span): the block length is set by the busiest receiver."""
-        return sum(r.desired for r in self.receivers), max((r.total_dims for r in self.receivers), default=0)
-
-
-def _zf_offsets(k_r: int, cached_offsets: tuple[int, ...], n_zf: int) -> tuple[int, ...]:
-    """Zero-forcing offsets: the first n_zf free offsets cyclically after the cache offsets."""
-    start = max(cached_offsets) if cached_offsets else 0
-    avail = sorted(
-        (o for o in range(1, k_r) if o not in cached_offsets),
-        key=lambda o: (o - start) % k_r,
-    )
-    return tuple(avail[:n_zf])
+        delivered = span = 0
+        for r in self.receivers:
+            delivered += r.desired
+            if r.desired + r.aligned_dims > span:
+                span = r.desired + r.aligned_dims
+        return delivered, span
 
 
 def _cyclic_blocks(k_r: int, n_cached: int, n_zf: int, sets: dict[int, tuple[frozenset[int], ...]]):
@@ -209,15 +204,16 @@ def _cyclic_blocks(k_r: int, n_cached: int, n_zf: int, sets: dict[int, tuple[fro
     One block per size-n_cached set of nonzero cyclic offsets, in
     lexicographic offset order; every receiver is covered by exactly
     n_cached cache assignments and n_zf ZF assignments in every block.
-    Receiver j's sets are the offset sets rotated by j, built as bitmasks;
+    A block's offsets are a bitmask, and its ZF offsets are the first n_zf
+    free ones cyclically after its highest cache offset (after offset 0
+    when it has none).  Receiver j's sets are the masks rotated by j;
     `sets` maps each mask to its K_R rotations, filled for a whole rotation
     orbit at once, so each distinct set is built once for every plan sharing
     the dict and shared by every run using it.
     """
     full = (1 << k_r) - 1
 
-    def rotations(offsets: tuple[int, ...]) -> tuple[frozenset[int], ...]:
-        mask = sum(1 << o for o in offsets)
+    def rotations(mask: int) -> tuple[frozenset[int], ...]:
         if mask not in sets:
             masks = [mask]
             for _ in range(k_r - 1):
@@ -228,9 +224,14 @@ def _cyclic_blocks(k_r: int, n_cached: int, n_zf: int, sets: dict[int, tuple[fro
                 sets[m] = tuple(orbit[j : j + k_r])
         return sets[mask]
 
-    for offset_base in subsets(k_r - 1, n_cached):
-        offsets = tuple(s + 1 for s in offset_base)
-        yield rotations(offsets), rotations(_zf_offsets(k_r, offsets, n_zf))
+    for bits in combinations([1 << o for o in range(1, k_r)], n_cached):
+        mask = sum(bits)
+        # past the last offset the walk wraps to offset 1: offset 0, the receiver itself, is never free
+        bit, zf = bits[-1] if bits else 1, 0
+        while zf.bit_count() < n_zf:
+            bit = bit << 1 & full or 2
+            zf |= bit & ~mask
+        yield rotations(mask), rotations(zf)
 
 
 def _check_runs(n_runs: int, count: str, kind: str) -> None:

@@ -11,7 +11,6 @@ silently.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -162,10 +161,10 @@ def _tier_fractions(cfg: NetworkConfig, plans: list[DeliveryPlan]) -> list[Fract
     per_partition = Fraction(1, binomial(cfg.k_t, int(cfg.t_t)))
     out = []
     for plan in plans:
-        weights: Counter[int] = Counter()
+        weights: dict[int, int] = {}
         for block in plan.blocks:
             for r in block.runs:
-                weights[len(r.rx_set)] += len(r.tx_sets)
+                weights[len(r.rx_set)] = weights.get(len(r.rx_set), 0) + len(r.tx_sets)
         mass = sum((n * expected_fraction(cfg, w) for w, n in weights.items()), Fraction(0))
         out.append(per_partition * mass)
     return out
