@@ -91,11 +91,12 @@ def _merge_config(args: argparse.Namespace, keys: dict[str, argparse.Action]) ->
     """Flags override config-file values; fill unset flags from the file.
 
     A file value is parsed only when its flag is unset, by the type and
-    choices of the flag's own action, so it passes the flag's checks.
+    choices of the flag's own action, so it passes the flag's checks; a key
+    the command takes no flag for is not read, so one file serves all commands.
     """
     if args.config:
         for key, value in _read_config_file(args.config, keys).items():
-            if getattr(args, key, None) is None:
+            if getattr(args, key, 0) is None:
                 action = keys[key]
                 try:
                     parsed = action.type(value) if action.type else value
@@ -104,7 +105,7 @@ def _merge_config(args: argparse.Namespace, keys: dict[str, argparse.Action]) ->
                 except ValueError:
                     raise ConfigurationError(f"{args.config}: invalid value in {key}={value}") from None
                 setattr(args, key, parsed)
-    if args.seed is None:
+    if getattr(args, "seed", 1) is None:
         args.seed = 1
 
 
@@ -118,7 +119,7 @@ def _network(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Netwo
         n_files=args.n,
         m_t=args.mt,
         m_r=args.mr,
-        file_bits=args.file_bits,
+        file_bits=getattr(args, "file_bits", None),
     )
 
 
@@ -126,12 +127,6 @@ def _demand(args: argparse.Namespace, cfg: NetworkConfig) -> DemandVector:
     demand = DemandVector(args.demand) if args.demand else DemandVector.worst_case(cfg)
     demand.validate(cfg)
     return demand
-
-
-def _check_file_bits(cfg: NetworkConfig, args) -> None:
-    """A decentralized run is one of finite file size, so it needs --file-bits."""
-    if args.mode == "decentralized" and cfg.file_bits is None:
-        raise ConfigurationError("decentralized mode needs --file-bits")
 
 
 def _rat(x: Fraction) -> str:
@@ -205,7 +200,6 @@ def cmd_plan(args, parser) -> int:
     cfg = _network(args, parser)
     demand = _demand(args, cfg)
     args.mode = args.mode or "centralized"
-    _check_file_bits(cfg, args)
     if args.mode == "centralized":
         plans = [build_centralized_plan(cfg, None, demand)]
     else:
@@ -214,6 +208,8 @@ def cmd_plan(args, parser) -> int:
     # before any output, so one that cannot be built leaves no plan text and no --out file.
     listing = ""
     if args.show:
+        if args.mode == "decentralized" and cfg.file_bits is None:
+            raise ConfigurationError("plan --show of a decentralized placement needs --file-bits")
         placement = place_centralized(cfg) if args.mode == "centralized" else place_decentralized(cfg, args.seed)
         listing = placement.export_text()
     text = "".join(serialize_plan(p) for p in plans)
@@ -279,7 +275,6 @@ def cmd_verify(args, parser) -> int:
     except MalformedPlanError as exc:
         print(f"malformed plan: {exc}")
         return 1
-    _check_file_bits(cfg, args)
     return _verify(cfg, plans, demand, args, ledgers)
 
 
@@ -314,18 +309,23 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Action]
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    net = argparse.ArgumentParser(add_help=False)
+    # a command takes only the flags it reads: `sweep` sets M_R itself; only commands that plan or place take `run`
+    template = argparse.ArgumentParser(add_help=False)
     config_keys = [
-        net.add_argument("--kt", type=int, help="number of transmitters"),
-        net.add_argument("--kr", type=int, help="number of receivers"),
-        net.add_argument("--n", type=int, help="library size in files"),
-        net.add_argument("--mt", type=rational, help="transmitter cache size in files (int or p/q)"),
-        net.add_argument("--mr", type=rational, help="receiver cache size in files (int or p/q)"),
-        net.add_argument("--file-bits", dest="file_bits", type=int, help="finite file length in bits"),
-        net.add_argument("--seed", type=count, help="base seed for random placement (default 1)"),
-        net.add_argument("--demand", type=file_numbers, help="1-based demanded file per receiver, e.g. 1,2,3,4"),
+        template.add_argument("--kt", type=int, help="number of transmitters"),
+        template.add_argument("--kr", type=int, help="number of receivers"),
+        template.add_argument("--n", type=int, help="library size in files"),
+        template.add_argument("--mt", type=rational, help="transmitter cache size in files (int or p/q)"),
     ]
-    net.add_argument("--config", help="key=value config file; flags override it")
+    template.add_argument("--config", help="key=value config file; flags override it, unread keys are ignored")
+    net = argparse.ArgumentParser(add_help=False, parents=[template])
+    config_keys.append(net.add_argument("--mr", type=rational, help="receiver cache size in files (int or p/q)"))
+    run = argparse.ArgumentParser(add_help=False, parents=[net])
+    config_keys += [
+        run.add_argument("--file-bits", dest="file_bits", type=int, help="file length in bits (--seeds, plan --show)"),
+        run.add_argument("--seed", type=count, help="base seed for random placement (default 1)"),
+        run.add_argument("--demand", type=file_numbers, help="1-based demanded file per receiver, e.g. 1,2,3,4"),
+    ]
     placed = argparse.ArgumentParser(add_help=False)
     config_keys.append(placed.add_argument("--mode", choices=MODES))
     placed.add_argument("--channel-seeds", dest="channel_seeds", type=count, default=10)
@@ -336,23 +336,23 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Action]
     p = sub.add_parser("sdof", parents=[net], help="achievable and baseline sum-DoF")
     p.set_defaults(func=cmd_sdof)
 
-    p = sub.add_parser("ndt", parents=[net, mc], help="closed-form and scheme-derived delivery time")
+    p = sub.add_parser("ndt", parents=[run, mc], help="closed-form and scheme-derived delivery time")
     p.set_defaults(func=cmd_ndt)
 
-    p = sub.add_parser("oracle-ndt", parents=[net, mc], help="scheme-derived delivery time only")
+    p = sub.add_parser("oracle-ndt", parents=[run, mc], help="scheme-derived delivery time only")
     p.set_defaults(func=cmd_oracle_ndt)
 
-    p = sub.add_parser("plan", parents=[net, placed], help="generate a delivery plan with its ledger")
+    p = sub.add_parser("plan", parents=[run, placed], help="generate a delivery plan with its ledger")
     p.add_argument("--out", help="write the plan text here instead of stdout")
     p.add_argument("--show", action="store_true", help="also print the placement export")
     p.add_argument("--verify", action="store_true", help="run completeness and phy checks")
     p.set_defaults(func=cmd_plan)
 
-    p = sub.add_parser("verify", parents=[net, placed], help="verify a serialized plan")
+    p = sub.add_parser("verify", parents=[run, placed], help="verify a serialized plan")
     p.add_argument("--plan-file", dest="plan_file", help="plan text (default: stdin)")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("sweep", parents=[net], help="figure-reproduction CSV")
+    p = sub.add_parser("sweep", parents=[template], help="figure-reproduction CSV")
     p.add_argument("--figure", choices=("fig2", "fig4"), required=True)
     p.add_argument("--out", help="CSV output path (default <figure>.csv)")
     p.set_defaults(func=cmd_sweep)

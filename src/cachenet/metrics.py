@@ -192,15 +192,13 @@ def ndt_oracle(
     return total, tuple(enumerate(terms))
 
 
-def ndt_finite(
-    cfg: NetworkConfig,
-    placement: DecentralizedPlacement,
-    plans: list[DeliveryPlan],
-    demand: DemandVector,
-) -> Fraction:
-    """Delivery time of one finite-size placement: actual scheduled bits over tier sum-DoF."""
+def ndt_finite(cfg: NetworkConfig, placement: DecentralizedPlacement, plans: list[DeliveryPlan]) -> Fraction:
+    """Delivery time of one finite-size placement: actual scheduled bits over tier sum-DoF.
+
+    Only the files the plans' runs name are profiled.
+    """
     assert cfg.file_bits is not None
-    profiles = {f: subset_profile(placement, f) for f in sorted(set(demand.d))}
+    profiles = {f: subset_profile(placement, f) for f in sorted({r.file for plan in plans for _, r in plan.runs()})}
     masses = [
         Fraction(sum(profiles[r.file].get((ts, r.rx_set), 0) for _, r in plan.runs() for ts in r.tx_sets), cfg.file_bits)
         for plan in plans
@@ -218,7 +216,7 @@ def mc_ndt(cfg: NetworkConfig, demand: DemandVector, seeds: list[int]) -> McNdt:
     values = []
     for seed in seeds:
         # no reference outlives the call, so one N x F receiver-code array is alive at a time
-        values.append(ndt_finite(cfg, place_decentralized(cfg, seed), plans, demand))
+        values.append(ndt_finite(cfg, place_decentralized(cfg, seed), plans))
     floats = [float(v) for v in values]
     mean = sum(floats) / len(floats)
     if len(floats) > 1:

@@ -228,15 +228,13 @@ class PhyReport:
 class _Layout:
     """Channel-independent view of the runs of some blocks, their transmissions and their distinct precoders.
 
-    Per run: its block position and the run, and the index of its first
-    transmission.  Per transmission: its run and its precoder in `precoders`.
-    Per precoder (one column each, one row per receiver, as in the gains
-    `_check` reduces): its ZF-target mask.
+    Per run: its block position and the run; its transmissions, one per tx
+    set, follow those of the runs before it.  Per transmission: its precoder
+    in `precoders`.  Per precoder (one column each, one row per receiver, as
+    in the gains `_check` reduces): its ZF-target mask.
     """
 
     runs: tuple[tuple[int, Run], ...]
-    starts: np.ndarray
-    run_of: np.ndarray
     precoders: _ZfPrecoders
     rows: np.ndarray
     targets: np.ndarray
@@ -308,8 +306,6 @@ def _layout(blocks: tuple[Block, ...], k_r: int, k_t: int) -> _Layout:
         zf[z, list(targets)] = True
     return _Layout(
         runs=tuple(runs),
-        starts=np.cumsum(run_lengths) - run_lengths,
-        run_of=np.repeat(np.arange(len(runs)), run_lengths),
         precoders=_ZfPrecoders(list(tx_index), list(target_index), tx_ids, target_ids, k_r, k_t),
         rows=pair_id[inverse[np.arange(run_lengths.sum()) + np.repeat(shift, run_lengths)]],
         targets=zf[target_ids].T.copy(),
@@ -354,14 +350,16 @@ def _violations(layout: _Layout, mag: np.ndarray, gmax: np.ndarray, candidates: 
 
     A candidate leaks at its precoder's loud ZF targets.  Its quiet gains are classified from its own
     run's sets: at the destination, or at an interfering receiver (no ZF target, no cache holder).
+    Its run is found by a binary search of the runs' cumulative transmission counts.
     """
     p = layout.rows[candidates]
     gains = mag[:, p].T  # candidates x K_R
     leak = layout.targets[:, p].T & (gains > rel_tol * gmax[p, None])
     quiet = gains < GENERICITY_FLOOR * gmax[p, None]
+    ends = np.cumsum([len(r.tx_sets) for _, r in layout.runs])
     violations = []
     for c in np.flatnonzero(leak.any(axis=1) | quiet.any(axis=1)):
-        run = layout.run_of[candidates[c]]
+        run = int(np.searchsorted(ends, candidates[c], side="right"))
         position, r = layout.runs[run]
         weak = np.flatnonzero(quiet[c]).tolist()
         issues = [
@@ -373,7 +371,7 @@ def _violations(layout: _Layout, mag: np.ndarray, gmax: np.ndarray, candidates: 
         interfering = [j for j in weak if j != r.dest and j not in r.zf_targets and j not in r.rx_set]
         issues += [f"degenerate interference gain at rx {j + 1}" for j in interfering]
         if issues:
-            ts = r.tx_sets[candidates[c] - layout.starts[run]]
+            ts = r.tx_sets[candidates[c] - ends[run] + len(r.tx_sets)]
             violations.append(
                 f"block={position + 1} subfile={SubfileId(r.file, ts, r.rx_set).label()} dest={r.dest + 1}: "
                 + "; ".join(issues)

@@ -114,15 +114,27 @@ def test_decentralized_plan_and_verify_draw_no_placement(tmp_path, monkeypatch, 
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, lambda *args, name=name: pytest.fail(f"{name} called"))
     net = ["--kt", "3", "--kr", "3", "--n", "3", "--mt", "2", "--mr", "1", "--file-bits", "300"]
-    assert cli.main(["plan", *net, "--mode", "decentralized", "--out", "tiers.txt"]) == 0
-    assert cli.main(["verify", *net, "--plan-file", "tiers.txt", "--channel-seeds", "1"]) == 0
-    out = capsys.readouterr().out
+    runs = []
+    for flags in (net, net[:-2]):
+        assert cli.main(["plan", *flags, "--mode", "decentralized", "--out", "tiers.txt"]) == 0
+        text = (tmp_path / "tiers.txt").read_text()
+        assert cli.main(["verify", *flags, "--plan-file", "tiers.txt", "--channel-seeds", "1"]) == 0
+        runs.append((capsys.readouterr(), text))
+    out = runs[0][0].out
     assert "wrote tiers.txt (36 scheduled subfiles)" in out
     assert "completeness: complete: 36 scheduled transmissions" in out and ", 0 violations;" in out
-    # a decentralized run still needs a finite file size, with one message for both commands
-    for argv in (["plan", "--mode", "decentralized"], ["verify", "--plan-file", "tiers.txt"]):
-        assert cli.main([*argv, *net[:-2]]) == 2
-        assert capsys.readouterr() == ("", "error: decentralized mode needs --file-bits\n")
+    # nothing but --seeds and a decentralized plan --show reads --file-bits, so both commands run the same without it
+    assert runs[1] == runs[0]
+
+
+def test_decentralized_plan_show_needs_file_bits(tmp_path, monkeypatch, capsys):
+    # the listing draws a finite placement; without a file size it is refused before any output
+    monkeypatch.chdir(tmp_path)
+    argv = ["plan", *NET33[:-2], "--mode", "decentralized", "--show"]
+    for out in ([], ["--out", "tiers.txt"]):
+        assert cli.main([*argv, *out]) == 2
+        assert capsys.readouterr() == ("", "error: plan --show of a decentralized placement needs --file-bits\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_verify_reads_tier_plans_from_stdin(tmp_path, monkeypatch, capsys):
@@ -563,6 +575,46 @@ def test_misspelt_config_mode_exits_2_and_writes_no_plan(tmp_path, monkeypatch, 
     assert not (tmp_path / "plan.txt").exists()
     assert cli.main(["plan", "--config", "run.cfg", "--mode", "centralized", "--out", "plan.txt"]) == 0
     assert (tmp_path / "plan.txt").read_text().startswith("# mode=centralized\n")
+
+
+UNREAD_FLAGS = [
+    ("sdof", "--file-bits", "5"),
+    ("sdof", "--seed", "3"),
+    ("sdof", "--demand", "1,2,3,4"),
+    ("sweep", "--mr", "2"),
+    ("sweep", "--file-bits", "5"),
+    ("sweep", "--seed", "3"),
+    ("sweep", "--demand", "1,2,3"),
+]
+
+
+@pytest.mark.parametrize("command,flag,value", UNREAD_FLAGS, ids=[f"{c}{f}" for c, f, _ in UNREAD_FLAGS])
+def test_commands_refuse_flags_they_do_not_read(command, flag, value, tmp_path, monkeypatch, capsys):
+    # sdof is a worst-case F -> infinity value and sweep sets M_R itself, so neither takes a run flag or sweep --mr
+    monkeypatch.chdir(tmp_path)
+    argv = [command, *NET44] if command == "sdof" else [command, "--figure", "fig4"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, flag, value])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"error: unrecognized arguments: {flag} {value}\n" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_config_file_keys_a_command_does_not_read_are_ignored(tmp_path, monkeypatch, capsys):
+    # one config file serves every command: sdof and sweep skip the keys of flags they do not take
+    monkeypatch.chdir(tmp_path)
+    network = "kt=4\nkr=4\nn=4\nmt=2\nmr=1\n"
+    (tmp_path / "net.cfg").write_text(network)
+    (tmp_path / "run.cfg").write_text(network + "file_bits=300\nseed=3\ndemand=1,2,3,4\nmode=decentralized\n")
+    outputs = []
+    for config in ("net.cfg", "run.cfg"):
+        assert cli.main(["sdof", "--config", config]) == 0
+        assert cli.main(["sweep", "--config", config, "--figure", "fig4", "--out", "f4.csv"]) == 0
+        csvs = [(tmp_path / name).read_text() for name in ("f4.csv", "f4.csv.exact")]
+        outputs.append((capsys.readouterr(), csvs))
+    assert outputs[1] == outputs[0]
+    assert outputs[0][0].out.startswith("proposed=24/7 ")
 
 
 def test_demand_flag():

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 import per_entry
+from cachenet import metrics
 from cachenet.delivery import (
     DeliveryPlan,
     build_centralized_plan,
@@ -21,6 +22,7 @@ from cachenet.metrics import (
     memory_share,
     ndt_centralized,
     ndt_closed_form,
+    ndt_finite,
     ndt_oracle,
     ndt_report,
     sdof_achievable,
@@ -29,6 +31,7 @@ from cachenet.metrics import (
     sweep_figure,
 )
 from cachenet.model import ConfigurationError, DemandVector, NetworkConfig, binomial
+from cachenet.placement import place_decentralized, subset_profile
 
 
 def make_cfg(k_t, k_r, n, m_t, m_r, file_bits=None):
@@ -334,6 +337,20 @@ class TestMonteCarlo:
         finally:
             tracemalloc.stop()
         assert peak < cfg.k_r * cfg.n_files * cfg.file_bits
+
+    def test_finite_ndt_profiles_only_the_files_its_plans_name(self, monkeypatch):
+        # the tier plans of demand (1,1,1) name file 1 only, so its profile is the only one taken
+        cfg = make_cfg(3, 3, 3, 2, 1, file_bits=1000)
+        plans = build_decentralized_plan(cfg, DemandVector((0, 0, 0)))
+        profiled = []
+
+        def spy(placement, f):
+            profiled.append(f)
+            return subset_profile(placement, f)
+
+        monkeypatch.setattr(metrics, "subset_profile", spy)
+        assert ndt_finite(cfg, place_decentralized(cfg, 1), plans) == Fraction(1153, 1500)
+        assert profiled == [0]
 
 
 def test_oracle_and_plan_sdof_leave_blocks_unexpanded():

@@ -330,6 +330,26 @@ class TestBlockVerification:
                 named = f"block={e.block + 1} subfile={e.subfile.label()} dest={e.dest + 1}: "
                 assert v.startswith(f"{named}zf-leak at rx {z + 1} (|gain|=") and ";" not in v
 
+    def test_leaks_are_named_by_their_own_run_when_runs_differ_in_length(self):
+        # blocks with their entries in seeded random order spread a label over runs of several lengths, so a
+        # transmission's run and tx set must come from the run lengths, not from one shared `tx_sets` tuple
+        rnd = random.Random(29)
+        cfg44, plan44 = self._plan44()
+        cfg33 = NetworkConfig(k_t=3, k_r=3, n_files=3, m_t=2, m_r=1)
+        tiers = build_decentralized_plan(cfg33, DemandVector.worst_case(cfg33))
+        for cfg, plans in ((cfg44, [plan44]), (cfg33, tiers)):
+            split = [
+                DeliveryPlan(blocks=tuple(block_of(rnd.sample(entries(b), len(b))) for b in p.blocks if len(b)), mode=p.mode)
+                for p in plans
+            ]
+            assert len({len(r.tx_sets) for p in split for _, r in p.runs()}) > 1
+            # a transmission without ZF targets has no gain that a tolerance below rounding can report
+            records = [e for p in split for e in entries(p) if e.zf_targets]
+            for report in verify_plan_phy(cfg, split, channel_seeds=3, rel_tol=1e-300):
+                assert len(report.violations) == len(records) > 0
+                for v, e in zip(report.violations, records):
+                    assert v.startswith(f"block={e.block + 1} subfile={e.subfile.label()} dest={e.dest + 1}: zf-leak at rx ")
+
     def test_plan_monte_carlo(self):
         cfg, plan = self._plan44()
         reports = verify_plan_phy(cfg, [plan], channel_seeds=10)
