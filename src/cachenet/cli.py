@@ -113,14 +113,7 @@ def _network(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Netwo
     missing = [flag for flag in ("kt", "kr", "n", "mt", "mr") if getattr(args, flag) is None]
     if missing:
         parser.error("missing required network parameters: " + ", ".join(f"--{m}" for m in missing))
-    return NetworkConfig(
-        k_t=args.kt,
-        k_r=args.kr,
-        n_files=args.n,
-        m_t=args.mt,
-        m_r=args.mr,
-        file_bits=getattr(args, "file_bits", None),
-    )
+    return NetworkConfig(k_t=args.kt, k_r=args.kr, n_files=args.n, m_t=args.mt, m_r=args.mr)
 
 
 def _demand(args: argparse.Namespace, cfg: NetworkConfig) -> DemandVector:
@@ -145,9 +138,9 @@ def cmd_sdof(args, parser) -> int:
 
 def _mc(cfg: NetworkConfig, demand: DemandVector, args) -> McNdt | None:
     """The Monte-Carlo delivery time over `--seeds` placements from `--seed` on; None without `--seeds`."""
-    if args.seeds and cfg.file_bits is None:
+    if args.seeds and args.file_bits is None:
         raise ConfigurationError("--seeds needs --file-bits for finite-size runs")
-    return mc_ndt(cfg, demand, list(range(args.seed, args.seed + args.seeds))) if args.seeds else None
+    return mc_ndt(cfg, demand, args.file_bits, list(range(args.seed, args.seed + args.seeds))) if args.seeds else None
 
 
 def _print_ndt(oracle: Fraction, breakdown, flags, mc) -> int:
@@ -208,9 +201,9 @@ def cmd_plan(args, parser) -> int:
     # before any output, so one that cannot be built leaves no plan text and no --out file.
     listing = ""
     if args.show:
-        if args.mode == "decentralized" and cfg.file_bits is None:
+        if args.mode == "decentralized" and args.file_bits is None:
             raise ConfigurationError("plan --show of a decentralized placement needs --file-bits")
-        placement = place_centralized(cfg) if args.mode == "centralized" else place_decentralized(cfg, args.seed)
+        placement = place_centralized(cfg) if args.mode == "centralized" else place_decentralized(cfg, args.file_bits, args.seed)
         listing = placement.export_text()
     text = "".join(serialize_plan(p) for p in plans)
     if args.out:
@@ -283,9 +276,7 @@ def cmd_sweep(args, parser) -> int:
     for key, attr in (("k_t", "kt"), ("k_r", "kr"), ("n_files", "n"), ("m_t", "mt")):
         if getattr(args, attr, None) is None:
             setattr(args, attr, template_defaults[key])
-    cfg = NetworkConfig(
-        k_t=args.kt, k_r=args.kr, n_files=args.n, m_t=args.mt, m_r=0, file_bits=None
-    )
+    cfg = NetworkConfig(k_t=args.kt, k_r=args.kr, n_files=args.n, m_t=args.mt, m_r=0)
     rows = sweep_figure(cfg, args.figure)
     header = (
         "m_r,inv_sdof_proposed,inv_sdof_baseline"

@@ -192,31 +192,28 @@ def ndt_oracle(
     return total, tuple(enumerate(terms))
 
 
-def ndt_finite(cfg: NetworkConfig, placement: DecentralizedPlacement, plans: list[DeliveryPlan]) -> Fraction:
+def ndt_finite(placement: DecentralizedPlacement, plans: list[DeliveryPlan]) -> Fraction:
     """Delivery time of one finite-size placement: actual scheduled bits over tier sum-DoF.
 
-    Only the files the plans' runs name are profiled.
+    The network and F are the placement's own.  Only the files the plans' runs name are profiled.
     """
-    assert cfg.file_bits is not None
     profiles = {f: subset_profile(placement, f) for f in sorted({r.file for plan in plans for _, r in plan.runs()})}
     masses = [
-        Fraction(sum(profiles[r.file].get((ts, r.rx_set), 0) for _, r in plan.runs() for ts in r.tx_sets), cfg.file_bits)
+        Fraction(sum(profiles[r.file].get((ts, r.rx_set), 0) for _, r in plan.runs() for ts in r.tx_sets), placement.file_bits)
         for plan in plans
     ]
-    return _per_tier(cfg, plans, masses)[1]
+    return _per_tier(placement.cfg, plans, masses)[1]
 
 
-def mc_ndt(cfg: NetworkConfig, demand: DemandVector, seeds: list[int]) -> McNdt:
-    """Monte-Carlo delivery time over independently seeded placements."""
-    if cfg.file_bits is None:
-        raise ConfigurationError("Monte-Carlo delivery time needs file_bits")
+def mc_ndt(cfg: NetworkConfig, demand: DemandVector, file_bits: int, seeds: list[int]) -> McNdt:
+    """Monte-Carlo delivery time over independently seeded placements of `file_bits`-bit files."""
     if not seeds:
         raise ValueError("need at least one seed")
     plans = build_decentralized_plan(cfg, demand)
     values = []
     for seed in seeds:
         # no reference outlives the call, so one N x F receiver-code array is alive at a time
-        values.append(ndt_finite(cfg, place_decentralized(cfg, seed), plans))
+        values.append(ndt_finite(place_decentralized(cfg, file_bits, seed), plans))
     floats = [float(v) for v in values]
     mean = sum(floats) / len(floats)
     if len(floats) > 1:
@@ -225,7 +222,7 @@ def mc_ndt(cfg: NetworkConfig, demand: DemandVector, seeds: list[int]) -> McNdt:
     else:
         stderr = float("nan")
     return McNdt(
-        mean=mean, stderr=stderr, values=tuple(values), file_bits=cfg.file_bits, seeds=tuple(seeds)
+        mean=mean, stderr=stderr, values=tuple(values), file_bits=file_bits, seeds=tuple(seeds)
     )
 
 

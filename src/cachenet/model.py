@@ -75,12 +75,11 @@ def subsets(ground: int, size: int) -> tuple[tuple[int, ...], ...]:
 
 @dataclass(frozen=True)
 class NetworkConfig:
-    """The network tuple (K_T, K_R, N, M_T, M_R) plus derived cache replication factors.
+    """The paper's network tuple (K_T, K_R, N, M_T, M_R) plus derived cache replication factors.
 
     Cache sizes are in file units and may be fractional; formula evaluators
     that require integral replication factors reject such configs explicitly.
-    `file_bits` is the finite file length used only by decentralized
-    placement and Monte-Carlo runs.
+    The file length F is no part of it: only a decentralized placement draw reads F.
     """
 
     k_t: int
@@ -88,7 +87,6 @@ class NetworkConfig:
     n_files: int
     m_t: Fraction
     m_r: Fraction
-    file_bits: int | None = None
 
     def __post_init__(self) -> None:
         for name in ("k_t", "k_r", "n_files"):
@@ -106,8 +104,6 @@ class NetworkConfig:
                 f"infeasible caches: K_T*M_T + M_R = {self.k_t * self.m_t + self.m_r} "
                 f"< N = {self.n_files}; transmitters cannot collaboratively cover the library"
             )
-        if self.file_bits is not None and (not _is_int(self.file_bits) or self.file_bits < 1):
-            raise ConfigurationError("file_bits must be a positive integer when given")
 
     # derived once per config (the fields are frozen); kept out of eq, hash and repr
     @cached_property

@@ -3,7 +3,8 @@
 Centralized placement splits every file into C(K_T,t_T)*C(K_R,t_R) equal
 subfiles indexed by (transmitter subset, receiver subset).  Decentralized
 placement keeps the deterministic transmitter partitioning but lets every
-receiver cache a uniformly random fixed-size subset of each file's bits.
+receiver cache a uniformly random fixed-size subset of each file's F bits;
+F is an input of that draw alone, and the placement reads it off its codes.
 Its draws stay in the caller's thread in stream order, so they fix the
 caches per seed; marking each draw into the codes runs one draw behind in a
 one-worker executor.  Only the decentralized functions use numpy, and each
@@ -20,6 +21,7 @@ from .model import (
     ConfigurationError,
     NetworkConfig,
     SubfileId,
+    _is_int,
     binomial,
     fmt_index_set,
     subsets,
@@ -121,15 +123,14 @@ class DecentralizedPlacement:
 
     `rx_codes[f, b]` is the receiver code of bit b of file f: bit j is set
     when receiver j cached it.  This read-only N x F array, of the narrowest
-    unsigned type holding K_R bits, is the only stored form of the caches.
-    Bits live in [0, file_bits); transmitter partitions are defined over the
-    padded range [0, padded_bits) so they come out equal-size, and the
-    trailing pad bits belong to no file content.
+    unsigned type holding K_R bits, is the only stored form of the caches,
+    and its width is the file length F.  Transmitter partition p holds bits
+    [p * partition_size, (p + 1) * partition_size) cut at F, so only the
+    last ones can come out short or empty.
     """
 
     cfg: NetworkConfig
     seed: int
-    padded_bits: int
     rx_codes: np.ndarray = field(repr=False)
 
     @property
@@ -141,8 +142,12 @@ class DecentralizedPlacement:
         return (self.rx_codes >> shifts & 1).astype(bool)
 
     @property
+    def file_bits(self) -> int:
+        return self.rx_codes.shape[1]
+
+    @property
     def partition_size(self) -> int:
-        return self.padded_bits // binomial(self.cfg.k_t, int(self.cfg.t_t))
+        return -(-self.file_bits // binomial(self.cfg.k_t, int(self.cfg.t_t)))
 
     def cached_bits(self, rx: int, file: int) -> np.ndarray:
         """Sorted bit indices cached by `rx` for `file`."""
@@ -154,11 +159,12 @@ class DecentralizedPlacement:
         """Per-(receiver, file) listing of cached bit-index ranges, at most MAX_RANGES each."""
         lines = [
             f"# decentralized placement kt={self.cfg.k_t} kr={self.cfg.k_r} "
-            f"n={self.cfg.n_files} file_bits={self.cfg.file_bits} seed={self.seed} rng={RNG_ALGORITHM}"
+            f"n={self.cfg.n_files} file_bits={self.file_bits} seed={self.seed} rng={RNG_ALGORITHM}"
         ]
-        psize = self.partition_size
+        f_bits, psize = self.file_bits, self.partition_size
         for p, ts in enumerate(tx_partition(self.cfg)):
-            lines.append(f"tx-partition {fmt_index_set(ts)}: bits {p * psize}-{(p + 1) * psize - 1}")
+            lo, hi = p * psize, min((p + 1) * psize, f_bits)
+            lines.append(f"tx-partition {fmt_index_set(ts)}: " + (f"bits {lo}-{hi - 1}" if lo < f_bits else "no bits"))
         for j in range(self.cfg.k_r):
             for f in range(self.cfg.n_files):
                 ranges = _as_ranges(self.cached_bits(j, f))
@@ -194,28 +200,24 @@ def place_centralized(cfg: NetworkConfig) -> CentralizedPlacement:
     return CentralizedPlacement(cfg)
 
 
-def place_decentralized(cfg: NetworkConfig, seed: int) -> DecentralizedPlacement:
-    """Sample receiver caches: floor(M_R*F/N) bits per file, uniform without replacement.
+def place_decentralized(cfg: NetworkConfig, file_bits: int, seed: int) -> DecentralizedPlacement:
+    """Sample receiver caches of `file_bits`-bit files: floor(M_R*F/N) bits per file, uniform without replacement.
 
-    F is padded up to a multiple of C(K_T,t_T) so transmitter partitions are
-    equal-size; pad bits carry no content and are never cached or delivered.
     Deterministic given `seed`.
     """
     import numpy as np
 
     check_corner(cfg, "decentralized")
-    if cfg.file_bits is None:
-        raise ConfigurationError("decentralized placement needs file_bits set on the config")
-    n_parts = binomial(cfg.k_t, int(cfg.t_t))
-    padded = -(-cfg.file_bits // n_parts) * n_parts
-    per_file = int(cfg.m_r * cfg.file_bits / cfg.n_files)  # floor
+    if not _is_int(file_bits) or file_bits < 1:
+        raise ConfigurationError("file_bits must be a positive integer")
+    per_file = int(cfg.m_r * file_bits / cfg.n_files)  # floor
     rng = np.random.default_rng(seed)
-    codes = np.zeros((cfg.n_files, cfg.file_bits), dtype=np.min_scalar_type(2**cfg.k_r - 1))
+    codes = np.zeros((cfg.n_files, file_bits), dtype=np.min_scalar_type(2**cfg.k_r - 1))
     _mark_one_behind(
-        (row, 1 << j, rng.choice(cfg.file_bits, size=per_file, replace=False)) for j in range(cfg.k_r) for row in codes
+        (row, 1 << j, rng.choice(file_bits, size=per_file, replace=False)) for j in range(cfg.k_r) for row in codes
     )
     codes.setflags(write=False)
-    return DecentralizedPlacement(cfg=cfg, seed=seed, padded_bits=padded, rx_codes=codes)
+    return DecentralizedPlacement(cfg=cfg, seed=seed, rx_codes=codes)
 
 
 def _mark_one_behind(draws: Iterable[tuple[np.ndarray, int, np.ndarray]]) -> None:
@@ -243,15 +245,13 @@ def _mark_one_behind(draws: Iterable[tuple[np.ndarray, int, np.ndarray]]) -> Non
 
 
 def subset_profile(placement: DecentralizedPlacement, file: int) -> dict[tuple[frozenset[int], frozenset[int]], int]:
-    """Bit counts of `file`, every real bit classified by (tx partition, exact caching receiver set)."""
+    """Bit counts of `file`, every bit classified by (tx partition, exact caching receiver set)."""
     import numpy as np
 
     cfg = placement.cfg
     if not 0 <= file < cfg.n_files:
         raise ValueError(f"file index {file} outside [0, {cfg.n_files})")
-    f_bits = cfg.file_bits
-    assert f_bits is not None
-    codes = placement.rx_codes[file]
+    f_bits, codes = placement.file_bits, placement.rx_codes[file]
     counts: dict[tuple[frozenset[int], frozenset[int]], int] = {}
     psize = placement.partition_size
     for p, ts in enumerate(tx_partition(cfg)):

@@ -294,26 +294,26 @@ def equivalent_gains(h: np.ndarray, tx_set, weights: np.ndarray) -> np.ndarray:
     return h[:, sorted(tx_set)] @ weights
 
 
-def decentralized_mask(cfg: NetworkConfig, seed: int) -> np.ndarray:
-    """K_R x N x F bools, True where receiver j cached bit b of file f.
+def decentralized_mask(cfg: NetworkConfig, file_bits: int, seed: int) -> np.ndarray:
+    """K_R x N x F bools, True where receiver j cached bit b of file f, for F = `file_bits`.
 
     The same PCG64 draws in the same order as `place_decentralized`:
     receiver outer, file inner, floor(M_R F/N) bits without replacement each.
     """
-    per_file = int(cfg.m_r * cfg.file_bits / cfg.n_files)
+    per_file = int(cfg.m_r * file_bits / cfg.n_files)
     rng = np.random.default_rng(seed)
-    mask = np.zeros((cfg.k_r, cfg.n_files, cfg.file_bits), dtype=bool)
+    mask = np.zeros((cfg.k_r, cfg.n_files, file_bits), dtype=bool)
     for j in range(cfg.k_r):
         for f in range(cfg.n_files):
-            picked = rng.choice(cfg.file_bits, size=per_file, replace=False)
+            picked = rng.choice(file_bits, size=per_file, replace=False)
             mask[j, f, picked] = True
     return mask
 
 
 def mask_profile(cfg: NetworkConfig, mask: np.ndarray, file: int) -> dict:
-    """Bit counts of `file` by (tx partition, exact caching receiver set), one bit at a time."""
+    """Bit counts of `file` by (tx partition, exact caching receiver set), one bit at a time; F is the mask's width."""
     tx_sets = subsets(cfg.k_t, int(cfg.t_t))
-    partition_size = -(-cfg.file_bits // len(tx_sets))
+    partition_size = -(-mask.shape[2] // len(tx_sets))
     counts: dict = {}
     for b, cached in enumerate(mask[:, file].T.tolist()):
         key = (frozenset(tx_sets[b // partition_size]), frozenset(j for j, c in enumerate(cached) if c))
@@ -321,12 +321,12 @@ def mask_profile(cfg: NetworkConfig, mask: np.ndarray, file: int) -> dict:
     return counts
 
 
-def mc_ndt_values(cfg: NetworkConfig, demand: DemandVector, seeds: list[int]) -> list[Fraction]:
+def mc_ndt_values(cfg: NetworkConfig, demand: DemandVector, file_bits: int, seeds: list[int]) -> list[Fraction]:
     """Per-seed finite-size delivery times from the reference mask, one scheduled entry at a time."""
     plans = build_decentralized_plan(cfg, demand)
     values = []
     for seed in seeds:
-        mask = decentralized_mask(cfg, seed)
+        mask = decentralized_mask(cfg, file_bits, seed)
         profiles = {f: mask_profile(cfg, mask, f) for f in set(demand.d)}
         total = Fraction(0)
         for plan in plans:
@@ -334,6 +334,6 @@ def mc_ndt_values(cfg: NetworkConfig, demand: DemandVector, seeds: list[int]) ->
                 bits = sum(
                     profiles[e.subfile.file].get((e.subfile.tx_set, e.subfile.rx_set), 0) for e in entries(plan)
                 )
-                total += Fraction(bits, cfg.file_bits) / plan_sdof(cfg, plan)
+                total += Fraction(bits, file_bits) / plan_sdof(cfg, plan)
         values.append(total)
     return values

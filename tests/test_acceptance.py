@@ -46,8 +46,8 @@ def cfg_4x4():
     return NetworkConfig(k_t=4, k_r=4, n_files=4, m_t=2, m_r=1)
 
 
-def cfg_3x3(file_bits=None):
-    return NetworkConfig(k_t=3, k_r=3, n_files=3, m_t=2, m_r=1, file_bits=file_bits)
+def cfg_3x3():
+    return NetworkConfig(k_t=3, k_r=3, n_files=3, m_t=2, m_r=1)
 
 
 def test_criterion_1_centralized_4x4_example():
@@ -125,7 +125,7 @@ def test_criterion_4_zf_verification_and_minor_match():
 def test_criterion_5_decentralized_3x3_example():
     cfg = cfg_3x3()
     # C(3,2) tx partitions x 2^3 caching receiver sets, every one populated at F = 10^5
-    assert len(subset_profile(place_decentralized(cfg_3x3(file_bits=10**5), seed=0), 0)) == 24
+    assert len(subset_profile(place_decentralized(cfg, 10**5, seed=0), 0)) == 24
     demand = DemandVector.worst_case(cfg)
     tier_sdof = {t: plan_sdof(cfg, plan) for t, plan in enumerate(build_decentralized_plan(cfg, demand))}
     assert tier_sdof == {0: Fraction(9, 4), 1: Fraction(3), 2: Fraction(3)}
@@ -139,8 +139,8 @@ def test_criterion_5_decentralized_3x3_example():
 
 def test_criterion_6_monte_carlo_ndt():
     start = time.perf_counter()
-    cfg = cfg_3x3(file_bits=10**6)
-    mc = mc_ndt(cfg, DemandVector.worst_case(cfg), seeds=list(range(1, 21)))
+    cfg = cfg_3x3()
+    mc = mc_ndt(cfg, DemandVector.worst_case(cfg), 10**6, seeds=list(range(1, 21)))
     target = float(Fraction(62, 81))
     assert abs(mc.mean - target) <= 3 * mc.stderr
     elapsed = time.perf_counter() - start

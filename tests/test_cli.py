@@ -100,7 +100,7 @@ def test_plan_builds_placement_listings_only_when_shown(show, monkeypatch):
         return original(self)
 
     monkeypatch.setattr(placement.CentralizedPlacement, "export_text", export_text)
-    monkeypatch.setattr(cli, "place_decentralized", lambda cfg, seed: pytest.fail("decentralized placement drawn"))
+    monkeypatch.setattr(cli, "place_decentralized", lambda *args: pytest.fail("decentralized placement drawn"))
     argv = ["plan", "--kt", "4", "--kr", "4", "--n", "4", "--mt", "2", "--mr", "1", "--verify", "--channel-seeds", "1"]
     assert cli.main(argv + ["--show"] * show) == 0
     assert listed == [NetworkConfig(k_t=4, k_r=4, n_files=4, m_t=2, m_r=1)] * show
@@ -188,6 +188,42 @@ def test_verify_rejects_a_mode_that_contradicts_the_plan_headers(tmp_path, monke
 
 
 NET33 = ["--kt", "3", "--kr", "3", "--n", "3", "--mt", "2", "--mr", "1", "--file-bits", "300"]
+
+
+def test_commands_that_draw_no_placement_ignore_the_file_length(tmp_path, monkeypatch, capsys):
+    # F is checked only where a placement is drawn; an unread --file-bits 0 is like any other unread value
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["plan", *NET33[:-2], "--mode", "decentralized", "--out", "tiers.txt"]) == 0
+    for argv in (
+        ["oracle-ndt", *NET33[:-2]],
+        ["verify", *NET33[:-2], "--plan-file", "tiers.txt", "--channel-seeds", "0"],
+    ):
+        capsys.readouterr()
+        assert cli.main(argv) == 0
+        unset = capsys.readouterr()
+        assert cli.main([*argv, "--file-bits", "0"]) == 0
+        assert capsys.readouterr() == unset and unset.err == ""
+
+
+BAD_FILE_LENGTHS = [
+    ["ndt", *NET33[:-2], "--file-bits", "0", "--seeds", "2"],
+    ["ndt", *NET33[:-2], "--file-bits", "-5", "--seeds", "2"],
+    ["plan", *NET33[:-2], "--mode", "decentralized", "--show", "--file-bits", "0"],
+    ["plan", *NET33[:-2], "--mode", "decentralized", "--show", "--file-bits", "0", "--out", "tiers.txt"],
+    ["ndt", "--config", "f.cfg", "--seeds", "2"],
+]
+
+
+@pytest.mark.parametrize(
+    "argv", BAD_FILE_LENGTHS, ids=["ndt-zero", "ndt-negative", "plan-show", "plan-show-out", "ndt-config"]
+)
+def test_a_bad_file_length_exits_2_where_a_placement_is_drawn(argv, tmp_path, monkeypatch, capsys):
+    # the draw refuses F before any output, so neither stdout nor an --out file is written
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "f.cfg").write_text("kt=3\nkr=3\nn=3\nmt=2\nmr=1\nfile_bits=0\n")
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == ("", "error: file_bits must be a positive integer\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["f.cfg"]
 
 
 def tier_plan_lines(tmp_path) -> list[str]:

@@ -36,8 +36,8 @@ def cfg44(m_r=1):
     return NetworkConfig(k_t=4, k_r=4, n_files=4, m_t=2, m_r=m_r)
 
 
-def cfg33(m_r=1, file_bits=None):
-    return NetworkConfig(k_t=3, k_r=3, n_files=3, m_t=2, m_r=m_r, file_bits=file_bits)
+def cfg33(m_r=1):
+    return NetworkConfig(k_t=3, k_r=3, n_files=3, m_t=2, m_r=m_r)
 
 
 def centralized_setup(cfg):
@@ -287,7 +287,7 @@ def test_duplicate_demands_scheduled_independently():
 
 class TestDecentralizedTiers:
     def test_tier_sdofs_3x3(self):
-        cfg = cfg33(file_bits=999)
+        cfg = cfg33()
         demand = DemandVector.worst_case(cfg)
         expected = {0: Fraction(9, 4), 1: Fraction(3), 2: Fraction(3)}
         plans = build_decentralized_plan(cfg, demand)
@@ -327,7 +327,7 @@ class TestDecentralizedTiers:
         }
 
     def test_full_coverage(self):
-        cfg = cfg33(file_bits=300)
+        cfg = cfg33()
         demand = DemandVector.worst_case(cfg)
         plans = build_decentralized_plan(cfg, demand)
         assert len(plans) == 3
@@ -469,7 +469,7 @@ def test_serialize_round_trip():
     cfg = cfg44()
     _, plan = centralized_setup(cfg)
     assert parse_plans(serialize_plan(plan)) == [plan]
-    cfg3 = cfg33(file_bits=300)
+    cfg3 = cfg33()
     for tier in build_decentralized_plan(cfg3, DemandVector.worst_case(cfg3)):
         assert parse_plans(serialize_plan(tier)) == [tier]
 
@@ -481,7 +481,7 @@ def test_parse_rejects_malformed():
 
 @pytest.mark.parametrize("k", [3, 4])
 def test_parse_plans_splits_concatenated_tiers(k):
-    cfg = NetworkConfig(k_t=k, k_r=k, n_files=k, m_t=2, m_r=1, file_bits=300)
+    cfg = NetworkConfig(k_t=k, k_r=k, n_files=k, m_t=2, m_r=1)
     tiers = build_decentralized_plan(cfg, DemandVector.worst_case(cfg))
     text = "".join(serialize_plan(tier) for tier in tiers)
     assert parse_plans(text) == tiers
@@ -489,7 +489,7 @@ def test_parse_plans_splits_concatenated_tiers(k):
 
 def test_parse_plans_shares_equal_tx_set_tuples():
     # a parsed plan, like a built one, holds one tuple per distinct tx-set sequence
-    cfg = NetworkConfig(k_t=4, k_r=4, n_files=4, m_t=2, m_r=1, file_bits=300)
+    cfg = NetworkConfig(k_t=4, k_r=4, n_files=4, m_t=2, m_r=1)
     (tier,) = parse_plans(serialize_plan(build_decentralized_plan(cfg, DemandVector.worst_case(cfg))[1]))
     runs = [r for block in tier.blocks for r in block.runs]
     first = {}

@@ -34,8 +34,8 @@ from cachenet.model import ConfigurationError, DemandVector, NetworkConfig, bino
 from cachenet.placement import place_decentralized, subset_profile
 
 
-def make_cfg(k_t, k_r, n, m_t, m_r, file_bits=None):
-    return NetworkConfig(k_t=k_t, k_r=k_r, n_files=n, m_t=m_t, m_r=m_r, file_bits=file_bits)
+def make_cfg(k_t, k_r, n, m_t, m_r):
+    return NetworkConfig(k_t=k_t, k_r=k_r, n_files=n, m_t=m_t, m_r=m_r)
 
 
 def corner_cfg(k_t, k_r, t_t, t_r):
@@ -296,51 +296,54 @@ class TestSweeps:
 
 class TestMonteCarlo:
     def test_mean_near_asymptotic(self):
-        cfg = make_cfg(3, 3, 3, 2, 1, file_bits=10**5)
-        mc = mc_ndt(cfg, DemandVector.worst_case(cfg), seeds=list(range(1, 11)))
+        cfg = make_cfg(3, 3, 3, 2, 1)
+        mc = mc_ndt(cfg, DemandVector.worst_case(cfg), 10**5, seeds=list(range(1, 11)))
         assert abs(mc.mean - float(Fraction(62, 81))) <= 3 * mc.stderr
 
     def test_stderr_shrinks_with_file_size(self):
         demand = DemandVector((0, 1, 2))
         errs = []
+        cfg = make_cfg(3, 3, 3, 2, 1)
         for f_bits in (10**4, 10**5, 10**6):
-            cfg = make_cfg(3, 3, 3, 2, 1, file_bits=f_bits)
-            errs.append(mc_ndt(cfg, demand, seeds=list(range(1, 9))).stderr)
+            errs.append(mc_ndt(cfg, demand, f_bits, seeds=list(range(1, 9))).stderr)
         assert errs[0] > errs[1] > errs[2]
 
     def test_per_seed_values_exact_and_deterministic(self):
-        cfg = make_cfg(3, 3, 3, 2, 1, file_bits=3000)
-        a = mc_ndt(cfg, DemandVector.worst_case(cfg), seeds=[4, 5])
-        b = mc_ndt(cfg, DemandVector.worst_case(cfg), seeds=[4, 5])
+        cfg = make_cfg(3, 3, 3, 2, 1)
+        a = mc_ndt(cfg, DemandVector.worst_case(cfg), 3000, seeds=[4, 5])
+        b = mc_ndt(cfg, DemandVector.worst_case(cfg), 3000, seeds=[4, 5])
         assert a.values == b.values
         assert all(isinstance(v, Fraction) for v in a.values)
 
     def test_needs_file_bits(self):
+        # F is a required parameter, and each draw refuses one that is not a positive int
         cfg = make_cfg(3, 3, 3, 2, 1)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(TypeError):
             mc_ndt(cfg, DemandVector.worst_case(cfg), seeds=[1])
+        with pytest.raises(ConfigurationError, match="^file_bits must be a positive integer$"):
+            mc_ndt(cfg, DemandVector.worst_case(cfg), 0, seeds=[1])
 
     @pytest.mark.parametrize("k", [3, 4])
     def test_per_seed_values_match_mask_reference(self, k):
-        cfg = make_cfg(k, k, k, 2, 1, file_bits=10**4)
+        cfg = make_cfg(k, k, k, 2, 1)
         demand = DemandVector.worst_case(cfg)
-        assert list(mc_ndt(cfg, demand, seeds=[1, 2]).values) == per_entry.mc_ndt_values(cfg, demand, [1, 2])
+        assert list(mc_ndt(cfg, demand, 10**4, seeds=[1, 2]).values) == per_entry.mc_ndt_values(cfg, demand, 10**4, [1, 2])
 
     def test_one_seed_stays_below_a_bool_mask(self):
         # tracemalloc sees numpy buffers; a K_R x N x F bool mask alone would take K_R*N*F bytes
-        cfg = make_cfg(6, 6, 6, 2, 1, file_bits=10**6)
+        cfg, f_bits = make_cfg(6, 6, 6, 2, 1), 10**6
         demand = DemandVector.worst_case(cfg)
         tracemalloc.start()
         try:
-            mc_ndt(cfg, demand, seeds=[1])
+            mc_ndt(cfg, demand, f_bits, seeds=[1])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < cfg.k_r * cfg.n_files * cfg.file_bits
+        assert peak < cfg.k_r * cfg.n_files * f_bits
 
     def test_finite_ndt_profiles_only_the_files_its_plans_name(self, monkeypatch):
         # the tier plans of demand (1,1,1) name file 1 only, so its profile is the only one taken
-        cfg = make_cfg(3, 3, 3, 2, 1, file_bits=1000)
+        cfg = make_cfg(3, 3, 3, 2, 1)
         plans = build_decentralized_plan(cfg, DemandVector((0, 0, 0)))
         profiled = []
 
@@ -349,7 +352,7 @@ class TestMonteCarlo:
             return subset_profile(placement, f)
 
         monkeypatch.setattr(metrics, "subset_profile", spy)
-        assert ndt_finite(cfg, place_decentralized(cfg, 1), plans) == Fraction(1153, 1500)
+        assert ndt_finite(place_decentralized(cfg, 1000, 1), plans) == Fraction(1153, 1500)
         assert profiled == [0]
 
 

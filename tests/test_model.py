@@ -107,9 +107,9 @@ def test_config_feasibility():
         NetworkConfig(k_t=0, k_r=2, n_files=2, m_t=1, m_r=1)
 
 
-@pytest.mark.parametrize("field", ["k_t", "k_r", "n_files", "file_bits"])
+@pytest.mark.parametrize("field", ["k_t", "k_r", "n_files"])
 def test_config_rejects_bool_integers(field):
-    values = dict(k_t=2, k_r=2, n_files=1, m_t=1, m_r=1, file_bits=8)
+    values = dict(k_t=2, k_r=2, n_files=1, m_t=1, m_r=1)
     values[field] = True
     with pytest.raises(ConfigurationError):
         NetworkConfig(**values)

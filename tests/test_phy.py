@@ -358,7 +358,7 @@ class TestBlockVerification:
         assert all(r.checked == 72 for r in reports)
 
     def test_decentralized_tier0_nulls_hold(self):
-        cfg = NetworkConfig(k_t=3, k_r=3, n_files=3, m_t=2, m_r=1, file_bits=300)
+        cfg = NetworkConfig(k_t=3, k_r=3, n_files=3, m_t=2, m_r=1)
         plan = build_decentralized_plan(cfg, DemandVector.worst_case(cfg))[0]
         reports = verify_plan_phy(cfg, [plan], channel_seeds=20)
         assert all(r.ok for r in reports)
@@ -615,7 +615,7 @@ CHECKED_CHANNELS = _checked_channels()
 
 
 def _plans(k, t_t, t_r, tiers):
-    cfg = NetworkConfig(k_t=k, k_r=k, n_files=k, m_t=t_t, m_r=t_r, file_bits=1000 if tiers else None)
+    cfg = NetworkConfig(k_t=k, k_r=k, n_files=k, m_t=t_t, m_r=t_r)
     demand = DemandVector.worst_case(cfg)
     if tiers:
         return cfg, build_decentralized_plan(cfg, demand)

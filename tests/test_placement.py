@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import sys
 import threading
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 import per_entry
 
 from cachenet import placement
-from cachenet.model import ConfigurationError, NetworkConfig, SubfileId, binomial, subsets
+from cachenet.model import ConfigurationError, NetworkConfig, SubfileId, binomial, fmt_index_set, subsets
 from cachenet.placement import (
     expected_fraction,
     place_centralized,
@@ -109,46 +110,68 @@ class TestCentralized:
 
 class TestDecentralized:
     def test_cached_bit_count(self):
-        cfg = cfg33(file_bits=999)
-        pl = place_decentralized(cfg, seed=5)
+        cfg = cfg33()
+        pl = place_decentralized(cfg, 999, seed=5)
         per_file = math.floor(1 * 999 / 3)
         for j in range(3):
             for f in range(3):
                 assert pl.cached_bits(j, f).size == per_file
 
     def test_determinism_and_seed_sensitivity(self):
-        cfg = cfg33(file_bits=3000)
-        a = place_decentralized(cfg, seed=9)
-        b = place_decentralized(cfg, seed=9)
-        c = place_decentralized(cfg, seed=10)
+        cfg = cfg33()
+        a = place_decentralized(cfg, 3000, seed=9)
+        b = place_decentralized(cfg, 3000, seed=9)
+        c = place_decentralized(cfg, 3000, seed=10)
         assert np.array_equal(a.rx_mask, b.rx_mask)
         assert not np.array_equal(a.rx_mask, c.rx_mask)
 
     def test_full_cache(self):
-        cfg = cfg33(m_r=3, file_bits=300)
-        pl = place_decentralized(cfg, seed=1)
+        cfg = cfg33(m_r=3)
+        pl = place_decentralized(cfg, 300, seed=1)
         assert pl.rx_mask.all()
 
-    def test_padding(self):
-        cfg = cfg33(file_bits=10)  # 3 partitions -> padded to 12
-        pl = place_decentralized(cfg, seed=1)
-        assert pl.padded_bits == 12 and pl.partition_size == 4
+    def test_last_partition_is_cut_at_the_file_length(self):
+        pl = place_decentralized(cfg33(), 10, seed=1)  # 3 partitions of ceil(10/3) = 4 bits: 4, 4 and 2
+        assert pl.file_bits == 10 == pl.rx_codes.shape[1] and pl.partition_size == 4
         profile = subset_profile(pl, 0)
-        assert sum(profile.values()) == 10  # pad bits excluded
+        assert sum(profile.values()) == 10
 
     def test_requires_file_bits(self):
-        with pytest.raises(ConfigurationError, match="file_bits"):
+        with pytest.raises(TypeError):
             place_decentralized(cfg33(), seed=1)
 
+    @pytest.mark.parametrize("file_bits", [True, 0, -1, 2.5, "300"], ids=repr)
+    def test_refuses_a_file_length_that_is_not_a_positive_int(self, file_bits):
+        with pytest.raises(ConfigurationError, match="^file_bits must be a positive integer$"):
+            place_decentralized(cfg33(), file_bits, 1)
+
     def test_export_lists_partitions_and_ranges(self):
-        cfg = cfg33(file_bits=30)
-        text = place_decentralized(cfg, seed=2).export_text()
+        text = place_decentralized(cfg33(), 30, seed=2).export_text()
         assert "tx-partition {1,2}: bits 0-9" in text
         assert "rx 1 file 1:" in text
 
+    @pytest.mark.parametrize(
+        "file_bits,ranges", [(10, ["bits 0-3", "bits 4-7", "bits 8-9"]), (2, ["bits 0-0", "bits 1-1", "no bits"])]
+    )
+    def test_export_cuts_each_partition_at_the_file_length(self, file_bits, ranges):
+        # ceil(F/3)-bit partitions: the listing names only bits the file has, as subset_profile counts them
+        pl = place_decentralized(cfg33(), file_bits, seed=1)
+        listed = {}
+        for line in pl.export_text().splitlines():
+            if line.startswith("tx-partition "):
+                name, bits = line.removeprefix("tx-partition ").split(": ")
+                lo, hi = map(int, bits.removeprefix("bits ").split("-")) if bits != "no bits" else (0, -1)
+                listed[name] = (bits, hi - lo + 1)
+        assert [bits for bits, _ in listed.values()] == ranges
+        for f in range(3):
+            profiled = Counter()
+            for (ts, _), n in subset_profile(pl, f).items():
+                profiled[fmt_index_set(ts)] += n
+            assert {name: n for name, (_, n) in listed.items()} == {name: profiled[name] for name in listed}
+
     def test_export_builds_the_partition_once(self, monkeypatch):
         # one family of C(4,2) = 6 transmitter sets per export, not one per partition line
-        pl = place_decentralized(cfg44(file_bits=600), seed=2)
+        pl = place_decentralized(cfg44(), 600, seed=2)
         calls = []
 
         def spy(ground, size):
@@ -266,26 +289,26 @@ class TestMarkOneBehind:
 
     def test_no_thread_outlives_placement(self):
         before = threading.active_count()
-        place_decentralized(cfg44(file_bits=20_000), seed=1)
+        place_decentralized(cfg44(), 20_000, seed=1)
         assert threading.active_count() == before
 
 
 class TestSubsetProfile:
     def test_conserves_bits(self):
-        cfg = cfg33(file_bits=999)
-        pl = place_decentralized(cfg, seed=3)
+        cfg = cfg33()
+        pl = place_decentralized(cfg, 999, seed=3)
         for f in range(3):
             assert sum(subset_profile(pl, f).values()) == 999
 
     def test_zero_cache_all_uncached(self):
-        cfg = cfg33(m_r=0, m_t=3, file_bits=300)
-        pl = place_decentralized(cfg, seed=4)
+        cfg = cfg33(m_r=0, m_t=3)
+        pl = place_decentralized(cfg, 300, seed=4)
         profile = subset_profile(pl, 0)
         assert all(rx == frozenset() for _, rx in profile)
 
     def test_class_count_3x3(self):
-        cfg = cfg33(file_bits=10**5)
-        pl = place_decentralized(cfg, seed=6)
+        cfg = cfg33()
+        pl = place_decentralized(cfg, 10**5, seed=6)
         profile = subset_profile(pl, 0)
         # at this size every class, C(3,2) tx partitions x 2^3 caching receiver sets, is populated
         assert len(profile) == binomial(3, 2) * 2**3 == 24
@@ -293,12 +316,12 @@ class TestSubsetProfile:
     @pytest.mark.parametrize("k_r", [3, 8, 9])
     def test_matches_per_bit_classification(self, k_r):
         # 8 receivers fill a one-byte code; 9 need a wider one
-        cfg = NetworkConfig(k_t=3, k_r=k_r, n_files=3, m_t=1, m_r=1, file_bits=500)
-        pl = place_decentralized(cfg, seed=k_r)
+        cfg = NetworkConfig(k_t=3, k_r=k_r, n_files=3, m_t=1, m_r=1)
+        pl = place_decentralized(cfg, 500, seed=k_r)
         tx_sets = tx_partition(cfg)
         for f in range(cfg.n_files):
             expected: dict = {}
-            for b in range(cfg.file_bits):
+            for b in range(pl.file_bits):
                 rx = frozenset(j for j in range(k_r) if pl.rx_mask[j, f, b])
                 key = (tx_sets[b // pl.partition_size], rx)
                 expected[key] = expected.get(key, 0) + 1
@@ -308,11 +331,11 @@ class TestSubsetProfile:
     @pytest.mark.parametrize("m_r", [Fraction(0), Fraction(5, 4), Fraction(3)])
     @pytest.mark.parametrize("k_r", range(1, 10))
     def test_codes_match_mask_reference(self, k_r, m_r, file_bits):
-        # 3 partitions: 999 bits split evenly, 1000 need padding; 9 receivers need a 16-bit code;
+        # 3 partitions: 999 bits split evenly, 1000 leave the last one short; 9 receivers need a 16-bit code;
         # past 10,000 bits numpy draws by a partial shuffle instead of Floyd's algorithm
-        cfg = NetworkConfig(k_t=3, k_r=k_r, n_files=3, m_t=2, m_r=m_r, file_bits=file_bits)
-        pl = place_decentralized(cfg, seed=k_r)
-        mask = per_entry.decentralized_mask(cfg, seed=k_r)
+        cfg = NetworkConfig(k_t=3, k_r=k_r, n_files=3, m_t=2, m_r=m_r)
+        pl = place_decentralized(cfg, file_bits, seed=k_r)
+        mask = per_entry.decentralized_mask(cfg, file_bits, seed=k_r)
         assert pl.rx_codes.dtype == (np.uint16 if k_r > 8 else np.uint8)
         assert np.array_equal(pl.rx_mask, mask)
         for f in range(cfg.n_files):
@@ -320,9 +343,9 @@ class TestSubsetProfile:
 
     def test_binomial_concentration(self):
         # empirical class sizes stay within 3 sigma of the i.i.d. caching law
-        cfg = cfg33(file_bits=10**6)
-        pl = place_decentralized(cfg, seed=11)
-        q = math.floor(cfg.file_bits / 3) / cfg.file_bits  # realized per-bit caching probability
+        cfg = cfg33()
+        pl = place_decentralized(cfg, 10**6, seed=11)
+        q = math.floor(pl.file_bits / 3) / pl.file_bits  # realized per-bit caching probability
         profile = subset_profile(pl, 0)
         part_real = {ts: 0 for ts in tx_partition(cfg)}
         for (ts, _), n in profile.items():

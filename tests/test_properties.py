@@ -44,9 +44,7 @@ def corners(draw) -> NetworkConfig:
     k_r = draw(st.integers(1, 6))
     t_t = draw(st.integers(1, k_t))
     t_r = draw(st.integers(0, k_r))
-    return NetworkConfig(
-        k_t=k_t, k_r=k_r, n_files=k_r, m_t=Fraction(t_t * k_r, k_t), m_r=t_r, file_bits=DEC_FILE_BITS
-    )
+    return NetworkConfig(k_t=k_t, k_r=k_r, n_files=k_r, m_t=Fraction(t_t * k_r, k_t), m_r=t_r)
 
 
 def centralized(cfg: NetworkConfig):
@@ -228,9 +226,7 @@ def integral_grid():
     """Every corner the `corners` strategy can draw: K_T, K_R <= 6, 1 <= t_T <= K_T, 0 <= t_R <= K_R."""
     for k_t, k_r in itertools.product(range(1, 7), repeat=2):
         for t_t, t_r in itertools.product(range(1, k_t + 1), range(k_r + 1)):
-            yield NetworkConfig(
-                k_t=k_t, k_r=k_r, n_files=k_r, m_t=Fraction(t_t * k_r, k_t), m_r=t_r, file_bits=DEC_FILE_BITS
-            )
+            yield NetworkConfig(k_t=k_t, k_r=k_r, n_files=k_r, m_t=Fraction(t_t * k_r, k_t), m_r=t_r)
 
 
 def test_every_consumer_uses_the_one_transmitter_partition():
@@ -249,7 +245,7 @@ def test_every_consumer_uses_the_one_transmitter_partition():
             assert all(sorted(map(sorted, v)) == [sorted(ts) for ts in partition] for v in missing.values())
         listed = {sub.tx_set for subs in per_entry.exported_caches(place_centralized(cfg))[0].values() for sub in subs}
         assert listed == set(partition)
-        placement = place_decentralized(cfg, seed=1)
+        placement = place_decentralized(cfg, DEC_FILE_BITS, seed=1)
         psize = placement.partition_size
         export = [ln for ln in placement.export_text().splitlines() if ln.startswith("tx-partition")]
         assert export == [
