@@ -158,8 +158,8 @@ def _print_ndt(oracle: Fraction, breakdown, flags, mc) -> int:
 def cmd_ndt(args, parser) -> int:
     cfg = _network(args, parser)
     demand = _demand(args, cfg)
-    report = ndt_report(cfg, demand)
     mc = _mc(cfg, demand, args)
+    report = ndt_report(cfg, demand)
     print(f"formula={_rat(report.formula_value)}")
     return _print_ndt(report.oracle_value, report.tier_breakdown, report.flags, mc)
 
@@ -167,7 +167,8 @@ def cmd_ndt(args, parser) -> int:
 def cmd_oracle_ndt(args, parser) -> int:
     cfg = _network(args, parser)
     demand = _demand(args, cfg)
-    return _print_ndt(*ndt_oracle(cfg, demand), (), _mc(cfg, demand, args))
+    mc = _mc(cfg, demand, args)
+    return _print_ndt(*ndt_oracle(cfg, demand), (), mc)
 
 
 def _print_ledgers(cfg: NetworkConfig, plan: DeliveryPlan) -> list[SubspaceLedger]:

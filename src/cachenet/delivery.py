@@ -152,16 +152,14 @@ class DeliveryPlan:
 
 
 class ReceiverLedger(NamedTuple):
-    """Classification of one block's transmissions as seen by one receiver (a plain tuple).
+    """One receiver's signal dimensions in one block (a plain tuple).
 
-    Counts are per transmission; `aligned_dims` is the number of residual
-    interference groups, each of which collapses into one dimension.
+    `desired` counts the transmissions to the receiver; `aligned_dims` is the
+    number of residual interference groups, each of which collapses into one
+    dimension.
     """
 
     desired: int
-    zf_nulled: int
-    ic_cancelled: int
-    interfering: int
     aligned_dims: int
 
     @property
@@ -183,9 +181,8 @@ class SubspaceLedger:
 
     @property
     def uniform(self) -> bool:
-        return len({r.total_dims for r in self.receivers}) <= 1 and len(
-            {r.desired for r in self.receivers}
-        ) <= 1
+        """All receivers' ledgers are equal."""
+        return len(set(self.receivers)) <= 1
 
     @property
     def dims(self) -> tuple[int, int]:
@@ -308,16 +305,15 @@ def build_decentralized_plan(cfg: NetworkConfig, demand: DemandVector) -> list[D
 
 
 def account_block(cfg: NetworkConfig, block: Block) -> SubspaceLedger:
-    """Classify every transmission at every receiver and count signal dimensions.
+    """Count each receiver's desired transmissions and aligned interference dimensions.
 
-    At receiver r a transmission is desired (r is the destination),
-    ZF-nulled (r is a ZF target), IC-cancelled (r cached the subfile) or
-    interfering.  All of this depends only on the transmission's
-    (destination, cache-holder set, ZF-target set) label, so the block's
-    runs are collapsed into per-label counts, checking each label once in
-    block order, and each label is classified once per receiver.
-    Interfering transmissions of one label align into a single dimension,
-    so `aligned_dims` is the number of interfering labels.
+    At receiver r a transmission is desired when r is its destination, and
+    interferes when r is none of destination, ZF target and cache holder.
+    Both depend only on the transmission's (destination, cache-holder set,
+    ZF-target set) label, so the block's runs are collapsed into per-label
+    counts, checking each label once in block order, and each label is read
+    once per receiver.  Interfering transmissions of one label align into a
+    single dimension, so `aligned_dims` is the number of interfering labels.
     """
     labels: dict[tuple[int, frozenset[int], frozenset[int]], int] = {}
     for run in block.runs:
@@ -328,18 +324,13 @@ def account_block(cfg: NetworkConfig, block: Block) -> SubspaceLedger:
         labels[label] += len(run.tx_sets)
     ledgers = []
     for r in range(cfg.k_r):
-        desired = zf = ic = interfering = aligned = 0
+        desired = aligned = 0
         for (dest, rx_set, zf_targets), n in labels.items():
             if dest == r:
                 desired += n
-            elif r in zf_targets:
-                zf += n
-            elif r in rx_set:
-                ic += n
-            else:
-                interfering += n
+            elif r not in zf_targets and r not in rx_set:
                 aligned += 1
-        ledgers.append(ReceiverLedger(desired, zf, ic, interfering, aligned))
+        ledgers.append(ReceiverLedger(desired, aligned))
     return SubspaceLedger(receivers=tuple(ledgers))
 
 

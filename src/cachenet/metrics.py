@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .delivery import DeliveryPlan, build_decentralized_plan, plan_sdof
 from .model import ConfigurationError, DemandVector, NetworkConfig, binomial, fmt_rational
-from .placement import DecentralizedPlacement, check_corner, expected_fraction, place_decentralized, subset_profile
+from .placement import DecentralizedPlacement, _check_file_bits, check_corner, expected_fraction, place_decentralized, subset_profile
 
 __all__ = [
     "DofReport",
@@ -206,9 +206,10 @@ def ndt_finite(placement: DecentralizedPlacement, plans: list[DeliveryPlan]) -> 
 
 
 def mc_ndt(cfg: NetworkConfig, demand: DemandVector, file_bits: int, seeds: list[int]) -> McNdt:
-    """Monte-Carlo delivery time over independently seeded placements of `file_bits`-bit files."""
+    """Monte-Carlo delivery time over independently seeded placements of `file_bits`-bit files, F checked first."""
     if not seeds:
         raise ValueError("need at least one seed")
+    _check_file_bits(file_bits)
     plans = build_decentralized_plan(cfg, demand)
     values = []
     for seed in seeds:

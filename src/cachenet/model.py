@@ -20,10 +20,8 @@ __all__ = [
     "NetworkConfig",
     "DemandVector",
     "SubfileId",
-    "as_fraction",
     "binomial",
     "subsets",
-    "is_integral",
     "fmt_rational",
     "fmt_decimal",
     "fmt_index_set",
@@ -35,13 +33,11 @@ class ConfigurationError(ValueError):
     """Raised for invalid or infeasible network / run configurations."""
 
 
-def as_fraction(value: int | str | Fraction) -> Fraction:
+def _as_fraction(value: int | str | Fraction) -> Fraction:
     """Coerce ints, Fractions and 'p/q' strings to an exact Fraction."""
     if isinstance(value, bool):
         raise ConfigurationError(f"expected a number, got {value!r}")
-    if isinstance(value, (int, Fraction)):
-        return Fraction(value)
-    if isinstance(value, str):
+    if isinstance(value, (int, Fraction, str)):
         return Fraction(value)
     raise ConfigurationError(f"expected an exact number, got {type(value).__name__}")
 
@@ -49,10 +45,6 @@ def as_fraction(value: int | str | Fraction) -> Fraction:
 def _is_int(value: object) -> bool:
     """True for ints; bools are ints in Python but never a count or an index here."""
     return isinstance(value, int) and not isinstance(value, bool)
-
-
-def is_integral(x: Fraction) -> bool:
-    return x.denominator == 1
 
 
 def binomial(n: int, k: int) -> int:
@@ -92,8 +84,8 @@ class NetworkConfig:
         for name in ("k_t", "k_r", "n_files"):
             if not _is_int(getattr(self, name)) or getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be an integer >= 1")
-        object.__setattr__(self, "m_t", as_fraction(self.m_t))
-        object.__setattr__(self, "m_r", as_fraction(self.m_r))
+        object.__setattr__(self, "m_t", _as_fraction(self.m_t))
+        object.__setattr__(self, "m_r", _as_fraction(self.m_r))
         if self.m_t < 0 or self.m_r < 0:
             raise ConfigurationError("cache sizes must be nonnegative")
         # Caching more than the library is clamped to the library.
@@ -116,11 +108,11 @@ class NetworkConfig:
 
     @property
     def t_t_integral(self) -> bool:
-        return is_integral(self.t_t)
+        return self.t_t.denominator == 1
 
     @property
     def t_r_integral(self) -> bool:
-        return is_integral(self.t_r)
+        return self.t_r.denominator == 1
 
 
 class SubfileId(NamedTuple):

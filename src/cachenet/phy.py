@@ -254,9 +254,9 @@ def _layout(blocks: tuple[Block, ...], k_r: int, k_t: int) -> _Layout:
     which depends only on the tx sets and the target count, runs at the first run of each such pair;
     so both name the same malformed run.
 
-    `Run.check` keeps the destination, the cache holders and the ZF targets disjoint, so, as in
-    `account_block`, each transmission flags one cache-cancelled gain per cache holder, and each group
-    of a block is one alignment group per receiver in none of the three.
+    `Run.check` (rule 6) keeps the destination, the cache holders and the ZF targets disjoint, so each
+    transmission flags one cache-cancelled gain per cache holder, and each group of a block is one
+    alignment group per receiver in none of the three, the receivers `account_block` counts it at.
     """
     tx_index: dict[frozenset[int], int] = {}
     target_index: dict[frozenset[int], int] = {}

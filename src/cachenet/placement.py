@@ -164,7 +164,7 @@ class DecentralizedPlacement:
         f_bits, psize = self.file_bits, self.partition_size
         for p, ts in enumerate(tx_partition(self.cfg)):
             lo, hi = p * psize, min((p + 1) * psize, f_bits)
-            lines.append(f"tx-partition {fmt_index_set(ts)}: " + (f"bits {lo}-{hi - 1}" if lo < f_bits else "no bits"))
+            lines.append(f"tx-partition {fmt_index_set(ts)}: " + (f"bits {_span(lo, hi - 1)}" if lo < f_bits else "no bits"))
         for j in range(self.cfg.k_r):
             for f in range(self.cfg.n_files):
                 ranges = _as_ranges(self.cached_bits(j, f))
@@ -176,6 +176,11 @@ class DecentralizedPlacement:
         return "\n".join(lines) + "\n"
 
 
+def _span(first: int, last: int) -> str:
+    """An inclusive bit range as a listing prints it: `first`, or `first-last` when it holds several bits."""
+    return f"{first}" if first == last else f"{first}-{last}"
+
+
 def _as_ranges(indices: np.ndarray) -> list[str]:
     import numpy as np
 
@@ -184,10 +189,7 @@ def _as_ranges(indices: np.ndarray) -> list[str]:
     breaks = np.flatnonzero(np.diff(indices) > 1)
     starts = np.concatenate(([0], breaks + 1))
     ends = np.concatenate((breaks, [indices.size - 1]))
-    return [
-        f"{indices[s]}" if indices[s] == indices[e] else f"{indices[s]}-{indices[e]}"
-        for s, e in zip(starts, ends)
-    ]
+    return [_span(indices[s], indices[e]) for s, e in zip(starts, ends)]
 
 
 def place_centralized(cfg: NetworkConfig) -> CentralizedPlacement:
@@ -200,6 +202,12 @@ def place_centralized(cfg: NetworkConfig) -> CentralizedPlacement:
     return CentralizedPlacement(cfg)
 
 
+def _check_file_bits(file_bits: int) -> None:
+    """The one rule for a file length F: a positive int (not a bool), wherever a placement is drawn."""
+    if not _is_int(file_bits) or file_bits < 1:
+        raise ConfigurationError("file_bits must be a positive integer")
+
+
 def place_decentralized(cfg: NetworkConfig, file_bits: int, seed: int) -> DecentralizedPlacement:
     """Sample receiver caches of `file_bits`-bit files: floor(M_R*F/N) bits per file, uniform without replacement.
 
@@ -208,8 +216,7 @@ def place_decentralized(cfg: NetworkConfig, file_bits: int, seed: int) -> Decent
     import numpy as np
 
     check_corner(cfg, "decentralized")
-    if not _is_int(file_bits) or file_bits < 1:
-        raise ConfigurationError("file_bits must be a positive integer")
+    _check_file_bits(file_bits)
     per_file = int(cfg.m_r * file_bits / cfg.n_files)  # floor
     rng = np.random.default_rng(seed)
     codes = np.zeros((cfg.n_files, file_bits), dtype=np.min_scalar_type(2**cfg.k_r - 1))

@@ -4,14 +4,17 @@ The library stores blocks as runs of entries that differ only in their
 transmitter set (`entries` and `block_of` convert between a plan or block
 and its `ScheduledSubfile` records here), and counts a plan's entries by
 caching weight and a block's transmissions by label before doing any
-arithmetic.  It checks completeness per (dest, file, rx_set) label, finds
-a plan's distinct precoders from integer ids and gathers their weights
-from batched minor tables.  It stores a decentralized placement as one
-receiver code per file bit.  The functions here do the same work the
-direct way, one scheduled entry, one determinant or one cached bit at a
-time, so the tests can check that both give the same entries, weights,
-reports and exact values.  `parse_plans` reads plan text one line at a time,
-with a full match and fresh field parses for every entry line.
+arithmetic; its ledgers keep only the desired and aligned counts, while
+`classify_block` here also counts the ZF-nulled, IC-cancelled and
+interfering entries.  It checks completeness per (dest, file, rx_set)
+label, finds a plan's distinct precoders from integer ids and gathers
+their weights from batched minor tables.  It stores a decentralized
+placement as one receiver code per file bit.  The functions here do the
+same work the direct way, one scheduled entry, one determinant or one
+cached bit at a time, so the tests can check that both give the same
+entries, weights, reports and exact values.  `parse_plans` reads plan
+text one line at a time, with a full match and fresh field parses for
+every entry line.
 """
 
 from __future__ import annotations
@@ -176,14 +179,28 @@ def tier_fractions(cfg: NetworkConfig, plans: list[DeliveryPlan]) -> list[Fracti
     return out
 
 
-def account_block(cfg: NetworkConfig, block: tuple[ScheduledSubfile, ...]) -> SubspaceLedger:
-    """Classify each entry at each receiver; one alignment group per interfering label."""
+class Classification(NamedTuple):
+    """How one receiver sees one block's entries: per-entry counts and the number of interfering groups."""
+
+    desired: int
+    zf_nulled: int
+    ic_cancelled: int
+    interfering: int
+    aligned_dims: int
+
+
+def classify_block(cfg: NetworkConfig, block: tuple[ScheduledSubfile, ...]) -> tuple[Classification, ...]:
+    """Classify each entry at each receiver as desired, ZF-nulled, IC-cancelled or interfering.
+
+    Each entry's label is checked first, in entry order.  Interfering entries are grouped by label,
+    one alignment group each.
+    """
     for e in block:
         if e.dest in e.subfile.rx_set:
             raise ConfigurationError(f"{e.subfile.label()} scheduled to a receiver that cached it")
         if e.zf_targets & ({e.dest} | e.subfile.rx_set):
             raise ConfigurationError(f"{e.subfile.label()} zero-forced at its destination or at a caching receiver")
-    ledgers = []
+    out = []
     for r in range(cfg.k_r):
         desired = zf = ic = interfering = 0
         groups = set()
@@ -197,8 +214,13 @@ def account_block(cfg: NetworkConfig, block: tuple[ScheduledSubfile, ...]) -> Su
             else:
                 interfering += 1
                 groups.add((e.dest, e.subfile.rx_set, e.zf_targets))
-        ledgers.append(ReceiverLedger(desired, zf, ic, interfering, len(groups)))
-    return SubspaceLedger(receivers=tuple(ledgers))
+        out.append(Classification(desired, zf, ic, interfering, len(groups)))
+    return tuple(out)
+
+
+def account_block(cfg: NetworkConfig, block: tuple[ScheduledSubfile, ...]) -> SubspaceLedger:
+    """The ledger of `classify_block`: each receiver's desired entries and alignment groups."""
+    return SubspaceLedger(receivers=tuple(ReceiverLedger(c.desired, c.aligned_dims) for c in classify_block(cfg, block)))
 
 
 def plan_sdof(cfg: NetworkConfig, plan: DeliveryPlan) -> Fraction:

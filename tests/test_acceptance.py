@@ -35,7 +35,7 @@ from cachenet.model import DemandVector, NetworkConfig, binomial
 from cachenet.phy import _draw, _layout, _minors
 from cachenet.placement import place_centralized, place_decentralized, subset_profile
 from conftest import cachenet_env
-from per_entry import entries, minor
+from per_entry import classify_block, entries, minor
 
 
 def _pass(criterion: int, detail: str) -> None:
@@ -168,10 +168,10 @@ def test_criterion_7_completeness_grid():
                 report = verify_completeness(cfg, [plan], "centralized", demand)
                 assert report.complete, (k_t, k_r, t_t, t_r, report.summary())
                 for block, ledger in zip(plan.blocks, account_plan(cfg, plan)):
-                    for r in ledger.receivers:
-                        assert (
-                            r.desired + r.zf_nulled + r.ic_cancelled + r.interfering == len(block)
-                        )
+                    classes = classify_block(cfg, entries(block))
+                    for r, c in zip(ledger.receivers, classes, strict=True):
+                        assert (r.desired, r.aligned_dims) == (c.desired, c.aligned_dims)
+                        assert c.desired + c.zf_nulled + c.ic_cancelled + c.interfering == len(block)
                 configs += 1
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0

@@ -226,6 +226,23 @@ def test_a_bad_file_length_exits_2_where_a_placement_is_drawn(argv, tmp_path, mo
     assert [p.name for p in tmp_path.iterdir()] == ["f.cfg"]
 
 
+@pytest.mark.parametrize("command", ["ndt", "oracle-ndt"])
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (["--file-bits", "0", "--seeds", "2"], "file_bits must be a positive integer"),
+        (["--seeds", "2"], "--seeds needs --file-bits for finite-size runs"),
+    ],
+    ids=["zero", "unset"],
+)
+def test_a_bad_file_length_is_refused_before_any_exact_work(command, flags, message, monkeypatch, capsys):
+    # neither the exact report, nor the oracle, nor the Monte-Carlo run's tier plans are built first
+    for module, name in ((cli, "ndt_report"), (cli, "ndt_oracle"), (metrics, "build_decentralized_plan")):
+        monkeypatch.setattr(module, name, lambda *args, name=name: pytest.fail(f"{name} called"))
+    assert cli.main([command, *NET33[:-2], *flags]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def tier_plan_lines(tmp_path) -> list[str]:
     """The lines of the 3x3 decentralized plan file: tier-0, tier-1 and tier-2 headers at lines 1, 11 and 30."""
     assert cli.main(["plan", *NET33, "--mode", "decentralized", "--out", str(tmp_path / "tiers.txt")]) == 0

@@ -168,15 +168,15 @@ def test_differing_block_sdofs_rejected():
 
 def test_common_sdof_equal_ratios_from_different_pairs():
     # (desired, span) = (2, 4) and (1, 2) are one sum DoF; a differing ratio still names both values
-    two_of_four = SubspaceLedger((ReceiverLedger(1, 0, 0, 0, 3), ReceiverLedger(1, 0, 0, 0, 3)))
-    one_of_two = SubspaceLedger((ReceiverLedger(1, 0, 0, 0, 1),))
+    two_of_four = SubspaceLedger((ReceiverLedger(1, 3), ReceiverLedger(1, 3)))
+    one_of_two = SubspaceLedger((ReceiverLedger(1, 1),))
     assert (two_of_four.dims, one_of_two.dims) == ((2, 4), (1, 2))
     # the busiest receiver is neither the first nor the one with the most desired subfiles
-    uneven = SubspaceLedger((ReceiverLedger(3, 0, 0, 0, 0), ReceiverLedger(1, 0, 0, 0, 4), ReceiverLedger(2, 0, 0, 0, 1)))
+    uneven = SubspaceLedger((ReceiverLedger(3, 0), ReceiverLedger(1, 4), ReceiverLedger(2, 1)))
     assert (uneven.dims, SubspaceLedger(()).dims) == ((6, 5), (0, 0))
     assert common_sdof([two_of_four, one_of_two, two_of_four]) == Fraction(1, 2)
     assert common_sdof([two_of_four]) == common_sdof([one_of_two]) == Fraction(1, 2)
-    one_of_three = SubspaceLedger((ReceiverLedger(1, 0, 0, 0, 2),))
+    one_of_three = SubspaceLedger((ReceiverLedger(1, 2),))
     message = "blocks have differing sum DoF: [Fraction(1, 3), Fraction(1, 2)]"
     with pytest.raises(ConfigurationError, match=re.escape(message)):
         common_sdof([two_of_four, one_of_three, one_of_two])
@@ -245,10 +245,12 @@ class TestLedgerGrid:
                 c = binomial(k_t, t_t)
                 expected_dof = Fraction(c, c + max(k_r - t_t - t_r, 0))
                 for block, ledger in zip(plan.blocks, account_plan(cfg, plan)):
-                    for r in ledger.receivers:
-                        assert r.desired + r.zf_nulled + r.ic_cancelled + r.interfering == len(block)
+                    classes = per_entry.classify_block(cfg, entries(block))
+                    for r, kind in zip(ledger.receivers, classes, strict=True):
+                        assert (r.desired, r.aligned_dims) == (kind.desired, kind.aligned_dims)
+                        assert kind.desired + kind.zf_nulled + kind.ic_cancelled + kind.interfering == len(block)
                         assert r.dof == expected_dof
-                        assert r.aligned_dims <= r.interfering
+                        assert r.aligned_dims <= kind.interfering
                 report = verify_completeness(cfg, [plan], "centralized", demand)
                 assert report.complete, (k_t, k_r, t_t, t_r, report.summary())
 
@@ -303,10 +305,10 @@ class TestDecentralizedTiers:
     def test_tier1_no_alignment_and_ic_active(self):
         cfg = cfg33()
         plan = build_decentralized_plan(cfg, DemandVector.worst_case(cfg))[1]
-        for ledger in account_plan(cfg, plan):
-            for r in ledger.receivers:
+        for block, ledger in zip(plan.blocks, account_plan(cfg, plan), strict=True):
+            for r, c in zip(ledger.receivers, per_entry.classify_block(cfg, entries(block)), strict=True):
                 assert r.aligned_dims == 0
-                assert r.ic_cancelled > 0
+                assert c.ic_cancelled > 0
 
     def test_top_tier_is_broadcast(self):
         cfg = cfg33()
@@ -371,10 +373,11 @@ class TestAccountBlockValidation:
 
 
 def test_receiver_ledger_is_a_plain_tuple():
-    ledger = ReceiverLedger(desired=6, zf_nulled=3, ic_cancelled=2, interfering=4, aligned_dims=1)
-    assert ledger == (6, 3, 2, 4, 1) and ReceiverLedger(*ledger) == ledger
+    ledger = ReceiverLedger(desired=6, aligned_dims=1)
+    assert ledger == (6, 1) and ReceiverLedger(*ledger) == ledger
+    assert ReceiverLedger._fields == ("desired", "aligned_dims")
     assert (ledger.total_dims, ledger.dof) == (7, Fraction(6, 7))
-    assert ReceiverLedger(0, 0, 0, 0, 0).dof == 0
+    assert ReceiverLedger(0, 0).dof == 0
 
 
 class TestPerLabelEquivalence:
@@ -421,7 +424,8 @@ class TestPerLabelEquivalence:
         assert not ledger.uniform
         # at rx 4 (1-based) two labels interfere: dest=1 cachedRx={2} zf={3} with
         # three entries and dest=2 cachedRx={} with two: 5 transmissions, 2 dimensions
-        assert ledger.receivers[3] == ReceiverLedger(
+        assert ledger.receivers[3] == ReceiverLedger(desired=1, aligned_dims=2)
+        assert per_entry.classify_block(cfg, block)[3] == per_entry.Classification(
             desired=1, zf_nulled=1, ic_cancelled=1, interfering=5, aligned_dims=2
         )
 

@@ -115,6 +115,16 @@ def test_config_rejects_bool_integers(field):
         NetworkConfig(**values)
 
 
+@pytest.mark.parametrize("field", ["m_t", "m_r"])
+def test_cache_sizes_are_exact_numbers(field):
+    values = dict(k_t=2, k_r=2, n_files=2, m_t=1, m_r=1)
+    for value, message in ((True, "expected a number, got True"), (0.5, "expected an exact number, got float")):
+        with pytest.raises(ConfigurationError, match=f"^{message}$"):
+            NetworkConfig(**{**values, field: value})
+    for value in (2, Fraction(3, 2), "3/2"):
+        assert getattr(NetworkConfig(**{**values, field: value}), field) == Fraction(value)
+
+
 def test_config_clamps_to_library():
     cfg = NetworkConfig(k_t=2, k_r=2, n_files=2, m_t=5, m_r=7)
     assert cfg.m_t == 2 and cfg.m_r == 2

@@ -151,16 +151,19 @@ class TestDecentralized:
         assert "rx 1 file 1:" in text
 
     @pytest.mark.parametrize(
-        "file_bits,ranges", [(10, ["bits 0-3", "bits 4-7", "bits 8-9"]), (2, ["bits 0-0", "bits 1-1", "no bits"])]
+        "file_bits,ranges", [(10, ["bits 0-3", "bits 4-7", "bits 8-9"]), (2, ["bits 0", "bits 1", "no bits"])]
     )
     def test_export_cuts_each_partition_at_the_file_length(self, file_bits, ranges):
-        # ceil(F/3)-bit partitions: the listing names only bits the file has, as subset_profile counts them
+        # ceil(F/3)-bit partitions: the listing names only bits the file has, as subset_profile counts them,
+        # and prints a one-bit range as one index, as the receiver ranges do
         pl = place_decentralized(cfg33(), file_bits, seed=1)
         listed = {}
         for line in pl.export_text().splitlines():
             if line.startswith("tx-partition "):
                 name, bits = line.removeprefix("tx-partition ").split(": ")
-                lo, hi = map(int, bits.removeprefix("bits ").split("-")) if bits != "no bits" else (0, -1)
+                first, dash, last = bits.removeprefix("bits ").partition("-")
+                lo, hi = (int(first), int(last or first)) if bits != "no bits" else (0, -1)
+                assert not dash or lo < hi, line
                 listed[name] = (bits, hi - lo + 1)
         assert [bits for bits, _ in listed.values()] == ranges
         for f in range(3):

@@ -271,8 +271,9 @@ def split_runs(plans: list[DeliveryPlan], rnd: random.Random) -> list[DeliveryPl
 
 
 def test_phy_counts_equal_the_ledger_sums():
-    # phy classifies receivers with its own copy of account_block's rule; the two must count alike,
-    # also where one label of a block spans several runs
+    # phy counts cache-cancelled gains and alignment groups by its own copy of the classification rule:
+    # they must equal the per-entry classification's IC count and the ledgers' aligned sum, also where
+    # one label of a block spans several runs
     plan_sets, rnd = 0, random.Random(5)
     for cfg in integral_grid():
         if min(cfg.k_t, cfg.k_r) < 2:
@@ -280,8 +281,10 @@ def test_phy_counts_equal_the_ledger_sums():
         sets = [[centralized(cfg)[2]]] + ([decentralized(cfg)[2]] if cfg.t_r == 0 else [])
         for plans in (*sets, *(split_runs(s, rnd) for s in sets)):
             receivers = [rx for plan in plans for ledger in account_plan(cfg, plan) for rx in ledger.receivers]
+            blocks = [per_entry.entries(b) for plan in plans for b in plan.blocks]
+            ic = sum(c.ic_cancelled for b in blocks for c in per_entry.classify_block(cfg, b))
             for report in verify_plan_phy(cfg, plans, channel_seeds=[0, 1]):
-                assert report.ic_flagged == sum(rx.ic_cancelled for rx in receivers), (cfg, len(plans))
+                assert report.ic_flagged == ic, (cfg, len(plans))
                 assert report.alignment_groups == sum(rx.aligned_dims for rx in receivers), (cfg, len(plans))
             plan_sets += 1
     assert plan_sets == 2 * 600
