@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import chain
 
 from .delivery import DeliveryPlan, build_decentralized_plan, plan_sdof
 from .model import ConfigurationError, DemandVector, NetworkConfig, binomial, fmt_rational
@@ -195,14 +196,31 @@ def ndt_oracle(
 def ndt_finite(placement: DecentralizedPlacement, plans: list[DeliveryPlan]) -> Fraction:
     """Delivery time of one finite-size placement: actual scheduled bits over tier sum-DoF.
 
-    The network and F are the placement's own.  Only the files the plans' runs name are profiled.
+    The network and F are the placement's own.  Each run must send its class
+    over the whole transmitter partition, as built tier plans do; it then
+    schedules every bit of its file cached by exactly its receiver set, one
+    entry of the file's `subset_profile`.  A run over part of the partition
+    raises ValueError.  Only the files the plans' runs name are profiled.
     """
-    profiles = {f: subset_profile(placement, f) for f in sorted({r.file for plan in plans for _, r in plan.runs()})}
+    cfg, t_t = placement.cfg, int(placement.cfg.t_t)
+    runs = [[r for _, r in plan.runs()] for plan in plans]
+    n_sets, every, checked = binomial(cfg.k_t, t_t), frozenset(range(cfg.k_t)), set()
+    for r in chain.from_iterable(runs):
+        # the runs of built plans share one tuple, so it is checked once; `runs` keeps each id alive
+        if id(r.tx_sets) in checked:
+            continue
+        if not len(r.tx_sets) == len(set(r.tx_sets)) == n_sets or not all(len(ts) == t_t and ts <= every for ts in r.tx_sets):
+            raise ValueError(
+                f"a run of file {r.file + 1} to receiver {r.dest + 1} lists {len(r.tx_sets)} transmitter sets, "
+                f"not the whole partition of C({cfg.k_t},{t_t}) = {n_sets}"
+            )
+        checked.add(id(r.tx_sets))
+    profiles = {f: subset_profile(placement, f) for f in sorted({r.file for r in chain.from_iterable(runs)})}
     masses = [
-        Fraction(sum(profiles[r.file].get((ts, r.rx_set), 0) for _, r in plan.runs() for ts in r.tx_sets), placement.file_bits)
-        for plan in plans
+        Fraction(sum(profiles[r.file][sum(1 << j for j in r.rx_set)] for r in plan_runs), placement.file_bits)
+        for plan_runs in runs
     ]
-    return _per_tier(placement.cfg, plans, masses)[1]
+    return _per_tier(cfg, plans, masses)[1]
 
 
 def mc_ndt(cfg: NetworkConfig, demand: DemandVector, file_bits: int, seeds: list[int]) -> McNdt:

@@ -7,8 +7,11 @@ receiver cache a uniformly random fixed-size subset of each file's F bits;
 F is an input of that draw alone, and the placement reads it off its codes.
 Its draws stay in the caller's thread in stream order, so they fix the
 caches per seed; marking each draw into the codes runs one draw behind in a
-one-worker executor.  Only the decentralized functions use numpy, and each
-imports it where it runs, so the exact commands never load it.
+one-worker executor.  `subset_profile` counts a file's bits by receiver
+code over the whole file: the tier plans send each class over every
+transmitter partition, so the finite-F delivery time needs no split by
+partition.  Only the decentralized functions use numpy, and each imports it
+where it runs, so the exact commands never load it.
 """
 
 from __future__ import annotations
@@ -251,25 +254,27 @@ def _mark_one_behind(draws: Iterable[tuple[np.ndarray, int, np.ndarray]]) -> Non
             marked.result()
 
 
-def subset_profile(placement: DecentralizedPlacement, file: int) -> dict[tuple[frozenset[int], frozenset[int]], int]:
-    """Bit counts of `file`, every bit classified by (tx partition, exact caching receiver set)."""
+def subset_profile(placement: DecentralizedPlacement, file: int) -> list[int]:
+    """Bit counts of `file` by receiver code: entry c counts the bits cached by exactly the receivers set in c.
+
+    The 2^K_R counts sum to F and are taken over the whole file, not per
+    transmitter partition.  One-byte codes are counted in pairs: one
+    `bincount` of the row read as 16-bit words, folded over both bytes of
+    the word, plus the odd last bit.  Wider codes take a plain `bincount`.
+    """
     import numpy as np
 
     cfg = placement.cfg
     if not 0 <= file < cfg.n_files:
         raise ValueError(f"file index {file} outside [0, {cfg.n_files})")
-    f_bits, codes = placement.file_bits, placement.rx_codes[file]
-    counts: dict[tuple[frozenset[int], frozenset[int]], int] = {}
-    psize = placement.partition_size
-    for p, ts in enumerate(tx_partition(cfg)):
-        lo, hi = p * psize, min((p + 1) * psize, f_bits)
-        if lo >= f_bits:
-            break
-        binc = np.bincount(codes[lo:hi])
-        for code in np.flatnonzero(binc):
-            rx = frozenset(j for j in range(cfg.k_r) if code >> j & 1)
-            counts[(ts, rx)] = int(binc[code])
-    return counts
+    row = placement.rx_codes[file]
+    if row.dtype != np.uint8:
+        return np.bincount(row, minlength=1 << cfg.k_r).tolist()
+    pairs = np.bincount(row[: row.size & ~1].view(np.uint16), minlength=1 << 16).reshape(256, 256)
+    counts = pairs.sum(axis=0) + pairs.sum(axis=1)
+    if row.size & 1:
+        counts[row[-1]] += 1
+    return counts[: 1 << cfg.k_r].tolist()
 
 
 def expected_fraction(cfg: NetworkConfig, t: int) -> Fraction:

@@ -343,6 +343,14 @@ def mask_profile(cfg: NetworkConfig, mask: np.ndarray, file: int) -> dict:
     return counts
 
 
+def by_receiver_code(profile: dict, k_r: int) -> list[int]:
+    """A `mask_profile` summed over transmitter partitions: entry c counts the bits cached by exactly the receivers in c."""
+    counts = [0] * (1 << k_r)
+    for (_, rx), n in profile.items():
+        counts[sum(1 << j for j in rx)] += n
+    return counts
+
+
 def mc_ndt_values(cfg: NetworkConfig, demand: DemandVector, file_bits: int, seeds: list[int]) -> list[Fraction]:
     """Per-seed finite-size delivery times from the reference mask, one scheduled entry at a time."""
     plans = build_decentralized_plan(cfg, demand)

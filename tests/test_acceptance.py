@@ -35,7 +35,7 @@ from cachenet.model import DemandVector, NetworkConfig, binomial
 from cachenet.phy import _draw, _layout, _minors
 from cachenet.placement import place_centralized, place_decentralized, subset_profile
 from conftest import cachenet_env
-from per_entry import classify_block, entries, minor
+from per_entry import by_receiver_code, classify_block, decentralized_mask, entries, mask_profile, minor
 
 
 def _pass(criterion: int, detail: str) -> None:
@@ -124,8 +124,11 @@ def test_criterion_4_zf_verification_and_minor_match():
 
 def test_criterion_5_decentralized_3x3_example():
     cfg = cfg_3x3()
-    # C(3,2) tx partitions x 2^3 caching receiver sets, every one populated at F = 10^5
-    assert len(subset_profile(place_decentralized(cfg, 10**5, seed=0), 0)) == 24
+    # C(3,2) tx partitions x 2^3 caching receiver sets, every one populated at F = 10^5; summed over
+    # the partitions, the per-bit classes are the placement's histogram by receiver code
+    profile = mask_profile(cfg, decentralized_mask(cfg, 10**5, seed=0), 0)
+    assert len(profile) == 24
+    assert subset_profile(place_decentralized(cfg, 10**5, seed=0), 0) == by_receiver_code(profile, 3)
     demand = DemandVector.worst_case(cfg)
     tier_sdof = {t: plan_sdof(cfg, plan) for t, plan in enumerate(build_decentralized_plan(cfg, demand))}
     assert tier_sdof == {0: Fraction(9, 4), 1: Fraction(3), 2: Fraction(3)}

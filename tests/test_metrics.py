@@ -10,6 +10,7 @@ import pytest
 import per_entry
 from cachenet import metrics
 from cachenet.delivery import (
+    Block,
     DeliveryPlan,
     build_centralized_plan,
     build_decentralized_plan,
@@ -329,6 +330,16 @@ class TestMonteCarlo:
         demand = DemandVector.worst_case(cfg)
         assert list(mc_ndt(cfg, demand, 10**4, seeds=[1, 2]).values) == per_entry.mc_ndt_values(cfg, demand, 10**4, [1, 2])
 
+    @pytest.mark.parametrize("file_bits", [1, 1001])
+    @pytest.mark.parametrize("k_t,m_t", [(3, 2), (4, Fraction(3, 2))])
+    @pytest.mark.parametrize("k_r", [1, 3, 8, 9])
+    def test_per_seed_values_match_mask_reference_at_odd_file_lengths(self, k_r, k_t, m_t, file_bits):
+        # neither C(3,2) = 3 nor C(4,2) = 6 divides F = 1001, so the last partition is short; 8 receivers
+        # fill a one-byte code and 9 take the 16-bit one; at F = 1 no receiver caches a bit
+        cfg = make_cfg(k_t, k_r, 3, m_t, 1)
+        demand = DemandVector.worst_case(cfg)
+        assert list(mc_ndt(cfg, demand, file_bits, seeds=[1, 2]).values) == per_entry.mc_ndt_values(cfg, demand, file_bits, [1, 2])
+
     def test_one_seed_stays_below_a_bool_mask(self):
         # tracemalloc sees numpy buffers; a K_R x N x F bool mask alone would take K_R*N*F bytes
         cfg, f_bits = make_cfg(6, 6, 6, 2, 1), 10**6
@@ -354,6 +365,55 @@ class TestMonteCarlo:
         monkeypatch.setattr(metrics, "subset_profile", spy)
         assert ndt_finite(place_decentralized(cfg, 1000, 1), plans) == Fraction(1153, 1500)
         assert profiled == [0]
+
+
+def _with_tx_sets(plans: list[DeliveryPlan], tx_sets_of) -> list[DeliveryPlan]:
+    """The plans with each run's tx sets replaced by `tx_sets_of(run)`."""
+    return [
+        DeliveryPlan(
+            blocks=tuple(Block(b.position, tuple(r._replace(tx_sets=tx_sets_of(r)) for r in b.runs)) for b in plan.blocks),
+            mode=plan.mode,
+        )
+        for plan in plans
+    ]
+
+
+class TestFiniteNdtPartition:
+    def setup_method(self):
+        self.cfg = make_cfg(4, 4, 4, 2, 1)
+        self.plans = build_decentralized_plan(self.cfg, DemandVector.worst_case(self.cfg))
+        self.placement = place_decentralized(self.cfg, 1001, 3)
+
+    def test_equal_but_distinct_tx_sets_give_the_same_value(self):
+        # every run gets its own copy of the partition tuple, equal to the shared one but not the same object
+        copied = _with_tx_sets(self.plans, lambda r: tuple(list(r.tx_sets)))
+        assert all(r.tx_sets is not self.plans[0].blocks[0].runs[0].tx_sets for p in copied for _, r in p.runs())
+        value = ndt_finite(self.placement, self.plans)
+        assert ndt_finite(self.placement, copied) == value
+        # the partition in another order covers the same bits
+        assert ndt_finite(self.placement, _with_tx_sets(self.plans, lambda r: r.tx_sets[::-1])) == value
+        assert value == per_entry.mc_ndt_values(self.cfg, DemandVector.worst_case(self.cfg), 1001, [3])[0]
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda ts: ts[:-1],  # one set short
+            lambda ts: ts[:-1] + ts[:1],  # one set twice, another missing
+            lambda ts: ts[:-1] + (frozenset({0}),),  # a set of the wrong size
+            lambda ts: ts[:-1] + (frozenset({0, 4}),),  # a transmitter outside the network
+            lambda ts: (),
+        ],
+        ids=["short", "repeat", "size", "outside", "empty"],
+    )
+    def test_refuses_a_run_over_part_of_the_partition(self, damage):
+        # only the last tier's last run is damaged: every run is checked, not only the first of each plan
+        *plans, top = self.plans
+        *blocks, final = top.blocks
+        *runs, r = final.runs
+        damaged = Block(final.position, (*runs, r._replace(tx_sets=damage(r.tx_sets))))
+        plans.append(DeliveryPlan(blocks=(*blocks, damaged), mode=top.mode))
+        with pytest.raises(ValueError, match=r"not the whole partition of C\(4,2\) = 6$"):
+            ndt_finite(self.placement, plans)
 
 
 def test_oracle_and_plan_sdof_leave_blocks_unexpanded():

@@ -133,8 +133,8 @@ class TestDecentralized:
     def test_last_partition_is_cut_at_the_file_length(self):
         pl = place_decentralized(cfg33(), 10, seed=1)  # 3 partitions of ceil(10/3) = 4 bits: 4, 4 and 2
         assert pl.file_bits == 10 == pl.rx_codes.shape[1] and pl.partition_size == 4
-        profile = subset_profile(pl, 0)
-        assert sum(profile.values()) == 10
+        assert sum(subset_profile(pl, 0)) == 10
+        assert [pl.rx_codes[0, p * 4 : (p + 1) * 4].size for p in range(3)] == [4, 4, 2]
 
     def test_requires_file_bits(self):
         with pytest.raises(TypeError):
@@ -154,9 +154,10 @@ class TestDecentralized:
         "file_bits,ranges", [(10, ["bits 0-3", "bits 4-7", "bits 8-9"]), (2, ["bits 0", "bits 1", "no bits"])]
     )
     def test_export_cuts_each_partition_at_the_file_length(self, file_bits, ranges):
-        # ceil(F/3)-bit partitions: the listing names only bits the file has, as subset_profile counts them,
+        # ceil(F/3)-bit partitions: the listing names only bits the file has, as the per-bit reference counts them,
         # and prints a one-bit range as one index, as the receiver ranges do
         pl = place_decentralized(cfg33(), file_bits, seed=1)
+        mask = per_entry.decentralized_mask(cfg33(), file_bits, seed=1)
         listed = {}
         for line in pl.export_text().splitlines():
             if line.startswith("tx-partition "):
@@ -168,9 +169,10 @@ class TestDecentralized:
         assert [bits for bits, _ in listed.values()] == ranges
         for f in range(3):
             profiled = Counter()
-            for (ts, _), n in subset_profile(pl, f).items():
+            for (ts, _), n in per_entry.mask_profile(cfg33(), mask, f).items():
                 profiled[fmt_index_set(ts)] += n
             assert {name: n for name, (_, n) in listed.items()} == {name: profiled[name] for name in listed}
+            assert sum(subset_profile(pl, f)) == sum(profiled.values()) == file_bits
 
     def test_export_builds_the_partition_once(self, monkeypatch):
         # one family of C(4,2) = 6 transmitter sets per export, not one per partition line
@@ -301,34 +303,40 @@ class TestSubsetProfile:
         cfg = cfg33()
         pl = place_decentralized(cfg, 999, seed=3)
         for f in range(3):
-            assert sum(subset_profile(pl, f).values()) == 999
+            assert sum(subset_profile(pl, f)) == 999
 
     def test_zero_cache_all_uncached(self):
         cfg = cfg33(m_r=0, m_t=3)
         pl = place_decentralized(cfg, 300, seed=4)
-        profile = subset_profile(pl, 0)
-        assert all(rx == frozenset() for _, rx in profile)
+        assert subset_profile(pl, 0) == [300] + [0] * 7
 
     def test_class_count_3x3(self):
         cfg = cfg33()
         pl = place_decentralized(cfg, 10**5, seed=6)
-        profile = subset_profile(pl, 0)
+        mask = per_entry.decentralized_mask(cfg, 10**5, seed=6)
+        profile = per_entry.mask_profile(cfg, mask, 0)
         # at this size every class, C(3,2) tx partitions x 2^3 caching receiver sets, is populated
         assert len(profile) == binomial(3, 2) * 2**3 == 24
+        assert subset_profile(pl, 0) == per_entry.by_receiver_code(profile, 3)
+        assert all(subset_profile(pl, 0))
 
     @pytest.mark.parametrize("k_r", [3, 8, 9])
     def test_matches_per_bit_classification(self, k_r):
         # 8 receivers fill a one-byte code; 9 need a wider one
         cfg = NetworkConfig(k_t=3, k_r=k_r, n_files=3, m_t=1, m_r=1)
         pl = place_decentralized(cfg, 500, seed=k_r)
-        tx_sets = tx_partition(cfg)
+        tx_sets, psize = tx_partition(cfg), pl.partition_size
         for f in range(cfg.n_files):
             expected: dict = {}
             for b in range(pl.file_bits):
                 rx = frozenset(j for j in range(k_r) if pl.rx_mask[j, f, b])
-                key = (tx_sets[b // pl.partition_size], rx)
+                key = (tx_sets[b // psize], rx)
                 expected[key] = expected.get(key, 0) + 1
-            assert subset_profile(pl, f) == expected
+            assert subset_profile(pl, f) == per_entry.by_receiver_code(expected, k_r)
+            # the partition layout: each partition's slice of the codes holds that partition's classes
+            for p, ts in enumerate(tx_sets):
+                sliced = np.bincount(pl.rx_codes[f, p * psize : (p + 1) * psize], minlength=1 << k_r)
+                assert per_entry.by_receiver_code({k: n for k, n in expected.items() if k[0] == ts}, k_r) == sliced.tolist()
 
     @pytest.mark.parametrize("file_bits", [999, 1000, 30_000])
     @pytest.mark.parametrize("m_r", [Fraction(0), Fraction(5, 4), Fraction(3)])
@@ -342,22 +350,52 @@ class TestSubsetProfile:
         assert pl.rx_codes.dtype == (np.uint16 if k_r > 8 else np.uint8)
         assert np.array_equal(pl.rx_mask, mask)
         for f in range(cfg.n_files):
-            assert subset_profile(pl, f) == per_entry.mask_profile(cfg, mask, f)
+            assert subset_profile(pl, f) == per_entry.by_receiver_code(per_entry.mask_profile(cfg, mask, f), k_r)
+
+    @pytest.mark.parametrize("k_r", [1, 3, 8, 9])
+    @pytest.mark.parametrize(
+        "row",
+        [[0], [1], [0, 1], [1, 1], [1, 0, 1], [0, 1, 1, 0], "all-even", "all-odd", "some-even", "some-odd"],
+        ids=str,
+    )
+    def test_equals_a_plain_bincount(self, k_r, row):
+        # rows of length 1, 2, odd and even, with every code present or with codes missing; the second
+        # file's row starts at an odd byte offset when F is odd
+        if isinstance(row, str):
+            kind, row = row, list(range(1 << k_r)) if row.startswith("all") else list(range(1, 1 << k_r, 3))
+            row = row * 2 + row[-1:] * kind.endswith("odd")
+            assert len(row) % 2 == kind.endswith("odd")
+        codes = np.array([row[::-1], row], dtype=np.uint16 if k_r > 8 else np.uint8)
+        codes.setflags(write=False)
+        cfg = NetworkConfig(k_t=3, k_r=k_r, n_files=2, m_t=1, m_r=1)
+        pl = placement.DecentralizedPlacement(cfg=cfg, seed=0, rx_codes=codes)
+        for f in range(2):
+            profile = subset_profile(pl, f)
+            assert profile == np.bincount(codes[f], minlength=1 << k_r).tolist()
+            assert len(profile) == 1 << k_r and sum(profile) == len(row)
+
+    def test_refuses_a_file_outside_the_library(self):
+        pl = place_decentralized(cfg33(), 30, seed=1)
+        for f in (-1, 3):
+            with pytest.raises(ValueError, match="outside"):
+                subset_profile(pl, f)
 
     def test_binomial_concentration(self):
-        # empirical class sizes stay within 3 sigma of the i.i.d. caching law
+        # empirical class sizes stay within 3 sigma of the i.i.d. caching law, per partition slice of the codes
         cfg = cfg33()
         pl = place_decentralized(cfg, 10**6, seed=11)
         q = math.floor(pl.file_bits / 3) / pl.file_bits  # realized per-bit caching probability
-        profile = subset_profile(pl, 0)
-        part_real = {ts: 0 for ts in tx_partition(cfg)}
-        for (ts, _), n in profile.items():
-            part_real[ts] += n
-        for (ts, rx), n in profile.items():
-            p = q ** len(rx) * (1 - q) ** (3 - len(rx))
-            mean = part_real[ts] * p
-            sigma = math.sqrt(part_real[ts] * p * (1 - p))
-            assert abs(n - mean) <= 3 * sigma, (ts, rx, n, mean)
+        psize, total = pl.partition_size, np.zeros(8, dtype=np.int64)
+        for p, ts in enumerate(tx_partition(cfg)):
+            part = np.bincount(pl.rx_codes[0, p * psize : (p + 1) * psize], minlength=8)
+            total += part
+            for code, n in enumerate(part.tolist()):
+                w = code.bit_count()
+                prob = q**w * (1 - q) ** (3 - w)
+                mean = part.sum() * prob
+                sigma = math.sqrt(part.sum() * prob * (1 - prob))
+                assert abs(n - mean) <= 3 * sigma, (ts, code, n, mean)
+        assert subset_profile(pl, 0) == total.tolist()
 
 
 def test_expected_fraction_values():

@@ -14,6 +14,7 @@ import re
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -251,12 +252,19 @@ def test_every_consumer_uses_the_one_transmitter_partition():
         assert export == [
             f"tx-partition {fmt_index_set(ts)}: bits {p * psize}-{(p + 1) * psize - 1}" for p, ts in enumerate(partition)
         ]
+        # the per-bit reference splits the file as the listing does, each partition's slice of the codes holds
+        # its classes, and summed over the partitions they are the placement's histogram by receiver code
+        profile = per_entry.mask_profile(cfg, per_entry.decentralized_mask(cfg, DEC_FILE_BITS, seed=1), 0)
         bits = Counter()
-        for (ts, _), n in subset_profile(placement, 0).items():
+        for (ts, _), n in profile.items():
             bits[ts] += n
         assert bits == Counter(
             {ts: min((p + 1) * psize, DEC_FILE_BITS) - p * psize for p, ts in enumerate(partition) if p * psize < DEC_FILE_BITS}
         )
+        for p, ts in enumerate(partition):
+            sliced = np.bincount(placement.rx_codes[0, p * psize : (p + 1) * psize], minlength=1 << cfg.k_r).tolist()
+            assert sliced == per_entry.by_receiver_code({k: n for k, n in profile.items() if k[0] == ts}, cfg.k_r)
+        assert subset_profile(placement, 0) == per_entry.by_receiver_code(profile, cfg.k_r)
 
 
 def split_runs(plans: list[DeliveryPlan], rnd: random.Random) -> list[DeliveryPlan]:
