@@ -13,11 +13,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import chain
 
 from .delivery import DeliveryPlan, build_decentralized_plan, plan_sdof
 from .model import ConfigurationError, DemandVector, NetworkConfig, binomial, fmt_rational
-from .placement import DecentralizedPlacement, _check_file_bits, check_corner, expected_fraction, place_decentralized, subset_profile
+from .placement import _check_file_bits, check_corner, expected_fraction, place_decentralized, subset_profile
 
 __all__ = [
     "DofReport",
@@ -29,7 +28,6 @@ __all__ = [
     "ndt_closed_form",
     "ndt_centralized",
     "ndt_oracle",
-    "ndt_finite",
     "mc_ndt",
     "ndt_report",
     "memory_share",
@@ -171,12 +169,6 @@ def _tier_fractions(cfg: NetworkConfig, plans: list[DeliveryPlan]) -> list[Fract
     return out
 
 
-def _per_tier(cfg: NetworkConfig, plans: list[DeliveryPlan], masses: list[Fraction]) -> tuple[list[Fraction], Fraction]:
-    """Each tier's mass over its ledger sum-DoF, 0 for a tier with no blocks, and their sum."""
-    terms = [mass / plan_sdof(cfg, plan) if plan.blocks else Fraction(0) for plan, mass in zip(plans, masses)]
-    return terms, sum(terms, Fraction(0))
-
-
 def ndt_oracle(
     cfg: NetworkConfig, demand: DemandVector | None = None
 ) -> tuple[Fraction, tuple[tuple[int, Fraction], ...]]:
@@ -189,50 +181,36 @@ def ndt_oracle(
     if demand is None:
         demand = DemandVector.worst_case(cfg)
     plans = build_decentralized_plan(cfg, demand)
-    terms, total = _per_tier(cfg, plans, _tier_fractions(cfg, plans))
-    return total, tuple(enumerate(terms))
-
-
-def ndt_finite(placement: DecentralizedPlacement, plans: list[DeliveryPlan]) -> Fraction:
-    """Delivery time of one finite-size placement: actual scheduled bits over tier sum-DoF.
-
-    The network and F are the placement's own.  Each run must send its class
-    over the whole transmitter partition, as built tier plans do; it then
-    schedules every bit of its file cached by exactly its receiver set, one
-    entry of the file's `subset_profile`.  A run over part of the partition
-    raises ValueError.  Only the files the plans' runs name are profiled.
-    """
-    cfg, t_t = placement.cfg, int(placement.cfg.t_t)
-    runs = [[r for _, r in plan.runs()] for plan in plans]
-    n_sets, every, checked = binomial(cfg.k_t, t_t), frozenset(range(cfg.k_t)), set()
-    for r in chain.from_iterable(runs):
-        # the runs of built plans share one tuple, so it is checked once; `runs` keeps each id alive
-        if id(r.tx_sets) in checked:
-            continue
-        if not len(r.tx_sets) == len(set(r.tx_sets)) == n_sets or not all(len(ts) == t_t and ts <= every for ts in r.tx_sets):
-            raise ValueError(
-                f"a run of file {r.file + 1} to receiver {r.dest + 1} lists {len(r.tx_sets)} transmitter sets, "
-                f"not the whole partition of C({cfg.k_t},{t_t}) = {n_sets}"
-            )
-        checked.add(id(r.tx_sets))
-    profiles = {f: subset_profile(placement, f) for f in sorted({r.file for r in chain.from_iterable(runs)})}
-    masses = [
-        Fraction(sum(profiles[r.file][sum(1 << j for j in r.rx_set)] for r in plan_runs), placement.file_bits)
-        for plan_runs in runs
-    ]
-    return _per_tier(cfg, plans, masses)[1]
+    masses = _tier_fractions(cfg, plans)
+    terms = [mass / plan_sdof(cfg, plan) if plan.blocks else Fraction(0) for plan, mass in zip(plans, masses)]
+    return sum(terms, Fraction(0)), tuple(enumerate(terms))
 
 
 def mc_ndt(cfg: NetworkConfig, demand: DemandVector, file_bits: int, seeds: list[int]) -> McNdt:
-    """Monte-Carlo delivery time over independently seeded placements of `file_bits`-bit files, F checked first."""
+    """Monte-Carlo delivery time over independently seeded placements of `file_bits`-bit files, F checked first.
+
+    Per seed, scheduled bits over tier sum-DoF; the tier plans are built and
+    accounted once.  Each of their runs sends its class over the whole
+    transmitter partition, so it schedules the bits of its file cached by
+    exactly its receiver set: one entry of that file's `subset_profile`.
+    """
     if not seeds:
         raise ValueError("need at least one seed")
     _check_file_bits(file_bits)
-    plans = build_decentralized_plan(cfg, demand)
+    tiers = [
+        ([(r.file, sum(1 << j for j in r.rx_set)) for _, r in plan.runs()], plan_sdof(cfg, plan))
+        for plan in build_decentralized_plan(cfg, demand)
+        if plan.blocks
+    ]
+    files = sorted({f for entries, _ in tiers for f, _ in entries})
     values = []
     for seed in seeds:
-        # no reference outlives the call, so one N x F receiver-code array is alive at a time
-        values.append(ndt_finite(place_decentralized(cfg, file_bits, seed), plans))
+        placement = place_decentralized(cfg, file_bits, seed)
+        profiles = {f: subset_profile(placement, f) for f in files}
+        # dropped before the next draw, so one N x F receiver-code array is alive at a time
+        del placement
+        masses = [Fraction(sum(profiles[f][code] for f, code in entries), file_bits) for entries, _ in tiers]
+        values.append(sum((mass / sdof for mass, (_, sdof) in zip(masses, tiers)), Fraction(0)))
     floats = [float(v) for v in values]
     mean = sum(floats) / len(floats)
     if len(floats) > 1:

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import tracemalloc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -10,7 +12,6 @@ import pytest
 import per_entry
 from cachenet import metrics
 from cachenet.delivery import (
-    Block,
     DeliveryPlan,
     build_centralized_plan,
     build_decentralized_plan,
@@ -23,7 +24,6 @@ from cachenet.metrics import (
     memory_share,
     ndt_centralized,
     ndt_closed_form,
-    ndt_finite,
     ndt_oracle,
     ndt_report,
     sdof_achievable,
@@ -324,6 +324,32 @@ class TestMonteCarlo:
         with pytest.raises(ConfigurationError, match="^file_bits must be a positive integer$"):
             mc_ndt(cfg, DemandVector.worst_case(cfg), 0, seeds=[1])
 
+    def test_checks_seeds_and_file_bits_before_building_plans(self, monkeypatch):
+        cfg = make_cfg(3, 3, 3, 2, 1)
+
+        def refuse(*args):
+            raise AssertionError("tier plans built before the inputs were checked")
+
+        monkeypatch.setattr(metrics, "build_decentralized_plan", refuse)
+        with pytest.raises(ValueError, match="^need at least one seed$"):
+            mc_ndt(cfg, DemandVector.worst_case(cfg), 1000, seeds=[])
+        with pytest.raises(ConfigurationError, match="^file_bits must be a positive integer$"):
+            mc_ndt(cfg, DemandVector.worst_case(cfg), 0, seeds=[1])
+
+    def test_seeds_are_drawn_independently(self):
+        # the plans are accounted once per call, yet each seed's value is its own one-seed run's
+        cfg = make_cfg(3, 3, 3, 2, 1)
+        demand = DemandVector.worst_case(cfg)
+        values = mc_ndt(cfg, demand, 1000, seeds=[1, 2, 3]).values
+        assert values == tuple(mc_ndt(cfg, demand, 1000, seeds=[s]).values[0] for s in (1, 2, 3))
+        assert mc_ndt(cfg, demand, 1000, seeds=[3, 2, 1]).values == values[::-1]
+
+    def test_one_seed_has_a_mean_and_no_stderr(self):
+        cfg = make_cfg(3, 3, 3, 2, 1)
+        mc = mc_ndt(cfg, DemandVector.worst_case(cfg), 1000, seeds=[7])
+        assert mc.mean == float(mc.values[0]) and mc.seeds == (7,) and mc.file_bits == 1000
+        assert math.isnan(mc.stderr)
+
     @pytest.mark.parametrize("k", [3, 4])
     def test_per_seed_values_match_mask_reference(self, k):
         cfg = make_cfg(k, k, k, 2, 1)
@@ -355,7 +381,6 @@ class TestMonteCarlo:
     def test_finite_ndt_profiles_only_the_files_its_plans_name(self, monkeypatch):
         # the tier plans of demand (1,1,1) name file 1 only, so its profile is the only one taken
         cfg = make_cfg(3, 3, 3, 2, 1)
-        plans = build_decentralized_plan(cfg, DemandVector((0, 0, 0)))
         profiled = []
 
         def spy(placement, f):
@@ -363,57 +388,40 @@ class TestMonteCarlo:
             return subset_profile(placement, f)
 
         monkeypatch.setattr(metrics, "subset_profile", spy)
-        assert ndt_finite(place_decentralized(cfg, 1000, 1), plans) == Fraction(1153, 1500)
+        assert mc_ndt(cfg, DemandVector((0, 0, 0)), 1000, seeds=[1]).values[0] == Fraction(1153, 1500)
         assert profiled == [0]
 
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_accounts_each_nonempty_tier_once_for_all_seeds(self, k, monkeypatch):
+        cfg = make_cfg(k, k, k, 2, 1)
+        demand = DemandVector.worst_case(cfg)
+        nonempty = [plan for plan in build_decentralized_plan(cfg, demand) if plan.blocks]
+        accounted = []
 
-def _with_tx_sets(plans: list[DeliveryPlan], tx_sets_of) -> list[DeliveryPlan]:
-    """The plans with each run's tx sets replaced by `tx_sets_of(run)`."""
-    return [
-        DeliveryPlan(
-            blocks=tuple(Block(b.position, tuple(r._replace(tx_sets=tx_sets_of(r)) for r in b.runs)) for b in plan.blocks),
-            mode=plan.mode,
-        )
-        for plan in plans
-    ]
+        def spy(cfg, plan):
+            accounted.append(plan)
+            return plan_sdof(cfg, plan)
 
+        monkeypatch.setattr(metrics, "plan_sdof", spy)
+        mc_ndt(cfg, demand, 1000, seeds=[1, 2, 3])
+        assert accounted == nonempty
 
-class TestFiniteNdtPartition:
-    def setup_method(self):
-        self.cfg = make_cfg(4, 4, 4, 2, 1)
-        self.plans = build_decentralized_plan(self.cfg, DemandVector.worst_case(self.cfg))
-        self.placement = place_decentralized(self.cfg, 1001, 3)
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_each_placement_is_dead_before_the_next_draw(self, k, monkeypatch):
+        # one N x F receiver-code array alive at a time bounds the Monte-Carlo's peak memory
+        cfg = make_cfg(k, k, k, 2, 1)
+        drawn, alive_at_draw = [], []
 
-    def test_equal_but_distinct_tx_sets_give_the_same_value(self):
-        # every run gets its own copy of the partition tuple, equal to the shared one but not the same object
-        copied = _with_tx_sets(self.plans, lambda r: tuple(list(r.tx_sets)))
-        assert all(r.tx_sets is not self.plans[0].blocks[0].runs[0].tx_sets for p in copied for _, r in p.runs())
-        value = ndt_finite(self.placement, self.plans)
-        assert ndt_finite(self.placement, copied) == value
-        # the partition in another order covers the same bits
-        assert ndt_finite(self.placement, _with_tx_sets(self.plans, lambda r: r.tx_sets[::-1])) == value
-        assert value == per_entry.mc_ndt_values(self.cfg, DemandVector.worst_case(self.cfg), 1001, [3])[0]
+        def draw(*args):
+            alive_at_draw.append(sum(ref() is not None for ref in drawn))
+            placement = place_decentralized(*args)
+            drawn.append(weakref.ref(placement))
+            return placement
 
-    @pytest.mark.parametrize(
-        "damage",
-        [
-            lambda ts: ts[:-1],  # one set short
-            lambda ts: ts[:-1] + ts[:1],  # one set twice, another missing
-            lambda ts: ts[:-1] + (frozenset({0}),),  # a set of the wrong size
-            lambda ts: ts[:-1] + (frozenset({0, 4}),),  # a transmitter outside the network
-            lambda ts: (),
-        ],
-        ids=["short", "repeat", "size", "outside", "empty"],
-    )
-    def test_refuses_a_run_over_part_of_the_partition(self, damage):
-        # only the last tier's last run is damaged: every run is checked, not only the first of each plan
-        *plans, top = self.plans
-        *blocks, final = top.blocks
-        *runs, r = final.runs
-        damaged = Block(final.position, (*runs, r._replace(tx_sets=damage(r.tx_sets))))
-        plans.append(DeliveryPlan(blocks=(*blocks, damaged), mode=top.mode))
-        with pytest.raises(ValueError, match=r"not the whole partition of C\(4,2\) = 6$"):
-            ndt_finite(self.placement, plans)
+        monkeypatch.setattr(metrics, "place_decentralized", draw)
+        mc_ndt(cfg, DemandVector.worst_case(cfg), 1000, seeds=[1, 2, 3])
+        assert alive_at_draw == [0, 0, 0]
+        assert len(drawn) == 3 and all(ref() is None for ref in drawn)
 
 
 def test_oracle_and_plan_sdof_leave_blocks_unexpanded():
