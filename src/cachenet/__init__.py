@@ -29,7 +29,6 @@ from .metrics import (
     ndt_report,
     sdof_achievable,
     sdof_baseline,
-    sdof_report,
     sweep_figure,
 )
 from .model import (
@@ -43,7 +42,6 @@ from .model import (
 from .placement import (
     CentralizedPlacement,
     DecentralizedPlacement,
-    expected_fraction,
     place_centralized,
     place_decentralized,
     subset_profile,

@@ -36,7 +36,8 @@ from .metrics import (
     mc_ndt,
     ndt_oracle,
     ndt_report,
-    sdof_report,
+    sdof_achievable,
+    sdof_baseline,
     sweep_figure,
 )
 from .model import ConfigurationError, DemandVector, NetworkConfig, fmt_decimal, fmt_rational
@@ -128,10 +129,10 @@ def _rat(x: Fraction) -> str:
 
 def cmd_sdof(args, parser) -> int:
     cfg = _network(args, parser)
-    report = sdof_report(cfg)
+    proposed, baseline = sdof_achievable(cfg), sdof_baseline(cfg)
     print(
-        f"proposed={_rat(report.proposed)} baseline={_rat(report.baseline)} "
-        f"per_user={fmt_rational(report.per_user)} capped={'true' if report.capped else 'false'}"
+        f"proposed={_rat(proposed)} baseline={_rat(baseline)} "
+        f"per_user={fmt_rational(proposed / cfg.k_r)} capped={'true' if proposed == cfg.k_r else 'false'}"
     )
     return 0
 

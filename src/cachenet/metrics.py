@@ -5,7 +5,8 @@ decentralized delivery time, an oracle re-derives the value from the
 delivery plans themselves (per-tier scheduled mass over per-tier ledger
 sum-DoF).  The two are always reported side by side: for some parameter
 ranges they disagree, and the reports expose that instead of adjudicating
-silently.
+silently.  The oracle and the Monte-Carlo delivery time are one tier sum
+over one tier table, taken at the expected and at the drawn bit counts.
 """
 
 from __future__ import annotations
@@ -14,17 +15,15 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .delivery import DeliveryPlan, build_decentralized_plan, plan_sdof
+from .delivery import build_decentralized_plan, plan_sdof
 from .model import ConfigurationError, DemandVector, NetworkConfig, binomial, fmt_rational
-from .placement import _check_file_bits, check_corner, expected_fraction, place_decentralized, subset_profile
+from .placement import _check_file_bits, check_corner, place_decentralized, subset_profile
 
 __all__ = [
-    "DofReport",
     "NdtReport",
     "McNdt",
     "sdof_achievable",
     "sdof_baseline",
-    "sdof_report",
     "ndt_closed_form",
     "ndt_centralized",
     "ndt_oracle",
@@ -45,16 +44,6 @@ __all__ = [
 REFERENCE_EXAMPLE_CONFIG = (3, 3, 3, 2, 1)
 REFERENCE_EXAMPLE_REPORTED = Fraction(147, 95)
 REFERENCE_EXAMPLE_INLINE = Fraction(14, 9)
-
-
-@dataclass(frozen=True)
-class DofReport:
-    """Sum-DoF of the ZF+IA+IC scheme next to the ZF+IC-only baseline."""
-
-    proposed: Fraction
-    baseline: Fraction
-    per_user: Fraction
-    capped: bool
 
 
 @dataclass(frozen=True)
@@ -104,17 +93,6 @@ def sdof_baseline(cfg: NetworkConfig) -> Fraction:
     return Fraction(min(cfg.t_t + cfg.t_r, cfg.k_r))
 
 
-def sdof_report(cfg: NetworkConfig) -> DofReport:
-    """Both sum-DoF values; the proposed one is capped when it reaches K_R."""
-    proposed = sdof_achievable(cfg)
-    return DofReport(
-        proposed=proposed,
-        baseline=sdof_baseline(cfg),
-        per_user=proposed / cfg.k_r,
-        capped=proposed == cfg.k_r,
-    )
-
-
 def ndt_closed_form(cfg: NetworkConfig) -> Fraction:
     """Closed-form achievable delivery time for decentralized receiver caches.
 
@@ -149,24 +127,37 @@ def ndt_centralized(cfg: NetworkConfig) -> Fraction:
     return cfg.k_r * (1 - cfg.m_r / cfg.n_files) / sdof_baseline(cfg)
 
 
-def _tier_fractions(cfg: NetworkConfig, plans: list[DeliveryPlan]) -> list[Fraction]:
-    """Expected scheduled mass of each tier plan, in file units (exact, asymptotic).
+def _tier_table(cfg: NetworkConfig, demand: DemandVector) -> list[tuple[dict[int, list[int]], Fraction]]:
+    """Each tier plan's receiver codes by file, and its ledger sum DoF (0 for an empty tier).
 
-    An entry's expected mass depends only on its caching weight |rx_set|,
-    so each plan's entries are counted by weight, a run at a time, and
-    `expected_fraction` is evaluated once per weight:
-    n_w * (1/C(K_T,t_T)) * expected_fraction(w).
+    Each run sends its class over the whole transmitter partition, so it
+    schedules the bits of its file cached by exactly its receiver set, whose
+    code has bit j set for receiver j.  Each distinct receiver set is coded once.
     """
-    per_partition = Fraction(1, binomial(cfg.k_t, int(cfg.t_t)))
-    out = []
-    for plan in plans:
-        weights: dict[int, int] = {}
+    code: dict[frozenset[int], int] = {}
+    table = []
+    for plan in build_decentralized_plan(cfg, demand):
+        codes: dict[int, list[int]] = {}
         for block in plan.blocks:
             for r in block.runs:
-                weights[len(r.rx_set)] = weights.get(len(r.rx_set), 0) + len(r.tx_sets)
-        mass = sum((n * expected_fraction(cfg, w) for w, n in weights.items()), Fraction(0))
-        out.append(per_partition * mass)
-    return out
+                c = code.get(r.rx_set)
+                if c is None:
+                    c = code[r.rx_set] = sum(map((1).__lshift__, r.rx_set))
+                codes.setdefault(r.file, []).append(c)
+        table.append((codes, plan_sdof(cfg, plan) if plan.blocks else 0))
+    return table
+
+
+def _tier_sum(table: list, profiles: dict[int, list[int]], file_bits: int) -> list[Fraction]:
+    """Each tier's delivery time: its runs' scheduled bits over `file_bits`, over its sum DoF (0 for an empty tier).
+
+    `table` is a `_tier_table`; `profiles[f][c]` counts the bits of file f cached by exactly code c's receivers.
+    """
+    return [
+        Fraction(sum(sum(map(profiles[f].__getitem__, cs)) for f, cs in codes.items()), file_bits) / sdof
+        if codes else Fraction(0)
+        for codes, sdof in table
+    ]
 
 
 def ndt_oracle(
@@ -176,41 +167,38 @@ def ndt_oracle(
 
     Returns the total and the per-tier contributions.  Independent of the
     closed form: the sum-DoF comes from accounting the actual tier plans,
-    which are complete by construction.
+    which are complete by construction.  Each bit is cached at each receiver
+    with probability q = M_R/N = a/b, so a code of weight w holds
+    a^w (b-a)^(K_R-w) of every b^K_R bits: the tier sum at its expectation.
     """
     if demand is None:
         demand = DemandVector.worst_case(cfg)
-    plans = build_decentralized_plan(cfg, demand)
-    masses = _tier_fractions(cfg, plans)
-    terms = [mass / plan_sdof(cfg, plan) if plan.blocks else Fraction(0) for plan, mass in zip(plans, masses)]
+    table = _tier_table(cfg, demand)
+    a, b = (cfg.m_r / cfg.n_files).as_integer_ratio()
+    by_weight = [a**w * (b - a) ** (cfg.k_r - w) for w in range(cfg.k_r + 1)]
+    profile = [by_weight[c.bit_count()] for c in range(1 << cfg.k_r)]
+    terms = _tier_sum(table, dict.fromkeys(demand.d, profile), b**cfg.k_r)  # demanded files only: no work per N
     return sum(terms, Fraction(0)), tuple(enumerate(terms))
 
 
 def mc_ndt(cfg: NetworkConfig, demand: DemandVector, file_bits: int, seeds: list[int]) -> McNdt:
     """Monte-Carlo delivery time over independently seeded placements of `file_bits`-bit files, F checked first.
 
-    Per seed, scheduled bits over tier sum-DoF; the tier plans are built and
-    accounted once.  Each of their runs sends its class over the whole
-    transmitter partition, so it schedules the bits of its file cached by
-    exactly its receiver set: one entry of that file's `subset_profile`.
+    Per seed, the tier sum at the drawn bit counts: each run's entry of its
+    file's `subset_profile`.  The tier table is built once for all seeds.
     """
     if not seeds:
         raise ValueError("need at least one seed")
     _check_file_bits(file_bits)
-    tiers = [
-        ([(r.file, sum(1 << j for j in r.rx_set)) for _, r in plan.runs()], plan_sdof(cfg, plan))
-        for plan in build_decentralized_plan(cfg, demand)
-        if plan.blocks
-    ]
-    files = sorted({f for entries, _ in tiers for f, _ in entries})
+    table = _tier_table(cfg, demand)
+    files = sorted({f for codes, _ in table for f in codes})
     values = []
     for seed in seeds:
         placement = place_decentralized(cfg, file_bits, seed)
         profiles = {f: subset_profile(placement, f) for f in files}
         # dropped before the next draw, so one N x F receiver-code array is alive at a time
         del placement
-        masses = [Fraction(sum(profiles[f][code] for f, code in entries), file_bits) for entries, _ in tiers]
-        values.append(sum((mass / sdof for mass, (_, sdof) in zip(masses, tiers)), Fraction(0)))
+        values.append(sum(_tier_sum(table, profiles, file_bits), Fraction(0)))
     floats = [float(v) for v in values]
     mean = sum(floats) / len(floats)
     if len(floats) > 1:

@@ -17,7 +17,6 @@ where it runs, so the exact commands never load it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .model import (
@@ -41,7 +40,6 @@ __all__ = [
     "place_centralized",
     "place_decentralized",
     "subset_profile",
-    "expected_fraction",
     "check_corner",
     "tx_partition",
     "MODES",
@@ -276,15 +274,3 @@ def subset_profile(placement: DecentralizedPlacement, file: int) -> list[int]:
         counts[row[-1]] += 1
     return counts[: 1 << cfg.k_r].tolist()
 
-
-def expected_fraction(cfg: NetworkConfig, t: int) -> Fraction:
-    """Asymptotic fraction of a file cached by one particular set of t receivers.
-
-    (M_R/N)^t * (1 - M_R/N)^(K_R - t), exact.  Multiply by C(K_R,t) for the
-    total mass at caching weight t, and by 1/C(K_T,t_T) for a single
-    transmitter partition.
-    """
-    if not 0 <= t <= cfg.k_r:
-        raise ValueError(f"caching weight {t} outside [0, {cfg.k_r}]")
-    q = cfg.m_r / cfg.n_files
-    return q**t * (1 - q) ** (cfg.k_r - t)

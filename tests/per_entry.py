@@ -2,19 +2,19 @@
 
 The library stores blocks as runs of entries that differ only in their
 transmitter set (`entries` and `block_of` convert between a plan or block
-and its `ScheduledSubfile` records here), and counts a plan's entries by
-caching weight and a block's transmissions by label before doing any
-arithmetic; its ledgers keep only the desired and aligned counts, while
-`classify_block` here also counts the ZF-nulled, IC-cancelled and
-interfering entries.  It checks completeness per (dest, file, rx_set)
-label, finds a plan's distinct precoders from integer ids and gathers
-their weights from batched minor tables.  It stores a decentralized
-placement as one receiver code per file bit.  The functions here do the
-same work the direct way, one scheduled entry, one determinant or one
-cached bit at a time, so the tests can check that both give the same
-entries, weights, reports and exact values.  `parse_plans` reads plan
-text one line at a time, with a full match and fresh field parses for
-every entry line.
+and its `ScheduledSubfile` records here), sums a tier's expected bits
+a run, not an entry, at a time, and counts a block's transmissions by
+label before doing any arithmetic; its ledgers keep only the desired
+and aligned counts, while `classify_block` here also counts the
+ZF-nulled, IC-cancelled and interfering entries.  It checks
+completeness per (dest, file, rx_set) label, finds a plan's distinct
+precoders from integer ids and gathers their weights from batched minor
+tables.  It stores a decentralized placement as one receiver code per
+file bit.  The functions here do the same work the direct way, one
+scheduled entry, one determinant or one cached bit at a time, so the
+tests can check that both give the same entries, weights, reports and
+exact values.  `parse_plans` reads plan text one line at a time, with a
+full match and fresh field parses for every entry line.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from cachenet.model import (
     parse_index_set,
     subsets,
 )
-from cachenet.placement import CentralizedPlacement, expected_fraction
+from cachenet.placement import CentralizedPlacement
 
 
 class ScheduledSubfile(NamedTuple):
@@ -166,10 +166,16 @@ def rotation_blocks(
     return tuple(blocks)
 
 
-def tier_fractions(cfg: NetworkConfig, plans: list[DeliveryPlan]) -> list[Fraction]:
-    """Expected scheduled mass per plan, summed one entry at a time."""
+def tier_fractions(cfg: NetworkConfig, plans: list[DeliveryPlan], q: Fraction | None = None) -> list[Fraction]:
+    """Expected scheduled mass per plan, summed one entry at a time.
+
+    Each bit is cached at each receiver independently with probability `q`,
+    M_R/N unless given, so a set of w receivers holds q^w (1-q)^(K_R-w) of it.
+    """
+    if q is None:
+        q = cfg.m_r / cfg.n_files
     per_partition = Fraction(1, binomial(cfg.k_t, int(cfg.t_t)))
-    by_weight = [per_partition * expected_fraction(cfg, w) for w in range(cfg.k_r + 1)]
+    by_weight = [per_partition * q**w * (1 - q) ** (cfg.k_r - w) for w in range(cfg.k_r + 1)]
     out = []
     for plan in plans:
         mass = Fraction(0)

@@ -15,6 +15,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from cachenet import cli
 from cachenet.delivery import (
     account_plan,
     build_centralized_plan,
@@ -28,7 +29,6 @@ from cachenet.metrics import (
     ndt_oracle,
     ndt_report,
     sdof_achievable,
-    sdof_report,
     sweep_figure,
 )
 from cachenet.model import DemandVector, NetworkConfig, binomial
@@ -67,13 +67,14 @@ def test_criterion_1_centralized_4x4_example():
     _pass(1, f"3 blocks, per-user DoF 6/7, sDoF 24/7 == closed form ({elapsed:.3f}s)")
 
 
-def test_criterion_2_sdof_spot_checks():
+def test_criterion_2_sdof_spot_checks(capsys):
     assert sdof_achievable(cfg_4x4()) == Fraction(24, 7)
     assert sdof_achievable(NetworkConfig(k_t=3, k_r=3, n_files=3, m_t=2, m_r=0)) == Fraction(9, 4)
     for m_r in (2, 3, 4):
         cfg = NetworkConfig(k_t=4, k_r=4, n_files=4, m_t=2, m_r=m_r)
-        assert sdof_achievable(cfg) == Fraction(4)
-        assert sdof_report(cfg).capped
+        assert sdof_achievable(cfg) == Fraction(4) == cfg.k_r
+        assert cli.main(["sdof", "--kt", "4", "--kr", "4", "--n", "4", "--mt", "2", "--mr", str(m_r)]) == 0
+        assert "capped=true" in capsys.readouterr().out
     _pass(2, "24/7, 9/4, and capped 4 all exact")
 
 

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 import per_entry
-from cachenet import metrics
+from cachenet import cli, metrics
 from cachenet.delivery import (
     DeliveryPlan,
     build_centralized_plan,
@@ -19,7 +19,6 @@ from cachenet.delivery import (
     verify_completeness,
 )
 from cachenet.metrics import (
-    _tier_fractions,
     mc_ndt,
     memory_share,
     ndt_centralized,
@@ -28,7 +27,6 @@ from cachenet.metrics import (
     ndt_report,
     sdof_achievable,
     sdof_baseline,
-    sdof_report,
     sweep_figure,
 )
 from cachenet.model import ConfigurationError, DemandVector, NetworkConfig, binomial
@@ -44,6 +42,13 @@ def corner_cfg(k_t, k_r, t_t, t_r):
     return make_cfg(k_t, k_r, n, Fraction(t_t * n, k_t), Fraction(t_r * n, k_r))
 
 
+def sdof_line(cfg, capsys):
+    """The `sdof` command's output line for `cfg`, as a dict of its `key=value` fields."""
+    net = {"--kt": cfg.k_t, "--kr": cfg.k_r, "--n": cfg.n_files, "--mt": cfg.m_t, "--mr": cfg.m_r}
+    assert cli.main(["sdof", *(str(x) for item in net.items() for x in item)]) == 0
+    return dict(field.split("=") for field in capsys.readouterr().out.split() if "=" in field)
+
+
 class TestSdof:
     @pytest.mark.parametrize(
         "k_t,m_t,k_r,m_r,n,expected",
@@ -57,24 +62,30 @@ class TestSdof:
     def test_values(self, k_t, m_t, k_r, m_r, n, expected):
         assert sdof_achievable(make_cfg(k_t, k_r, n, m_t, m_r)) == expected
 
-    def test_cap_flag(self):
-        assert not sdof_report(make_cfg(4, 4, 4, 2, 1)).capped
-        assert sdof_report(make_cfg(4, 4, 4, 2, 2)).capped  # 24/6 ties the cap
-        assert sdof_report(make_cfg(4, 4, 4, 2, 3)).capped  # 24/5 exceeds it
+    def test_cap_flag(self, capsys):
+        # 24/6 ties the cap at M_R = 2, and 24/5 exceeds it at M_R = 3
+        for m_r, capped in [(1, False), (2, True), (3, True)]:
+            cfg = make_cfg(4, 4, 4, 2, m_r)
+            assert (sdof_achievable(cfg) == cfg.k_r) == capped
+            assert sdof_line(cfg, capsys)["capped"] == str(capped).lower()
 
     @pytest.mark.parametrize("k_t,k_r", list(itertools.product(range(1, 8), repeat=2)))
-    def test_cap_flag_is_the_ratio_test(self, k_t, k_r):
+    def test_cap_flag_is_the_ratio_test(self, k_t, k_r, capsys):
         # capped means C K_R / (C + K_R - t_T - t_R) reaches K_R, or that denominator is <= 0
         for t_t in range(1, k_t + 1):
             for t_r in range(k_r + 1):
+                cfg = corner_cfg(k_t, k_r, t_t, t_r)
                 c, denom = binomial(k_t, t_t), binomial(k_t, t_t) + k_r - t_t - t_r
                 expected = denom <= 0 or Fraction(c * k_r, denom) >= k_r
-                assert sdof_report(corner_cfg(k_t, k_r, t_t, t_r)).capped == expected, (k_t, k_r, t_t, t_r)
+                assert (sdof_achievable(cfg) == k_r) == expected, (k_t, k_r, t_t, t_r)
+                assert sdof_line(cfg, capsys)["capped"] == str(expected).lower(), (k_t, k_r, t_t, t_r)
 
-    def test_per_user(self):
-        report = sdof_report(make_cfg(4, 4, 4, 2, 1))
-        assert report.per_user == Fraction(6, 7)
-        assert report.proposed <= 4 and report.per_user <= 1
+    def test_per_user(self, capsys):
+        cfg = make_cfg(4, 4, 4, 2, 1)
+        proposed = sdof_achievable(cfg)
+        assert proposed / cfg.k_r == Fraction(6, 7)
+        assert proposed <= 4 and proposed / cfg.k_r <= 1
+        assert sdof_line(cfg, capsys)["per_user"] == "6/7"
 
     def test_baseline(self):
         assert sdof_baseline(make_cfg(4, 4, 4, 2, 1)) == 3
@@ -171,6 +182,19 @@ class TestNdtOracle:
                     cfg = make_cfg(k_t, k_r, n, m_t, m_r)
                     assert ndt_oracle(cfg)[0] == ndt_closed_form(cfg), (k_t, t_t, k_r, m_r)
 
+    def test_work_does_not_grow_with_the_library(self):
+        # a profile per library file would take tens of MiB at N = 10^6
+        n = 10**6
+        cfg = make_cfg(2, 2, n, n // 2, 1)
+        tracemalloc.start()
+        try:
+            total, _ = ndt_oracle(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert total == ndt_closed_form(cfg)
+        assert peak < 2**20
+
     def test_discrepancy_flagged_outside_regime(self):
         cfg = make_cfg(4, 4, 4, 2, 1)  # C(4,2)=6 != 4
         report = ndt_report(cfg)
@@ -184,7 +208,7 @@ class TestNdtOracle:
 
 
 class TestPerEntryEquivalence:
-    """Counting entries by caching weight gives exactly the per-entry sums."""
+    """The oracle's tier sum over receiver codes gives exactly the per-entry sums."""
 
     # (8, 8) is left out: its per-entry reference takes seconds
     @pytest.mark.parametrize("k_t,k_r", [*itertools.product(range(1, 7), repeat=2), (2, 7), (2, 8), (4, 8)])
@@ -197,10 +221,6 @@ class TestPerEntryEquivalence:
             for t_r in range(k_r + 1):
                 cfg = corner_cfg(k_t, k_r, t_t, t_r)
                 masses = per_entry.tier_fractions(cfg, plans)
-                assert _tier_fractions(cfg, plans) == masses, (k_t, k_r, t_t, t_r)
-                # one plan holding every caching weight at once
-                mixed = [DeliveryPlan(blocks=tuple(b for p in plans for b in p.blocks), mode="mixed")]
-                assert _tier_fractions(cfg, mixed) == per_entry.tier_fractions(cfg, mixed) == [sum(masses)]
                 breakdown = tuple(
                     (t, m / s if s else Fraction(0)) for t, (m, s) in enumerate(zip(masses, sdofs))
                 )
@@ -301,6 +321,18 @@ class TestMonteCarlo:
         mc = mc_ndt(cfg, DemandVector.worst_case(cfg), 10**5, seeds=list(range(1, 11)))
         assert abs(mc.mean - float(Fraction(62, 81))) <= 3 * mc.stderr
 
+    def test_mean_sees_the_finite_file_bias(self):
+        # each receiver caches floor(M_R F/N) = 33 of F = 100 bits, so a bit is cached at a receiver with
+        # probability q_F = 33/100, not M_R/N = 1/3; the seeds' exact expectation is the per-entry oracle at q_F
+        cfg = make_cfg(3, 3, 3, 2, 1)
+        demand = DemandVector.worst_case(cfg)
+        mc = mc_ndt(cfg, demand, 100, seeds=list(range(1, 401)))
+        plans = build_decentralized_plan(cfg, demand)
+        masses = per_entry.tier_fractions(cfg, plans, q=Fraction(33, 100))
+        exact = sum(m / per_entry.plan_sdof(cfg, plan) for m, plan in zip(masses, plans) if plan.blocks)
+        assert abs(mc.mean - exact) <= 4 * mc.stderr
+        assert abs(mc.mean - ndt_oracle(cfg, demand)[0]) >= 10 * mc.stderr
+
     def test_stderr_shrinks_with_file_size(self):
         demand = DemandVector((0, 1, 2))
         errs = []
@@ -392,19 +424,30 @@ class TestMonteCarlo:
         assert profiled == [0]
 
     @pytest.mark.parametrize("k", [3, 4])
-    def test_accounts_each_nonempty_tier_once_for_all_seeds(self, k, monkeypatch):
+    @pytest.mark.parametrize(
+        "delivery_time",
+        [lambda cfg, demand: mc_ndt(cfg, demand, 1000, seeds=[1, 2, 3]), ndt_oracle],
+        ids=["mc_ndt", "ndt_oracle"],
+    )
+    def test_accounts_each_nonempty_tier_once_for_all_seeds(self, delivery_time, k, monkeypatch):
+        # both delivery times sum one tier table: the tier plans built once, each nonempty one accounted once
         cfg = make_cfg(k, k, k, 2, 1)
         demand = DemandVector.worst_case(cfg)
         nonempty = [plan for plan in build_decentralized_plan(cfg, demand) if plan.blocks]
-        accounted = []
+        built, accounted = [], []
+
+        def build(*args):
+            built.append(args)
+            return build_decentralized_plan(*args)
 
         def spy(cfg, plan):
             accounted.append(plan)
             return plan_sdof(cfg, plan)
 
+        monkeypatch.setattr(metrics, "build_decentralized_plan", build)
         monkeypatch.setattr(metrics, "plan_sdof", spy)
-        mc_ndt(cfg, demand, 1000, seeds=[1, 2, 3])
-        assert accounted == nonempty
+        delivery_time(cfg, demand)
+        assert built == [(cfg, demand)] and accounted == nonempty
 
     @pytest.mark.parametrize("k", [3, 4])
     def test_each_placement_is_dead_before_the_next_draw(self, k, monkeypatch):

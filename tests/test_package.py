@@ -21,12 +21,12 @@ EXPORTS = {
     ),
     "metrics": (
         "mc_ndt", "memory_share", "ndt_centralized", "ndt_closed_form", "ndt_oracle", "ndt_report",
-        "sdof_achievable", "sdof_baseline", "sdof_report", "sweep_figure",
+        "sdof_achievable", "sdof_baseline", "sweep_figure",
     ),
     "model": ("ConfigurationError", "DemandVector", "NetworkConfig", "SubfileId", "binomial", "subsets"),
     "phy": ("GenericityError", "verify_plan_phy"),
     "placement": (
-        "CentralizedPlacement", "DecentralizedPlacement", "expected_fraction", "place_centralized",
+        "CentralizedPlacement", "DecentralizedPlacement", "place_centralized",
         "place_decentralized", "subset_profile",
     ),
 }
@@ -44,8 +44,10 @@ def test_unknown_package_name_raises_attribute_error():
         cachenet.sample_channels
     with pytest.raises(ImportError):
         from cachenet import sample_channels  # noqa: F401
-    # names the library no longer offers: one channel-draw path, one tier-plan builder, listings only in export_text
-    for name in ("sample_channel", "ChannelMatrix", "build_tier_plan", "subfile_class_count"):
+    # names the library no longer offers: one channel-draw path, one tier-plan builder, listings only in
+    # export_text, one tier sum for both delivery times, and the sdof line printed from the two sDoF values
+    gone = ("sample_channel", "ChannelMatrix", "build_tier_plan", "subfile_class_count", "expected_fraction", "sdof_report")
+    for name in gone:
         with pytest.raises(AttributeError, match=f"no attribute '{name}'"):
             getattr(cachenet, name)
 

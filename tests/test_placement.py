@@ -14,7 +14,6 @@ import per_entry
 from cachenet import placement
 from cachenet.model import ConfigurationError, NetworkConfig, SubfileId, binomial, fmt_index_set, subsets
 from cachenet.placement import (
-    expected_fraction,
     place_centralized,
     place_decentralized,
     subset_profile,
@@ -397,21 +396,3 @@ class TestSubsetProfile:
                 assert abs(n - mean) <= 3 * sigma, (ts, code, n, mean)
         assert subset_profile(pl, 0) == total.tolist()
 
-
-def test_expected_fraction_values():
-    cfg = cfg33()
-    assert expected_fraction(cfg, 0) == Fraction(8, 27)
-    assert expected_fraction(cfg, 1) == Fraction(4, 27)
-    assert expected_fraction(cfg, 3) == Fraction(1, 27)
-
-
-def test_expected_fraction_normalizes():
-    for m_r in (0, 1, 2, Fraction(1, 2)):
-        cfg = cfg33(m_r=m_r)
-        total = sum(binomial(3, t) * expected_fraction(cfg, t) for t in range(4))
-        assert total == 1
-
-
-def test_expected_fraction_domain():
-    with pytest.raises(ValueError):
-        expected_fraction(cfg33(), 4)
